@@ -14,13 +14,11 @@ Exit codes: 0 success / stable verdict, 1 unstable verdict, 2 input error,
 import argparse
 import csv
 import io
-import os
 import sys
-import tempfile
 
 import numpy as np
 
-from . import fixtures, synthesis
+from . import fixtures, jsonio, synthesis
 from .integrator import IntegrationError, IntegratorConfig, simulate_cycle
 from .jsonio import FormatError, dump_json, load_json, matrix_from_obj, matrix_to_obj, vector_to_obj
 from .model import FeedbackLaw
@@ -102,6 +100,9 @@ def _add_integrator_flags(sub_parser) -> None:
 
 
 def _integrator_config(args) -> IntegratorConfig:
+    # Checked up front: Newton may converge without taking a difference.
+    if not (np.isfinite(args.fd_step) and args.fd_step > 0.0):
+        raise FormatError("--fd-step must be finite and positive")
     return IntegratorConfig(base_step=args.base_step)
 
 
@@ -114,9 +115,9 @@ def _load_catalog(name: str) -> fixtures.SyntheticModel:
 
 
 def _cmd_analyze(args) -> int:
-    model = _load_catalog(args.system)
     cfg = _integrator_config(args)
-    orbit = refine_fixed_point(model.system, model.orbit.fixed_points[-1], cfg)
+    model = _load_catalog(args.system)
+    orbit = refine_fixed_point(model.system, model.orbit.fixed_points[-1], cfg, fd_scale=args.fd_step)
     jacs = phase_jacobians(model.system, orbit, cfg, fd_scale=args.fd_step)
     product = compose_jacobians(jacs)
     doc = {
@@ -158,28 +159,30 @@ def _jacobians_from_doc(doc) -> list[PhaseJacobians]:
     return jacs
 
 
-def _synthesize_gains(args, jacs) -> synthesis.GainSet:
-    if args.method != "symmetric" and args.msym is not None:
+def _synthesize_gains(
+    jacs, method, msym=None, eta=None, q=None, r=None, enforce_t4=False
+) -> synthesis.GainSet:
+    if method != "symmetric" and msym is not None:
         raise FormatError("--msym applies only to --method symmetric")
-    if args.method != "scale" and args.eta is not None:
+    if method != "scale" and eta is not None:
         raise FormatError("--eta applies only to --method scale")
-    if args.method != "dlqr" and (args.q is not None or args.r is not None or args.enforce_t4):
+    if method != "dlqr" and (q is not None or r is not None or enforce_t4):
         raise FormatError("--q/--r/--enforce-t4 apply only to --method dlqr")
 
-    if args.method == "symmetric":
+    if method == "symmetric":
         target = None
-        if args.msym is not None:
-            target = matrix_from_obj(load_json(args.msym), "msym")
+        if msym is not None:
+            target = matrix_from_obj(load_json(msym), "msym")
         return synthesis.symmetric_matrix_gains(jacs, target)
-    if args.method == "scale":
-        return synthesis.scale_factor_gains(jacs, eta=1.0 if args.eta is None else args.eta)
-    q_weight = 1.0 if args.q is None else args.q
-    r_weight = 1.0 if args.r is None else args.r
+    if method == "scale":
+        return synthesis.scale_factor_gains(jacs, eta=1.0 if eta is None else eta)
+    q_weight = 1.0 if q is None else q
+    r_weight = 1.0 if r is None else r
     if q_weight <= 0.0 or r_weight <= 0.0:
         raise FormatError("--q and --r must be positive")
-    q = [q_weight * np.eye(j.A.shape[0]) for j in jacs]
-    r = [r_weight * np.eye(j.F.shape[1]) for j in jacs]
-    return synthesis.dlqr_gains(jacs, q, r, enforce_theorem4=args.enforce_t4)
+    q_mats = [q_weight * np.eye(j.A.shape[0]) for j in jacs]
+    r_mats = [r_weight * np.eye(j.F.shape[1]) for j in jacs]
+    return synthesis.dlqr_gains(jacs, q_mats, r_mats, enforce_theorem4=enforce_t4)
 
 
 def _certificate_to_obj(cert: synthesis.TheoremCertificate) -> dict:
@@ -201,7 +204,10 @@ def _report_to_obj(report: synthesis.StabilityReport) -> dict:
 
 def _cmd_synthesize(args) -> int:
     jacs = _jacobians_from_doc(load_json(args.input))
-    gains = _synthesize_gains(args, jacs)
+    gains = _synthesize_gains(
+        jacs, args.method, msym=args.msym, eta=args.eta, q=args.q, r=args.r,
+        enforce_t4=args.enforce_t4,
+    )
     report = synthesis.stability_report(jacs, gains)
     doc = {
         "method": gains.method,
@@ -242,18 +248,17 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    model = _load_catalog(args.system)
+    if args.cycles < 0:
+        raise FormatError("--cycles must be nonnegative")
+    if not np.isfinite(args.perturb):
+        raise FormatError("--perturb must be finite")
     cfg = _integrator_config(args)
-    orbit = refine_fixed_point(model.system, model.orbit.fixed_points[-1], cfg)
+    model = _load_catalog(args.system)
+    orbit = refine_fixed_point(model.system, model.orbit.fixed_points[-1], cfg, fd_scale=args.fd_step)
     law = None
     if args.method != "none":
         jacs = phase_jacobians(model.system, orbit, cfg, fd_scale=args.fd_step)
-        if args.method == "symmetric":
-            gains = synthesis.symmetric_matrix_gains(jacs)
-        elif args.method == "scale":
-            gains = synthesis.scale_factor_gains(jacs)
-        else:
-            gains = synthesis.dlqr_gains(jacs)
+        gains = _synthesize_gains(jacs, args.method)
         law = FeedbackLaw(gains=tuple(gains.gains), orbit=orbit)
 
     reference = orbit.fixed_points[-1]
@@ -270,7 +275,7 @@ def _cmd_simulate(args) -> int:
     for cycle, y in rows:
         err = float(np.linalg.norm(y - reference))
         writer.writerow([cycle, repr(err)] + [repr(float(v)) for v in y])
-    _atomic_write_text(args.output, buffer.getvalue())
+    jsonio._atomic_write(args.output, buffer.getvalue())
     return EXIT_OK
 
 
@@ -295,19 +300,6 @@ def _cmd_verify_paper(args) -> int:
             args.output,
         )
     return EXIT_OK if report.passed else EXIT_UNSTABLE
-
-
-def _atomic_write_text(path, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
 
 
 _COMMANDS = {

@@ -76,8 +76,8 @@ class IntegratorConfig:
             self.transversality_tol,
             self.guard_step_fraction,
         )
-        if any(v <= 0.0 for v in positive):
-            raise ValueError("all integrator tolerances must be positive")
+        if not all(np.isfinite(v) and v > 0.0 for v in positive):
+            raise ValueError("all integrator tolerances must be finite and positive")
         if self.min_phase_duration >= self.max_phase_duration:
             raise ValueError("min_phase_duration must be below max_phase_duration")
         if self.refine_max_iter < 1 or self.max_step_splits < 0:

@@ -99,10 +99,11 @@ def dump_json(obj, path) -> None:
 
 
 def _atomic_write(path, text: str) -> None:
+    """Write text verbatim (no newline translation) via temp file + rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp_path, path)
     except BaseException:

@@ -7,8 +7,8 @@ applied at the crossing, and a controller u = Gamma(x, beta) parameterized
 by a vector beta that event-triggered feedback freezes at phase entry.
 
 System descriptions are immutable after construction and every stored
-callable must be pure so that section-map Jacobian columns can be evaluated
-concurrently.
+callable must be pure: section maps and their finite-difference Jacobians
+are evaluated repeatedly at nearby points and must give repeatable results.
 """
 
 import warnings
@@ -16,6 +16,8 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+
+from .numerics import central_difference
 
 __all__ = [
     "SectionChart",
@@ -89,14 +91,7 @@ class Domain:
 
 def guard_gradient(domain: Domain, x: np.ndarray) -> np.ndarray:
     """Central finite-difference gradient of the exit guard at x."""
-    x = np.asarray(x, dtype=float)
-    grad = np.zeros_like(x)
-    for j in range(x.size):
-        h = _GRAD_STEP * max(1.0, abs(x[j]))
-        e = np.zeros_like(x)
-        e[j] = h
-        grad[j] = (domain.guard(x + e) - domain.guard(x - e)) / (2.0 * h)
-    return grad
+    return central_difference(domain.guard, x, _GRAD_STEP)[0]
 
 
 def guard_rate(domain: Domain, x: np.ndarray, beta: np.ndarray | None = None) -> float:
@@ -252,13 +247,7 @@ def validate_c1_c2(
         return ConditionReport(list(scales), [0.0] * len(scales), [0.0] * len(scales), True, True)
 
     def grad_x(x, beta):
-        cols = []
-        for j in range(x.size):
-            h = _GRAD_STEP * max(1.0, abs(x[j]))
-            e = np.zeros_like(x)
-            e[j] = h
-            cols.append((domain.controller(x + e, beta) - domain.controller(x - e, beta)) / (2 * h))
-        return np.array(cols).T
+        return central_difference(lambda z: domain.controller(z, beta), x, _GRAD_STEP)
 
     c1_dev, c2_dev = [], []
     for scale in scales:
@@ -338,10 +327,7 @@ def chart_from_guard(
             h_val = domain.guard(x)
             if abs(h_val) <= newton_tol:
                 return x
-            step = _GRAD_STEP * max(1.0, abs(x[j]))
-            e = np.zeros(m)
-            e[j] = step
-            slope = (domain.guard(x + e) - domain.guard(x - e)) / (2 * step)
+            slope = guard_gradient(domain, x)[j]
             if slope == 0.0:
                 break
             x[j] -= h_val / slope

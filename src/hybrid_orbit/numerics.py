@@ -15,6 +15,7 @@ __all__ = [
     "spectral_norm",
     "max_abs_entry",
     "pinv",
+    "central_difference",
     "dare_solve",
     "dlqr_gain",
 ]
@@ -93,6 +94,24 @@ def pinv(m, rel_tol: float = 1e-10) -> np.ndarray:
     else:
         inv = np.zeros_like(s)
     return (vt.T * inv) @ u.T
+
+
+def central_difference(fn, x, rel_step: float) -> np.ndarray:
+    """Central-difference Jacobian of fn at x, one column per coordinate.
+
+    Coordinate j is stepped by h = rel_step * max(1, |x_j|) and column j is
+    (fn(x + h e_j) - fn(x - h e_j)) / (2 h).  A scalar fn gives one row.
+    """
+    if not (np.isfinite(rel_step) and rel_step > 0.0):
+        raise ValueError(f"finite-difference step must be finite and positive, got {rel_step!r}")
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for j in range(x.size):
+        h = rel_step * max(1.0, abs(x[j]))
+        e = np.zeros_like(x)
+        e[j] = h
+        cols.append((fn(x + e) - fn(x - e)) / (2.0 * h))
+    return np.column_stack(cols)
 
 
 def _check_weight(q: np.ndarray, name: str, definite: bool) -> np.ndarray:

@@ -8,14 +8,13 @@ composition of all partial maps around the cycle; its Jacobian is the
 right-to-left product of the per-phase Jacobians.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .integrator import IntegratorConfig, section_step
 from .model import MultiDomainSystem, PeriodicOrbit
+from .numerics import central_difference
 
 __all__ = [
     "PhaseJacobians",
@@ -28,8 +27,6 @@ __all__ = [
     "compose_jacobians",
     "refine_fixed_point",
 ]
-
-THREADS_ENV = "HYBRID_ORBIT_THREADS"
 
 
 class FixedPointError(RuntimeError):
@@ -71,27 +68,6 @@ def return_map(system: MultiDomainSystem, x: np.ndarray, cfg: IntegratorConfig) 
     return y
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_columns(evaluate, n_columns: int) -> list:
-    """Evaluate FD columns, optionally across a capped thread pool.
-
-    Results are assembled by column index, so the output is identical
-    whatever the level of parallelism.
-    """
-    workers = min(_thread_count(), n_columns)
-    if workers <= 1:
-        return [evaluate(j) for j in range(n_columns)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(evaluate, range(n_columns)))
-
-
 def jacobian_state(
     system: MultiDomainSystem,
     i: int,
@@ -104,17 +80,7 @@ def jacobian_state(
     Step per coordinate: fd_scale * max(1, |coordinate|)."""
     x0 = orbit.fixed_points[(i - 1) % system.n_domains]
     beta0 = np.zeros(system.domain(i).param_dim)
-
-    def column(j: int) -> np.ndarray:
-        h = fd_scale * max(1.0, abs(x0[j]))
-        e = np.zeros_like(x0)
-        e[j] = h
-        y_plus = partial_map(system, i, x0 + e, beta0, cfg)
-        y_minus = partial_map(system, i, x0 - e, beta0, cfg)
-        return (y_plus - y_minus) / (2.0 * h)
-
-    cols = _map_columns(column, x0.size)
-    return np.column_stack(cols)
+    return central_difference(lambda x: partial_map(system, i, x, beta0, cfg), x0, fd_scale)
 
 
 def jacobian_param(
@@ -130,16 +96,8 @@ def jacobian_param(
     k_out = system.chart(i).k
     if p == 0:
         return np.zeros((k_out, 0))
-
-    def column(j: int) -> np.ndarray:
-        e = np.zeros(p)
-        e[j] = fd_scale
-        y_plus = partial_map(system, i, x0, e, cfg)
-        y_minus = partial_map(system, i, x0, -e, cfg)
-        return (y_plus - y_minus) / (2.0 * fd_scale)
-
-    cols = _map_columns(column, p)
-    return np.column_stack(cols)
+    # At beta = 0 every step is exactly fd_scale.
+    return central_difference(lambda b: partial_map(system, i, x0, b, cfg), np.zeros(p), fd_scale)
 
 
 def phase_jacobians(
@@ -198,7 +156,7 @@ def refine_fixed_point(
     for _ in range(max_iter):
         if res_norm < tol:
             return _collect_orbit(system, x, cfg)
-        jac = _return_map_jacobian(system, x, cfg, fd_scale)
+        jac = central_difference(lambda z: return_map(system, z, cfg), x, fd_scale)
         try:
             step = np.linalg.solve(jac - np.eye(x.size), -residual)
         except np.linalg.LinAlgError as exc:
@@ -222,16 +180,6 @@ def refine_fixed_point(
     if res_norm < tol:
         return _collect_orbit(system, x, cfg)
     raise FixedPointError(f"Newton did not converge: residual {res_norm:.3e} after {max_iter} iterations")
-
-
-def _return_map_jacobian(system, x, cfg, fd_scale):
-    def column(j):
-        h = fd_scale * max(1.0, abs(x[j]))
-        e = np.zeros_like(x)
-        e[j] = h
-        return (return_map(system, x + e, cfg) - return_map(system, x - e, cfg)) / (2.0 * h)
-
-    return np.column_stack(_map_columns(column, x.size))
 
 
 def _collect_orbit(system, x_star, cfg) -> PeriodicOrbit:

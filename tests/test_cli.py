@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from hybrid_orbit import cli
 from hybrid_orbit.cli import main
 from hybrid_orbit.fixtures import CATALOG, paper_fixture
 from hybrid_orbit.jsonio import dump_json, matrix_to_obj
@@ -100,6 +101,31 @@ def test_malformed_inputs_exit_two(tmp_path):
     assert run(["synthesize", "-i", missing_field, "--method", "scale", "-o", out]) == 2
     assert run(["analyze", "--system", "not-a-system", "-o", out]) == 2
     assert run(["certify", "-i", tmp_path / "absent.json", "-o", out]) == 2
+
+    for flags in (["--base-step", "nan"], ["--base-step", "inf"], ["--fd-step", "nan"],
+                  ["--fd-step=-1e-5"], ["--fd-step", "0"], ["--fd-step", "inf"]):
+        assert run(["analyze", "--system", "stable-2", "-o", out] + flags) == 2
+        assert run(["simulate", "--system", "stable-2", "-o", out] + flags) == 2
+    sim = tmp_path / "sim.csv"
+    assert run(["simulate", "--system", "stable-2", "--cycles", -3, "-o", sim]) == 2
+    assert run(["simulate", "--system", "stable-2", "--perturb", "nan", "-o", sim]) == 2
+    assert not sim.exists()
+
+
+def test_fd_step_reaches_newton(tmp_path, monkeypatch):
+    seen = []
+    refine = cli.refine_fixed_point
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("fd_scale"))
+        return refine(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "refine_fixed_point", recording)
+    step = ["--fd-step", "3e-5"]
+    assert run(["analyze", "--system", "stable-2", "-o", tmp_path / "j.json"] + FAST + step) == 0
+    assert run(["simulate", "--system", "stable-2", "--cycles", 1,
+                "-o", tmp_path / "s.csv"] + FAST + step) == 0
+    assert seen == [3e-5, 3e-5]
 
 
 def test_numerical_failure_exits_three(tmp_path):

@@ -187,6 +187,13 @@ def test_config_validation():
         IntegratorConfig(min_phase_duration=2.0, max_phase_duration=1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(refine_max_iter=0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            IntegratorConfig(base_step=bad)
+        with pytest.raises(ValueError):
+            IntegratorConfig(guard_tol=bad)
+        with pytest.raises(ValueError):
+            IntegratorConfig(max_phase_duration=bad)
 
 
 def test_trajectory_csv_layout(tmp_path):

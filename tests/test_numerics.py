@@ -5,6 +5,7 @@ import pytest
 
 from hybrid_orbit.numerics import (
     NumericsError,
+    central_difference,
     dare_solve,
     dlqr_gain,
     eigenvalues,
@@ -207,6 +208,42 @@ def test_pinv_idempotent_on_full_rank():
 def test_pinv_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         pinv(np.eye(2), rel_tol=0.0)
+
+
+# --------------------------------------------------------- central difference
+
+
+def test_central_difference_vector_function_matches_exact_jacobian():
+    def fn(x):
+        return np.array([x[0] ** 2 * x[1], np.sin(x[1]) + 3.0 * x[2], np.exp(x[0])])
+
+    x = np.array([0.5, -2.0, 3.0])
+    exact = np.array(
+        [
+            [2.0 * x[0] * x[1], x[0] ** 2, 0.0],
+            [0.0, np.cos(x[1]), 3.0],
+            [np.exp(x[0]), 0.0, 0.0],
+        ]
+    )
+    jac = central_difference(fn, x, 1e-5)
+    assert jac.shape == (3, 3)
+    assert np.max(np.abs(jac - exact)) < 1e-8
+
+
+def test_central_difference_scalar_row_and_step_scaling():
+    # For a cubic the central difference is 3 x^2 + h^2, which exposes h.
+    x = np.array([0.5, -4.0])
+    rel = 1e-2
+    row = central_difference(lambda z: float(z[0] ** 3 + z[1] ** 3), x, rel)
+    assert row.shape == (1, 2)
+    h = rel * np.maximum(1.0, np.abs(x))  # 0.01 and 0.04
+    assert row[0] == pytest.approx(3.0 * x**2 + h**2, abs=1e-12)
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-5, float("nan"), float("inf")])
+def test_central_difference_rejects_bad_step(step):
+    with pytest.raises(ValueError):
+        central_difference(lambda z: z, np.array([1.0]), step)
 
 
 # ----------------------------------------------------------------------- DARE

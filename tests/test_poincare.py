@@ -114,16 +114,6 @@ def test_jacobian_reproducible_bit_identical(stable2, cfg_fast):
     assert np.array_equal(first, second)
 
 
-def test_jacobian_parallel_columns_identical(stable2, cfg_fast, monkeypatch):
-    serial = jacobian_state(stable2.system, 0, stable2.orbit, cfg_fast)
-    monkeypatch.setenv("HYBRID_ORBIT_THREADS", "4")
-    threaded = jacobian_state(stable2.system, 0, stable2.orbit, cfg_fast)
-    assert np.array_equal(serial, threaded)
-    monkeypatch.setenv("HYBRID_ORBIT_THREADS", "not-a-number")
-    fallback = jacobian_state(stable2.system, 0, stable2.orbit, cfg_fast)
-    assert np.array_equal(serial, fallback)
-
-
 def test_jacobian_step_halving_agreement(stable2, cfg_accurate):
     coarse = jacobian_state(stable2.system, 0, stable2.orbit, cfg_accurate, fd_scale=1e-3)
     fine = jacobian_state(stable2.system, 0, stable2.orbit, cfg_accurate, fd_scale=5e-4)
