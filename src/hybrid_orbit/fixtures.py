@@ -569,6 +569,22 @@ def _stable_profile_ok(jac_pairs) -> bool:
     return True
 
 
+def _linear_batch_field(drift: np.ndarray, coupling: np.ndarray):
+    """Stacked field rows x M' + beta (G W)' of a linear phase.
+
+    The control term depends on beta alone, so it is formed once per
+    parameter stack, not once per field evaluation.
+    """
+    drift_t = np.ascontiguousarray(drift.T)
+    coupling_t = np.ascontiguousarray(coupling.T)
+
+    def field(betas: np.ndarray):
+        control = np.asarray(betas, dtype=float) @ coupling_t
+        return lambda x: x @ drift_t + control
+
+    return field
+
+
 def _assemble(profile: str, linear_phases: tuple[LinearPhase, ...]) -> SyntheticModel:
     """Build the runnable system and closed-form Jacobians from phase data."""
     n_domains = len(linear_phases)
@@ -595,6 +611,8 @@ def _assemble(profile: str, linear_phases: tuple[LinearPhase, ...]) -> Synthetic
                 guard=lambda x, n=ph.guard_normal, d=ph.guard_offset: float(n @ x - d),
                 reset=lambda x, r=ph.reset: r @ x,
                 exit_chart=chart,
+                batch_field=_linear_batch_field(ph.drift, ph.input_map @ ph.beta_coupling),
+                batch_guard=lambda x, n=ph.guard_normal, d=ph.guard_offset: x @ n - d,
             )
         )
     system = MultiDomainSystem(domains=tuple(domains))

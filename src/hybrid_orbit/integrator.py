@@ -4,6 +4,10 @@ A phase flow runs until the scalar exit guard first changes sign, then the
 crossing is refined by bisecting the final step horizon until the guard
 residual is below tolerance.  Identical inputs produce bit-identical
 trajectories: the step sequence is a pure function of the configuration.
+
+One kernel, flow_batch, integrates a stack of members of one phase in
+lockstep, each with its own start state and frozen parameter vector; a
+single flow is its one-member case.
 """
 
 import csv
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Domain, FeedbackLaw, MultiDomainSystem, guard_gradient
+from .model import Domain, FeedbackLaw, MultiDomainSystem, guard_gradient, row_map
 
 __all__ = [
     "IntegratorConfig",
@@ -94,7 +98,9 @@ class PhaseTrajectory:
     exit_time: float
 
 
-def rk4_step(f, x: np.ndarray, h: float) -> np.ndarray:
+def rk4_step(f, x: np.ndarray, h: float | np.ndarray) -> np.ndarray:
+    """One classical RK4 step.  x may be a (B, m) stack of states, with h a
+    shared float or a (B, 1) column of per-member steps."""
     k1 = f(x)
     k2 = f(x + 0.5 * h * k1)
     k3 = f(x + 0.5 * h * k2)
@@ -118,120 +124,231 @@ def flow_to_guard(
     errors rather than returning a wrong trajectory.
     """
     x0 = np.asarray(x0, dtype=float)
-    f = domain.vector_field(beta)
-    h0 = float(domain.guard(x0))
-    if abs(h0) <= cfg.guard_tol:
+    beta = np.asarray(beta, dtype=float)
+    times, states = [], []
+    x_exit, t_exit = flow_batch(domain, x0[None], beta[None], cfg, (times, states))
+    return PhaseTrajectory(
+        times=np.array(times),
+        states=np.array(states),
+        exit_state=x_exit[0],
+        exit_time=float(t_exit[0]),
+    )
+
+
+def flow_batch(
+    domain: Domain,
+    x0: np.ndarray,
+    betas: np.ndarray,
+    cfg: IntegratorConfig,
+    record: tuple[list, list] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate B members of one phase in lockstep to their guard crossings.
+
+    Row b of the (B, m) stack x0 flows with betas[b] held fixed.  Every
+    member follows the flow_to_guard algorithm on its own: its own step and
+    step splits, its own crossing bisection and its own checks.  If any
+    member fails, its typed error is raised and nothing is returned.  The
+    result is the (B, m) exit states and the (B,) exit times.  With record,
+    a single member's accepted times and states are appended to the two
+    lists, the exit row last.
+    """
+    x = np.array(x0, dtype=float)
+    betas = np.asarray(betas, dtype=float)
+    n_members = x.shape[0]
+    if betas.shape != (n_members, domain.param_dim):
+        raise ValueError(
+            f"parameter stack has shape {betas.shape}, expected ({n_members}, {domain.param_dim})"
+        )
+    if record is not None and n_members != 1:
+        raise ValueError("only a single member can record its trajectory")
+    guard = domain.batch_guard or row_map(domain.guard)
+    h0 = guard(x)
+    if np.any(np.abs(h0) <= cfg.guard_tol):
         raise ValueError("start state lies on the guard; a phase needs an interior start")
-    side = 1.0 if h0 > 0.0 else -1.0
+    # Guard values are kept signed by the approach side, g = side * H, so a
+    # member has crossed once g <= guard_tol.  Negation is exact, so every
+    # test and guard range below equals its unsigned form.
+    side = np.where(h0 > 0.0, 1.0, -1.0)
+    g_abs0 = np.abs(h0)
+    g_val, g_lo, g_hi = g_abs0, g_abs0, g_abs0
+    cap = cfg.guard_step_fraction * g_abs0
+    t = np.zeros(n_members)
+    members = np.arange(n_members)
+    f = _batch_field(domain, betas)
+    x_out = np.empty_like(x)
+    t_out = np.empty(n_members)
+    if record is not None:
+        record[0].append(0.0)
+        record[1].append(x[0].copy())
 
-    times = [0.0]
-    states = [x0.copy()]
-    t, x, h_val = 0.0, x0, h0
-    h_lo = h_hi = h0
-
-    while True:
-        if t >= cfg.max_phase_duration:
+    t_lead = 0.0  # the largest member time
+    while members.size:
+        if t_lead >= cfg.max_phase_duration:
             raise NoCrossing(
                 f"guard not reached within max phase duration {cfg.max_phase_duration}"
             )
-        step = min(cfg.base_step, cfg.max_phase_duration - t)
-        h_range = max(h_hi - h_lo, abs(h0))
-        x_next, h_next = None, None
-        for _ in range(cfg.max_step_splits + 1):
-            x_try = rk4_step(f, x, step)
-            if not np.all(np.isfinite(x_try)):
-                raise NonFinite(f"state became non-finite near t = {t:.6g}")
-            h_try = float(domain.guard(x_try))
-            crossed = (h_try * side < 0.0) or (abs(h_try) <= cfg.guard_tol)
-            if crossed or abs(h_try - h_val) <= cfg.guard_step_fraction * h_range:
-                x_next, h_next = x_try, h_try
-                break
-            step *= 0.5
-        if x_next is None:
-            x_next = rk4_step(f, x, step)
-            h_next = float(domain.guard(x_next))
+        if cfg.max_phase_duration - t_lead >= cfg.base_step:
+            dt = step = cfg.base_step  # one float step while every member takes the base step
+        else:
+            dt = np.minimum(cfg.base_step, cfg.max_phase_duration - t)
+            step = dt[:, None]
+        x_next = rk4_step(f, x, step)
+        if not np.isfinite(x_next).all():
+            _raise_non_finite(x_next, t)
+        g_next = side * guard(x_next)
 
-        if (h_next * side < 0.0) or (abs(h_next) <= cfg.guard_tol):
-            t_exit, x_exit = _refine_crossing(domain, f, x, t, step, side, cfg)
-            if t_exit < cfg.min_phase_duration:
-                raise Chattering(
-                    f"guard crossed at t = {t_exit:.3e}, below the minimum duration "
-                    f"{cfg.min_phase_duration:.3e}"
-                )
-            rate = guard_gradient(domain, x_exit) @ f(x_exit)
-            if abs(rate) <= cfg.transversality_tol:
-                raise NonTransversal(
-                    f"guard rate {rate:.3e} at the crossing is below tolerance"
-                )
-            times.append(t_exit)
-            states.append(x_exit.copy())
-            return PhaseTrajectory(
-                times=np.array(times),
-                states=np.array(states),
-                exit_state=x_exit,
-                exit_time=t_exit,
-            )
+        if not ((g_next > cfg.guard_tol) & (np.abs(g_next - g_val) <= cap)).all():
+            # Some member crossed, or changed its guard by more than the cap
+            # and splits its step.
+            step = np.broadcast_to(step, (x.shape[0], 1)).copy()
+            pending = ~((g_next <= cfg.guard_tol) | (np.abs(g_next - g_val) <= cap))
+            for split in range(cfg.max_step_splits + 1):
+                step[pending] *= 0.5
+                x_try = rk4_step(f, x, step)
+                _raise_non_finite(x_try[pending], t[pending])
+                g_try = side * guard(x_try)
+                took = pending & ((g_try <= cfg.guard_tol) | (np.abs(g_try - g_val) <= cap))
+                if split == cfg.max_step_splits:
+                    took = pending  # out of splits: the last half step is taken as it is
+                x_next = np.where(took[:, None], x_try, x_next)
+                g_next = np.where(took, g_try, g_next)
+                pending &= ~took
+                if not pending.any():
+                    break
+            dt = step[:, 0]
 
-        t += step
+            crossed = g_next <= cfg.guard_tol
+            if crossed.any():
+                rows = np.flatnonzero(crossed)
+                f_rows = f if rows.size == members.size else _batch_field(domain, betas[members[rows]])
+                x_exit, t_exit = _exit_crossing(
+                    domain, f_rows, guard, x[rows], t[rows], dt[rows], side[rows], cfg
+                )
+                x_out[members[rows]] = x_exit
+                t_out[members[rows]] = t_exit
+                if record is not None:
+                    record[0].append(float(t_exit[0]))
+                    record[1].append(x_exit[0].copy())
+                keep = ~crossed
+                members = members[keep]
+                if not members.size:
+                    break
+                x, x_next, t, dt = x[keep], x_next[keep], t[keep], dt[keep]
+                side, g_abs0, g_next = side[keep], g_abs0[keep], g_next[keep]
+                g_val, g_lo, g_hi = g_val[keep], g_lo[keep], g_hi[keep]
+                f = _batch_field(domain, betas[members])
+
+        t = t + dt
+        t_lead = float(t.max()) if isinstance(dt, np.ndarray) else t_lead + dt
         x = x_next
-        h_val = h_next
-        h_lo = min(h_lo, h_val)
-        h_hi = max(h_hi, h_val)
-        times.append(t)
-        states.append(x.copy())
+        g_val = g_next
+        g_lo = np.minimum(g_lo, g_next)
+        g_hi = np.maximum(g_hi, g_next)
+        cap = cfg.guard_step_fraction * np.maximum(g_hi - g_lo, g_abs0)
+        if record is not None:
+            record[0].append(float(t[0]))
+            record[1].append(x[0].copy())
+    return x_out, t_out
 
 
-def _refine_crossing(domain, f, x_from, t_from, step, side, cfg):
-    """Bisect the step horizon until the guard residual is within tolerance."""
-    lo, hi = 0.0, step
-    x_best, h_best, tau_best = None, float("inf"), step
+def _batch_field(domain: Domain, betas: np.ndarray):
+    """The closed phase field for a parameter stack, lifted row by row if
+    the domain has no batch_field."""
+    if domain.batch_field is not None:
+        return domain.batch_field(betas)
+    fields = [domain.vector_field(beta) for beta in betas]
+    return lambda x: np.array([f(row) for f, row in zip(fields, x)])
+
+
+def _raise_non_finite(x: np.ndarray, t: np.ndarray) -> None:
+    """Raise NonFinite for the first member whose state is not finite."""
+    bad = ~np.isfinite(x).all(axis=1)
+    if bad.any():
+        raise NonFinite(f"state became non-finite near t = {t[np.argmax(bad)]:.6g}")
+
+
+def _exit_crossing(domain, f, guard, x_from, t_from, step, side, cfg):
+    """Refine each member's crossing inside its last step, then check it.
+
+    Each member bisects its own step horizon until its guard residual is
+    within tolerance; the bisections run side by side.
+    """
+    n = x_from.shape[0]
+    lo, hi = np.zeros(n), step.copy()
+    x_best, h_best, tau_best = x_from.copy(), np.full(n, np.inf), step.copy()
+    x_hit, tau_hit = np.empty_like(x_from), np.empty(n)
+    done = np.zeros(n, dtype=bool)
     for _ in range(cfg.refine_max_iter):
         mid = 0.5 * (lo + hi)
-        x_mid = rk4_step(f, x_from, mid)
-        h_mid = float(domain.guard(x_mid))
-        if abs(h_mid) < abs(h_best):
-            x_best, h_best, tau_best = x_mid, h_mid, mid
-        if abs(h_mid) <= cfg.guard_tol:
-            return t_from + mid, x_mid
-        if h_mid * side < 0.0:
-            hi = mid
-        else:
-            lo = mid
-    if x_best is not None and abs(h_best) <= 10.0 * cfg.guard_tol:
-        return t_from + tau_best, x_best
-    raise IntegrationError(
-        f"guard refinement stalled at |H| = {abs(h_best):.3e} "
-        f"(tolerance {cfg.guard_tol:.3e})"
-    )
+        x_mid = rk4_step(f, x_from, mid[:, None])
+        h_mid = guard(x_mid)
+        h_abs = np.abs(h_mid)
+        better = h_abs < h_best
+        x_best = np.where(better[:, None], x_mid, x_best)
+        h_best = np.where(better, h_abs, h_best)
+        tau_best = np.where(better, mid, tau_best)
+        hit = ~done & (h_abs <= cfg.guard_tol)
+        x_hit[hit] = x_mid[hit]
+        tau_hit[hit] = mid[hit]
+        done |= hit
+        if done.all():
+            break
+        below = h_mid * side < 0.0
+        hi = np.where(below, mid, hi)
+        lo = np.where(below, lo, mid)
+    else:
+        stalled = ~done & ~(h_best <= 10.0 * cfg.guard_tol)
+        if stalled.any():
+            raise IntegrationError(
+                f"guard refinement stalled at |H| = {h_best[np.argmax(stalled)]:.3e} "
+                f"(tolerance {cfg.guard_tol:.3e})"
+            )
+        x_hit[~done] = x_best[~done]
+        tau_hit[~done] = tau_best[~done]
+    t_exit = t_from + tau_hit
+
+    early = t_exit < cfg.min_phase_duration
+    if early.any():
+        raise Chattering(
+            f"guard crossed at t = {t_exit[np.argmax(early)]:.3e}, below the minimum duration "
+            f"{cfg.min_phase_duration:.3e}"
+        )
+    for x_exit, field in zip(x_hit, f(x_hit)):
+        rate = guard_gradient(domain, x_exit) @ field
+        if abs(rate) <= cfg.transversality_tol:
+            raise NonTransversal(f"guard rate {rate:.3e} at the crossing is below tolerance")
+    return x_hit, t_exit
 
 
 def section_step(
     system: MultiDomainSystem,
     i: int,
     x_section: np.ndarray,
-    beta: np.ndarray,
+    betas: np.ndarray,
     cfg: IntegratorConfig,
-) -> tuple[np.ndarray, float]:
-    """One section-to-section leg: embed, reset, flow phase i, project.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One section-to-section leg for a stack of members: embed, reset,
+    flow phase i, project.
 
+    x_section is a (B, k) stack of reduced coordinates on the section
+    entering phase i and betas the (B, p) parameters held in phase i.
     Returns the reduced coordinates on the exit section of domain i and the
-    realized phase duration.  Integration errors propagate with the phase
-    index attached.
+    realized phase durations, one row per member.  Integration errors
+    propagate with the phase index attached.
     """
     n = system.n_domains
     prev = system.domain(i - 1)
     dom = system.domain(i)
     entry_chart = system.chart(i - 1)
     exit_chart = system.chart(i)
-    x_full = entry_chart.embed(np.asarray(x_section, dtype=float))
-    x_plus = prev.reset(x_full)
+    x_plus = np.array([prev.reset(entry_chart.embed(y)) for y in np.asarray(x_section, dtype=float)])
     try:
-        traj = flow_to_guard(dom, x_plus, beta, cfg)
+        x_exit, t_exit = flow_batch(dom, x_plus, betas, cfg)
     except IntegrationError as exc:
         exc.phase = i % n
         exc.args = (f"phase {i % n}: {exc.args[0]}",) + exc.args[1:]
         raise
-    return exit_chart.project(traj.exit_state), traj.exit_time
+    return np.array([exit_chart.project(x) for x in x_exit]), t_exit
 
 
 def simulate_cycle(
@@ -258,7 +375,7 @@ def simulate_cycle(
                 beta = law.beta(i, y)
             else:
                 beta = np.zeros(system.domain(i).param_dim)
-            y, _ = section_step(system, i, y, beta, cfg)
+            y = section_step(system, i, y[None], beta[None], cfg)[0][0]
         out.append(y.copy())
     return out
 

@@ -52,7 +52,16 @@ class SectionChart:
 
 @dataclass(frozen=True)
 class Domain:
-    """One continuous phase and its exit transition."""
+    """One continuous phase and its exit transition.
+
+    batch_field and batch_guard are optional stacked forms of the closed
+    phase field and the guard.  batch_field(betas) takes a (B, param_dim)
+    parameter stack and returns a map from a (B, state_dim) state stack to
+    the (B, state_dim) field rows, row b held at betas[b]; batch_guard maps
+    a state stack to the (B,) guard values.  They must agree row by row
+    with the scalar callables.  Without them, batched integration applies
+    the scalar callables one row at a time.
+    """
 
     state_dim: int
     control_dim: int
@@ -63,6 +72,8 @@ class Domain:
     guard: Callable[[np.ndarray], float]
     reset: Callable[[np.ndarray], np.ndarray]
     exit_chart: SectionChart | None = None
+    batch_field: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]] | None = None
+    batch_guard: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.state_dim < 1:
@@ -89,9 +100,14 @@ class Domain:
         return self.controller(x, np.zeros(self.param_dim))
 
 
+def row_map(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """Lift a function of one point to a stack of points, one row each."""
+    return lambda points: np.array([fn(x) for x in points])
+
+
 def guard_gradient(domain: Domain, x: np.ndarray) -> np.ndarray:
     """Central finite-difference gradient of the exit guard at x."""
-    return central_difference(domain.guard, x, _GRAD_STEP)[0]
+    return central_difference(row_map(domain.guard), x, _GRAD_STEP)[0]
 
 
 def guard_rate(domain: Domain, x: np.ndarray, beta: np.ndarray | None = None) -> float:
@@ -247,7 +263,7 @@ def validate_c1_c2(
         return ConditionReport(list(scales), [0.0] * len(scales), [0.0] * len(scales), True, True)
 
     def grad_x(x, beta):
-        return central_difference(lambda z: domain.controller(z, beta), x, _GRAD_STEP)
+        return central_difference(row_map(lambda z: domain.controller(z, beta)), x, _GRAD_STEP)
 
     c1_dev, c2_dev = [], []
     for scale in scales:

@@ -99,19 +99,20 @@ def pinv(m, rel_tol: float = 1e-10) -> np.ndarray:
 def central_difference(fn, x, rel_step: float) -> np.ndarray:
     """Central-difference Jacobian of fn at x, one column per coordinate.
 
-    Coordinate j is stepped by h = rel_step * max(1, |x_j|) and column j is
-    (fn(x + h e_j) - fn(x - h e_j)) / (2 h).  A scalar fn gives one row.
+    fn is called once, with the (2n, n) stack whose row j is x + h_j e_j and
+    whose row n + j is x - h_j e_j, where h_j = rel_step * max(1, |x_j|); it
+    returns one value per row.  Column j is (value_j - value_{n+j}) / (2 h_j).
+    Scalar values give one row.
     """
     if not (np.isfinite(rel_step) and rel_step > 0.0):
         raise ValueError(f"finite-difference step must be finite and positive, got {rel_step!r}")
     x = np.asarray(x, dtype=float)
-    cols = []
-    for j in range(x.size):
-        h = rel_step * max(1.0, abs(x[j]))
-        e = np.zeros_like(x)
-        e[j] = h
-        cols.append((fn(x + e) - fn(x - e)) / (2.0 * h))
-    return np.column_stack(cols)
+    n = x.size
+    h = rel_step * np.maximum(1.0, np.abs(x))
+    steps = np.diag(h)
+    values = np.asarray(fn(np.concatenate([x + steps, x - steps])), dtype=float)
+    diff = (values[:n] - values[n:]).reshape(n, -1)
+    return (diff / (2.0 * h)[:, None]).T
 
 
 def _check_weight(q: np.ndarray, name: str, definite: bool) -> np.ndarray:

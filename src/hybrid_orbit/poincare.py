@@ -56,16 +56,27 @@ def partial_map(
     cfg: IntegratorConfig,
 ) -> np.ndarray:
     """Phase-i map: reduced entry-section coordinates to exit-section ones."""
-    y, _ = section_step(system, i, x_prev, np.asarray(beta, dtype=float), cfg)
-    return y
+    y, _ = section_step(
+        system, i, np.asarray(x_prev, dtype=float)[None], np.asarray(beta, dtype=float)[None], cfg
+    )
+    return y[0]
+
+
+def _cycle(system: MultiDomainSystem, x: np.ndarray, cfg: IntegratorConfig):
+    """Walk one cycle at beta = 0 from a (B, k) stack on the section entering
+    phase 0.  Returns the per-phase exit-section stacks and durations."""
+    points, durations = [], []
+    for i in range(system.n_domains):
+        x, duration = section_step(system, i, x, np.zeros((len(x), system.domain(i).param_dim)), cfg)
+        points.append(x)
+        durations.append(duration)
+    return points, durations
 
 
 def return_map(system: MultiDomainSystem, x: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
     """Full-cycle map at beta = 0, starting on the section entering phase 0."""
-    y = np.asarray(x, dtype=float)
-    for i in range(system.n_domains):
-        y = partial_map(system, i, y, np.zeros(system.domain(i).param_dim), cfg)
-    return y
+    points, _ = _cycle(system, np.asarray(x, dtype=float)[None], cfg)
+    return points[-1][0]
 
 
 def jacobian_state(
@@ -79,8 +90,10 @@ def jacobian_state(
 
     Step per coordinate: fd_scale * max(1, |coordinate|)."""
     x0 = orbit.fixed_points[(i - 1) % system.n_domains]
-    beta0 = np.zeros(system.domain(i).param_dim)
-    return central_difference(lambda x: partial_map(system, i, x, beta0, cfg), x0, fd_scale)
+    p = system.domain(i).param_dim
+    return central_difference(
+        lambda x: section_step(system, i, x, np.zeros((len(x), p)), cfg)[0], x0, fd_scale
+    )
 
 
 def jacobian_param(
@@ -97,7 +110,9 @@ def jacobian_param(
     if p == 0:
         return np.zeros((k_out, 0))
     # At beta = 0 every step is exactly fd_scale.
-    return central_difference(lambda b: partial_map(system, i, x0, b, cfg), np.zeros(p), fd_scale)
+    return central_difference(
+        lambda b: section_step(system, i, np.tile(x0, (len(b), 1)), b, cfg)[0], np.zeros(p), fd_scale
+    )
 
 
 def phase_jacobians(
@@ -106,12 +121,19 @@ def phase_jacobians(
     cfg: IntegratorConfig,
     fd_scale: float = 1e-5,
 ) -> list[PhaseJacobians]:
-    """State and parameter Jacobians for every phase of the cycle."""
+    """State and parameter Jacobians for every phase of the cycle.
+
+    The 2 (k + p) difference columns of a phase, state and parameter
+    together, are integrated as one batch."""
     out = []
     for i in range(system.n_domains):
-        a = jacobian_state(system, i, orbit, cfg, fd_scale)
-        f = jacobian_param(system, i, orbit, cfg, fd_scale)
-        out.append(PhaseJacobians(phase_index=i, A=a, F=f, fd_step=fd_scale))
+        x0 = orbit.fixed_points[(i - 1) % system.n_domains]
+        k = x0.size
+        z0 = np.concatenate([x0, np.zeros(system.domain(i).param_dim)])
+        jac = central_difference(
+            lambda z: section_step(system, i, z[:, :k], z[:, k:], cfg)[0], z0, fd_scale
+        )
+        out.append(PhaseJacobians(phase_index=i, A=jac[:, :k], F=jac[:, k:], fd_step=fd_scale))
     return out
 
 
@@ -146,17 +168,18 @@ def refine_fixed_point(
     """Newton refinement of a return-map fixed point.
 
     Solves return_map(x) - x = 0 with the finite-difference return-map
-    Jacobian, halving the step up to max_damping times whenever the
-    residual fails to decrease.  On success the full cycle is walked once
-    more to record every section fixed point and phase duration.
+    Jacobian, whose 2k columns are integrated as one batch per phase,
+    halving the step up to max_damping times whenever the residual fails to
+    decrease.  The orbit's section fixed points and phase durations are
+    those of the cycle walk that gave the converged residual.
     """
     x = np.asarray(x_guess, dtype=float).copy()
-    residual = return_map(system, x, cfg) - x
+    residual, orbit = _walk(system, x, cfg)
     res_norm = float(np.max(np.abs(residual)))
     for _ in range(max_iter):
         if res_norm < tol:
-            return _collect_orbit(system, x, cfg)
-        jac = central_difference(lambda z: return_map(system, z, cfg), x, fd_scale)
+            return orbit
+        jac = central_difference(lambda z: _cycle(system, z, cfg)[0][-1], x, fd_scale)
         try:
             step = np.linalg.solve(jac - np.eye(x.size), -residual)
         except np.linalg.LinAlgError as exc:
@@ -166,7 +189,7 @@ def refine_fixed_point(
         scale = 1.0
         for _ in range(max_damping + 1):
             x_try = x + scale * step
-            residual_try = return_map(system, x_try, cfg) - x_try
+            residual_try, orbit_try = _walk(system, x_try, cfg)
             if float(np.max(np.abs(residual_try))) < res_norm:
                 break
             scale *= 0.5
@@ -175,19 +198,19 @@ def refine_fixed_point(
                 f"Newton stalled: residual {res_norm:.3e} does not decrease"
             )
         x = x_try
+        orbit = orbit_try
         residual = residual_try
         res_norm = float(np.max(np.abs(residual)))
     if res_norm < tol:
-        return _collect_orbit(system, x, cfg)
+        return orbit
     raise FixedPointError(f"Newton did not converge: residual {res_norm:.3e} after {max_iter} iterations")
 
 
-def _collect_orbit(system, x_star, cfg) -> PeriodicOrbit:
-    fixed_points = [None] * system.n_domains
-    durations = [None] * system.n_domains
-    y = x_star
-    for i in range(system.n_domains):
-        y, duration = section_step(system, i, y, np.zeros(system.domain(i).param_dim), cfg)
-        fixed_points[i] = y.copy()
-        durations[i] = duration
-    return PeriodicOrbit(fixed_points=tuple(fixed_points), phase_durations=tuple(durations))
+def _walk(system: MultiDomainSystem, x: np.ndarray, cfg: IntegratorConfig):
+    """Return-map residual at x and the cycle walked from x to get it."""
+    points, durations = _cycle(system, x[None], cfg)
+    orbit = PeriodicOrbit(
+        fixed_points=tuple(y[0] for y in points),
+        phase_durations=tuple(d[0] for d in durations),
+    )
+    return points[-1][0] - x, orbit

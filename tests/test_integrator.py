@@ -1,20 +1,26 @@
 """Phase integration, event detection and cycle simulation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from hybrid_orbit.fixtures import CATALOG, synthetic_from_obj, synthetic_to_obj
 from hybrid_orbit.integrator import (
     Chattering,
     IntegratorConfig,
     NoCrossing,
     NonFinite,
     NonTransversal,
+    flow_batch,
     flow_to_guard,
+    rk4_step,
+    section_step,
     simulate_cycle,
     write_trajectory_csv,
 )
-from hybrid_orbit.model import Domain
+from hybrid_orbit.model import Domain, MultiDomainSystem, SectionChart
 
 
 def autonomous(drift, guard, dim):
@@ -207,3 +213,182 @@ def test_trajectory_csv_layout(tmp_path):
     last = [float(v) for v in lines[-1].split(",")]
     assert last[0] == pytest.approx(traj.exit_time)
     assert last[1] == pytest.approx(traj.exit_state[0])
+
+
+def test_last_resort_step_is_checked_for_finiteness():
+    # The full step stays finite but moves the guard past the cap; with no
+    # splits allowed the half step is taken regardless, and its RK4 stage at
+    # x = 0.25 lands in the band where the field is -inf.
+    def drift(x):
+        return np.array([-np.inf if 0.24 < x[0] < 0.26 else 1.0])
+
+    dom = autonomous(drift, lambda x: float(x[0] + 10.0), 1)
+    cfg = IntegratorConfig(base_step=1.0, guard_step_fraction=0.01, max_step_splits=0)
+    with pytest.raises(NonFinite):
+        flow_to_guard(dom, np.array([0.0]), np.zeros(0), cfg)
+
+
+def catalog_model(request, name):
+    if name == "rebuilt":
+        return synthetic_from_obj(synthetic_to_obj(request.getfixturevalue("stable3")))
+    return request.getfixturevalue(name.replace("-", ""))
+
+
+def lifted(domain):
+    """The same domain without its batch callables: the row-by-row fallback."""
+    return replace(domain, batch_field=None, batch_guard=None)
+
+
+# Long steps under a tight guard-change cap make members split their steps
+# differently, down to the last-resort half step.
+SPLITTING = IntegratorConfig(base_step=5e-2, guard_step_fraction=0.02, max_step_splits=1)
+
+
+@pytest.mark.parametrize("splits", [False, True], ids=["base-steps", "split-steps"])
+@pytest.mark.parametrize("name", CATALOG + ("rebuilt",))
+def test_batch_members_match_solo_and_lifted_runs(request, name, splits, cfg_fast):
+    cfg = SPLITTING if splits else cfg_fast
+    model = catalog_model(request, name)
+    rng = np.random.default_rng(7)
+    for i, phase in enumerate(model.phases):
+        dom = model.system.domains[i]
+        x0 = phase.start_state + 1e-2 * rng.normal(size=(10, dom.state_dim))
+        betas = 5e-2 * rng.normal(size=(10, dom.param_dim))
+        x_exit, t_exit = flow_batch(dom, x0, betas, cfg)
+        assert np.ptp(t_exit) > 1e-3  # the members really take different flows
+        x_lift, t_lift = flow_batch(lifted(dom), x0, betas, cfg)
+        assert np.max(np.abs(x_exit - x_lift)) <= 1e-12
+        assert np.max(np.abs(t_exit - t_lift)) <= 1e-12
+        for b in range(10):
+            solo = flow_to_guard(dom, x0[b], betas[b], cfg)
+            assert np.max(np.abs(x_exit[b] - solo.exit_state)) <= 1e-12
+            assert abs(t_exit[b] - solo.exit_time) <= 1e-12
+
+
+def reference_flow(domain, x0, beta, cfg):
+    """The one-member flow written as a plain scalar loop: accepted times
+    and states, the refined crossing last.  Checks are left out."""
+    f = domain.vector_field(beta)
+    h0 = float(domain.guard(x0))
+    side = 1.0 if h0 > 0.0 else -1.0
+    times, states = [0.0], [x0.copy()]
+    t, x, h_val, h_lo, h_hi = 0.0, x0, h0, h0, h0
+    while True:
+        step = min(cfg.base_step, cfg.max_phase_duration - t)
+        h_range = max(h_hi - h_lo, abs(h0))
+        for _ in range(cfg.max_step_splits + 1):
+            x_next = rk4_step(f, x, step)
+            h_next = float(domain.guard(x_next))
+            crossed = h_next * side < 0.0 or abs(h_next) <= cfg.guard_tol
+            if crossed or abs(h_next - h_val) <= cfg.guard_step_fraction * h_range:
+                break
+            step *= 0.5
+        else:
+            x_next = rk4_step(f, x, step)
+            h_next = float(domain.guard(x_next))
+        if h_next * side < 0.0 or abs(h_next) <= cfg.guard_tol:
+            lo, hi = 0.0, step
+            for _ in range(cfg.refine_max_iter):
+                mid = 0.5 * (lo + hi)
+                x_mid = rk4_step(f, x, mid)
+                h_mid = float(domain.guard(x_mid))
+                if abs(h_mid) <= cfg.guard_tol:
+                    return np.array(times + [t + mid]), np.array(states + [x_mid])
+                if h_mid * side < 0.0:
+                    hi = mid
+                else:
+                    lo = mid
+            raise AssertionError("reference bisection stalled")
+        t, x, h_val = t + step, x_next, h_next
+        h_lo, h_hi = min(h_lo, h_val), max(h_hi, h_val)
+        times.append(t)
+        states.append(x)
+
+
+@pytest.mark.parametrize("cfg", [IntegratorConfig(base_step=5e-3), SPLITTING], ids=["base-steps", "split-steps"])
+def test_single_flow_equals_the_scalar_reference_loop(stable3, cfg):
+    rng = np.random.default_rng(5)
+    for i, phase in enumerate(stable3.phases):
+        dom = lifted(stable3.system.domains[i])
+        for _ in range(3):
+            x0 = phase.start_state + 1e-2 * rng.normal(size=3)
+            beta = 5e-2 * rng.normal(size=3)
+            times, states = reference_flow(dom, x0, beta, cfg)
+            traj = flow_to_guard(dom, x0, beta, cfg)
+            assert np.array_equal(traj.times, times)
+            assert np.array_equal(traj.states, states)
+
+
+@pytest.mark.parametrize("name", ("stable-3", "rebuilt"))
+def test_synthetic_batch_callables_match_scalar_ones(request, name):
+    model = catalog_model(request, name)
+    rng = np.random.default_rng(11)
+    for dom in model.system.domains:
+        x = rng.normal(size=(6, dom.state_dim))
+        betas = rng.normal(size=(6, dom.param_dim))
+        rows = dom.batch_field(betas)(x)
+        guards = dom.batch_guard(x)
+        assert rows.shape == x.shape and guards.shape == (6,)
+        for b in range(6):
+            scalar = dom.drift(x[b]) + dom.input_map(x[b]) @ dom.controller(x[b], betas[b])
+            assert np.max(np.abs(rows[b] - scalar)) <= 1e-12
+            assert abs(guards[b] - dom.guard(x[b])) <= 1e-12
+
+
+def velocity_system(batched: bool) -> MultiDomainSystem:
+    """One domain moving at constant velocity beta from x1 = 1 - y to the
+    guard x1 = 1, where y is the section coordinate; x2 is carried along."""
+    dom = Domain(
+        state_dim=2,
+        control_dim=2,
+        param_dim=2,
+        drift=lambda x: np.zeros(2),
+        input_map=lambda x: np.eye(2),
+        controller=lambda x, beta: beta,
+        guard=lambda x: float(x[0] - 1.0),
+        reset=lambda x: np.array([1.0 - x[1], x[1]]),
+        exit_chart=SectionChart(
+            k=1,
+            embed=lambda y: np.array([1.0, y[0]]),
+            project=lambda x: x[1:].copy(),
+        ),
+    )
+    if batched:
+        dom = replace(
+            dom,
+            batch_field=lambda betas: (lambda x: np.zeros_like(x) + betas),
+            batch_guard=lambda x: x[:, 0] - 1.0,
+        )
+    return MultiDomainSystem(domains=(dom,))
+
+
+# One bad member per failure: (section coordinate, beta, error).
+BAD_MEMBERS = {
+    "no-crossing": (1.0, (-1.0, 0.0), NoCrossing),
+    "chattering": (1.0, (1e3, 0.0), Chattering),
+    "non-transversal": (1e-11, (2e-10, 0.0), NonTransversal),
+    "non-finite": (1.0, (1.0, 1e308), NonFinite),
+}
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batch-callables", "lifted"])
+@pytest.mark.parametrize("case", BAD_MEMBERS)
+def test_one_bad_member_fails_the_batch_like_a_solo_run(case, batched):
+    system = velocity_system(batched)
+    cfg = IntegratorConfig(
+        base_step=1e-2, guard_tol=1e-14, min_phase_duration=1e-2, max_phase_duration=5.0
+    )
+    y_bad, beta_bad, error = BAD_MEMBERS[case]
+    y = np.array([[0.5], [1.0], [y_bad], [1.5]])
+    betas = np.array([[1.0, 0.0], [2.0, 0.0], beta_bad, [0.5, 0.0]])
+    good = [0, 1, 3]
+    y_out, t_out = section_step(system, 0, y[good], betas[good], cfg)
+    assert np.allclose(t_out, [0.5, 0.5, 3.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(error) as solo:
+            section_step(system, 0, y[2:3], betas[2:3], cfg)
+        with pytest.raises(error) as batch:
+            section_step(system, 0, y, betas, cfg)
+    assert type(batch.value) is type(solo.value)
+    assert batch.value.phase == 0
+    assert str(batch.value).startswith("phase 0: ")

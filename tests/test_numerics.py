@@ -213,6 +213,17 @@ def test_pinv_rejects_bad_tolerance():
 # --------------------------------------------------------- central difference
 
 
+def recording(fn):
+    """fn applied row by row to a stack, recording every stack it is given."""
+    calls = []
+
+    def stacked(points):
+        calls.append(np.array(points))
+        return np.array([fn(x) for x in points])
+
+    return stacked, calls
+
+
 def test_central_difference_vector_function_matches_exact_jacobian():
     def fn(x):
         return np.array([x[0] ** 2 * x[1], np.sin(x[1]) + 3.0 * x[2], np.exp(x[0])])
@@ -225,17 +236,24 @@ def test_central_difference_vector_function_matches_exact_jacobian():
             [np.exp(x[0]), 0.0, 0.0],
         ]
     )
-    jac = central_difference(fn, x, 1e-5)
+    stacked, calls = recording(fn)
+    jac = central_difference(stacked, x, 1e-5)
     assert jac.shape == (3, 3)
     assert np.max(np.abs(jac - exact)) < 1e-8
+    # one call with the (2n, n) stack: rows x + h_j e_j, then rows x - h_j e_j
+    assert len(calls) == 1 and calls[0].shape == (6, 3)
+    h = 1e-5 * np.maximum(1.0, np.abs(x))
+    assert np.array_equal(calls[0], np.concatenate([x + np.diag(h), x - np.diag(h)]))
 
 
 def test_central_difference_scalar_row_and_step_scaling():
     # For a cubic the central difference is 3 x^2 + h^2, which exposes h.
     x = np.array([0.5, -4.0])
     rel = 1e-2
-    row = central_difference(lambda z: float(z[0] ** 3 + z[1] ** 3), x, rel)
+    stacked, calls = recording(lambda z: float(z[0] ** 3 + z[1] ** 3))
+    row = central_difference(stacked, x, rel)
     assert row.shape == (1, 2)
+    assert len(calls) == 1 and calls[0].shape == (4, 2)
     h = rel * np.maximum(1.0, np.abs(x))  # 0.01 and 0.04
     assert row[0] == pytest.approx(3.0 * x**2 + h**2, abs=1e-12)
 

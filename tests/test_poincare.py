@@ -1,5 +1,7 @@
 """Section maps, finite-difference Jacobians and fixed-point refinement."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -176,6 +178,24 @@ def test_refine_fixed_point_accepts_exact_start(stable3, cfg_fast):
         assert np.max(np.abs(found - engineered)) < 1e-8
     for found, engineered in zip(orbit.phase_durations, stable3.orbit.phase_durations):
         assert abs(found - engineered) < 1e-7
+
+
+def test_refine_fixed_point_keeps_its_last_cycle_walk(stable3, cfg_fast):
+    # From a converged start Newton walks the cycle once and returns that walk.
+    resets = []
+    counted = replace(
+        stable3.system,
+        domains=tuple(
+            replace(dom, reset=lambda x, r=dom.reset: resets.append(1) or r(x))
+            for dom in stable3.system.domains
+        ),
+    )
+    orbit = refine_fixed_point(counted, stable3.orbit.fixed_points[-1], cfg_fast)
+    assert len(resets) == stable3.system.n_domains
+    y = stable3.orbit.fixed_points[-1]
+    for i in range(stable3.system.n_domains):
+        y = partial_map(stable3.system, i, y, np.zeros(3), cfg_fast)
+        assert np.array_equal(orbit.fixed_points[i], y)
 
 
 def test_refine_fixed_point_converges_from_perturbed_guess(stable3, cfg_fast):
