@@ -316,7 +316,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (FormatError, FileNotFoundError, IsADirectoryError, ValueError) as exc:
+    except (FormatError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NumericsError, synthesis.SynthesisError, FixedPointError) as exc:

@@ -47,17 +47,11 @@ def matrix_from_obj(obj, path: str = "matrix") -> np.ndarray:
         if key not in obj:
             raise FormatError(f"{path}.{key}: missing")
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    if not _is_int(rows) or not _is_int(cols) or rows < 1 or cols < 1:
         raise FormatError(f"{path}.rows/cols: need positive integers")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise FormatError(f"{path}.data: need exactly rows*cols = {rows * cols} numbers")
-    try:
-        m = np.array([float(v) for v in data], dtype=float).reshape(rows, cols)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}.data: non-numeric entry ({exc})") from exc
-    if not np.all(np.isfinite(m)):
-        raise FormatError(f"{path}.data: non-finite entry")
-    return m
+    return _floats(data, f"{path}.data").reshape(rows, cols)
 
 
 def complex_to_obj(z: complex) -> dict:
@@ -75,13 +69,26 @@ def vector_to_obj(v) -> list[float]:
 def vector_from_obj(obj, path: str = "vector") -> np.ndarray:
     if not isinstance(obj, list):
         raise FormatError(f"{path}: expected a list of numbers")
+    return _floats(obj, path)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _floats(values: list, path: str) -> np.ndarray:
+    """Finite JSON numbers as a float array; strings and booleans are not
+    numbers, whatever float() would make of them."""
+    for i, value in enumerate(values):
+        if not (_is_int(value) or isinstance(value, float)):
+            raise FormatError(f"{path}[{i}]: non-numeric entry {value!r}")
     try:
-        v = np.array([float(x) for x in obj], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: non-numeric entry ({exc})") from exc
-    if not np.all(np.isfinite(v)):
+        out = np.array(values, dtype=float)
+    except OverflowError:
+        raise FormatError(f"{path}: non-finite entry") from None
+    if not np.all(np.isfinite(out)):
         raise FormatError(f"{path}: non-finite entry")
-    return v
+    return out
 
 
 def load_json(path):

@@ -61,6 +61,12 @@ class Domain:
     a state stack to the (B,) guard values.  They must agree row by row
     with the scalar callables.  Without them, batched integration applies
     the scalar callables one row at a time.
+
+    When present they take precedence over the scalar callables, and
+    dataclasses.replace copies them unchanged: replace(d, drift=f) keeps
+    the old batch_field, which then silently integrates the old field.
+    Clear them with the change, as in
+    replace(d, drift=f, batch_field=None, batch_guard=None).
     """
 
     state_dim: int

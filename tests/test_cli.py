@@ -1,10 +1,14 @@
 """Command-line pipeline: round trips, determinism and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hybrid_orbit
 from hybrid_orbit import cli
 from hybrid_orbit.cli import main
 from hybrid_orbit.fixtures import CATALOG, paper_fixture
@@ -102,6 +106,18 @@ def test_malformed_inputs_exit_two(tmp_path):
     assert run(["analyze", "--system", "not-a-system", "-o", out]) == 2
     assert run(["certify", "-i", tmp_path / "absent.json", "-o", out]) == 2
 
+    # file-system errors on an input or output path
+    designed = tmp_path / "designed.json"
+    dump_json({"designed": [matrix_to_obj(0.5 * np.eye(2))]}, designed)
+    assert run(["certify", "-i", designed / "x", "-o", out]) == 2
+    assert run(["certify", "-i", tmp_path, "-o", out]) == 2
+    assert run(["certify", "-i", designed, "-o", designed / "out.json"]) == 2
+    assert run(["certify", "-i", designed, "-o", tmp_path / "absent" / "out.json"]) == 2
+    assert run(["verify-paper", "-o", designed / "v.json"]) == 2
+    assert run(["analyze", "--system", "stable-2", "-o", designed / "j.json"] + FAST) == 2
+    assert run(["simulate", "--system", "stable-2", "--cycles", 1,
+                "-o", designed / "s.csv"] + FAST) == 2
+
     for flags in (["--base-step", "nan"], ["--base-step", "inf"], ["--fd-step", "nan"],
                   ["--fd-step=-1e-5"], ["--fd-step", "0"], ["--fd-step", "inf"]):
         assert run(["analyze", "--system", "stable-2", "-o", out] + flags) == 2
@@ -192,3 +208,35 @@ def test_verify_paper_exit_and_report(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["passed"] is True
     assert len(doc["checks"]) == 11
+
+
+def _scipy_loaded_after(code, tmp_path):
+    """Run code in a fresh interpreter; report whether it imported scipy."""
+    src = os.path.dirname(os.path.dirname(hybrid_orbit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = code + "\nimport sys\nprint('scipy' in sys.modules)\n"
+    done = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout.strip().splitlines()[-1] == "True"
+
+
+def test_scipy_is_imported_only_to_build_synthetic_systems(tmp_path):
+    fx = paper_fixture()
+    dump_json({"phases": [{"A": matrix_to_obj(fx.A1), "F": matrix_to_obj(fx.F1)},
+                          {"A": matrix_to_obj(fx.A2), "F": matrix_to_obj(fx.F2)}]},
+              tmp_path / "jacs.json")
+    assert not _scipy_loaded_after("import hybrid_orbit", tmp_path)
+    assert not _scipy_loaded_after("import hybrid_orbit.cli", tmp_path)
+    commands = (
+        "from hybrid_orbit.cli import main\n"
+        "assert main(['synthesize', '-i', 'jacs.json', '--method', 'dlqr', '-o', 'g.json']) == 0\n"
+        "assert main(['certify', '-i', 'g.json', '-o', 'c.json']) == 0\n"
+        "assert main(['verify-paper', '-o', 'v.json']) == 0\n"
+    )
+    assert not _scipy_loaded_after(commands, tmp_path)
+    # analyze builds a catalog system, so the probe does see the import
+    assert _scipy_loaded_after(
+        "from hybrid_orbit.cli import main\n"
+        "assert main(['analyze', '--system', 'stable-2', '-o', 'j.json', '--base-step', '5e-3']) == 0\n",
+        tmp_path,
+    )

@@ -1,8 +1,12 @@
 """Reference-fixture consistency suite and the synthetic model family."""
 
+import json
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from hybrid_orbit import fixtures
 from hybrid_orbit.fixtures import (
     CATALOG,
     CHECK_FIELDS,
@@ -183,3 +187,62 @@ def test_descriptor_round_trip(stable2):
         assert np.max(np.abs(a.F - b.F)) < 1e-15
     for a, b in zip(stable2.orbit.fixed_points, rebuilt.orbit.fixed_points):
         assert np.max(np.abs(a - b)) < 1e-15
+
+
+# ------------------------------------------------------ catalog approach check
+
+
+def scalar_approach_ok(drift, duration, start, normal, offset):
+    """The approach check as a step-by-step loop over the 799 grid states."""
+    step_flow = expm(drift * (duration / 800.0))
+    x_t = start.copy()
+    for step_index in range(799):
+        h_t = normal @ x_t - offset
+        if h_t >= 0.0:
+            return False
+        if step_index <= 736 and h_t > -0.05:
+            return False
+        x_t = step_flow @ x_t
+    return True
+
+
+def approach_draw(rng):
+    """Phase geometry drawn the way _draw_phases draws it, without its
+    earlier rejections."""
+    drift = rng.uniform(-1.0, 1.0, (3, 3)) * 0.7
+    duration = rng.uniform(0.5, 0.9)
+    start = rng.uniform(-1.0, 1.0, 3)
+    start = start / np.linalg.norm(start) * rng.uniform(0.8, 1.4)
+    x_end = expm(drift * duration) @ start
+    f_end = drift @ x_end
+    f_hat = f_end / np.linalg.norm(f_end)
+    v = rng.uniform(-1.0, 1.0, 3)
+    v -= (v @ f_hat) * f_hat
+    normal = f_hat + 0.45 * (v / np.linalg.norm(v))
+    normal /= np.linalg.norm(normal)
+    if normal @ f_end < 0.0:
+        normal = -normal
+    return drift, duration, start, normal, float(normal @ x_end)
+
+
+def test_approach_check_matches_scalar_loop():
+    rng = np.random.default_rng(20161)
+    decisions = []
+    for _ in range(2000):
+        draw = approach_draw(rng)
+        decision = fixtures._approach_ok(*draw)
+        assert decision == scalar_approach_ok(*draw)
+        decisions.append(decision)
+        if decision:
+            # a lowered guard that the approach first meets near its end
+            lowered = draw[:4] + (draw[4] - rng.uniform(0.0, 0.01),)
+            assert fixtures._approach_ok(*lowered) == scalar_approach_ok(*lowered)
+    assert 100 < sum(decisions) < 1900
+
+
+def test_catalog_unchanged_under_scalar_approach_check(monkeypatch):
+    names = CATALOG + ("unstable-3",)
+    vectorised = [json.dumps(synthetic_to_obj(from_catalog(n))) for n in names]
+    monkeypatch.setattr(fixtures, "_approach_ok", scalar_approach_ok)
+    scalar = [json.dumps(synthetic_to_obj(from_catalog(n))) for n in names]
+    assert vectorised == scalar

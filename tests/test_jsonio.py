@@ -38,6 +38,24 @@ def test_matrix_from_obj_diagnostics():
         matrix_from_obj(["not", "a", "dict"], path="jacs.A")
 
 
+@pytest.mark.parametrize("entry", ["0.5", True, False, None, [1.0], {"re": 1.0}])
+def test_matrix_and_vector_entries_must_be_json_numbers(entry):
+    with pytest.raises(FormatError, match=r"A\.data\[1\]: non-numeric"):
+        matrix_from_obj({"rows": 1, "cols": 2, "data": [1.0, entry]}, path="A")
+    with pytest.raises(FormatError, match=r"v\[0\]: non-numeric"):
+        vector_from_obj([entry, 1.0], path="v")
+
+
+def test_matrix_shape_must_be_json_integers():
+    for rows, cols in ((True, 1), (1, True), (1.0, 1), ("1", 1)):
+        with pytest.raises(FormatError, match="A.rows/cols"):
+            matrix_from_obj({"rows": rows, "cols": cols, "data": [0.5]}, path="A")
+    # integer entries are JSON numbers; one too large for a float is not finite
+    assert np.array_equal(matrix_from_obj({"rows": 1, "cols": 2, "data": [2, -3]}), [[2.0, -3.0]])
+    with pytest.raises(FormatError, match="non-finite"):
+        vector_from_obj([10**400])
+
+
 def test_vector_from_obj_diagnostics():
     assert np.array_equal(vector_from_obj([1, 2.5]), [1.0, 2.5])
     with pytest.raises(FormatError):
