@@ -12,8 +12,6 @@ Exit codes: 0 success / stable verdict, 1 unstable verdict, 2 input error,
 """
 
 import argparse
-import csv
-import io
 import sys
 
 import numpy as np
@@ -268,14 +266,12 @@ def _cmd_simulate(args) -> int:
     x0 = reference + args.perturb * direction
 
     states = simulate_cycle(model.system, law, x0, args.cycles, cfg)
-    rows = [(0, x0)] + [(c + 1, y) for c, y in enumerate(states)]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["cycle", "err_norm"] + [f"x{j + 1}" for j in range(reference.size)])
-    for cycle, y in rows:
-        err = float(np.linalg.norm(y - reference))
-        writer.writerow([cycle, repr(err)] + [repr(float(v)) for v in y])
-    jsonio._atomic_write(args.output, buffer.getvalue())
+    header = ["cycle", "err_norm"] + [f"x{j + 1}" for j in range(reference.size)]
+    rows = [
+        [cycle, repr(float(np.linalg.norm(y - reference)))] + [repr(float(v)) for v in y]
+        for cycle, y in enumerate([x0] + states)
+    ]
+    jsonio._dump_csv([header] + rows, args.output)
     return EXIT_OK
 
 

@@ -19,7 +19,7 @@ from importlib import resources
 
 import numpy as np
 
-from .jsonio import matrix_from_obj, matrix_to_obj, vector_from_obj, vector_to_obj
+from .jsonio import FormatError, _number, matrix_from_obj, matrix_to_obj, vector_from_obj, vector_to_obj
 from .model import Domain, MultiDomainSystem, PeriodicOrbit, affine_section_chart
 from .numerics import eigenvalues, max_abs_entry, pinv, spectral_radius
 from .poincare import PhaseJacobians, compose_jacobians
@@ -700,20 +700,27 @@ def synthetic_to_obj(model: SyntheticModel) -> dict:
 
 def synthetic_from_obj(obj: dict) -> SyntheticModel:
     """Rebuild a synthetic model (orbit and Jacobians included) from its
-    descriptor."""
+    descriptor.  Malformed descriptors raise FormatError with the field
+    path."""
+    if not isinstance(obj, dict):
+        raise FormatError("descriptor: expected an object")
+    if not isinstance(obj.get("phases"), list):
+        raise FormatError("phases: expected a list of phase objects")
+    readers = {
+        "guard_normal": vector_from_obj,
+        "start_state": vector_from_obj,
+        "guard_offset": _number,
+        "duration": _number,
+    }
     phases = []
     for idx, entry in enumerate(obj["phases"]):
-        path = f"phases[{idx}]"
-        phases.append(
-            LinearPhase(
-                drift=matrix_from_obj(entry["drift"], f"{path}.drift"),
-                input_map=matrix_from_obj(entry["input_map"], f"{path}.input_map"),
-                beta_coupling=matrix_from_obj(entry["beta_coupling"], f"{path}.beta_coupling"),
-                guard_normal=vector_from_obj(entry["guard_normal"], f"{path}.guard_normal"),
-                guard_offset=float(entry["guard_offset"]),
-                reset=matrix_from_obj(entry["reset"], f"{path}.reset"),
-                start_state=vector_from_obj(entry["start_state"], f"{path}.start_state"),
-                duration=float(entry["duration"]),
-            )
-        )
+        if not isinstance(entry, dict):
+            raise FormatError(f"phases[{idx}]: expected an object")
+        values = {}
+        for field in fields(LinearPhase):
+            path = f"phases[{idx}].{field.name}"
+            if field.name not in entry:
+                raise FormatError(f"{path}: missing")
+            values[field.name] = readers.get(field.name, matrix_from_obj)(entry[field.name], path)
+        phases.append(LinearPhase(**values))
     return _assemble(str(obj.get("profile", "custom")), tuple(phases))

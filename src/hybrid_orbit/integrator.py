@@ -10,11 +10,11 @@ lockstep, each with its own start state and frozen parameter vector; a
 single flow is its one-member case.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from .jsonio import _dump_csv
 from .model import Domain, FeedbackLaw, MultiDomainSystem, guard_gradient, row_map
 
 __all__ = [
@@ -382,9 +382,6 @@ def simulate_cycle(
 
 def write_trajectory_csv(traj: PhaseTrajectory, path) -> None:
     """Write a phase trajectory as t,x1,...,xm with the exit row last."""
-    m = traj.states.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"x{j + 1}" for j in range(m)])
-        for t, row in zip(traj.times, traj.states):
-            writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+    header = ["t"] + [f"x{j + 1}" for j in range(traj.states.shape[1])]
+    rows = [[repr(float(v)) for v in (t, *x)] for t, x in zip(traj.times, traj.states)]
+    _dump_csv([header] + rows, path)

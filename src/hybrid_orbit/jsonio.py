@@ -6,6 +6,8 @@ complex numbers as {"re": x, "im": y}.  Files are written atomically
 byte-identical outputs.
 """
 
+import csv
+import io
 import json
 import os
 import tempfile
@@ -51,7 +53,7 @@ def matrix_from_obj(obj, path: str = "matrix") -> np.ndarray:
         raise FormatError(f"{path}.rows/cols: need positive integers")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise FormatError(f"{path}.data: need exactly rows*cols = {rows * cols} numbers")
-    return _floats(data, f"{path}.data").reshape(rows, cols)
+    return vector_from_obj(data, f"{path}.data").reshape(rows, cols)
 
 
 def complex_to_obj(z: complex) -> dict:
@@ -69,24 +71,23 @@ def vector_to_obj(v) -> list[float]:
 def vector_from_obj(obj, path: str = "vector") -> np.ndarray:
     if not isinstance(obj, list):
         raise FormatError(f"{path}: expected a list of numbers")
-    return _floats(obj, path)
+    return np.array([_number(value, f"{path}[{i}]") for i, value in enumerate(obj)], dtype=float)
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _floats(values: list, path: str) -> np.ndarray:
-    """Finite JSON numbers as a float array; strings and booleans are not
+def _number(value, path: str) -> float:
+    """A finite JSON number as a float; strings and booleans are not
     numbers, whatever float() would make of them."""
-    for i, value in enumerate(values):
-        if not (_is_int(value) or isinstance(value, float)):
-            raise FormatError(f"{path}[{i}]: non-numeric entry {value!r}")
+    if not (_is_int(value) or isinstance(value, float)):
+        raise FormatError(f"{path}: non-numeric entry {value!r}")
     try:
-        out = np.array(values, dtype=float)
+        out = float(value)
     except OverflowError:
         raise FormatError(f"{path}: non-finite entry") from None
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out):
         raise FormatError(f"{path}: non-finite entry")
     return out
 
@@ -117,3 +118,10 @@ def _atomic_write(path, text: str) -> None:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
+
+
+def _dump_csv(rows, path) -> None:
+    """Write rows through csv.writer (\\r\\n line ends) atomically."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    _atomic_write(path, buffer.getvalue())

@@ -87,13 +87,7 @@ def pinv(m, rel_tol: float = 1e-10) -> np.ndarray:
     """
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
-    m = as_matrix(m)
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    if s.size and s[0] > 0.0:
-        inv = np.where(s > rel_tol * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    else:
-        inv = np.zeros_like(s)
-    return (vt.T * inv) @ u.T
+    return np.linalg.pinv(as_matrix(m), rcond=rel_tol)
 
 
 def central_difference(fn, x, rel_step: float) -> np.ndarray:

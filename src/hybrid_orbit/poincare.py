@@ -62,21 +62,38 @@ def partial_map(
     return y[0]
 
 
-def _cycle(system: MultiDomainSystem, x: np.ndarray, cfg: IntegratorConfig):
-    """Walk one cycle at beta = 0 from a (B, k) stack on the section entering
-    phase 0.  Returns the per-phase exit-section stacks and durations."""
-    points, durations = [], []
-    for i in range(system.n_domains):
-        x, duration = section_step(system, i, x, np.zeros((len(x), system.domain(i).param_dim)), cfg)
-        points.append(x)
-        durations.append(duration)
-    return points, durations
-
-
 def return_map(system: MultiDomainSystem, x: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
     """Full-cycle map at beta = 0, starting on the section entering phase 0."""
-    points, _ = _cycle(system, np.asarray(x, dtype=float)[None], cfg)
-    return points[-1][0]
+    for i in range(system.n_domains):
+        x = partial_map(system, i, x, np.zeros(system.domain(i).param_dim), cfg)
+    return x
+
+
+def _phase_step(
+    system: MultiDomainSystem,
+    i: int,
+    x: np.ndarray,
+    cfg: IntegratorConfig,
+    fd_scale: float,
+) -> tuple[np.ndarray, float, PhaseJacobians]:
+    """Phase-i leg from entry point x at beta = 0 and its Jacobians.
+
+    The undisturbed member and the 2 (k + p) central-difference members,
+    state and parameter together, are integrated as one batch.  Returns the
+    undisturbed exit point and duration, and A_i, F_i at x.
+    """
+    k = x.size
+    z0 = np.concatenate([x, np.zeros(system.domain(i).param_dim)])
+    center = []
+
+    def members(z):
+        z = np.vstack([z0, z])
+        y, durations = section_step(system, i, z[:, :k], z[:, k:], cfg)
+        center[:] = y[0], durations[0]
+        return y[1:]
+
+    jac = central_difference(members, z0, fd_scale)
+    return *center, PhaseJacobians(phase_index=i, A=jac[:, :k], F=jac[:, k:], fd_step=fd_scale)
 
 
 def jacobian_state(
@@ -89,11 +106,7 @@ def jacobian_state(
     """Central-difference state Jacobian A_i of the phase-i map.
 
     Step per coordinate: fd_scale * max(1, |coordinate|)."""
-    x0 = orbit.fixed_points[(i - 1) % system.n_domains]
-    p = system.domain(i).param_dim
-    return central_difference(
-        lambda x: section_step(system, i, x, np.zeros((len(x), p)), cfg)[0], x0, fd_scale
-    )
+    return _phase_step(system, i, orbit.fixed_points[(i - 1) % system.n_domains], cfg, fd_scale)[2].A
 
 
 def jacobian_param(
@@ -103,16 +116,8 @@ def jacobian_param(
     cfg: IntegratorConfig,
     fd_scale: float = 1e-5,
 ) -> np.ndarray:
-    """Central-difference parameter Jacobian F_i at beta = 0."""
-    x0 = orbit.fixed_points[(i - 1) % system.n_domains]
-    p = system.domain(i).param_dim
-    k_out = system.chart(i).k
-    if p == 0:
-        return np.zeros((k_out, 0))
-    # At beta = 0 every step is exactly fd_scale.
-    return central_difference(
-        lambda b: section_step(system, i, np.tile(x0, (len(b), 1)), b, cfg)[0], np.zeros(p), fd_scale
-    )
+    """Central-difference parameter Jacobian F_i at beta = 0 (step fd_scale)."""
+    return _phase_step(system, i, orbit.fixed_points[(i - 1) % system.n_domains], cfg, fd_scale)[2].F
 
 
 def phase_jacobians(
@@ -121,20 +126,12 @@ def phase_jacobians(
     cfg: IntegratorConfig,
     fd_scale: float = 1e-5,
 ) -> list[PhaseJacobians]:
-    """State and parameter Jacobians for every phase of the cycle.
-
-    The 2 (k + p) difference columns of a phase, state and parameter
-    together, are integrated as one batch."""
-    out = []
-    for i in range(system.n_domains):
-        x0 = orbit.fixed_points[(i - 1) % system.n_domains]
-        k = x0.size
-        z0 = np.concatenate([x0, np.zeros(system.domain(i).param_dim)])
-        jac = central_difference(
-            lambda z: section_step(system, i, z[:, :k], z[:, k:], cfg)[0], z0, fd_scale
-        )
-        out.append(PhaseJacobians(phase_index=i, A=jac[:, :k], F=jac[:, k:], fd_step=fd_scale))
-    return out
+    """State and parameter Jacobians for every phase of the cycle, one
+    batch per phase."""
+    return [
+        _phase_step(system, i, orbit.fixed_points[i - 1], cfg, fd_scale)[2]
+        for i in range(system.n_domains)
+    ]
 
 
 def compose_jacobians(jacs) -> np.ndarray:
@@ -167,19 +164,28 @@ def refine_fixed_point(
 ) -> PeriodicOrbit:
     """Newton refinement of a return-map fixed point.
 
-    Solves return_map(x) - x = 0 with the finite-difference return-map
-    Jacobian, whose 2k columns are integrated as one batch per phase,
-    halving the step up to max_damping times whenever the residual fails to
-    decrease.  The orbit's section fixed points and phase durations are
-    those of the cycle walk that gave the converged residual.
+    Every trial point, damping trials included, makes one pass around the
+    cycle, one batch per phase from the undisturbed member's entry point.
+    The pass gives the residual return_map(x) - x, the orbit and the
+    per-phase Jacobians A_i; Newton solves with their product, halving the
+    step up to max_damping times whenever the residual fails to decrease.
+    The orbit's section fixed points and phase durations are those of the
+    pass that gave the converged residual.
     """
+
+    def one_pass(x):
+        legs = [_phase_step(system, 0, x, cfg, fd_scale)]
+        for i in range(1, system.n_domains):
+            legs.append(_phase_step(system, i, legs[-1][0], cfg, fd_scale))
+        points, durations, jacs = zip(*legs)
+        return points[-1] - x, PeriodicOrbit(points, durations), compose_jacobians(jacs)
+
     x = np.asarray(x_guess, dtype=float).copy()
-    residual, orbit = _walk(system, x, cfg)
+    residual, orbit, jac = one_pass(x)
     res_norm = float(np.max(np.abs(residual)))
     for _ in range(max_iter):
         if res_norm < tol:
             return orbit
-        jac = central_difference(lambda z: _cycle(system, z, cfg)[0][-1], x, fd_scale)
         try:
             step = np.linalg.solve(jac - np.eye(x.size), -residual)
         except np.linalg.LinAlgError as exc:
@@ -189,7 +195,7 @@ def refine_fixed_point(
         scale = 1.0
         for _ in range(max_damping + 1):
             x_try = x + scale * step
-            residual_try, orbit_try = _walk(system, x_try, cfg)
+            residual_try, orbit_try, jac_try = one_pass(x_try)
             if float(np.max(np.abs(residual_try))) < res_norm:
                 break
             scale *= 0.5
@@ -197,20 +203,8 @@ def refine_fixed_point(
             raise FixedPointError(
                 f"Newton stalled: residual {res_norm:.3e} does not decrease"
             )
-        x = x_try
-        orbit = orbit_try
-        residual = residual_try
+        x, residual, orbit, jac = x_try, residual_try, orbit_try, jac_try
         res_norm = float(np.max(np.abs(residual)))
     if res_norm < tol:
         return orbit
     raise FixedPointError(f"Newton did not converge: residual {res_norm:.3e} after {max_iter} iterations")
-
-
-def _walk(system: MultiDomainSystem, x: np.ndarray, cfg: IntegratorConfig):
-    """Return-map residual at x and the cycle walked from x to get it."""
-    points, durations = _cycle(system, x[None], cfg)
-    orbit = PeriodicOrbit(
-        fixed_points=tuple(y[0] for y in points),
-        phase_durations=tuple(d[0] for d in durations),
-    )
-    return points[-1][0] - x, orbit

@@ -20,6 +20,7 @@ from hybrid_orbit.fixtures import (
     verify_paper,
 )
 from hybrid_orbit.integrator import IntegratorConfig
+from hybrid_orbit.jsonio import FormatError
 from hybrid_orbit.numerics import spectral_radius
 from hybrid_orbit.poincare import compose_jacobians, phase_jacobians, return_map
 
@@ -187,6 +188,51 @@ def test_descriptor_round_trip(stable2):
         assert np.max(np.abs(a.F - b.F)) < 1e-15
     for a, b in zip(stable2.orbit.fixed_points, rebuilt.orbit.fixed_points):
         assert np.max(np.abs(a - b)) < 1e-15
+
+
+@pytest.mark.parametrize("name", fixtures.CATALOG)
+def test_descriptor_rebuilds_byte_identically(name):
+    doc = json.dumps(synthetic_to_obj(from_catalog(name)))
+    assert json.dumps(synthetic_to_obj(synthetic_from_obj(json.loads(doc)))) == doc
+
+
+def _edited(stable2, edit):
+    doc = synthetic_to_obj(stable2)
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        (lambda d: d.pop("phases"), r"^phases: "),
+        (lambda d: d.update(phases={"0": {}}), r"^phases: "),
+        (lambda d: d["phases"].__setitem__(1, [1.0]), r"^phases\[1\]: "),
+        (lambda d: d["phases"][0].pop("reset"), r"^phases\[0\]\.reset: missing"),
+        (lambda d: d["phases"][1].pop("duration"), r"^phases\[1\]\.duration: missing"),
+        (lambda d: d["phases"][0].update(duration="0.7"), r"^phases\[0\]\.duration: non-numeric"),
+        (lambda d: d["phases"][0].update(duration=True), r"^phases\[0\]\.duration: non-numeric"),
+        (lambda d: d["phases"][0].update(duration=None), r"^phases\[0\]\.duration: non-numeric"),
+        (lambda d: d["phases"][1].update(guard_offset="1"), r"^phases\[1\]\.guard_offset: non-numeric"),
+        (lambda d: d["phases"][1].update(guard_offset=True), r"^phases\[1\]\.guard_offset: non-numeric"),
+        (lambda d: d["phases"][1].update(guard_offset=None), r"^phases\[1\]\.guard_offset: non-numeric"),
+        (lambda d: d["phases"][1].update(guard_offset=float("inf")), r"^phases\[1\]\.guard_offset: non-finite"),
+    ],
+    ids=[
+        "no-phases", "phases-not-list", "phase-not-object", "missing-reset", "missing-duration",
+        "duration-string", "duration-bool", "duration-null",
+        "offset-string", "offset-bool", "offset-null", "offset-inf",
+    ],
+)
+def test_descriptor_errors_name_the_field(stable2, edit, where):
+    with pytest.raises(FormatError, match=where):
+        synthetic_from_obj(_edited(stable2, edit))
+
+
+@pytest.mark.parametrize("doc", [None, [], "stable-2", 1.0])
+def test_descriptor_must_be_an_object(doc):
+    with pytest.raises(FormatError, match="^descriptor: "):
+        synthetic_from_obj(doc)
 
 
 # ------------------------------------------------------ catalog approach check

@@ -213,6 +213,17 @@ def test_trajectory_csv_layout(tmp_path):
     last = [float(v) for v in lines[-1].split(",")]
     assert last[0] == pytest.approx(traj.exit_time)
     assert last[1] == pytest.approx(traj.exit_state[0])
+    rows = [",".join(repr(float(v)) for v in (t, *x)) for t, x in zip(traj.times, traj.states)]
+    assert path.read_bytes() == "\r\n".join(["t,x1,x2"] + rows + [""]).encode()
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_trajectory_csv_under_missing_directory(tmp_path):
+    dom = autonomous(lambda x: np.array([1.0, -1.0]), lambda x: float(x[0] - 0.1), 2)
+    traj = flow_to_guard(dom, np.array([0.0, 0.0]), np.zeros(0), IntegratorConfig())
+    with pytest.raises(OSError):
+        write_trajectory_csv(traj, tmp_path / "missing" / "flow.csv")
+    assert list(tmp_path.rglob("*")) == []
 
 
 def test_last_resort_step_is_checked_for_finiteness():

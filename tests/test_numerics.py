@@ -205,6 +205,21 @@ def test_pinv_idempotent_on_full_rank():
         assert max_abs_entry(pinv(pinv(m)) - m) < 1e-8
 
 
+def test_pinv_cut_rule_matches_svd_reference():
+    # singular values at 1, 1e-9 and 1e-11 against rel_tol 1e-10: the
+    # middle one is inverted, the last one is cut, as in the SVD formula
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        u, _ = np.linalg.qr(rng.normal(size=(4, 3)))
+        v, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        m = (u * np.array([1.0, 1e-9, 1e-11])) @ v.T
+        _, s, _ = np.linalg.svd(m)
+        inv = np.where(s > 1e-10 * s[0], 1.0 / s, 0.0)
+        expected = (v * inv) @ u.T
+        assert max_abs_entry(pinv(m, rel_tol=1e-10) - expected) < 1e-6 * max_abs_entry(expected)
+    assert max_abs_entry(pinv(np.zeros((2, 3)))) == 0.0
+
+
 def test_pinv_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         pinv(np.eye(2), rel_tol=0.0)

@@ -180,22 +180,58 @@ def test_refine_fixed_point_accepts_exact_start(stable3, cfg_fast):
         assert abs(found - engineered) < 1e-7
 
 
-def test_refine_fixed_point_keeps_its_last_cycle_walk(stable3, cfg_fast):
-    # From a converged start Newton walks the cycle once and returns that walk.
+def _reset_counter(system):
     resets = []
     counted = replace(
-        stable3.system,
+        system,
         domains=tuple(
             replace(dom, reset=lambda x, r=dom.reset: resets.append(1) or r(x))
-            for dom in stable3.system.domains
+            for dom in system.domains
         ),
     )
+    return counted, resets
+
+
+def _pass_members(system):
+    # one pass: per phase, the undisturbed member and 2 (k + p) difference members
+    n = system.n_domains
+    return sum(1 + 2 * (system.chart(i - 1).k + system.domain(i).param_dim) for i in range(n))
+
+
+def test_refine_fixed_point_keeps_its_last_cycle_walk(stable3, cfg_fast):
+    # From a converged start Newton makes one pass and returns its walk.
+    counted, resets = _reset_counter(stable3.system)
     orbit = refine_fixed_point(counted, stable3.orbit.fixed_points[-1], cfg_fast)
-    assert len(resets) == stable3.system.n_domains
+    assert len(resets) == _pass_members(stable3.system) == 33
     y = stable3.orbit.fixed_points[-1]
     for i in range(stable3.system.n_domains):
         y = partial_map(stable3.system, i, y, np.zeros(3), cfg_fast)
         assert np.array_equal(orbit.fixed_points[i], y)
+
+
+@pytest.mark.parametrize("name", ["stable3", "boundary2"])
+def test_refine_fixed_point_flows_only_whole_passes(name, request, cfg_fast):
+    # Every Newton trial point, damping trials included, is one full pass;
+    # no flow runs outside a pass.
+    model = request.getfixturevalue(name)
+    counted, resets = _reset_counter(model.system)
+    per_pass = _pass_members(model.system)
+    x_star = model.orbit.fixed_points[-1]
+    for angle in (0.0, 2.4, 4.8):
+        kick = 1e-3 * np.array([np.cos(angle), np.sin(angle)])
+        resets.clear()
+        orbit = refine_fixed_point(counted, x_star + kick, cfg_fast)
+        x = orbit.fixed_points[-1]
+        assert np.max(np.abs(return_map(model.system, x, cfg_fast) - x)) < 1e-8
+        assert len(resets) % per_pass == 0
+        assert len(resets) >= 2 * per_pass
+
+
+def test_single_phase_jacobians_match_phase_jacobians_bit_for_bit(stable3, cfg_fast):
+    jacs = phase_jacobians(stable3.system, stable3.orbit, cfg_fast)
+    for i, jac in enumerate(jacs):
+        assert np.array_equal(jacobian_state(stable3.system, i, stable3.orbit, cfg_fast), jac.A)
+        assert np.array_equal(jacobian_param(stable3.system, i, stable3.orbit, cfg_fast), jac.F)
 
 
 def test_refine_fixed_point_converges_from_perturbed_guess(stable3, cfg_fast):
