@@ -91,8 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_integrator_flags(sub_parser) -> None:
-    sub_parser.add_argument("--base-step", type=float, default=2e-3,
-                            help="integrator base step")
+    sub_parser.add_argument("--base-step", type=float, default=IntegratorConfig.base_step,
+                            help="integrator base step (default %(default)g)")
     sub_parser.add_argument("--fd-step", type=float, default=1e-5,
                             help="finite-difference step scale")
 

@@ -438,7 +438,7 @@ def _draw_phases(rng, n_domains: int, coupled: bool):
 
     validated = []
     for drift, input_map, coupling, duration, start in drawn:
-        flow, response = _forced_response(drift, input_map, duration)
+        flow, _ = _forced_response(drift, input_map, duration)
         x_end = flow @ start
         if np.linalg.norm(x_end) < 0.3:
             return None
@@ -466,14 +466,13 @@ def _draw_phases(rng, n_domains: int, coupled: bool):
             dict(
                 drift=drift,
                 input_map=input_map,
-                coupling=coupling,
+                beta_coupling=coupling,
                 duration=duration,
-                start=start,
+                start_state=start,
                 x_end=x_end,
                 flow=flow,
-                response=response,
-                normal=normal,
-                offset=offset,
+                guard_normal=normal,
+                guard_offset=offset,
             )
         )
     return validated
@@ -511,10 +510,8 @@ def build_synthetic(n_domains: int, profile: str) -> SyntheticModel:
         targets = [t * scale for t in targets]
 
         for ph in phases:
-            ph["embed"], ph["embed_offset"], ph["project"] = _chart_matrices(
-                ph["normal"], ph["offset"]
-            )
-            ph["saltation"] = _saltation(ph["drift"], ph["normal"], ph["x_end"])
+            ph["embed"], _, ph["project"] = _chart_matrices(ph["guard_normal"], ph["guard_offset"])
+            ph["saltation"] = _saltation(ph["drift"], ph["guard_normal"], ph["x_end"])
 
         ok = True
         for i, ph in enumerate(phases):
@@ -524,14 +521,14 @@ def build_synthetic(n_domains: int, profile: str) -> SyntheticModel:
             bottom = np.kron(ph["x_end"][None, :], np.eye(_STATE_DIM))
             lhs = np.vstack([top, bottom])
             rhs = np.concatenate(
-                [targets[(i + 1) % n_domains].flatten(order="F"), nxt["start"]]
+                [targets[(i + 1) % n_domains].flatten(order="F"), nxt["start_state"]]
             )
             vec, _, rank, _ = np.linalg.lstsq(lhs, rhs, rcond=None)
             if rank < lhs.shape[0]:
                 ok = False
                 break
             reset = vec.reshape(_STATE_DIM, _STATE_DIM, order="F")
-            if np.max(np.abs(reset @ ph["x_end"] - nxt["start"])) > 1e-9:
+            if np.max(np.abs(reset @ ph["x_end"] - nxt["start_state"])) > 1e-9:
                 ok = False
                 break
             if np.max(np.abs(chain @ reset @ ph["embed"] - targets[(i + 1) % n_domains])) > 1e-9:
@@ -541,52 +538,35 @@ def build_synthetic(n_domains: int, profile: str) -> SyntheticModel:
         if not ok:
             continue
 
-        jac_pairs = []
-        for i, ph in enumerate(phases):
-            prev = phases[(i - 1) % n_domains]
-            a_i = ph["project"] @ ph["saltation"] @ ph["flow"] @ prev["reset"] @ prev["embed"]
-            f_i = ph["project"] @ ph["saltation"] @ (ph["response"] @ ph["coupling"])
-            jac_pairs.append((a_i, f_i))
+        model = _assemble(profile, tuple(
+            LinearPhase(**{f.name: ph[f.name] for f in fields(LinearPhase)}) for ph in phases
+        ))
         if coupled:
-            if any(np.linalg.svd(f, compute_uv=False)[-1] < _MIN_COUPLING_SV
-                   for _, f in jac_pairs):
+            if any(np.linalg.svd(j.F, compute_uv=False)[-1] < _MIN_COUPLING_SV
+                   for j in model.jacobians):
                 continue
-            if profile == "stable" and not _stable_profile_ok(jac_pairs):
+            if profile == "stable" and not _stable_profile_ok(model.jacobians):
                 continue
-
-        linear_phases = tuple(
-            LinearPhase(
-                drift=ph["drift"],
-                input_map=ph["input_map"],
-                beta_coupling=ph["coupling"],
-                guard_normal=ph["normal"],
-                guard_offset=ph["offset"],
-                reset=ph["reset"],
-                start_state=ph["start"],
-                duration=ph["duration"],
-            )
-            for ph in phases
-        )
-        return _assemble(profile, linear_phases)
+        return model
 
     raise RuntimeError(
         f"no admissible draw for profile {profile!r} with {n_domains} domains"
     )
 
 
-def _stable_profile_ok(jac_pairs) -> bool:
+def _stable_profile_ok(jacobians) -> bool:
     """Every synthesis method must leave the stable profile comfortably
     contracting, so closed-loop decay experiments have headroom."""
     try:
         for method in (
-            lambda: synthesis.scale_factor_gains(jac_pairs),
-            lambda: synthesis.dlqr_gains(jac_pairs),
-            lambda: synthesis.symmetric_matrix_gains(jac_pairs),
+            lambda: synthesis.scale_factor_gains(jacobians),
+            lambda: synthesis.dlqr_gains(jacobians),
+            lambda: synthesis.symmetric_matrix_gains(jacobians),
         ):
             gains = method()
             if gains.inexact:
                 return False
-            report = synthesis.stability_report(jac_pairs, gains)
+            report = synthesis.stability_report(jacobians, gains)
             if report.product_radius > 0.42:
                 return False
     except (synthesis.SynthesisError, ValueError):
@@ -637,7 +617,7 @@ def _assemble(profile: str, linear_phases: tuple[LinearPhase, ...]) -> Synthetic
                 reset=lambda x, r=ph.reset: r @ x,
                 exit_chart=chart,
                 batch_field=_linear_batch_field(ph.drift, ph.input_map @ ph.beta_coupling),
-                batch_guard=lambda x, n=ph.guard_normal, d=ph.guard_offset: x @ n - d,
+                batch_guard=lambda x, n=ph.guard_normal, d=ph.guard_offset: (x * n).sum(axis=1) - d,
             )
         )
     system = MultiDomainSystem(domains=tuple(domains))

@@ -1,8 +1,9 @@
 """Fixed-step RK4 phase integration with guard-event detection.
 
 A phase flow runs until the scalar exit guard first changes sign, then the
-crossing is refined by bisecting the final step horizon until the guard
-residual is below tolerance.  Identical inputs produce bit-identical
+crossing is located by regula falsi on the fraction of the final step, to
+a few ulps of the step (Shampine & Thompson, "Event location for ordinary
+differential equations", 2000).  Identical inputs produce bit-identical
 trajectories: the step sequence is a pure function of the configuration.
 
 One kernel, flow_batch, integrates a stack of members of one phase in
@@ -58,6 +59,10 @@ class NonFinite(IntegrationError):
     """The state left the finite range during integration."""
 
 
+# Regula falsi locates a crossing in far fewer iterations than this cap.
+_REFINE_MAX_ITER = 100
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     base_step: float = 1e-2
@@ -65,7 +70,6 @@ class IntegratorConfig:
     min_phase_duration: float = 1e-6
     max_phase_duration: float = 50.0
     transversality_tol: float = 1e-8
-    refine_max_iter: int = 100
     # Cap on the per-step guard change, as a fraction of the running guard
     # range; steps violating it are split to reduce missed-crossing risk.
     guard_step_fraction: float = 0.25
@@ -84,8 +88,8 @@ class IntegratorConfig:
             raise ValueError("all integrator tolerances must be finite and positive")
         if self.min_phase_duration >= self.max_phase_duration:
             raise ValueError("min_phase_duration must be below max_phase_duration")
-        if self.refine_max_iter < 1 or self.max_step_splits < 0:
-            raise ValueError("iteration limits must be positive")
+        if self.max_step_splits < 0:
+            raise ValueError("max_step_splits must be nonnegative")
 
 
 @dataclass
@@ -118,10 +122,11 @@ def flow_to_guard(
 
     The start state must lie strictly off the guard; the side of the guard
     at t = 0 defines the approach side.  A sign change (or a guard value
-    already inside tolerance) triggers bisection refinement of the final
-    step.  Crossings earlier than the minimum phase duration, absent
-    crossings, non-transversal exits and state blow-up all raise distinct
-    errors rather than returning a wrong trajectory.
+    already inside tolerance) ends the flow, and regula falsi locates the
+    crossing inside the final step.  Crossings earlier than the minimum
+    phase duration, absent crossings, non-transversal exits and state
+    blow-up all raise distinct errors rather than returning a wrong
+    trajectory.
     """
     x0 = np.asarray(x0, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -146,7 +151,7 @@ def flow_batch(
 
     Row b of the (B, m) stack x0 flows with betas[b] held fixed.  Every
     member follows the flow_to_guard algorithm on its own: its own step and
-    step splits, its own crossing bisection and its own checks.  If any
+    step splits, its own crossing location and its own checks.  If any
     member fails, its typed error is raised and nothing is returned.  The
     result is the (B, m) exit states and the (B,) exit times.  With record,
     a single member's accepted times and states are appended to the two
@@ -222,7 +227,8 @@ def flow_batch(
                 rows = np.flatnonzero(crossed)
                 f_rows = f if rows.size == members.size else _batch_field(domain, betas[members[rows]])
                 x_exit, t_exit = _exit_crossing(
-                    domain, f_rows, guard, x[rows], t[rows], dt[rows], side[rows], cfg
+                    domain, f_rows, guard, x[rows], t[rows], dt[rows], side[rows],
+                    g_val[rows], x_next[rows], g_next[rows], cfg,
                 )
                 x_out[members[rows]] = x_exit
                 t_out[members[rows]] = t_exit
@@ -267,45 +273,46 @@ def _raise_non_finite(x: np.ndarray, t: np.ndarray) -> None:
         raise NonFinite(f"state became non-finite near t = {t[np.argmax(bad)]:.6g}")
 
 
-def _exit_crossing(domain, f, guard, x_from, t_from, step, side, cfg):
-    """Refine each member's crossing inside its last step, then check it.
+def _exit_crossing(domain, f, guard, x_from, t_from, step, side, g_from, x_to, g_to, cfg):
+    """Locate each member's crossing inside its last step, then check it.
 
-    Each member bisects its own step horizon until its guard residual is
-    within tolerance; the bisections run side by side.
+    g(tau) = side * H(rk4_step(x_from, tau)) falls from g_from > 0 to g_to
+    over the step.  Illinois regula falsi puts the secant root of the bracket
+    in place of the end of the same sign, halving the weight of an end kept
+    twice in a row, until the bracket is a few ulps of the step wide (at once
+    if g_to >= 0 leaves no sign change).  The end with the smaller |H| exits.
     """
-    n = x_from.shape[0]
-    lo, hi = np.zeros(n), step.copy()
-    x_best, h_best, tau_best = x_from.copy(), np.full(n, np.inf), step.copy()
-    x_hit, tau_hit = np.empty_like(x_from), np.empty(n)
-    done = np.zeros(n, dtype=bool)
-    for _ in range(cfg.refine_max_iter):
-        mid = 0.5 * (lo + hi)
-        x_mid = rk4_step(f, x_from, mid[:, None])
-        h_mid = guard(x_mid)
-        h_abs = np.abs(h_mid)
-        better = h_abs < h_best
-        x_best = np.where(better[:, None], x_mid, x_best)
-        h_best = np.where(better, h_abs, h_best)
-        tau_best = np.where(better, mid, tau_best)
-        hit = ~done & (h_abs <= cfg.guard_tol)
-        x_hit[hit] = x_mid[hit]
-        tau_hit[hit] = mid[hit]
-        done |= hit
-        if done.all():
+    members = np.arange(x_from.shape[0])
+    width = 4.0 * np.finfo(float).eps * step
+    ends = np.stack([np.zeros_like(step), step])  # tau at the lo and the hi end
+    weight = np.stack([g_from, g_to])  # g at the ends, halved by the Illinois rule
+    h_abs, x_ends = np.abs(weight), np.stack([x_from, x_to])
+    last = np.full(members.size, -1)  # the end replaced last
+    active = g_to < 0.0
+    for _ in range(_REFINE_MAX_ITER):
+        if not active.any():
             break
-        below = h_mid * side < 0.0
-        hi = np.where(below, mid, hi)
-        lo = np.where(below, lo, mid)
-    else:
-        stalled = ~done & ~(h_best <= 10.0 * cfg.guard_tol)
-        if stalled.any():
-            raise IntegrationError(
-                f"guard refinement stalled at |H| = {h_best[np.argmax(stalled)]:.3e} "
-                f"(tolerance {cfg.guard_tol:.3e})"
-            )
-        x_hit[~done] = x_best[~done]
-        tau_hit[~done] = tau_best[~done]
-    t_exit = t_from + tau_hit
+        lo, hi = ends
+        tau = np.clip(lo + (hi - lo) * (weight[0] / (weight[0] - weight[1])), lo, hi)
+        x_tau = rk4_step(f, x_from, tau[:, None])
+        g_tau = side * guard(x_tau)
+        rows = members[active]
+        end = (g_tau[rows] <= 0.0).astype(int)  # 1 replaces hi, 0 replaces lo
+        weight[1 - end, rows] *= np.where(end == last[rows], 0.5, 1.0)
+        ends[end, rows], weight[end, rows], x_ends[end, rows] = tau[rows], g_tau[rows], x_tau[rows]
+        h_abs[end, rows] = np.abs(g_tau[rows])
+        last[rows] = end
+        active &= (weight[1] < 0.0) & (ends[1] - ends[0] > width)
+
+    best = (~(h_abs[0] < h_abs[1])).astype(int)  # ties and NaN at lo go to hi
+    h_hit, x_hit = h_abs[best, members], x_ends[best, members]
+    stalled = ~(h_hit <= cfg.guard_tol)
+    if stalled.any():
+        raise IntegrationError(
+            f"guard refinement stalled at |H| = {h_hit[np.argmax(stalled)]:.3e} "
+            f"(tolerance {cfg.guard_tol:.3e})"
+        )
+    t_exit = t_from + ends[best, members]
 
     early = t_exit < cfg.min_phase_duration
     if early.any():

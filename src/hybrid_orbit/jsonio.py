@@ -107,12 +107,16 @@ def dump_json(obj, path) -> None:
 
 
 def _atomic_write(path, text: str) -> None:
-    """Write text verbatim (no newline translation) via temp file + rename."""
+    """Write text verbatim (no newline translation) via temp file + rename,
+    with the mode open() would give, 0666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp_path, 0o666 & ~umask)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

@@ -170,7 +170,8 @@ def refine_fixed_point(
     per-phase Jacobians A_i; Newton solves with their product, halving the
     step up to max_damping times whenever the residual fails to decrease.
     The orbit's section fixed points and phase durations are those of the
-    pass that gave the converged residual.
+    pass that gave the converged residual, except that the last fixed point
+    is the converged x itself rather than its image return_map(x).
     """
 
     def one_pass(x):
@@ -178,7 +179,8 @@ def refine_fixed_point(
         for i in range(1, system.n_domains):
             legs.append(_phase_step(system, i, legs[-1][0], cfg, fd_scale))
         points, durations, jacs = zip(*legs)
-        return points[-1] - x, PeriodicOrbit(points, durations), compose_jacobians(jacs)
+        orbit = PeriodicOrbit(points[:-1] + (x,), durations)
+        return points[-1] - x, orbit, compose_jacobians(jacs)
 
     x = np.asarray(x_guess, dtype=float).copy()
     residual, orbit, jac = one_pass(x)

@@ -11,7 +11,8 @@ import pytest
 import hybrid_orbit
 from hybrid_orbit import cli
 from hybrid_orbit.cli import main
-from hybrid_orbit.fixtures import CATALOG, paper_fixture
+from hybrid_orbit.fixtures import CATALOG, from_catalog, paper_fixture
+from hybrid_orbit.integrator import IntegratorConfig
 from hybrid_orbit.jsonio import dump_json, matrix_to_obj
 
 
@@ -36,6 +37,27 @@ def test_analyze_synthesize_certify_round_trip(system, tmp_path):
     assert {p["phase"] for p in doc["phases"]} == set(range(1, len(doc["phases"]) + 1))
     report = json.loads(gains.read_text())["report"]
     assert report["verdict"] in ("stable", "unstable")
+
+
+def test_analyze_defaults_match_the_closed_form(tmp_path):
+    # No --base-step or --fd-step: the default settings alone must give
+    # the exact per-phase Jacobians to FD accuracy.
+    out = tmp_path / "jacs.json"
+    for system in CATALOG:
+        assert run(["analyze", "--system", system, "-o", out]) == 0
+        phases = json.loads(out.read_text())["phases"]
+        exact = from_catalog(system).jacobians
+        assert len(phases) == len(exact)
+        for phase, jac in zip(phases, exact):
+            for key, ref in (("A", jac.A), ("F", jac.F)):
+                got = np.array(phase[key]["data"]).reshape(phase[key]["rows"], phase[key]["cols"])
+                assert np.max(np.abs(got - ref)) <= 1e-8, (system, phase["phase"], key)
+
+
+def test_base_step_default_is_the_integrator_default():
+    for command in ("analyze", "simulate"):
+        args = cli._build_parser().parse_args([command, "--system", "stable-2", "-o", "x"])
+        assert args.base_step == IntegratorConfig().base_step
 
 
 def test_synthesize_methods_and_flags(tmp_path):

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from hybrid_orbit import cli
 from hybrid_orbit.fixtures import CATALOG, synthetic_from_obj, synthetic_to_obj
 from hybrid_orbit.integrator import (
     Chattering,
+    IntegrationError,
     IntegratorConfig,
     NoCrossing,
     NonFinite,
@@ -106,6 +108,44 @@ def test_tangential_crossing_raises_non_transversal():
         flow_to_guard(dom, np.array([0.0, 0.0]), np.zeros(0), cfg)
 
 
+def jump_guard(x):
+    """Changes sign at x1 = 0.5 without passing through zero."""
+    return 1.0 if x[0] < 0.5 else -1.0
+
+
+def test_guard_without_a_root_stalls_the_refinement():
+    dom = autonomous(lambda x: np.array([1.0]), jump_guard, 1)
+    with pytest.raises(IntegrationError, match="refinement stalled") as exc_info:
+        flow_to_guard(dom, np.array([0.0]), np.zeros(0), IntegratorConfig())
+    assert type(exc_info.value) is IntegrationError
+
+
+def test_refine_stall_carries_its_phase_and_exits_three(monkeypatch, tmp_path, capsys):
+    dom = Domain(
+        state_dim=2,
+        control_dim=0,
+        param_dim=0,
+        drift=lambda x: np.array([1.0, 0.0]),
+        input_map=lambda x: np.zeros((2, 0)),
+        controller=lambda x, beta: np.zeros(0),
+        guard=jump_guard,
+        reset=lambda x: x,
+        exit_chart=SectionChart(k=1, embed=lambda y: np.array([0.0, y[0]]), project=lambda x: x[1:].copy()),
+    )
+    system = MultiDomainSystem(domains=(dom,))
+    with pytest.raises(IntegrationError, match="refinement stalled") as exc_info:
+        section_step(system, 0, np.zeros((1, 1)), np.zeros((1, 0)), IntegratorConfig())
+    assert exc_info.value.phase == 0
+
+    def stalled_newton(*args, **kwargs):
+        section_step(system, 0, np.zeros((1, 1)), np.zeros((1, 0)), IntegratorConfig())
+
+    monkeypatch.setattr(cli, "refine_fixed_point", stalled_newton)
+    assert cli.main(["analyze", "--system", "stable-2", "-o", str(tmp_path / "j.json")]) == 3
+    assert "numerical failure (phase 0): phase 0: guard refinement stalled" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_blow_up_raises_non_finite():
     # quadratic growth overflows long before the (unreachable) guard
     dom = autonomous(lambda x: np.array([1.0 + x[0] ** 2]), lambda x: float(x[0] - 1e300), 1)
@@ -192,7 +232,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(min_phase_duration=2.0, max_phase_duration=1.0)
     with pytest.raises(ValueError):
-        IntegratorConfig(refine_max_iter=0)
+        IntegratorConfig(max_step_splits=-1)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             IntegratorConfig(base_step=bad)
@@ -298,18 +338,28 @@ def reference_flow(domain, x0, beta, cfg):
             x_next = rk4_step(f, x, step)
             h_next = float(domain.guard(x_next))
         if h_next * side < 0.0 or abs(h_next) <= cfg.guard_tol:
-            lo, hi = 0.0, step
-            for _ in range(cfg.refine_max_iter):
-                mid = 0.5 * (lo + hi)
-                x_mid = rk4_step(f, x, mid)
-                h_mid = float(domain.guard(x_mid))
-                if abs(h_mid) <= cfg.guard_tol:
-                    return np.array(times + [t + mid]), np.array(states + [x_mid])
-                if h_mid * side < 0.0:
-                    hi = mid
+            # Illinois regula falsi on the step fraction, to a 4-ulp bracket
+            lo, hi, g_lo, g_hi = 0.0, step, side * h_val, side * h_next
+            x_lo, x_hi, last = x, x_next, 0
+            for _ in range(100):
+                if not (g_hi < 0.0 and hi - lo > 4 * np.finfo(float).eps * step):
+                    break
+                tau = min(max(lo + (hi - lo) * (g_lo / (g_lo - g_hi)), lo), hi)
+                x_tau = rk4_step(f, x, tau)
+                g_tau = side * float(domain.guard(x_tau))
+                moved = 1 if g_tau <= 0.0 else -1
+                if moved == last == 1:
+                    g_lo *= 0.5
+                elif moved == last == -1:
+                    g_hi *= 0.5
+                if moved == 1:
+                    hi, g_hi, x_hi = tau, g_tau, x_tau
                 else:
-                    lo = mid
-            raise AssertionError("reference bisection stalled")
+                    lo, g_lo, x_lo = tau, g_tau, x_tau
+                last = moved
+            if abs(domain.guard(x_hi)) <= abs(domain.guard(x_lo)):
+                return np.array(times + [t + hi]), np.array(states + [x_hi])
+            return np.array(times + [t + lo]), np.array(states + [x_lo])
         t, x, h_val = t + step, x_next, h_next
         h_lo, h_hi = min(h_lo, h_val), max(h_hi, h_val)
         times.append(t)

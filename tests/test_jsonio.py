@@ -1,6 +1,8 @@
 """Wire formats: matrix/complex codecs, atomic writes, impact model JSON."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from hybrid_orbit.impacts import ImpactModel, impact_model_from_obj, impact_model_to_obj
 from hybrid_orbit.jsonio import (
     FormatError,
+    _dump_csv,
     complex_to_obj,
     dump_json,
     load_json,
@@ -78,6 +81,18 @@ def test_dump_json_is_deterministic_and_atomic(tmp_path):
     dump_json(doc, path)
     assert path.read_bytes() == first
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_outputs_get_the_mode_of_a_plain_open(tmp_path):
+    old_umask = os.umask(0o022)
+    try:
+        dump_json({"a": 1}, tmp_path / "out.json")
+        _dump_csv([["t", "x1"], ["0.0", "1.0"]], tmp_path / "out.csv")
+    finally:
+        os.umask(old_umask)
+    for name in ("out.json", "out.csv"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.json"]
 
 
 def test_load_json_reports_position(tmp_path):

@@ -199,14 +199,17 @@ def _pass_members(system):
 
 
 def test_refine_fixed_point_keeps_its_last_cycle_walk(stable3, cfg_fast):
-    # From a converged start Newton makes one pass and returns its walk.
+    # From a converged start Newton makes one pass and returns its walk,
+    # ending at the start point itself.
     counted, resets = _reset_counter(stable3.system)
-    orbit = refine_fixed_point(counted, stable3.orbit.fixed_points[-1], cfg_fast)
+    start = stable3.orbit.fixed_points[-1]
+    orbit = refine_fixed_point(counted, start, cfg_fast)
     assert len(resets) == _pass_members(stable3.system) == 33
-    y = stable3.orbit.fixed_points[-1]
-    for i in range(stable3.system.n_domains):
+    y = start
+    for i in range(stable3.system.n_domains - 1):
         y = partial_map(stable3.system, i, y, np.zeros(3), cfg_fast)
         assert np.array_equal(orbit.fixed_points[i], y)
+    assert np.array_equal(orbit.fixed_points[-1], start)
 
 
 @pytest.mark.parametrize("name", ["stable3", "boundary2"])
@@ -222,7 +225,7 @@ def test_refine_fixed_point_flows_only_whole_passes(name, request, cfg_fast):
         resets.clear()
         orbit = refine_fixed_point(counted, x_star + kick, cfg_fast)
         x = orbit.fixed_points[-1]
-        assert np.max(np.abs(return_map(model.system, x, cfg_fast) - x)) < 1e-8
+        assert np.max(np.abs(return_map(model.system, x, cfg_fast) - x)) < 1e-9
         assert len(resets) % per_pass == 0
         assert len(resets) >= 2 * per_pass
 
