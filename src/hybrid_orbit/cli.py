@@ -315,12 +315,8 @@ def main(argv=None) -> int:
     except (FormatError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NumericsError, synthesis.SynthesisError, FixedPointError) as exc:
+    except (NumericsError, synthesis.SynthesisError, FixedPointError, IntegrationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except IntegrationError as exc:
-        phase = f" (phase {exc.phase})" if exc.phase is not None else ""
-        print(f"numerical failure{phase}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -122,14 +122,25 @@ def _check_weight(q: np.ndarray, name: str, definite: bool) -> np.ndarray:
     return 0.5 * (q + q.T)
 
 
-def dare_solve(a, b, q, r, tol: float = 1e-12, max_iter: int = 10000) -> np.ndarray:
-    """Solve the discrete algebraic Riccati equation by fixed-point iteration.
+def dare_solve(a, b, q, r, tol: float = 1e-12, max_iter: int = 100) -> np.ndarray:
+    """Stabilizing solution P of the discrete algebraic Riccati equation.
 
-    Iterates P <- A'PA - A'PB (B'PB + R)^-1 B'PA + Q from P = Q until the
-    successive-iterate difference falls below tol (relative to the scale of
-    P).  Non-convergence within max_iter is reported as unstabilizable or
-    ill-conditioned rather than returning a wrong answer; the residual of
-    the returned P is checked independently of the iteration.
+    P = A'PA - A'PB (B'PB + R)^-1 B'PA + Q, found in two steps:
+
+    1. Structure-preserving doubling (Chu, Fan & Lin, 2005): from A_0 = A,
+       G_0 = B R^-1 B' and H_0 = Q, each step solves W = I + G H against
+       [A | G] and sets A <- A W^-1 A, G <- G + A W^-1 G A' and
+       H <- H + A' H W^-1 A.  H converges quadratically to P; it stops once
+       H moves by less than tol relative to its largest entry.  max_iter
+       caps the doubling steps (a handful suffice on stabilizable input).
+    2. One Newton (Hewer) step in correction form: with K and A - BK from
+       H, solve the Stein equation X - (A - BK)' X (A - BK) = Res(H), where
+       Res is the Riccati residual, and return H + X.
+
+    A diverging or non-finite iterate, a singular solve or running out of
+    steps is reported as unstabilizable or ill-conditioned rather than
+    returning a wrong answer; the residual of the returned P is checked
+    independently of the iteration.
     """
     a = _require_square(a, "dare_solve")
     b = as_matrix(b)
@@ -142,49 +153,68 @@ def dare_solve(a, b, q, r, tol: float = 1e-12, max_iter: int = 10000) -> np.ndar
     if r.shape[0] != b.shape[1]:
         raise ValueError("R must match the input dimension")
 
-    p = q.copy()
-    for _ in range(max_iter):
-        btp = b.T @ p
-        try:
-            gain = np.linalg.solve(btp @ b + r, btp @ a)
-        except np.linalg.LinAlgError as exc:
-            raise NumericsError(f"Riccati iteration hit a singular solve: {exc}") from exc
-        p_next = a.T @ p @ a - (btp @ a).T @ gain + q
-        p_next = 0.5 * (p_next + p_next.T)
-        if not np.all(np.isfinite(p_next)) or np.max(np.abs(p_next)) > 1e100:
-            raise NumericsError(
-                "Riccati iteration diverged: (A, B) unstabilizable or ill-conditioned"
-            )
-        if np.max(np.abs(p_next - p)) < tol * max(1.0, np.max(np.abs(p_next))):
-            p = p_next
-            break
-        p = p_next
-    else:
-        raise NumericsError(
-            "Riccati iteration did not converge: (A, B) unstabilizable or ill-conditioned"
-        )
+    n = a.shape[0]
+    eye = np.eye(n)
+    failure = "Riccati {}: (A, B) unstabilizable or ill-conditioned"
+    with np.errstate(over="ignore", invalid="ignore"):
+        ak, gk, h = a, b @ np.linalg.solve(r, b.T), q
+        for _ in range(max_iter):
+            try:
+                solved = np.linalg.solve(eye + gk @ h, np.hstack([ak, gk]))
+            except np.linalg.LinAlgError as exc:
+                raise NumericsError(failure.format(f"doubling hit a singular solve ({exc})")) from exc
+            w_a, w_g = solved[:, :n], solved[:, n:]
+            h_next = h + ak.T @ h @ w_a
+            h_next = 0.5 * (h_next + h_next.T)
+            gk = gk + ak @ w_g @ ak.T
+            gk = 0.5 * (gk + gk.T)
+            ak = ak @ w_a
+            size = np.max(np.abs(h_next))
+            if not size <= 1e100:
+                raise NumericsError(failure.format("doubling diverged"))
+            step = np.max(np.abs(h_next - h))
+            h = h_next
+            if step < tol * max(1.0, size):
+                break
+        else:
+            raise NumericsError(failure.format("doubling did not converge"))
 
-    residual = _dare_residual(a, b, q, r, p)
-    if residual > 1e-8 * max(1.0, np.max(np.abs(p))):
+        res, gain = _dare_residual(a, b, q, r, h)
+        closed = a - b @ gain
+        try:
+            x = np.linalg.solve(np.eye(n * n) - np.kron(closed.T, closed.T), res.reshape(-1))
+        except np.linalg.LinAlgError as exc:
+            raise NumericsError(failure.format(f"Newton step hit a singular solve ({exc})")) from exc
+        x = x.reshape(n, n)
+        p = h + 0.5 * (x + x.T)
+        residual = np.max(np.abs(_dare_residual(a, b, q, r, p)[0]))
+    if not residual <= 1e-8 * max(1.0, np.max(np.abs(p))):
         raise NumericsError(f"Riccati residual {residual:.3e} above tolerance")
     return p
 
 
-def _dare_residual(a, b, q, r, p) -> float:
+def _dare_residual(a, b, q, r, p) -> tuple[np.ndarray, np.ndarray]:
+    """Riccati residual A'PA - A'PB (B'PB + R)^-1 B'PA + Q - P and the gain
+    K = (B'PB + R)^-1 B'PA it uses."""
     btp = b.T @ p
-    gain = np.linalg.solve(btp @ b + r, btp @ a)
-    return float(np.max(np.abs(a.T @ p @ a - (btp @ a).T @ gain + q - p)))
+    try:
+        gain = np.linalg.solve(btp @ b + r, btp @ a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"Riccati gain hit a singular solve: {exc}") from exc
+    return a.T @ p @ a - (btp @ a).T @ gain + q - p, gain
 
 
 def dlqr_gain(a, b, q, r) -> np.ndarray:
     """Discrete LQR gain K = (B'PB + R)^-1 B'PA with P from dare_solve.
 
-    The closed loop A - B K is verified to be a strict contraction.
+    P is the doubling solution after one Newton correction (see
+    dare_solve), so K is the optimal gain to the residual bound checked
+    there.  The closed loop A - B K is verified to be a strict contraction.
     """
     a = _require_square(a, "dlqr_gain")
     b = as_matrix(b)
     p = dare_solve(a, b, q, r)
-    gain = np.linalg.solve(b.T @ p @ b + np.asarray(r, dtype=float), b.T @ p @ a)
+    gain = _dare_residual(a, b, q, r, p)[1]
     closed = a - b @ gain
     rho = spectral_radius(closed)
     if rho >= 1.0:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from hybrid_orbit.fixtures import from_catalog, paper_fixture
@@ -42,3 +43,20 @@ def boundary2():
 @pytest.fixture(scope="session")
 def uncoupled2():
     return from_catalog("uncoupled-2")
+
+
+@pytest.fixture(scope="session")
+def sweep_set():
+    """Set i of a seed as the bench sweep draws it: two (A, F) phases, each A
+    scaled to the given spectral radius."""
+
+    def make(seed, i, radius, k, p):
+        rng = np.random.default_rng([seed, i])
+        phases = []
+        for _ in range(2):
+            a = rng.normal(size=(k, k))
+            a *= radius / float(np.max(np.abs(np.linalg.eigvals(a))))
+            phases.append((a, rng.normal(size=(k, p))))
+        return phases
+
+    return make

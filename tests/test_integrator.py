@@ -142,7 +142,9 @@ def test_refine_stall_carries_its_phase_and_exits_three(monkeypatch, tmp_path, c
 
     monkeypatch.setattr(cli, "refine_fixed_point", stalled_newton)
     assert cli.main(["analyze", "--system", "stable-2", "-o", str(tmp_path / "j.json")]) == 3
-    assert "numerical failure (phase 0): phase 0: guard refinement stalled" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == "numerical failure: phase 0: guard refinement stalled at |H| = 1.000e+00 (tolerance 1.000e-10)\n"
+    assert err.count("phase 0") == 1
     assert list(tmp_path.iterdir()) == []
 
 

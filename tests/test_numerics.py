@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_discrete_are
 
 from hybrid_orbit.numerics import (
     NumericsError,
@@ -319,8 +320,29 @@ def test_dare_lyapunov_special_case_kronecker_oracle():
 
 
 def test_dare_reports_unstabilizable():
-    with pytest.raises(NumericsError, match="unstabilizable|ill-conditioned"):
-        dare_solve(2.0 * np.eye(2), np.zeros((2, 1)), np.eye(2), np.eye(1))
+    # no input at all, an uncontrollable unstable mode, an uncontrollable unit-circle mode
+    e2 = np.array([[0.0], [1.0]])
+    for a, b in ((2.0 * np.eye(2), np.zeros((2, 1))), (np.diag([1.5, 0.5]), e2), (np.diag([1.0, 0.5]), e2)):
+        with pytest.raises(NumericsError, match="unstabilizable|ill-conditioned"):
+            dare_solve(a, b, np.eye(2), np.eye(1))
+
+
+@pytest.mark.parametrize("radius", [8.1, 30.0])
+def test_dlqr_solves_the_under_actuated_sweep_sets(sweep_set, radius):
+    # 100 sets x 2 phases (k=4, p=2) as the bench sweep draws them
+    q, r = np.eye(4), np.eye(2)
+    for i in range(100):
+        for a, b in sweep_set(1, i, radius, 4, 2):
+            p = dare_solve(a, b, q, r)
+            gain = np.linalg.solve(b.T @ p @ b + r, b.T @ p @ a)
+            residual = a.T @ p @ a - a.T @ p @ b @ gain + q - p
+            assert max_abs_entry(residual) <= 1e-8 * max(1.0, max_abs_entry(p))
+            k = dlqr_gain(a, b, q, r)
+            assert spectral_radius(a - b @ k) < 1.0
+            if radius < 10.0:
+                p_ref = solve_discrete_are(a, b, q, r)
+                k_ref = np.linalg.solve(b.T @ p_ref @ b + r, b.T @ p_ref @ a)
+                assert max_abs_entry(k - k_ref) <= 1e-8 * max_abs_entry(k_ref)
 
 
 def test_dare_validates_weights():

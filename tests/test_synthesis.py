@@ -210,6 +210,19 @@ def test_dlqr_enforce_entrywise_bound(paperfx):
     assert gains.q_scalings[0] >= 1.0
 
 
+@pytest.mark.parametrize("q_weight", [1.0, 10.0**12])
+def test_dlqr_entrywise_bound_at_radius_30_certifies_or_refuses(sweep_set, q_weight):
+    # enforce_theorem4 grows Q up to q_growth**12 = 1e12 times its start
+    for i in range(10):
+        jacs = sweep_set(1, i, 30.0, 3, 6)
+        try:
+            gains = dlqr_gains(jacs, q=[q_weight * np.eye(3)] * 2, enforce_theorem4=True)
+        except SynthesisError:
+            continue
+        for designed in designed_jacobians(jacs, gains):
+            assert max_abs_entry(designed) < 1.0 / 3.0
+
+
 def test_dlqr_unstabilizable_raises():
     with pytest.raises(SynthesisError, match="phase 0"):
         dlqr_gains([(2.0 * np.eye(2), np.zeros((2, 2)))])
