@@ -20,7 +20,7 @@ from importlib import resources
 import numpy as np
 
 from .jsonio import FormatError, _number, matrix_from_obj, matrix_to_obj, vector_from_obj, vector_to_obj
-from .model import Domain, MultiDomainSystem, PeriodicOrbit, affine_section_chart
+from .model import Domain, MultiDomainSystem, PeriodicOrbit, affine_chart_matrices, affine_section_chart
 from .numerics import eigenvalues, max_abs_entry, pinv, spectral_radius
 from .poincare import PhaseJacobians, compose_jacobians
 from . import synthesis
@@ -181,6 +181,12 @@ def _argmax_entry(delta: np.ndarray) -> str:
     return f"entry ({i + 1}, {j + 1})"
 
 
+def _check(name, measured, tol, detail, holds=True) -> FixtureCheck:
+    """The one pass rule: a side condition holds and the measured
+    deviation is within tolerance."""
+    return FixtureCheck(name, bool(holds) and measured <= tol, measured, tol, detail)
+
+
 def _entrywise_check(name, computed, expected, tol, exclude=None) -> FixtureCheck:
     delta = np.abs(computed - expected)
     note = ""
@@ -192,14 +198,7 @@ def _entrywise_check(name, computed, expected, tol, exclude=None) -> FixtureChec
         )
         delta = delta.copy()
         delta[exclude] = 0.0
-    measured = float(np.max(delta))
-    return FixtureCheck(
-        name=name,
-        passed=measured <= tol,
-        measured=measured,
-        tolerance=tol,
-        detail=f"max delta at {_argmax_entry(delta)}{note}",
-    )
+    return _check(name, float(np.max(delta)), tol, f"max delta at {_argmax_entry(delta)}{note}")
 
 
 def _scale_factor_phase(a, f):
@@ -230,24 +229,18 @@ def verify_paper(fixture: PaperFixture | None = None, tolerance_scale: float = 1
     for expected in fx.eigenvalues:
         worst = max(worst, float(np.min(np.abs(computed_eigs - expected))))
     checks.append(
-        FixtureCheck(
-            name="eigenvalue_reproduction",
-            passed=worst <= _TOL_DIRECT * s and computed_eigs.size == fx.eigenvalues.size,
-            measured=worst,
-            tolerance=_TOL_DIRECT * s,
-            detail=f"worst match distance over {fx.eigenvalues.size} eigenvalues",
+        _check(
+            "eigenvalue_reproduction",
+            worst,
+            _TOL_DIRECT * s,
+            f"worst match distance over {fx.eigenvalues.size} eigenvalues",
+            holds=computed_eigs.size == fx.eigenvalues.size,
         )
     )
 
     rho_a = spectral_radius(fx.A)
     checks.append(
-        FixtureCheck(
-            name="open_loop_radius",
-            passed=abs(rho_a - fx.rho_A) <= _TOL_DIRECT * s,
-            measured=abs(rho_a - fx.rho_A),
-            tolerance=_TOL_DIRECT * s,
-            detail=f"measured radius {rho_a:.4f}",
-        )
+        _check("open_loop_radius", abs(rho_a - fx.rho_A), _TOL_DIRECT * s, f"measured radius {rho_a:.4f}")
     )
 
     k1, a1d = _scale_factor_phase(fx.A1, fx.F1)
@@ -263,13 +256,8 @@ def verify_paper(fixture: PaperFixture | None = None, tolerance_scale: float = 1
     checks.append(_entrywise_check("designed_product", product, fx.Ad, _TOL_DIRECT * s))
     rho_ad = spectral_radius(product)
     checks.append(
-        FixtureCheck(
-            name="designed_product_radius",
-            passed=abs(rho_ad - fx.rho_Ad) <= _TOL_DIRECT * s,
-            measured=abs(rho_ad - fx.rho_Ad),
-            tolerance=_TOL_DIRECT * s,
-            detail=f"measured radius {rho_ad:.6f}",
-        )
+        _check("designed_product_radius", abs(rho_ad - fx.rho_Ad), _TOL_DIRECT * s,
+               f"measured radius {rho_ad:.6f}")
     )
 
     p1 = pinv(fx.F1)
@@ -279,29 +267,19 @@ def verify_paper(fixture: PaperFixture | None = None, tolerance_scale: float = 1
         max_abs_entry((fx.F1 @ p1).T - fx.F1 @ p1),
         max_abs_entry((p1 @ fx.F1).T - p1 @ fx.F1),
     )
-    checks.append(
-        FixtureCheck(
-            name="pinv_axioms_F1",
-            passed=axiom_defect <= 1e-8 * s,
-            measured=axiom_defect,
-            tolerance=1e-8 * s,
-            detail="worst of the four pseudoinverse axioms",
-        )
-    )
+    checks.append(_check("pinv_axioms_F1", axiom_defect, 1e-8 * s, "worst of the four pseudoinverse axioms"))
 
     rho_pair = spectral_radius(fx.remark1_A2d @ fx.remark1_A1d)
     rho_1 = spectral_radius(fx.remark1_A1d)
     rho_2 = spectral_radius(fx.remark1_A2d)
     checks.append(
-        FixtureCheck(
-            name="remark1_product_radius",
-            passed=abs(rho_pair - fx.remark1_rho) <= 1e-4 * s and rho_1 < 1.0 and rho_2 < 1.0,
-            measured=abs(rho_pair - fx.remark1_rho),
-            tolerance=1e-4 * s,
-            detail=(
-                f"product radius {rho_pair:.6f} from factors with radii "
-                f"{rho_1:.4f}, {rho_2:.4f} (both contractions)"
-            ),
+        _check(
+            "remark1_product_radius",
+            abs(rho_pair - fx.remark1_rho),
+            1e-4 * s,
+            f"product radius {rho_pair:.6f} from factors with radii "
+            f"{rho_1:.4f}, {rho_2:.4f} (both contractions)",
+            holds=rho_1 < 1.0 and rho_2 < 1.0,
         )
     )
 
@@ -372,27 +350,28 @@ def _forced_response(m: np.ndarray, g: np.ndarray, t: float):
     return full[:dim, :dim], full[:dim, dim:]
 
 
-def _saltation(m: np.ndarray, normal: np.ndarray, x_end: np.ndarray) -> np.ndarray:
-    """Guard-crossing correction to the flow sensitivity at the exit point."""
-    f_end = m @ x_end
-    return np.eye(m.shape[0]) - np.outer(f_end, normal) / (normal @ f_end)
+@dataclass(frozen=True)
+class _PhaseGeometry:
+    """Closed-form facts of one phase at its undisturbed exit: flow matrix,
+    constant-input response, exit point, the exit section's chart matrices
+    and the guard-crossing (saltation) correction there."""
+
+    flow: np.ndarray
+    response: np.ndarray
+    x_end: np.ndarray
+    embed: np.ndarray
+    project: np.ndarray
+    saltation: np.ndarray
 
 
-def _chart_matrices(normal: np.ndarray, offset: float):
-    """Linear part, offset and projector of the drop-coordinate chart."""
-    dim = normal.size
-    j = int(np.argmax(np.abs(normal)))
-    keep = [i for i in range(dim) if i != j]
-    embed = np.zeros((dim, dim - 1))
-    offset_vec = np.zeros(dim)
-    for col, i in enumerate(keep):
-        embed[i, col] = 1.0
-        embed[j, col] = -normal[i] / normal[j]
-    offset_vec[j] = offset / normal[j]
-    project = np.zeros((dim - 1, dim))
-    for row, i in enumerate(keep):
-        project[row, i] = 1.0
-    return embed, offset_vec, project
+def _phase_geometry(ph: LinearPhase) -> _PhaseGeometry:
+    """Geometry of one phase; its reset is not read."""
+    flow, response = _forced_response(ph.drift, ph.input_map, ph.duration)
+    x_end = flow @ ph.start_state
+    embed, _, project = affine_chart_matrices(ph.guard_normal, ph.guard_offset)
+    f_end = ph.drift @ x_end
+    saltation = np.eye(x_end.size) - np.outer(f_end, ph.guard_normal) / (ph.guard_normal @ f_end)
+    return _PhaseGeometry(flow, response, x_end, embed, project, saltation)
 
 
 _APPROACH_STEPS = 800
@@ -422,7 +401,10 @@ def _approach_ok(drift, duration, start, normal, offset) -> bool:
 
 
 def _draw_phases(rng, n_domains: int, coupled: bool):
-    """Draw raw phase data and validate the geometry; None on rejection."""
+    """Draw raw phase data and validate the geometry; None on rejection.
+
+    The phases come back without resets (reset None); build_synthetic
+    solves for them."""
     drawn = []
     for _ in range(n_domains):
         drift = rng.uniform(-1.0, 1.0, (_STATE_DIM, _STATE_DIM)) * 0.7
@@ -463,16 +445,15 @@ def _draw_phases(rng, n_domains: int, coupled: bool):
         if not _approach_ok(drift, duration, start, normal, offset):
             return None
         validated.append(
-            dict(
+            LinearPhase(
                 drift=drift,
                 input_map=input_map,
                 beta_coupling=coupling,
-                duration=duration,
-                start_state=start,
-                x_end=x_end,
-                flow=flow,
                 guard_normal=normal,
                 guard_offset=offset,
+                reset=None,
+                start_state=start,
+                duration=duration,
             )
         )
     return validated
@@ -509,41 +490,35 @@ def build_synthetic(n_domains: int, profile: str) -> SyntheticModel:
         scale = (rho_target / rho_0) ** (1.0 / n_domains)
         targets = [t * scale for t in targets]
 
-        for ph in phases:
-            ph["embed"], _, ph["project"] = _chart_matrices(ph["guard_normal"], ph["guard_offset"])
-            ph["saltation"] = _saltation(ph["drift"], ph["guard_normal"], ph["x_end"])
-
-        ok = True
-        for i, ph in enumerate(phases):
-            nxt = phases[(i + 1) % n_domains]
-            chain = nxt["project"] @ nxt["saltation"] @ nxt["flow"]
-            top = np.kron(ph["embed"].T, chain)
-            bottom = np.kron(ph["x_end"][None, :], np.eye(_STATE_DIM))
+        geometry = [_phase_geometry(ph) for ph in phases]
+        resets = []
+        for i, geo in enumerate(geometry):
+            j = (i + 1) % n_domains
+            nxt = geometry[j]
+            chain = nxt.project @ nxt.saltation @ nxt.flow
+            top = np.kron(geo.embed.T, chain)
+            bottom = np.kron(geo.x_end[None, :], np.eye(_STATE_DIM))
             lhs = np.vstack([top, bottom])
-            rhs = np.concatenate(
-                [targets[(i + 1) % n_domains].flatten(order="F"), nxt["start_state"]]
-            )
+            rhs = np.concatenate([targets[j].flatten(order="F"), phases[j].start_state])
             vec, _, rank, _ = np.linalg.lstsq(lhs, rhs, rcond=None)
             if rank < lhs.shape[0]:
-                ok = False
                 break
             reset = vec.reshape(_STATE_DIM, _STATE_DIM, order="F")
-            if np.max(np.abs(reset @ ph["x_end"] - nxt["start_state"])) > 1e-9:
-                ok = False
+            if np.max(np.abs(reset @ geo.x_end - phases[j].start_state)) > 1e-9:
                 break
-            if np.max(np.abs(chain @ reset @ ph["embed"] - targets[(i + 1) % n_domains])) > 1e-9:
-                ok = False
-                break
-            ph["reset"] = reset
-        if not ok:
+            resets.append(reset)
+        if len(resets) < n_domains:
             continue
 
         model = _assemble(profile, tuple(
-            LinearPhase(**{f.name: ph[f.name] for f in fields(LinearPhase)}) for ph in phases
+            replace(ph, reset=reset) for ph, reset in zip(phases, resets)
         ))
+        if any(np.max(np.abs(jac.A - target)) > 1e-9
+               for jac, target in zip(model.jacobians, targets)):
+            continue
         if coupled:
-            if any(np.linalg.svd(j.F, compute_uv=False)[-1] < _MIN_COUPLING_SV
-                   for j in model.jacobians):
+            if any(np.linalg.svd(jac.F, compute_uv=False)[-1] < _MIN_COUPLING_SV
+                   for jac in model.jacobians):
                 continue
             if profile == "stable" and not _stable_profile_ok(model.jacobians):
                 continue
@@ -593,18 +568,10 @@ def _linear_batch_field(drift: np.ndarray, coupling: np.ndarray):
 def _assemble(profile: str, linear_phases: tuple[LinearPhase, ...]) -> SyntheticModel:
     """Build the runnable system and closed-form Jacobians from phase data."""
     n_domains = len(linear_phases)
-    charts, chart_mats, saltations, flows, responses = [], [], [], [], []
-    for ph in linear_phases:
-        flow, response = _forced_response(ph.drift, ph.input_map, ph.duration)
-        x_end = flow @ ph.start_state
-        charts.append(affine_section_chart(ph.guard_normal, ph.guard_offset))
-        chart_mats.append(_chart_matrices(ph.guard_normal, ph.guard_offset))
-        saltations.append(_saltation(ph.drift, ph.guard_normal, x_end))
-        flows.append(flow)
-        responses.append(response)
+    geometry = [_phase_geometry(ph) for ph in linear_phases]
 
     domains = []
-    for ph, chart in zip(linear_phases, charts):
+    for ph in linear_phases:
         domains.append(
             Domain(
                 state_dim=_STATE_DIM,
@@ -615,7 +582,7 @@ def _assemble(profile: str, linear_phases: tuple[LinearPhase, ...]) -> Synthetic
                 controller=lambda x, beta, w=ph.beta_coupling: w @ beta,
                 guard=lambda x, n=ph.guard_normal, d=ph.guard_offset: float(n @ x - d),
                 reset=lambda x, r=ph.reset: r @ x,
-                exit_chart=chart,
+                exit_chart=affine_section_chart(ph.guard_normal, ph.guard_offset),
                 batch_field=_linear_batch_field(ph.drift, ph.input_map @ ph.beta_coupling),
                 batch_guard=lambda x, n=ph.guard_normal, d=ph.guard_offset: (x * n).sum(axis=1) - d,
             )
@@ -624,14 +591,12 @@ def _assemble(profile: str, linear_phases: tuple[LinearPhase, ...]) -> Synthetic
 
     jacobians = []
     fixed_points = []
-    for i, ph in enumerate(linear_phases):
+    for i, (ph, geo) in enumerate(zip(linear_phases, geometry)):
         prev = (i - 1) % n_domains
-        embed_prev = chart_mats[prev][0]
-        project_i = chart_mats[i][2]
-        a_i = project_i @ saltations[i] @ flows[i] @ linear_phases[prev].reset @ embed_prev
-        f_i = project_i @ saltations[i] @ (responses[i] @ ph.beta_coupling)
+        a_i = geo.project @ geo.saltation @ geo.flow @ linear_phases[prev].reset @ geometry[prev].embed
+        f_i = geo.project @ geo.saltation @ (geo.response @ ph.beta_coupling)
         jacobians.append(PhaseJacobians(phase_index=i, A=a_i, F=f_i, fd_step=0.0))
-        fixed_points.append(project_i @ (flows[i] @ ph.start_state))
+        fixed_points.append(geo.project @ geo.x_end)
 
     orbit = PeriodicOrbit(
         fixed_points=tuple(fixed_points),

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonio import FormatError, matrix_from_obj, matrix_to_obj
 from .numerics import as_matrix
 
 __all__ = [
@@ -23,8 +22,6 @@ __all__ = [
     "rigid_impact",
     "relabel",
     "apply_reset",
-    "impact_model_to_obj",
-    "impact_model_from_obj",
 ]
 
 
@@ -124,35 +121,3 @@ def apply_reset(model: ImpactModel, q_minus, qdot_minus) -> tuple[np.ndarray, np
     if model.relabel_map is None:
         return np.asarray(q_minus, dtype=float).copy(), qdot_plus
     return relabel(q_minus, model.relabel_map), relabel(qdot_plus, model.relabel_map)
-
-
-def impact_model_to_obj(model: ImpactModel) -> dict:
-    obj = {
-        "D_e": matrix_to_obj(model.inertia),
-        "E": matrix_to_obj(model.contact_jacobian)
-        if model.n_constraints
-        else {"rows": 0, "cols": model.n_coords, "data": []},
-    }
-    if model.relabel_map is not None:
-        obj["relabel"] = list(model.relabel_map)
-    return obj
-
-
-def impact_model_from_obj(obj: dict) -> ImpactModel:
-    if not isinstance(obj, dict) or "D_e" not in obj or "E" not in obj:
-        raise FormatError("impact model: expected an object with D_e and E")
-    inertia = matrix_from_obj(obj["D_e"], "D_e")
-    e_obj = obj["E"]
-    if isinstance(e_obj, dict) and e_obj.get("rows") == 0:
-        contact = np.zeros((0, inertia.shape[0]))
-    else:
-        contact = matrix_from_obj(e_obj, "E")
-    relabel_map = obj.get("relabel")
-    if relabel_map is not None:
-        if not isinstance(relabel_map, list) or not all(isinstance(v, int) for v in relabel_map):
-            raise FormatError("relabel: expected a list of signed integer indices")
-        relabel_map = tuple(relabel_map)
-    try:
-        return ImpactModel(inertia=inertia, contact_jacobian=contact, relabel_map=relabel_map)
-    except ValueError as exc:
-        raise FormatError(f"impact model: {exc}") from exc

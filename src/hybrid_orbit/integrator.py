@@ -208,6 +208,8 @@ def flow_batch(
             step = np.broadcast_to(step, (x.shape[0], 1)).copy()
             pending = ~((g_next <= cfg.guard_tol) | (np.abs(g_next - g_val) <= cap))
             for split in range(cfg.max_step_splits + 1):
+                if not pending.any():
+                    break
                 step[pending] *= 0.5
                 x_try = rk4_step(f, x, step)
                 _raise_non_finite(x_try[pending], t[pending])
@@ -218,8 +220,6 @@ def flow_batch(
                 x_next = np.where(took[:, None], x_try, x_next)
                 g_next = np.where(took, g_try, g_next)
                 pending &= ~took
-                if not pending.any():
-                    break
             dt = step[:, 0]
 
             crossed = g_next <= cfg.guard_tol

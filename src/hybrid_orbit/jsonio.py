@@ -1,9 +1,8 @@
 """JSON wire formats shared by the library and the CLI.
 
-Matrices travel as {"rows": r, "cols": c, "data": [row-major reals]} and
-complex numbers as {"re": x, "im": y}.  Files are written atomically
-(temp file + rename) with sorted keys, so identical inputs give
-byte-identical outputs.
+Matrices travel as {"rows": r, "cols": c, "data": [row-major reals]}.
+Files are written atomically (temp file + rename) with sorted keys, so
+identical inputs give byte-identical outputs.
 """
 
 import csv
@@ -18,8 +17,6 @@ __all__ = [
     "FormatError",
     "matrix_to_obj",
     "matrix_from_obj",
-    "complex_to_obj",
-    "spectrum_to_obj",
     "vector_to_obj",
     "vector_from_obj",
     "load_json",
@@ -54,14 +51,6 @@ def matrix_from_obj(obj, path: str = "matrix") -> np.ndarray:
     if not isinstance(data, list) or len(data) != rows * cols:
         raise FormatError(f"{path}.data: need exactly rows*cols = {rows * cols} numbers")
     return vector_from_obj(data, f"{path}.data").reshape(rows, cols)
-
-
-def complex_to_obj(z: complex) -> dict:
-    return {"re": float(np.real(z)), "im": float(np.imag(z))}
-
-
-def spectrum_to_obj(values) -> list[dict]:
-    return [complex_to_obj(z) for z in np.asarray(values)]
 
 
 def vector_to_obj(v) -> list[float]:

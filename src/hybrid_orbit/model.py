@@ -28,10 +28,10 @@ __all__ = [
     "closed_loop",
     "validate_c1_c2",
     "ConditionReport",
+    "affine_chart_matrices",
     "affine_section_chart",
     "chart_from_guard",
     "guard_gradient",
-    "guard_rate",
 ]
 
 _GRAD_STEP = 1e-7
@@ -114,14 +114,6 @@ def row_map(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np
 def guard_gradient(domain: Domain, x: np.ndarray) -> np.ndarray:
     """Central finite-difference gradient of the exit guard at x."""
     return central_difference(row_map(domain.guard), x, _GRAD_STEP)[0]
-
-
-def guard_rate(domain: Domain, x: np.ndarray, beta: np.ndarray | None = None) -> float:
-    """Time derivative of the guard along the (closed-loop) flow at x."""
-    if beta is None:
-        beta = np.zeros(domain.param_dim)
-    f = domain.vector_field(np.asarray(beta, dtype=float))
-    return float(guard_gradient(domain, x) @ f(np.asarray(x, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -292,30 +284,37 @@ def validate_c1_c2(
     return ConditionReport(list(scales), c1_dev, c2_dev, c1_pass, c2_pass)
 
 
-def affine_section_chart(normal, offset: float, drop_index: int | None = None) -> SectionChart:
-    """Chart on an affine surface {x : normal . x = offset}.
+def affine_chart_matrices(normal, offset: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Drop-coordinate chart (E, e0, P) of the affine surface
+    {x : normal . x = offset}.
 
-    Eliminates the coordinate with the largest guard-gradient component
-    (best solvability) unless drop_index overrides the choice.
+    The coordinate j with the largest |normal| component (best
+    solvability) is eliminated: embed(y) = E y + e0 solves normal . x =
+    offset for x_j, and project(x) = P x keeps the other coordinates, so
+    P E = I and P e0 = 0.
     """
     normal = np.asarray(normal, dtype=float)
-    m = normal.size
-    j = int(np.argmax(np.abs(normal))) if drop_index is None else int(drop_index)
+    j = int(np.argmax(np.abs(normal)))
     if normal[j] == 0.0:
         raise ValueError("cannot eliminate a coordinate with zero normal component")
-    keep = [i for i in range(m) if i != j]
+    keep = np.delete(np.arange(normal.size), j)
+    project = np.eye(normal.size)[keep]
+    embed = project.T.copy()
+    embed[j] = -normal[keep] / normal[j]
+    offset_vec = np.zeros(normal.size)
+    offset_vec[j] = offset / normal[j]
+    return embed, offset_vec, project
 
-    def embed(y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        x = np.empty(m)
-        x[keep] = y
-        x[j] = (offset - normal[keep] @ y) / normal[j]
-        return x
 
-    def project(x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float)[keep].copy()
-
-    return SectionChart(k=m - 1, embed=embed, project=project)
+def affine_section_chart(normal, offset: float) -> SectionChart:
+    """Chart on an affine surface {x : normal . x = offset}, built from
+    affine_chart_matrices."""
+    embed, offset_vec, project = affine_chart_matrices(normal, offset)
+    return SectionChart(
+        k=project.shape[0],
+        embed=lambda y: embed @ np.asarray(y, dtype=float) + offset_vec,
+        project=lambda x: project @ np.asarray(x, dtype=float),
+    )
 
 
 def chart_from_guard(

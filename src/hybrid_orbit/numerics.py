@@ -211,12 +211,18 @@ def dlqr_gain(a, b, q, r) -> np.ndarray:
     dare_solve), so K is the optimal gain to the residual bound checked
     there.  The closed loop A - B K is verified to be a strict contraction.
     """
+    return _dlqr(a, b, q, r)[0]
+
+
+def _dlqr(a, b, q, r) -> tuple[np.ndarray, float]:
+    """dlqr_gain's gain and the relative Riccati residual of its P,
+    max|Res(P)| / max(1, max|P|), the quantity dare_solve bounds by 1e-8."""
     a = _require_square(a, "dlqr_gain")
     b = as_matrix(b)
     p = dare_solve(a, b, q, r)
-    gain = _dare_residual(a, b, q, r, p)[1]
+    res, gain = _dare_residual(a, b, q, r, p)
     closed = a - b @ gain
     rho = spectral_radius(closed)
     if rho >= 1.0:
         raise NumericsError(f"DLQR closed loop is not a contraction (rho = {rho:.6f})")
-    return gain
+    return gain, float(np.max(np.abs(res)) / max(1.0, np.max(np.abs(p))))

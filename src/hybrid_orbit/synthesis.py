@@ -20,8 +20,8 @@ import numpy as np
 
 from .numerics import (
     NumericsError,
+    _dlqr,
     as_matrix,
-    dlqr_gain,
     max_abs_entry,
     pinv,
     spectral_radius,
@@ -197,7 +197,8 @@ def dlqr_gains(
     Defaults to identity weights.  With enforce_theorem4 each Q_i is grown
     geometrically until the largest designed entry drops strictly below
     1 / k (larger Q shrinks the designed Jacobian); the applied scale is
-    reported per phase.
+    reported per phase.  The residual of each phase is the relative Riccati
+    residual max|Res(P)| / max(1, max|P|) of its final gain.
     """
     pairs = _unpack(jacs)
     n = len(pairs)
@@ -208,18 +209,18 @@ def dlqr_gains(
     if len(q) != n or len(r) != n:
         raise ValueError("need one Q and one R per phase")
 
-    gains, scalings = [], []
+    gains, residuals, scalings = [], [], []
     for idx, ((a, f), q_i, r_i) in enumerate(zip(pairs, q, r)):
         k_dim = a.shape[0]
         scale = 1.0
         try:
-            gain = dlqr_gain(a, f, scale * np.asarray(q_i, dtype=float), r_i)
+            gain, residual = _dlqr(a, f, scale * np.asarray(q_i, dtype=float), r_i)
             if enforce_theorem4:
                 for _ in range(max_q_scalings):
                     if max_abs_entry(a - f @ gain) < 1.0 / k_dim:
                         break
                     scale *= q_growth
-                    gain = dlqr_gain(a, f, scale * np.asarray(q_i, dtype=float), r_i)
+                    gain, residual = _dlqr(a, f, scale * np.asarray(q_i, dtype=float), r_i)
                 else:
                     raise SynthesisError(
                         f"phase {idx}: entrywise bound not reached after "
@@ -228,11 +229,12 @@ def dlqr_gains(
         except NumericsError as exc:
             raise SynthesisError(f"phase {idx}: {exc}") from exc
         gains.append(gain)
+        residuals.append(residual)
         scalings.append(scale)
     return GainSet(
         method="dlqr",
         gains=gains,
-        residuals=[0.0] * n,
+        residuals=residuals,
         inexact=False,
         q_scalings=scalings,
     )

@@ -21,6 +21,7 @@ from hybrid_orbit.fixtures import (
 )
 from hybrid_orbit.integrator import IntegratorConfig
 from hybrid_orbit.jsonio import FormatError
+from hybrid_orbit.model import affine_chart_matrices
 from hybrid_orbit.numerics import spectral_radius
 from hybrid_orbit.poincare import compose_jacobians, phase_jacobians, return_map
 
@@ -169,6 +170,26 @@ def test_guard_normals_not_orthogonal_to_flow(stable3):
         f_end = phase.drift @ x_end
         cosine = (phase.guard_normal @ f_end) / np.linalg.norm(f_end)
         assert cosine > np.cos(np.deg2rad(80.0))
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_oracle_chart_is_the_runtime_chart(name):
+    # The closed-form Jacobians and the integrated system differentiate the
+    # same drop-coordinate chart, bit for bit.
+    model = from_catalog(name)
+    rng = np.random.default_rng(5)
+    for i, phase in enumerate(model.phases):
+        geometry = fixtures._phase_geometry(phase)
+        embed, offset_vec, project = affine_chart_matrices(phase.guard_normal, phase.guard_offset)
+        assert np.array_equal(geometry.embed, embed)
+        assert np.array_equal(geometry.project, project)
+        chart = model.system.chart(i)
+        assert chart.k == project.shape[0]
+        for y in [model.orbit.fixed_points[i], *rng.normal(size=(4, chart.k))]:
+            x = chart.embed(y)
+            assert np.array_equal(x, embed @ y + offset_vec)
+            assert np.array_equal(chart.project(x), project @ x)
+        assert np.array_equal(chart.project(geometry.x_end), model.orbit.fixed_points[i])
 
 
 def test_unstable_profile_open_loop_radius(unstable2):

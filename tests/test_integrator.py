@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from hybrid_orbit import cli
+from hybrid_orbit import cli, integrator
 from hybrid_orbit.fixtures import CATALOG, synthetic_from_obj, synthetic_to_obj
 from hybrid_orbit.integrator import (
     Chattering,
@@ -43,6 +43,33 @@ def test_unit_flow_hits_unit_guard():
     traj = flow_to_guard(dom, np.array([0.0]), np.zeros(0), IntegratorConfig())
     assert abs(traj.exit_time - 1.0) < 1e-9
     assert abs(traj.exit_state[0] - 1.0) < 1e-9
+
+
+def test_crossing_step_without_splits_makes_no_trial_step(monkeypatch):
+    # Outside the crossing refinement, a flow whose member never splits a
+    # step makes one RK4 step per accepted step, the crossing step included.
+    calls = []
+
+    def counted_rk4(f, x, h):
+        calls.append(h)
+        return rk4_step(f, x, h)
+
+    refine = integrator._exit_crossing
+    refine_calls = []
+
+    def counted_refine(*args):
+        before = len(calls)
+        out = refine(*args)
+        refine_calls.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(integrator, "rk4_step", counted_rk4)
+    monkeypatch.setattr(integrator, "_exit_crossing", counted_refine)
+    dom = autonomous(lambda x: np.ones_like(x), lambda x: float(x[0] - 0.105), 1)
+    traj = flow_to_guard(dom, np.array([0.0]), np.zeros(0), IntegratorConfig(base_step=1e-2))
+    assert abs(traj.exit_time - 0.105) < 1e-12
+    assert len(refine_calls) == 1
+    assert len(calls) - refine_calls[0] == len(traj.times) - 1 == 11
 
 
 def test_linear_flow_matches_matrix_exponential_root():

@@ -1,4 +1,4 @@
-"""Wire formats: matrix/complex codecs, atomic writes, impact model JSON."""
+"""Wire formats: matrix codecs and atomic writes."""
 
 import json
 import os
@@ -7,16 +7,13 @@ import stat
 import numpy as np
 import pytest
 
-from hybrid_orbit.impacts import ImpactModel, impact_model_from_obj, impact_model_to_obj
 from hybrid_orbit.jsonio import (
     FormatError,
     _dump_csv,
-    complex_to_obj,
     dump_json,
     load_json,
     matrix_from_obj,
     matrix_to_obj,
-    spectrum_to_obj,
     vector_from_obj,
 )
 
@@ -67,12 +64,6 @@ def test_vector_from_obj_diagnostics():
         vector_from_obj([1.0, float("inf")])
 
 
-def test_complex_and_spectrum_objects():
-    assert complex_to_obj(1.5 - 2.0j) == {"re": 1.5, "im": -2.0}
-    spectrum = spectrum_to_obj(np.array([1.0 + 0.0j, -2.0 + 3.0j]))
-    assert spectrum == [{"re": 1.0, "im": 0.0}, {"re": -2.0, "im": 3.0}]
-
-
 def test_dump_json_is_deterministic_and_atomic(tmp_path):
     path = tmp_path / "out.json"
     doc = {"b": [1.0, 2.0], "a": matrix_to_obj(np.eye(2))}
@@ -100,35 +91,3 @@ def test_load_json_reports_position(tmp_path):
     path.write_text('{"a": 1,\n  broken }')
     with pytest.raises(FormatError, match="line 2"):
         load_json(path)
-
-
-def test_impact_model_json_round_trip():
-    model = ImpactModel(
-        inertia=np.diag([2.0, 3.0, 4.0]),
-        contact_jacobian=np.array([[0.0, 1.0, 0.0]]),
-        relabel_map=(1, 3, -2),
-    )
-    rebuilt = impact_model_from_obj(json.loads(json.dumps(impact_model_to_obj(model))))
-    assert np.array_equal(rebuilt.inertia, model.inertia)
-    assert np.array_equal(rebuilt.contact_jacobian, model.contact_jacobian)
-    assert rebuilt.relabel_map == (1, 3, -2)
-
-
-def test_impact_model_json_unconstrained_and_errors():
-    model = ImpactModel(inertia=np.eye(2), contact_jacobian=np.zeros((0, 2)))
-    rebuilt = impact_model_from_obj(impact_model_to_obj(model))
-    assert rebuilt.n_constraints == 0
-    with pytest.raises(FormatError):
-        impact_model_from_obj({"D_e": matrix_to_obj(np.eye(2))})
-    with pytest.raises(FormatError, match="relabel"):
-        impact_model_from_obj(
-            {
-                "D_e": matrix_to_obj(np.eye(2)),
-                "E": matrix_to_obj(np.array([[1.0, 0.0]])),
-                "relabel": ["a", "b"],
-            }
-        )
-    with pytest.raises(FormatError, match="positive definite"):
-        impact_model_from_obj(
-            {"D_e": matrix_to_obj(-np.eye(2)), "E": matrix_to_obj(np.array([[1.0, 0.0]]))}
-        )

@@ -12,7 +12,6 @@ from hybrid_orbit.model import (
     affine_section_chart,
     chart_from_guard,
     closed_loop,
-    guard_rate,
     validate_c1_c2,
 )
 from hybrid_orbit.poincare import partial_map
@@ -154,12 +153,6 @@ def test_chart_from_guard_nonlinear():
         x = chart.embed(y)
         assert abs(dom.guard(x)) < 1e-10
         assert np.max(np.abs(chart.project(x) - y)) < 1e-12
-
-
-def test_guard_rate_matches_hand_value():
-    dom = make_domain(lambda x, beta: np.zeros(1), param_dim=0)
-    # guard x0 - 1 along drift (1, -0.5 x1): rate is 1 everywhere
-    assert abs(guard_rate(dom, np.array([0.3, 2.0])) - 1.0) < 1e-6
 
 
 # ----------------------------------------------------- orbits and feedback law

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hybrid_orbit.numerics import max_abs_entry, pinv, spectral_radius
+from hybrid_orbit.numerics import _dare_residual, dare_solve, max_abs_entry, pinv, spectral_radius
 from hybrid_orbit.synthesis import (
     SynthesisError,
     certify_theorem3,
@@ -221,6 +221,19 @@ def test_dlqr_entrywise_bound_at_radius_30_certifies_or_refuses(sweep_set, q_wei
             continue
         for designed in designed_jacobians(jacs, gains):
             assert max_abs_entry(designed) < 1.0 / 3.0
+
+
+def test_dlqr_residuals_are_the_relative_riccati_residuals(paperfx):
+    pairs = [(paperfx.A1, paperfx.F1), (paperfx.A2, paperfx.F2)]
+    for enforce in (False, True):
+        gains = dlqr_gains(pairs, enforce_theorem4=enforce)
+        for (a, f), scale, residual in zip(pairs, gains.q_scalings, gains.residuals):
+            q, r = scale * np.eye(a.shape[0]), np.eye(f.shape[1])
+            p = dare_solve(a, f, q, r)
+            res = _dare_residual(a, f, q, r, p)[0]
+            assert residual == np.max(np.abs(res)) / max(1.0, np.max(np.abs(p)))
+            assert 0.0 < residual <= 1e-8
+        assert not gains.inexact
 
 
 def test_dlqr_unstabilizable_raises():
