@@ -104,17 +104,9 @@ def _integrator_config(args) -> IntegratorConfig:
     return IntegratorConfig(base_step=args.base_step)
 
 
-def _load_catalog(name: str) -> fixtures.SyntheticModel:
-    if name not in fixtures.CATALOG:
-        raise FormatError(
-            f"unknown catalog system {name!r}; available: {', '.join(fixtures.CATALOG)}"
-        )
-    return fixtures.from_catalog(name)
-
-
 def _cmd_analyze(args) -> int:
     cfg = _integrator_config(args)
-    model = _load_catalog(args.system)
+    model = fixtures.from_catalog(args.system)
     orbit = refine_fixed_point(model.system, model.orbit.fixed_points[-1], cfg, fd_scale=args.fd_step)
     jacs = phase_jacobians(model.system, orbit, cfg, fd_scale=args.fd_step)
     product = compose_jacobians(jacs)
@@ -251,7 +243,7 @@ def _cmd_simulate(args) -> int:
     if not np.isfinite(args.perturb):
         raise FormatError("--perturb must be finite")
     cfg = _integrator_config(args)
-    model = _load_catalog(args.system)
+    model = fixtures.from_catalog(args.system)
     orbit = refine_fixed_point(model.system, model.orbit.fixed_points[-1], cfg, fd_scale=args.fd_step)
     law = None
     if args.method != "none":

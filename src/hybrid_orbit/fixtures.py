@@ -10,16 +10,19 @@ Two kinds of test substrate live here:
 * a piecewise-linear multi-domain family whose periodic orbit, section
   charts and phase Jacobians are all available in closed form (matrix
   exponentials plus guard-crossing corrections), so the finite-difference
-  pipeline can be checked end to end against exact values.
+  pipeline can be checked end to end against exact values.  Its five
+  CATALOG systems ship as data/catalog.json, so running one needs neither
+  the generator nor scipy.
 """
 
 import json
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
 
-from .jsonio import FormatError, _number, matrix_from_obj, matrix_to_obj, vector_from_obj, vector_to_obj
+from .jsonio import FormatError, _json_text, _number, matrix_from_obj, matrix_to_obj, vector_from_obj, vector_to_obj
 from .model import Domain, MultiDomainSystem, PeriodicOrbit, affine_chart_matrices, affine_section_chart
 from .numerics import eigenvalues, max_abs_entry, pinv, spectral_radius
 from .poincare import PhaseJacobians, compose_jacobians
@@ -309,13 +312,42 @@ class LinearPhase:
 
 @dataclass(frozen=True)
 class SyntheticModel:
-    """A runnable system plus its exact orbit and phase Jacobians."""
+    """A runnable system plus its exact orbit and phase Jacobians.
+
+    The closed form needs matrix exponentials, so scipy: jacobians, and
+    orbit unless its section fixed points were stored, are computed on
+    first access.  Running the system reads neither.
+    """
 
     profile: str
     phases: tuple[LinearPhase, ...]
     system: MultiDomainSystem
-    jacobians: tuple[PhaseJacobians, ...]
-    orbit: PeriodicOrbit
+    stored_fixed_points: tuple[np.ndarray, ...] | None = None
+
+    @cached_property
+    def _geometry(self) -> tuple["_PhaseGeometry", ...]:
+        return tuple(_phase_geometry(ph) for ph in self.phases)
+
+    @cached_property
+    def jacobians(self) -> tuple[PhaseJacobians, ...]:
+        n_domains = len(self.phases)
+        jacobians = []
+        for i, (ph, geo) in enumerate(zip(self.phases, self._geometry)):
+            prev = (i - 1) % n_domains
+            a_i = geo.project @ geo.saltation @ geo.flow @ self.phases[prev].reset @ self._geometry[prev].embed
+            f_i = geo.project @ geo.saltation @ (geo.response @ ph.beta_coupling)
+            jacobians.append(PhaseJacobians(phase_index=i, A=a_i, F=f_i, fd_step=0.0))
+        return tuple(jacobians)
+
+    @cached_property
+    def orbit(self) -> PeriodicOrbit:
+        points = self.stored_fixed_points
+        if points is None:
+            points = tuple(geo.project @ geo.x_end for geo in self._geometry)
+        return PeriodicOrbit(
+            fixed_points=tuple(points),
+            phase_durations=tuple(ph.duration for ph in self.phases),
+        )
 
 
 # Open-loop return-map spectral-radius target per profile.
@@ -503,7 +535,9 @@ def build_synthetic(n_domains: int, profile: str) -> SyntheticModel:
             vec, _, rank, _ = np.linalg.lstsq(lhs, rhs, rcond=None)
             if rank < lhs.shape[0]:
                 break
-            reset = vec.reshape(_STATE_DIM, _STATE_DIM, order="F")
+            # C order, as synthetic_from_obj reads it: the layout sets the
+            # BLAS summation order, so it must match for bit-identical runs.
+            reset = np.ascontiguousarray(vec.reshape(_STATE_DIM, _STATE_DIM, order="F"))
             if np.max(np.abs(reset @ geo.x_end - phases[j].start_state)) > 1e-9:
                 break
             resets.append(reset)
@@ -566,10 +600,8 @@ def _linear_batch_field(drift: np.ndarray, coupling: np.ndarray):
 
 
 def _assemble(profile: str, linear_phases: tuple[LinearPhase, ...]) -> SyntheticModel:
-    """Build the runnable system and closed-form Jacobians from phase data."""
-    n_domains = len(linear_phases)
-    geometry = [_phase_geometry(ph) for ph in linear_phases]
-
+    """Build the runnable system from phase data; the closed form waits
+    until it is read."""
     domains = []
     for ph in linear_phases:
         domains.append(
@@ -587,39 +619,38 @@ def _assemble(profile: str, linear_phases: tuple[LinearPhase, ...]) -> Synthetic
                 batch_guard=lambda x, n=ph.guard_normal, d=ph.guard_offset: (x * n).sum(axis=1) - d,
             )
         )
-    system = MultiDomainSystem(domains=tuple(domains))
-
-    jacobians = []
-    fixed_points = []
-    for i, (ph, geo) in enumerate(zip(linear_phases, geometry)):
-        prev = (i - 1) % n_domains
-        a_i = geo.project @ geo.saltation @ geo.flow @ linear_phases[prev].reset @ geometry[prev].embed
-        f_i = geo.project @ geo.saltation @ (geo.response @ ph.beta_coupling)
-        jacobians.append(PhaseJacobians(phase_index=i, A=a_i, F=f_i, fd_step=0.0))
-        fixed_points.append(geo.project @ geo.x_end)
-
-    orbit = PeriodicOrbit(
-        fixed_points=tuple(fixed_points),
-        phase_durations=tuple(ph.duration for ph in linear_phases),
-    )
     return SyntheticModel(
         profile=profile,
         phases=linear_phases,
-        system=system,
-        jacobians=tuple(jacobians),
-        orbit=orbit,
+        system=MultiDomainSystem(domains=tuple(domains)),
     )
 
 
 def from_catalog(name: str) -> SyntheticModel:
-    """Build a catalog system from its '<profile>-<n_domains>' name."""
-    parts = name.rsplit("-", 1)
-    if len(parts) != 2 or not parts[1].isdigit():
-        raise ValueError(
-            f"catalog name {name!r} must look like '<profile>-<n_domains>', "
-            f"for example {CATALOG[0]!r}"
-        )
-    return build_synthetic(int(parts[1]), parts[0])
+    """Rebuild a CATALOG system, with its orbit, from the bundled data.
+
+    Only the CATALOG names are stored; build_synthetic generates any other
+    (profile, n_domains) pair.
+    """
+    if name not in CATALOG:
+        raise ValueError(f"unknown catalog system {name!r}; available: {', '.join(CATALOG)}")
+    entry = json.loads(resources.files("hybrid_orbit").joinpath("data/catalog.json").read_text())[name]
+    points = tuple(vector_from_obj(p, f"{name}.fixed_points") for p in entry["fixed_points"])
+    return replace(synthetic_from_obj(entry["descriptor"]), stored_fixed_points=points)
+
+
+def _catalog_text() -> str:
+    """The text of data/catalog.json as build_synthetic generates it: per
+    CATALOG name, the descriptor and the orbit's section fixed points."""
+    entries = {}
+    for name in CATALOG:
+        profile, n_domains = name.rsplit("-", 1)
+        model = build_synthetic(int(n_domains), profile)
+        entries[name] = {
+            "descriptor": synthetic_to_obj(model),
+            "fixed_points": [vector_to_obj(p) for p in model.orbit.fixed_points],
+        }
+    return _json_text(entries)
 
 
 def synthetic_to_obj(model: SyntheticModel) -> dict:
@@ -644,9 +675,9 @@ def synthetic_to_obj(model: SyntheticModel) -> dict:
 
 
 def synthetic_from_obj(obj: dict) -> SyntheticModel:
-    """Rebuild a synthetic model (orbit and Jacobians included) from its
-    descriptor.  Malformed descriptors raise FormatError with the field
-    path."""
+    """Rebuild a synthetic model from its descriptor; its orbit and
+    Jacobians are computed on first access.  Malformed descriptors raise
+    FormatError with the field path."""
     if not isinstance(obj, dict):
         raise FormatError("descriptor: expected an object")
     if not isinstance(obj.get("phases"), list):

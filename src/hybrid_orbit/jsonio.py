@@ -91,8 +91,12 @@ def load_json(path):
 
 def dump_json(obj, path) -> None:
     """Serialize deterministically and replace the target atomically."""
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    _atomic_write(path, text)
+    _atomic_write(path, _json_text(obj))
+
+
+def _json_text(obj) -> str:
+    """The one JSON serialization: sorted keys, two-space indent, final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _atomic_write(path, text: str) -> None:

@@ -256,9 +256,17 @@ def test_scipy_is_imported_only_to_build_synthetic_systems(tmp_path):
         "assert main(['verify-paper', '-o', 'v.json']) == 0\n"
     )
     assert not _scipy_loaded_after(commands, tmp_path)
-    # analyze builds a catalog system, so the probe does see the import
+    # analyze and simulate run a catalog system from its stored data
+    runs = "from hybrid_orbit.cli import main\n" + "".join(
+        f"assert main(['analyze', '--system', '{name}', '-o', 'j.json']) == 0\n" for name in CATALOG
+    ) + "".join(
+        f"assert main(['simulate', '--system', 'stable-2', '--method', '{method}', "
+        f"'--cycles', '2', '-o', 's.csv']) == 0\n"
+        for method in ("none", "symmetric", "scale", "dlqr")
+    )
+    assert not _scipy_loaded_after(runs, tmp_path)
+    # the closed-form oracle is what needs it
     assert _scipy_loaded_after(
-        "from hybrid_orbit.cli import main\n"
-        "assert main(['analyze', '--system', 'stable-2', '-o', 'j.json', '--base-step', '5e-3']) == 0\n",
+        "from hybrid_orbit.fixtures import from_catalog\nfrom_catalog('stable-2').jacobians\n",
         tmp_path,
     )

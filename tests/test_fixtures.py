@@ -1,6 +1,7 @@
 """Reference-fixture consistency suite and the synthetic model family."""
 
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from hybrid_orbit.integrator import IntegratorConfig
 from hybrid_orbit.jsonio import FormatError
 from hybrid_orbit.model import affine_chart_matrices
 from hybrid_orbit.numerics import spectral_radius
-from hybrid_orbit.poincare import compose_jacobians, phase_jacobians, return_map
+from hybrid_orbit.poincare import compose_jacobians, phase_jacobians, refine_fixed_point, return_map
 
 
 # ------------------------------------------------------------- fixture checks
@@ -309,7 +310,56 @@ def test_approach_check_matches_scalar_loop():
 
 def test_catalog_unchanged_under_scalar_approach_check(monkeypatch):
     names = CATALOG + ("unstable-3",)
-    vectorised = [json.dumps(synthetic_to_obj(from_catalog(n))) for n in names]
+    vectorised = [json.dumps(synthetic_to_obj(_build(n))) for n in names]
     monkeypatch.setattr(fixtures, "_approach_ok", scalar_approach_ok)
-    scalar = [json.dumps(synthetic_to_obj(from_catalog(n))) for n in names]
+    scalar = [json.dumps(synthetic_to_obj(_build(n))) for n in names]
     assert vectorised == scalar
+
+
+# ------------------------------------------------------------ stored catalog
+
+REGENERATE = (
+    "PYTHONPATH=src python -c \"from hybrid_orbit import fixtures; "
+    "open('src/hybrid_orbit/data/catalog.json', 'w').write(fixtures._catalog_text())\""
+)
+
+
+def _build(name):
+    """Generate a '<profile>-<n_domains>' system afresh."""
+    profile, n_domains = name.rsplit("-", 1)
+    return build_synthetic(int(n_domains), profile)
+
+
+def test_stored_catalog_is_the_generated_catalog():
+    stored = resources.files("hybrid_orbit").joinpath("data/catalog.json").read_text()
+    assert stored == fixtures._catalog_text(), f"data/catalog.json is stale; regenerate it with {REGENERATE}"
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_stored_orbit_is_the_generated_orbit(name):
+    stored, generated = from_catalog(name).orbit, _build(name).orbit
+    assert len(stored.fixed_points) == len(generated.fixed_points)
+    for a, b in zip(stored.fixed_points, generated.fixed_points):
+        assert np.array_equal(a, b)
+    assert stored.phase_durations == generated.phase_durations
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_stored_and_generated_systems_run_bit_identically(name):
+    cfg = IntegratorConfig()
+    runs = []
+    for model in (_build(name), from_catalog(name)):
+        orbit = refine_fixed_point(model.system, model.orbit.fixed_points[-1], cfg)
+        runs.append((orbit, phase_jacobians(model.system, orbit, cfg)))
+    (orbit_g, jacs_g), (orbit_s, jacs_s) = runs
+    for a, b in zip(orbit_g.fixed_points, orbit_s.fixed_points):
+        assert np.array_equal(a, b)
+    assert orbit_g.phase_durations == orbit_s.phase_durations
+    for a, b in zip(jacs_g, jacs_s):
+        assert np.array_equal(a.A, b.A)
+        assert np.array_equal(a.F, b.F)
+
+
+def test_from_catalog_knows_only_the_stored_systems():
+    with pytest.raises(ValueError, match="available: " + ", ".join(CATALOG)):
+        from_catalog("unstable-3")
