@@ -45,8 +45,7 @@ from .poincare import (
     FixedPointError,
     PhaseJacobians,
     compose_jacobians,
-    jacobian_param,
-    jacobian_state,
+    orbit_and_jacobians,
     partial_map,
     phase_jacobians,
     refine_fixed_point,

@@ -21,13 +21,7 @@ from .integrator import IntegrationError, IntegratorConfig, simulate_cycle
 from .jsonio import FormatError, dump_json, load_json, matrix_from_obj, matrix_to_obj, vector_to_obj
 from .model import FeedbackLaw
 from .numerics import NumericsError, spectral_radius
-from .poincare import (
-    FixedPointError,
-    PhaseJacobians,
-    compose_jacobians,
-    phase_jacobians,
-    refine_fixed_point,
-)
+from .poincare import FixedPointError, PhaseJacobians, compose_jacobians, orbit_and_jacobians
 
 __all__ = ["main", "entry"]
 
@@ -98,7 +92,8 @@ def _add_integrator_flags(sub_parser) -> None:
 
 
 def _integrator_config(args) -> IntegratorConfig:
-    # Checked up front: Newton may converge without taking a difference.
+    # Checked here so that the error names --fd-step and comes before the
+    # catalog loads.
     if not (np.isfinite(args.fd_step) and args.fd_step > 0.0):
         raise FormatError("--fd-step must be finite and positive")
     return IntegratorConfig(base_step=args.base_step)
@@ -107,8 +102,9 @@ def _integrator_config(args) -> IntegratorConfig:
 def _cmd_analyze(args) -> int:
     cfg = _integrator_config(args)
     model = fixtures.from_catalog(args.system)
-    orbit = refine_fixed_point(model.system, model.orbit.fixed_points[-1], cfg, fd_scale=args.fd_step)
-    jacs = phase_jacobians(model.system, orbit, cfg, fd_scale=args.fd_step)
+    orbit, jacs = orbit_and_jacobians(
+        model.system, model.orbit.fixed_points[-1], cfg, fd_scale=args.fd_step
+    )
     product = compose_jacobians(jacs)
     doc = {
         "system": args.system,
@@ -215,26 +211,25 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    doc = load_json(args.input)
-    if isinstance(doc, dict) and "designed" in doc:
-        raw = doc["designed"]
-    elif isinstance(doc, dict) and "report" in doc and "designed" in doc["report"]:
-        raw = doc["report"]["designed"]
-    else:
-        raise FormatError("input: expected a 'designed' list of matrices")
+    doc, path = load_json(args.input), "input"
+    if isinstance(doc, dict) and "designed" not in doc and "report" in doc:
+        doc, path = doc["report"], "input.report"
+    if not isinstance(doc, dict) or "designed" not in doc:
+        raise FormatError(f"{path}: expected a 'designed' list of matrices")
+    raw = doc["designed"]
     if not isinstance(raw, list) or not raw:
-        raise FormatError("input.designed: expected a non-empty list")
-    designed = [matrix_from_obj(m, f"designed[{i}]") for i, m in enumerate(raw)]
-    product = compose_jacobians(designed)
-    radius = spectral_radius(product)
+        raise FormatError(f"{path}.designed: expected a non-empty list")
+    report = synthesis.certify_designed(
+        [matrix_from_obj(m, f"designed[{i}]") for i, m in enumerate(raw)]
+    )
     out = {
-        "theorem3": _certificate_to_obj(synthesis.certify_theorem3(designed)),
-        "theorem4": _certificate_to_obj(synthesis.certify_theorem4(designed)),
-        "product_radius": radius,
-        "verdict": "stable" if radius < 1.0 else "unstable",
+        "theorem3": _certificate_to_obj(report.cert_theorem3),
+        "theorem4": _certificate_to_obj(report.cert_theorem4),
+        "product_radius": report.product_radius,
+        "verdict": "stable" if report.stable else "unstable",
     }
     dump_json(out, args.output)
-    return EXIT_OK if radius < 1.0 else EXIT_UNSTABLE
+    return EXIT_OK if report.stable else EXIT_UNSTABLE
 
 
 def _cmd_simulate(args) -> int:
@@ -244,10 +239,11 @@ def _cmd_simulate(args) -> int:
         raise FormatError("--perturb must be finite")
     cfg = _integrator_config(args)
     model = fixtures.from_catalog(args.system)
-    orbit = refine_fixed_point(model.system, model.orbit.fixed_points[-1], cfg, fd_scale=args.fd_step)
+    orbit, jacs = orbit_and_jacobians(
+        model.system, model.orbit.fixed_points[-1], cfg, fd_scale=args.fd_step
+    )
     law = None
     if args.method != "none":
-        jacs = phase_jacobians(model.system, orbit, cfg, fd_scale=args.fd_step)
         gains = _synthesize_gains(jacs, args.method)
         law = FeedbackLaw(gains=tuple(gains.gains), orbit=orbit)
 

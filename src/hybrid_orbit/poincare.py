@@ -21,10 +21,9 @@ __all__ = [
     "FixedPointError",
     "partial_map",
     "return_map",
-    "jacobian_state",
-    "jacobian_param",
     "phase_jacobians",
     "compose_jacobians",
+    "orbit_and_jacobians",
     "refine_fixed_point",
 ]
 
@@ -96,30 +95,6 @@ def _phase_step(
     return *center, PhaseJacobians(phase_index=i, A=jac[:, :k], F=jac[:, k:], fd_step=fd_scale)
 
 
-def jacobian_state(
-    system: MultiDomainSystem,
-    i: int,
-    orbit: PeriodicOrbit,
-    cfg: IntegratorConfig,
-    fd_scale: float = 1e-5,
-) -> np.ndarray:
-    """Central-difference state Jacobian A_i of the phase-i map.
-
-    Step per coordinate: fd_scale * max(1, |coordinate|)."""
-    return _phase_step(system, i, orbit.fixed_points[(i - 1) % system.n_domains], cfg, fd_scale)[2].A
-
-
-def jacobian_param(
-    system: MultiDomainSystem,
-    i: int,
-    orbit: PeriodicOrbit,
-    cfg: IntegratorConfig,
-    fd_scale: float = 1e-5,
-) -> np.ndarray:
-    """Central-difference parameter Jacobian F_i at beta = 0 (step fd_scale)."""
-    return _phase_step(system, i, orbit.fixed_points[(i - 1) % system.n_domains], cfg, fd_scale)[2].F
-
-
 def phase_jacobians(
     system: MultiDomainSystem,
     orbit: PeriodicOrbit,
@@ -153,6 +128,67 @@ def compose_jacobians(jacs) -> np.ndarray:
     return product
 
 
+def orbit_and_jacobians(
+    system: MultiDomainSystem,
+    x_guess: np.ndarray,
+    cfg: IntegratorConfig,
+    tol: float = 1e-9,
+    max_iter: int = 30,
+    max_damping: int = 8,
+    fd_scale: float = 1e-5,
+) -> tuple[PeriodicOrbit, list[PhaseJacobians]]:
+    """Newton refinement of a return-map fixed point and the per-phase
+    Jacobians at it.
+
+    Every trial point, damping trials included, makes one pass around the
+    cycle, one batch per phase from the undisturbed member's entry point.
+    The pass gives the residual return_map(x) - x, the orbit and the
+    per-phase Jacobians A_i, F_i; Newton solves with the product of the
+    A_i, halving the step up to max_damping times whenever the residual
+    fails to decrease.  The orbit's section fixed points and phase
+    durations are those of the pass that gave the converged residual,
+    except that the last fixed point is the converged x itself rather than
+    its image return_map(x).  The Jacobians are that pass's too, so they
+    equal phase_jacobians(system, orbit, cfg, fd_scale) bit for bit.
+    """
+
+    def one_pass(x):
+        legs = [_phase_step(system, 0, x, cfg, fd_scale)]
+        for i in range(1, system.n_domains):
+            legs.append(_phase_step(system, i, legs[-1][0], cfg, fd_scale))
+        points, durations, jacs = zip(*legs)
+        return points[-1] - x, PeriodicOrbit(points[:-1] + (x,), durations), list(jacs)
+
+    x = np.asarray(x_guess, dtype=float).copy()
+    residual, orbit, jacs = one_pass(x)
+    res_norm = float(np.max(np.abs(residual)))
+    for _ in range(max_iter):
+        if res_norm < tol:
+            return orbit, jacs
+        try:
+            step = np.linalg.solve(compose_jacobians(jacs) - np.eye(x.size), -residual)
+        except np.linalg.LinAlgError as exc:
+            raise FixedPointError(
+                "singular (I - A): the orbit is non-hyperbolic in a unit-eigenvalue direction"
+            ) from exc
+        scale = 1.0
+        for _ in range(max_damping + 1):
+            x_try = x + scale * step
+            trial = one_pass(x_try)
+            if float(np.max(np.abs(trial[0]))) < res_norm:
+                break
+            scale *= 0.5
+        else:
+            raise FixedPointError(
+                f"Newton stalled: residual {res_norm:.3e} does not decrease"
+            )
+        x, (residual, orbit, jacs) = x_try, trial
+        res_norm = float(np.max(np.abs(residual)))
+    if res_norm < tol:
+        return orbit, jacs
+    raise FixedPointError(f"Newton did not converge: residual {res_norm:.3e} after {max_iter} iterations")
+
+
 def refine_fixed_point(
     system: MultiDomainSystem,
     x_guess: np.ndarray,
@@ -162,51 +198,5 @@ def refine_fixed_point(
     max_damping: int = 8,
     fd_scale: float = 1e-5,
 ) -> PeriodicOrbit:
-    """Newton refinement of a return-map fixed point.
-
-    Every trial point, damping trials included, makes one pass around the
-    cycle, one batch per phase from the undisturbed member's entry point.
-    The pass gives the residual return_map(x) - x, the orbit and the
-    per-phase Jacobians A_i; Newton solves with their product, halving the
-    step up to max_damping times whenever the residual fails to decrease.
-    The orbit's section fixed points and phase durations are those of the
-    pass that gave the converged residual, except that the last fixed point
-    is the converged x itself rather than its image return_map(x).
-    """
-
-    def one_pass(x):
-        legs = [_phase_step(system, 0, x, cfg, fd_scale)]
-        for i in range(1, system.n_domains):
-            legs.append(_phase_step(system, i, legs[-1][0], cfg, fd_scale))
-        points, durations, jacs = zip(*legs)
-        orbit = PeriodicOrbit(points[:-1] + (x,), durations)
-        return points[-1] - x, orbit, compose_jacobians(jacs)
-
-    x = np.asarray(x_guess, dtype=float).copy()
-    residual, orbit, jac = one_pass(x)
-    res_norm = float(np.max(np.abs(residual)))
-    for _ in range(max_iter):
-        if res_norm < tol:
-            return orbit
-        try:
-            step = np.linalg.solve(jac - np.eye(x.size), -residual)
-        except np.linalg.LinAlgError as exc:
-            raise FixedPointError(
-                "singular (I - A): the orbit is non-hyperbolic in a unit-eigenvalue direction"
-            ) from exc
-        scale = 1.0
-        for _ in range(max_damping + 1):
-            x_try = x + scale * step
-            residual_try, orbit_try, jac_try = one_pass(x_try)
-            if float(np.max(np.abs(residual_try))) < res_norm:
-                break
-            scale *= 0.5
-        else:
-            raise FixedPointError(
-                f"Newton stalled: residual {res_norm:.3e} does not decrease"
-            )
-        x, residual, orbit, jac = x_try, residual_try, orbit_try, jac_try
-        res_norm = float(np.max(np.abs(residual)))
-    if res_norm < tol:
-        return orbit
-    raise FixedPointError(f"Newton did not converge: residual {res_norm:.3e} after {max_iter} iterations")
+    """The periodic orbit of orbit_and_jacobians, without its Jacobians."""
+    return orbit_and_jacobians(system, x_guess, cfg, tol, max_iter, max_damping, fd_scale)[0]

@@ -40,6 +40,7 @@ __all__ = [
     "dlqr_gains",
     "certify_theorem3",
     "certify_theorem4",
+    "certify_designed",
     "stability_report",
 ]
 
@@ -303,24 +304,34 @@ def certify_theorem4(designed) -> TheoremCertificate:
     )
 
 
-def stability_report(jacs, gains: GainSet) -> StabilityReport:
-    """Designed Jacobians, both certificates and the product-radius verdict.
+def certify_designed(designed, inexact_design: bool = False) -> StabilityReport:
+    """Both certificates and the product-radius verdict of designed Jacobians.
 
     The verdict is always the directly computed product radius; the
-    certificates are sufficient conditions layered on top.  When the gain
-    set is inexact the certificates refer to the achieved (not the target)
-    Jacobians, which is what the product is built from anyway.
+    certificates are sufficient conditions layered on top.
     """
-    designed = designed_jacobians(jacs, gains)
     product = compose_jacobians(designed)
     product_radius = spectral_radius(product)
+    # Before the per-phase radii, so a non-square factor is named by index.
+    cert_theorem3 = certify_theorem3(designed)
+    cert_theorem4 = certify_theorem4(designed)
     return StabilityReport(
         designed=designed,
         per_phase_radius=[spectral_radius(m) for m in designed],
         product=product,
         product_radius=product_radius,
-        cert_theorem3=certify_theorem3(designed),
-        cert_theorem4=certify_theorem4(designed),
+        cert_theorem3=cert_theorem3,
+        cert_theorem4=cert_theorem4,
         stable=bool(product_radius < 1.0),
-        inexact_design=gains.inexact,
+        inexact_design=inexact_design,
     )
+
+
+def stability_report(jacs, gains: GainSet) -> StabilityReport:
+    """certify_designed of the designed Jacobians A_i - F_i K_i.
+
+    When the gain set is inexact the certificates refer to the achieved
+    (not the target) Jacobians, which is what the product is built from
+    anyway.
+    """
+    return certify_designed(designed_jacobians(jacs, gains), inexact_design=gains.inexact)

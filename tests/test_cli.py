@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ from hybrid_orbit.cli import main
 from hybrid_orbit.fixtures import CATALOG, from_catalog, paper_fixture
 from hybrid_orbit.integrator import IntegratorConfig
 from hybrid_orbit.jsonio import dump_json, matrix_to_obj
+from test_poincare import _reset_counter
 
 
 FAST = ["--base-step", "5e-3"]
@@ -117,7 +119,7 @@ def test_certify_reference_pair_is_unstable(tmp_path):
     assert not doc["theorem3"]["passed"]
 
 
-def test_malformed_inputs_exit_two(tmp_path):
+def test_malformed_inputs_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
     out = tmp_path / "out.json"
@@ -127,6 +129,11 @@ def test_malformed_inputs_exit_two(tmp_path):
     assert run(["synthesize", "-i", missing_field, "--method", "scale", "-o", out]) == 2
     assert run(["analyze", "--system", "not-a-system", "-o", out]) == 2
     assert run(["certify", "-i", tmp_path / "absent.json", "-o", out]) == 2
+    for report in (5, "designed"):
+        dump_json({"report": report}, bad)
+        capsys.readouterr()
+        assert run(["certify", "-i", bad, "-o", out]) == 2
+        assert "input.report" in capsys.readouterr().err
 
     # file-system errors on an input or output path
     designed = tmp_path / "designed.json"
@@ -152,18 +159,33 @@ def test_malformed_inputs_exit_two(tmp_path):
 
 def test_fd_step_reaches_newton(tmp_path, monkeypatch):
     seen = []
-    refine = cli.refine_fixed_point
+    refine = cli.orbit_and_jacobians
 
     def recording(*args, **kwargs):
         seen.append(kwargs.get("fd_scale"))
         return refine(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "refine_fixed_point", recording)
+    monkeypatch.setattr(cli, "orbit_and_jacobians", recording)
     step = ["--fd-step", "3e-5"]
     assert run(["analyze", "--system", "stable-2", "-o", tmp_path / "j.json"] + FAST + step) == 0
     assert run(["simulate", "--system", "stable-2", "--cycles", 1,
                 "-o", tmp_path / "s.csv"] + FAST + step) == 0
     assert seen == [3e-5, 3e-5]
+
+
+def test_analyze_and_simulate_make_one_pass(tmp_path, monkeypatch):
+    # From the stored start Newton converges on its first pass, and the
+    # Jacobians of that pass are the ones both commands use: 33 resets on
+    # stable-3, one per member of one pass.
+    model = from_catalog("stable-3")
+    counted, resets = _reset_counter(model.system)
+    monkeypatch.setattr(cli.fixtures, "from_catalog", lambda name: replace(model, system=counted))
+    assert run(["analyze", "--system", "stable-3", "-o", tmp_path / "j.json"]) == 0
+    assert len(resets) == 33
+    resets.clear()
+    assert run(["simulate", "--system", "stable-3", "--method", "dlqr", "--cycles", 0,
+                "-o", tmp_path / "s.csv"]) == 0
+    assert len(resets) == 33
 
 
 def test_numerical_failure_exits_three(tmp_path):

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from hybrid_orbit.fixtures import CATALOG, from_catalog
 from hybrid_orbit.integrator import IntegrationError, IntegratorConfig
 from hybrid_orbit.model import Domain, MultiDomainSystem, affine_section_chart
 from hybrid_orbit.poincare import (
     FixedPointError,
     compose_jacobians,
-    jacobian_param,
-    jacobian_state,
+    orbit_and_jacobians,
     partial_map,
     phase_jacobians,
     refine_fixed_point,
@@ -80,13 +80,9 @@ def test_return_map_fixed_point(stable3, cfg_fast):
 @pytest.mark.parametrize("name", ["stable-2", "stable-3", "unstable-2", "boundary-2", "uncoupled-2"])
 def test_return_map_jacobian_equals_phase_product(name, cfg_accurate):
     # two independent finite-difference computations of the same derivative
-    from hybrid_orbit.fixtures import from_catalog
-
     model = from_catalog(name)
     orbit = model.orbit
-    n = len(model.phases)
-    per_phase = [jacobian_state(model.system, i, orbit, cfg_accurate) for i in range(n)]
-    product = compose_jacobians(per_phase)
+    product = compose_jacobians(phase_jacobians(model.system, orbit, cfg_accurate))
 
     x_star = orbit.fixed_points[-1]
     cols = []
@@ -111,20 +107,20 @@ def test_jacobians_match_closed_form(stable2, cfg_accurate):
 
 
 def test_jacobian_reproducible_bit_identical(stable2, cfg_fast):
-    first = jacobian_state(stable2.system, 0, stable2.orbit, cfg_fast)
-    second = jacobian_state(stable2.system, 0, stable2.orbit, cfg_fast)
+    first = phase_jacobians(stable2.system, stable2.orbit, cfg_fast)[0].A
+    second = phase_jacobians(stable2.system, stable2.orbit, cfg_fast)[0].A
     assert np.array_equal(first, second)
 
 
 def test_jacobian_step_halving_agreement(stable2, cfg_accurate):
-    coarse = jacobian_state(stable2.system, 0, stable2.orbit, cfg_accurate, fd_scale=1e-3)
-    fine = jacobian_state(stable2.system, 0, stable2.orbit, cfg_accurate, fd_scale=5e-4)
+    coarse = phase_jacobians(stable2.system, stable2.orbit, cfg_accurate, fd_scale=1e-3)[0].A
+    fine = phase_jacobians(stable2.system, stable2.orbit, cfg_accurate, fd_scale=5e-4)[0].A
     bound = 10.0 * (1e-3) ** 2 * max(1.0, np.max(np.abs(fine)))
     assert np.max(np.abs(coarse - fine)) < bound
 
 
 def test_jacobian_param_zero_coupling(uncoupled2, cfg_fast):
-    f = jacobian_param(uncoupled2.system, 0, uncoupled2.orbit, cfg_fast)
+    f = phase_jacobians(uncoupled2.system, uncoupled2.orbit, cfg_fast)[0].F
     assert np.max(np.abs(f)) < 1e-9
 
 
@@ -146,8 +142,8 @@ def test_jacobian_param_linear_in_basis(stable2, cfg_accurate):
             )
         )
     doubled = MultiDomainSystem(domains=tuple(doubled_domains))
-    f_base = jacobian_param(stable2.system, 0, stable2.orbit, cfg_accurate)
-    f_doubled = jacobian_param(doubled, 0, stable2.orbit, cfg_accurate)
+    f_base = phase_jacobians(stable2.system, stable2.orbit, cfg_accurate)[0].F
+    f_doubled = phase_jacobians(doubled, stable2.orbit, cfg_accurate)[0].F
     assert np.max(np.abs(f_doubled - 2.0 * f_base)) < 1e-6 * max(1.0, np.max(np.abs(f_base)))
 
 
@@ -230,11 +226,22 @@ def test_refine_fixed_point_flows_only_whole_passes(name, request, cfg_fast):
         assert len(resets) >= 2 * per_pass
 
 
-def test_single_phase_jacobians_match_phase_jacobians_bit_for_bit(stable3, cfg_fast):
-    jacs = phase_jacobians(stable3.system, stable3.orbit, cfg_fast)
-    for i, jac in enumerate(jacs):
-        assert np.array_equal(jacobian_state(stable3.system, i, stable3.orbit, cfg_fast), jac.A)
-        assert np.array_equal(jacobian_param(stable3.system, i, stable3.orbit, cfg_fast), jac.F)
+@pytest.mark.parametrize("name", CATALOG)
+@pytest.mark.parametrize("kick", [0.0, 1e-3], ids=["stored", "kicked"])
+def test_newton_jacobians_match_phase_jacobians_bit_for_bit(name, kick):
+    # The Jacobians of Newton's converged pass are the ones phase_jacobians
+    # measures at the orbit it returns.
+    model = from_catalog(name)
+    cfg = IntegratorConfig()
+    start = model.orbit.fixed_points[-1] + kick * np.array([0.6, -0.8])
+    orbit, jacs = orbit_and_jacobians(model.system, start, cfg)
+    again = phase_jacobians(model.system, orbit, cfg)
+    assert len(jacs) == len(again) == model.system.n_domains
+    for newton, measured in zip(jacs, again):
+        assert newton.phase_index == measured.phase_index
+        assert newton.fd_step == measured.fd_step
+        assert np.array_equal(newton.A, measured.A)
+        assert np.array_equal(newton.F, measured.F)
 
 
 def test_refine_fixed_point_converges_from_perturbed_guess(stable3, cfg_fast):
