@@ -28,7 +28,6 @@ from .model import (
     SectionChart,
     affine_section_chart,
     chart_from_guard,
-    closed_loop,
     validate_c1_c2,
 )
 from .numerics import (

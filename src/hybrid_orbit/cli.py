@@ -222,13 +222,9 @@ def _cmd_certify(args) -> int:
     report = synthesis.certify_designed(
         [matrix_from_obj(m, f"designed[{i}]") for i, m in enumerate(raw)]
     )
-    out = {
-        "theorem3": _certificate_to_obj(report.cert_theorem3),
-        "theorem4": _certificate_to_obj(report.cert_theorem4),
-        "product_radius": report.product_radius,
-        "verdict": "stable" if report.stable else "unstable",
-    }
-    dump_json(out, args.output)
+    full = _report_to_obj(report)
+    keys = ("theorem3", "theorem4", "product_radius", "verdict")
+    dump_json({key: full[key] for key in keys}, args.output)
     return EXIT_OK if report.stable else EXIT_UNSTABLE
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonio import _dump_csv
-from .model import Domain, FeedbackLaw, MultiDomainSystem, guard_gradient, row_map
+from .model import Domain, FeedbackLaw, MultiDomainSystem, row_map
+from .numerics import central_difference
 
 __all__ = [
     "IntegratorConfig",
@@ -227,7 +228,7 @@ def flow_batch(
                 rows = np.flatnonzero(crossed)
                 f_rows = f if rows.size == members.size else _batch_field(domain, betas[members[rows]])
                 x_exit, t_exit = _exit_crossing(
-                    domain, f_rows, guard, x[rows], t[rows], dt[rows], side[rows],
+                    f_rows, guard, x[rows], t[rows], dt[rows], side[rows],
                     g_val[rows], x_next[rows], g_next[rows], cfg,
                 )
                 x_out[members[rows]] = x_exit
@@ -273,7 +274,7 @@ def _raise_non_finite(x: np.ndarray, t: np.ndarray) -> None:
         raise NonFinite(f"state became non-finite near t = {t[np.argmax(bad)]:.6g}")
 
 
-def _exit_crossing(domain, f, guard, x_from, t_from, step, side, g_from, x_to, g_to, cfg):
+def _exit_crossing(f, guard, x_from, t_from, step, side, g_from, x_to, g_to, cfg):
     """Locate each member's crossing inside its last step, then check it.
 
     g(tau) = side * H(rk4_step(x_from, tau)) falls from g_from > 0 to g_to
@@ -281,6 +282,8 @@ def _exit_crossing(domain, f, guard, x_from, t_from, step, side, g_from, x_to, g
     in place of the end of the same sign, halving the weight of an end kept
     twice in a row, until the bracket is a few ulps of the step wide (at once
     if g_to >= 0 leaves no sign change).  The end with the smaller |H| exits.
+    The guard rate at the exit is the central difference of H along the
+    field, step 1e-7, for all members in one pair of guard calls.
     """
     members = np.arange(x_from.shape[0])
     width = 4.0 * np.finfo(float).eps * step
@@ -320,10 +323,13 @@ def _exit_crossing(domain, f, guard, x_from, t_from, step, side, g_from, x_to, g
             f"guard crossed at t = {t_exit[np.argmax(early)]:.3e}, below the minimum duration "
             f"{cfg.min_phase_duration:.3e}"
         )
-    for x_exit, field in zip(x_hit, f(x_hit)):
-        rate = guard_gradient(domain, x_exit) @ field
-        if abs(rate) <= cfg.transversality_tol:
-            raise NonTransversal(f"guard rate {rate:.3e} at the crossing is below tolerance")
+    field = f(x_hit)
+    rate = central_difference(
+        lambda s: [guard(x_hit + s_j * field) for s_j in s[:, 0]], np.zeros(1), 1e-7
+    )[:, 0]
+    flat = np.abs(rate) <= cfg.transversality_tol
+    if flat.any():
+        raise NonTransversal(f"guard rate {rate[np.argmax(flat)]:.3e} at the crossing is below tolerance")
     return x_hit, t_exit
 
 
@@ -370,10 +376,11 @@ def simulate_cycle(
     Records the reduced section state after each full cycle.  With a law,
     each phase parameter is computed once from the section state at phase
     entry (before the reset) and held for the phase; without one the system
-    runs open loop at beta = 0.
+    runs open loop at beta = 0.  A law whose gain count, gain shapes or
+    fixed-point shapes do not fit the system raises ValueError.
     """
-    if law is None:
-        law = system.law
+    if law is not None:
+        _check_law(system, law)
     y = np.asarray(x_start, dtype=float)
     out = []
     for _ in range(n_cycles):
@@ -385,6 +392,20 @@ def simulate_cycle(
             y = section_step(system, i, y[None], beta[None], cfg)[0][0]
         out.append(y.copy())
     return out
+
+
+def _check_law(system: MultiDomainSystem, law: FeedbackLaw) -> None:
+    """Gain i must be (param_dim of phase i, k of the section entering
+    phase i), and its reference fixed point a k-vector."""
+    if len(law.gains) != system.n_domains:
+        raise ValueError(f"law has {len(law.gains)} gains, the system {system.n_domains} phases")
+    for i, (dom, gain) in enumerate(zip(system.domains, law.gains)):
+        k = system.chart(i - 1).k
+        if gain.shape != (dom.param_dim, k):
+            raise ValueError(f"gain {i} has shape {gain.shape}, expected ({dom.param_dim}, {k})")
+        ref = law.orbit.fixed_points[i - 1]
+        if ref.shape != (k,):
+            raise ValueError(f"reference point of gain {i} has shape {ref.shape}, expected ({k},)")
 
 
 def write_trajectory_csv(traj: PhaseTrajectory, path) -> None:

@@ -12,7 +12,7 @@ are evaluated repeatedly at nearby points and must give repeatable results.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -25,7 +25,6 @@ __all__ = [
     "MultiDomainSystem",
     "PeriodicOrbit",
     "FeedbackLaw",
-    "closed_loop",
     "validate_c1_c2",
     "ConditionReport",
     "affine_chart_matrices",
@@ -121,7 +120,6 @@ class MultiDomainSystem:
     """Ordered cyclic collection of domains; index N wraps to 0."""
 
     domains: tuple[Domain, ...]
-    law: "FeedbackLaw | None" = None
 
     def __post_init__(self):
         if len(self.domains) < 1:
@@ -207,25 +205,6 @@ class FeedbackLaw:
         return value
 
 
-def closed_loop(system: MultiDomainSystem, law: FeedbackLaw) -> MultiDomainSystem:
-    """Attach an event-triggered feedback law, checking gain dimensions."""
-    for i, dom in enumerate(system.domains):
-        gain = law.gains[i]
-        if gain.ndim != 2 or gain.shape[0] != dom.param_dim:
-            raise ValueError(
-                f"gain {i} has shape {gain.shape}, expected ({dom.param_dim}, k)"
-            )
-        entry_chart = system.chart(i - 1)
-        if gain.shape[1] != entry_chart.k:
-            raise ValueError(
-                f"gain {i} has {gain.shape[1]} columns, entry section has k = {entry_chart.k}"
-            )
-        ref = law.orbit.fixed_points[(i - 1) % system.n_domains]
-        if ref.shape != (entry_chart.k,):
-            raise ValueError(f"fixed point {i} has shape {ref.shape}, expected ({entry_chart.k},)")
-    return replace(system, law=law)
-
-
 @dataclass
 class ConditionReport:
     """Outcome of the controller-consistency checks on sampled states.
@@ -246,19 +225,17 @@ class ConditionReport:
         return self.c1_pass and self.c2_pass
 
 
-def validate_c1_c2(
-    domain: Domain,
-    samples: list[np.ndarray],
-    scales: tuple[float, ...] = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5),
-    tol: float = 1e-4,
-) -> ConditionReport:
+def validate_c1_c2(domain: Domain, samples: list[np.ndarray]) -> ConditionReport:
     """Check that the parameterized controller degenerates to the nominal one.
 
     For each sample state the controller is probed along every parameter
-    axis at shrinking magnitudes.  Violations are reported, never raised.
+    axis at the magnitudes 1e-1, ..., 1e-5.  Each condition passes when its
+    deviation at the smallest magnitude is at most 1e-4.  Violations are
+    reported, never raised.
     """
+    scales = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]
     if domain.param_dim == 0:
-        return ConditionReport(list(scales), [0.0] * len(scales), [0.0] * len(scales), True, True)
+        return ConditionReport(scales, [0.0] * len(scales), [0.0] * len(scales), True, True)
 
     def grad_x(x, beta):
         return central_difference(row_map(lambda z: domain.controller(z, beta)), x, _GRAD_STEP)
@@ -279,9 +256,7 @@ def validate_c1_c2(
         c1_dev.append(worst_c1)
         c2_dev.append(worst_c2)
 
-    c1_pass = c1_dev[-1] <= tol
-    c2_pass = c2_dev[-1] <= max(tol, 10.0 * _GRAD_STEP)
-    return ConditionReport(list(scales), c1_dev, c2_dev, c1_pass, c2_pass)
+    return ConditionReport(scales, c1_dev, c2_dev, c1_dev[-1] <= 1e-4, c2_dev[-1] <= 1e-4)
 
 
 def affine_chart_matrices(normal, offset: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -317,18 +292,13 @@ def affine_section_chart(normal, offset: float) -> SectionChart:
     )
 
 
-def chart_from_guard(
-    domain: Domain,
-    x_ref: np.ndarray,
-    newton_tol: float = 1e-12,
-    newton_max_iter: int = 50,
-) -> SectionChart:
+def chart_from_guard(domain: Domain, x_ref: np.ndarray) -> SectionChart:
     """Default chart on a domain's exit surface near a reference crossing.
 
     The coordinate with the largest |dH/dx| component at x_ref is solved
-    from H(x) = 0 by scalar Newton iteration; the remaining coordinates are
-    the reduced ones.  Exact (one-step) for guards affine in the eliminated
-    coordinate.
+    from H(x) = 0 by scalar Newton iteration, to |H| <= 1e-12 within 50
+    steps; the remaining coordinates are the reduced ones.  Exact (one
+    step) for guards affine in the eliminated coordinate.
     """
     x_ref = np.asarray(x_ref, dtype=float)
     grad = guard_gradient(domain, x_ref)
@@ -344,9 +314,9 @@ def chart_from_guard(
         x = np.empty(m)
         x[keep] = y
         x[j] = x_ref_j
-        for _ in range(newton_max_iter):
+        for _ in range(50):
             h_val = domain.guard(x)
-            if abs(h_val) <= newton_tol:
+            if abs(h_val) <= 1e-12:
                 return x
             slope = guard_gradient(domain, x)[j]
             if slope == 0.0:

@@ -79,15 +79,13 @@ def max_abs_entry(m) -> float:
     return float(np.max(np.abs(as_matrix(m))))
 
 
-def pinv(m, rel_tol: float = 1e-10) -> np.ndarray:
+def pinv(m) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
-    Singular values below rel_tol times the largest are treated as zero,
+    Singular values below 1e-10 times the largest are treated as zero,
     which makes rank-deficient input well defined instead of an error.
     """
-    if rel_tol <= 0.0:
-        raise ValueError("rel_tol must be positive")
-    return np.linalg.pinv(as_matrix(m), rcond=rel_tol)
+    return np.linalg.pinv(as_matrix(m), rcond=1e-10)
 
 
 def central_difference(fn, x, rel_step: float) -> np.ndarray:
@@ -122,7 +120,7 @@ def _check_weight(q: np.ndarray, name: str, definite: bool) -> np.ndarray:
     return 0.5 * (q + q.T)
 
 
-def dare_solve(a, b, q, r, tol: float = 1e-12, max_iter: int = 100) -> np.ndarray:
+def dare_solve(a, b, q, r) -> np.ndarray:
     """Stabilizing solution P of the discrete algebraic Riccati equation.
 
     P = A'PA - A'PB (B'PB + R)^-1 B'PA + Q, found in two steps:
@@ -131,8 +129,8 @@ def dare_solve(a, b, q, r, tol: float = 1e-12, max_iter: int = 100) -> np.ndarra
        G_0 = B R^-1 B' and H_0 = Q, each step solves W = I + G H against
        [A | G] and sets A <- A W^-1 A, G <- G + A W^-1 G A' and
        H <- H + A' H W^-1 A.  H converges quadratically to P; it stops once
-       H moves by less than tol relative to its largest entry.  max_iter
-       caps the doubling steps (a handful suffice on stabilizable input).
+       H moves by less than 1e-12 relative to its largest entry, within 100
+       doubling steps (a handful suffice on stabilizable input).
     2. One Newton (Hewer) step in correction form: with K and A - BK from
        H, solve the Stein equation X - (A - BK)' X (A - BK) = Res(H), where
        Res is the Riccati residual, and return H + X.
@@ -158,7 +156,7 @@ def dare_solve(a, b, q, r, tol: float = 1e-12, max_iter: int = 100) -> np.ndarra
     failure = "Riccati {}: (A, B) unstabilizable or ill-conditioned"
     with np.errstate(over="ignore", invalid="ignore"):
         ak, gk, h = a, b @ np.linalg.solve(r, b.T), q
-        for _ in range(max_iter):
+        for _ in range(100):
             try:
                 solved = np.linalg.solve(eye + gk @ h, np.hstack([ak, gk]))
             except np.linalg.LinAlgError as exc:
@@ -174,7 +172,7 @@ def dare_solve(a, b, q, r, tol: float = 1e-12, max_iter: int = 100) -> np.ndarra
                 raise NumericsError(failure.format("doubling diverged"))
             step = np.max(np.abs(h_next - h))
             h = h_next
-            if step < tol * max(1.0, size):
+            if step < 1e-12 * max(1.0, size):
                 break
         else:
             raise NumericsError(failure.format("doubling did not converge"))

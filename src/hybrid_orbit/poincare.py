@@ -32,6 +32,12 @@ class FixedPointError(RuntimeError):
     """Newton refinement diverged or hit a non-hyperbolic direction."""
 
 
+# Newton's stopping residual (max norm), iteration cap and step halvings.
+_NEWTON_TOL = 1e-9
+_NEWTON_MAX_ITER = 30
+_NEWTON_MAX_DAMPING = 8
+
+
 @dataclass(frozen=True)
 class PhaseJacobians:
     """Per-phase section-map sensitivities in reduced chart coordinates.
@@ -132,9 +138,6 @@ def orbit_and_jacobians(
     system: MultiDomainSystem,
     x_guess: np.ndarray,
     cfg: IntegratorConfig,
-    tol: float = 1e-9,
-    max_iter: int = 30,
-    max_damping: int = 8,
     fd_scale: float = 1e-5,
 ) -> tuple[PeriodicOrbit, list[PhaseJacobians]]:
     """Newton refinement of a return-map fixed point and the per-phase
@@ -144,8 +147,9 @@ def orbit_and_jacobians(
     cycle, one batch per phase from the undisturbed member's entry point.
     The pass gives the residual return_map(x) - x, the orbit and the
     per-phase Jacobians A_i, F_i; Newton solves with the product of the
-    A_i, halving the step up to max_damping times whenever the residual
-    fails to decrease.  The orbit's section fixed points and phase
+    A_i, halving the step up to 8 times whenever the residual fails to
+    decrease, and stops once the max-norm residual is below 1e-9, within
+    30 iterations.  The orbit's section fixed points and phase
     durations are those of the pass that gave the converged residual,
     except that the last fixed point is the converged x itself rather than
     its image return_map(x).  The Jacobians are that pass's too, so they
@@ -162,8 +166,8 @@ def orbit_and_jacobians(
     x = np.asarray(x_guess, dtype=float).copy()
     residual, orbit, jacs = one_pass(x)
     res_norm = float(np.max(np.abs(residual)))
-    for _ in range(max_iter):
-        if res_norm < tol:
+    for _ in range(_NEWTON_MAX_ITER):
+        if res_norm < _NEWTON_TOL:
             return orbit, jacs
         try:
             step = np.linalg.solve(compose_jacobians(jacs) - np.eye(x.size), -residual)
@@ -172,7 +176,7 @@ def orbit_and_jacobians(
                 "singular (I - A): the orbit is non-hyperbolic in a unit-eigenvalue direction"
             ) from exc
         scale = 1.0
-        for _ in range(max_damping + 1):
+        for _ in range(_NEWTON_MAX_DAMPING + 1):
             x_try = x + scale * step
             trial = one_pass(x_try)
             if float(np.max(np.abs(trial[0]))) < res_norm:
@@ -184,19 +188,18 @@ def orbit_and_jacobians(
             )
         x, (residual, orbit, jacs) = x_try, trial
         res_norm = float(np.max(np.abs(residual)))
-    if res_norm < tol:
+    if res_norm < _NEWTON_TOL:
         return orbit, jacs
-    raise FixedPointError(f"Newton did not converge: residual {res_norm:.3e} after {max_iter} iterations")
+    raise FixedPointError(
+        f"Newton did not converge: residual {res_norm:.3e} after {_NEWTON_MAX_ITER} iterations"
+    )
 
 
 def refine_fixed_point(
     system: MultiDomainSystem,
     x_guess: np.ndarray,
     cfg: IntegratorConfig,
-    tol: float = 1e-9,
-    max_iter: int = 30,
-    max_damping: int = 8,
     fd_scale: float = 1e-5,
 ) -> PeriodicOrbit:
     """The periodic orbit of orbit_and_jacobians, without its Jacobians."""
-    return orbit_and_jacobians(system, x_guess, cfg, tol, max_iter, max_damping, fd_scale)[0]
+    return orbit_and_jacobians(system, x_guess, cfg, fd_scale)[0]

@@ -34,6 +34,7 @@ __all__ = [
     "StabilityReport",
     "SynthesisError",
     "RESIDUAL_TOL",
+    "SYMMETRY_TOL",
     "designed_jacobians",
     "symmetric_matrix_gains",
     "scale_factor_gains",
@@ -47,6 +48,12 @@ __all__ = [
 # Above this design residual (max-entry norm) the pinv target was not
 # reachable and the gain set is flagged inexact.
 RESIDUAL_TOL = 1e-6
+
+# A design target or a theorem-3 factor M is symmetric if max|M - M'| <= this.
+SYMMETRY_TOL = 1e-10
+
+# DLQR with enforce_theorem4 grows Q tenfold at most this many times.
+_MAX_Q_SCALINGS = 12
 
 
 class SynthesisError(RuntimeError):
@@ -122,13 +129,14 @@ def _solve_gain(a, f, target) -> tuple[np.ndarray, float]:
     return gain, residual
 
 
-def symmetric_matrix_gains(jacs, m_sym: np.ndarray | None = None, sym_tol: float = 1e-10) -> GainSet:
+def symmetric_matrix_gains(jacs, m_sym: np.ndarray | None = None) -> GainSet:
     """Drive every phase to one symmetric contraction target.
 
     The default target is the zero matrix (deadbeat): it is symmetric, has
     spectral radius zero, and maximizes the contraction margin.  Rank
     deficient F_i leaves the target unreachable; the residual records how
-    far the achieved Jacobian lands from it.
+    far the achieved Jacobian lands from it.  The target must be symmetric
+    to SYMMETRY_TOL = 1e-10.
     """
     pairs = _unpack(jacs)
     k_dim = pairs[0][0].shape[0]
@@ -137,7 +145,7 @@ def symmetric_matrix_gains(jacs, m_sym: np.ndarray | None = None, sym_tol: float
     m_sym = as_matrix(m_sym)
     if m_sym.shape != (k_dim, k_dim):
         raise ValueError(f"target has shape {m_sym.shape}, expected ({k_dim}, {k_dim})")
-    if max_abs_entry(m_sym - m_sym.T) > sym_tol:
+    if max_abs_entry(m_sym - m_sym.T) > SYMMETRY_TOL:
         raise ValueError("target matrix must be symmetric")
     if spectral_radius(m_sym) >= 1.0:
         raise ValueError("target matrix must have spectral radius below one")
@@ -190,16 +198,15 @@ def dlqr_gains(
     q: list[np.ndarray] | None = None,
     r: list[np.ndarray] | None = None,
     enforce_theorem4: bool = False,
-    q_growth: float = 10.0,
-    max_q_scalings: int = 12,
 ) -> GainSet:
     """Per-phase discrete LQR gains on the section dynamics.
 
     Defaults to identity weights.  With enforce_theorem4 each Q_i is grown
-    geometrically until the largest designed entry drops strictly below
-    1 / k (larger Q shrinks the designed Jacobian); the applied scale is
-    reported per phase.  The residual of each phase is the relative Riccati
-    residual max|Res(P)| / max(1, max|P|) of its final gain.
+    tenfold, up to 12 times, until the largest designed entry drops
+    strictly below 1 / k (larger Q shrinks the designed Jacobian); the
+    applied scale is reported per phase.  The residual of each phase is
+    the relative Riccati residual max|Res(P)| / max(1, max|P|) of its
+    final gain.
     """
     pairs = _unpack(jacs)
     n = len(pairs)
@@ -217,15 +224,15 @@ def dlqr_gains(
         try:
             gain, residual = _dlqr(a, f, scale * np.asarray(q_i, dtype=float), r_i)
             if enforce_theorem4:
-                for _ in range(max_q_scalings):
+                for _ in range(_MAX_Q_SCALINGS):
                     if max_abs_entry(a - f @ gain) < 1.0 / k_dim:
                         break
-                    scale *= q_growth
+                    scale *= 10.0
                     gain, residual = _dlqr(a, f, scale * np.asarray(q_i, dtype=float), r_i)
                 else:
                     raise SynthesisError(
                         f"phase {idx}: entrywise bound not reached after "
-                        f"{max_q_scalings} Q scalings"
+                        f"{_MAX_Q_SCALINGS} Q scalings"
                     )
         except NumericsError as exc:
             raise SynthesisError(f"phase {idx}: {exc}") from exc
@@ -241,13 +248,13 @@ def dlqr_gains(
     )
 
 
-def certify_theorem3(designed, sym_tol: float = 1e-10) -> TheoremCertificate:
+def certify_theorem3(designed) -> TheoremCertificate:
     """Symmetric-contraction certificate.
 
-    Passes when every designed Jacobian is symmetric (within sym_tol) with
-    spectral radius below one; the product radius is then below one as
-    well, because for symmetric factors the spectral norm equals the
-    spectral radius and the norm is submultiplicative.
+    Passes when every designed Jacobian is symmetric (within SYMMETRY_TOL =
+    1e-10) with spectral radius below one; the product radius is then
+    below one as well, because for symmetric factors the spectral norm
+    equals the spectral radius and the norm is submultiplicative.
     """
     per_phase = []
     for idx, m in enumerate(designed):
@@ -261,7 +268,7 @@ def certify_theorem3(designed, sym_tol: float = 1e-10) -> TheoremCertificate:
                 "phase": idx,
                 "symmetry_defect": defect,
                 "radius": radius,
-                "ok": bool(defect <= sym_tol and radius < 1.0),
+                "ok": bool(defect <= SYMMETRY_TOL and radius < 1.0),
             }
         )
     return TheoremCertificate(

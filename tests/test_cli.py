@@ -119,6 +119,18 @@ def test_certify_reference_pair_is_unstable(tmp_path):
     assert not doc["theorem3"]["passed"]
 
 
+def test_certify_repeats_the_synthesize_verdict(tmp_path):
+    # certify re-derives from the designed Jacobians alone the four verdict
+    # keys of the synthesize report
+    jacs, gains, cert = tmp_path / "jacs.json", tmp_path / "gains.json", tmp_path / "cert.json"
+    assert run(["analyze", "--system", "stable-3", "-o", jacs] + FAST) == 0
+    assert run(["synthesize", "-i", jacs, "--method", "dlqr", "-o", gains]) == 0
+    assert run(["certify", "-i", gains, "-o", cert]) == 0
+    report = json.loads(gains.read_text())["report"]
+    keys = ["theorem3", "theorem4", "product_radius", "verdict"]
+    assert json.loads(cert.read_text()) == {key: report[key] for key in keys}
+
+
 def test_malformed_inputs_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")

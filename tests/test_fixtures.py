@@ -100,9 +100,10 @@ def test_excluded_gain_entry_is_documented_not_checked():
 
 
 def test_tightened_tolerances_expose_print_precision_floor():
-    report = verify_paper(tolerance_scale=0.01)
-    failed = {c.name for c in report.failed()}
-    assert "compose_return_jacobian" in failed
+    # a hundredfold tighter tolerance would fail the 4-decimal product check
+    report = verify_paper()
+    (check,) = [c for c in report.checks if c.name == "compose_return_jacobian"]
+    assert check.measured > 0.01 * check.tolerance
 
 
 def test_fixture_loads_are_independent_copies():

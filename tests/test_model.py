@@ -11,7 +11,6 @@ from hybrid_orbit.model import (
     PeriodicOrbit,
     affine_section_chart,
     chart_from_guard,
-    closed_loop,
     validate_c1_c2,
 )
 from hybrid_orbit.poincare import partial_map
@@ -176,15 +175,22 @@ def test_feedback_law_beta_and_trust_radius():
         law.beta(0, np.array([3.0, 1.0]))
 
 
-def test_closed_loop_validates_gain_shapes(stable2):
+def test_simulate_cycle_validates_gain_shapes(stable2, cfg_fast):
     orbit = stable2.orbit
-    bad = FeedbackLaw(gains=(np.zeros((3, 7)), np.zeros((3, 2))), orbit=orbit)
-    with pytest.raises(ValueError):
-        closed_loop(stable2.system, bad)
+    x0 = orbit.fixed_points[-1]
+    wide_orbit = PeriodicOrbit(fixed_points=(np.zeros(3), np.zeros(3)), phase_durations=(1.0, 1.0))
+    six_phases = PeriodicOrbit(fixed_points=orbit.fixed_points * 3, phase_durations=(1.0,) * 6)
+    bad = [
+        FeedbackLaw(gains=(np.zeros((3, 7)), np.zeros((3, 2))), orbit=orbit),
+        FeedbackLaw(gains=(np.zeros((2, 2)), np.zeros((3, 2))), orbit=orbit),
+        FeedbackLaw(gains=(np.zeros((3, 2)), np.zeros((3, 2))), orbit=wide_orbit),
+        FeedbackLaw(gains=(np.zeros((3, 2)),) * 6, orbit=six_phases),
+    ]
+    for law in bad:
+        with pytest.raises(ValueError):
+            simulate_cycle(stable2.system, law, x0, 1, cfg_fast)
     good = FeedbackLaw(gains=(np.zeros((3, 2)), np.zeros((3, 2))), orbit=orbit)
-    closed = closed_loop(stable2.system, good)
-    assert closed.law is good
-    assert closed.domains is stable2.system.domains
+    assert len(simulate_cycle(stable2.system, good, x0, 1, cfg_fast)) == 1
 
 
 def test_zero_gain_law_reproduces_nominal_cycle(stable2, cfg_fast):
@@ -192,7 +198,7 @@ def test_zero_gain_law_reproduces_nominal_cycle(stable2, cfg_fast):
     law = FeedbackLaw(gains=tuple(np.zeros((3, 2)) for _ in range(2)), orbit=orbit)
     x0 = orbit.fixed_points[-1] + np.array([4e-3, -2e-3])
     open_loop = simulate_cycle(stable2.system, None, x0, 3, cfg_fast)
-    closed = simulate_cycle(closed_loop(stable2.system, law), None, x0, 3, cfg_fast)
+    closed = simulate_cycle(stable2.system, law, x0, 3, cfg_fast)
     for a, b in zip(open_loop, closed):
         assert np.array_equal(a, b)
 

@@ -207,7 +207,7 @@ def test_pinv_idempotent_on_full_rank():
 
 
 def test_pinv_cut_rule_matches_svd_reference():
-    # singular values at 1, 1e-9 and 1e-11 against rel_tol 1e-10: the
+    # singular values at 1, 1e-9 and 1e-11 against the 1e-10 cut: the
     # middle one is inverted, the last one is cut, as in the SVD formula
     rng = np.random.default_rng(41)
     for _ in range(20):
@@ -217,13 +217,8 @@ def test_pinv_cut_rule_matches_svd_reference():
         _, s, _ = np.linalg.svd(m)
         inv = np.where(s > 1e-10 * s[0], 1.0 / s, 0.0)
         expected = (v * inv) @ u.T
-        assert max_abs_entry(pinv(m, rel_tol=1e-10) - expected) < 1e-6 * max_abs_entry(expected)
+        assert max_abs_entry(pinv(m) - expected) < 1e-6 * max_abs_entry(expected)
     assert max_abs_entry(pinv(np.zeros((2, 3)))) == 0.0
-
-
-def test_pinv_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        pinv(np.eye(2), rel_tol=0.0)
 
 
 # --------------------------------------------------------- central difference

@@ -246,7 +246,7 @@ def test_newton_jacobians_match_phase_jacobians_bit_for_bit(name, kick):
 
 def test_refine_fixed_point_converges_from_perturbed_guess(stable3, cfg_fast):
     guess = stable3.orbit.fixed_points[-1] + np.array([1e-2, -1e-2])
-    orbit = refine_fixed_point(stable3.system, guess, cfg_fast, tol=1e-9)
+    orbit = refine_fixed_point(stable3.system, guess, cfg_fast)
     residual = return_map(stable3.system, orbit.fixed_points[-1], cfg_fast) - orbit.fixed_points[-1]
     assert np.max(np.abs(residual)) < 1e-9
     assert np.max(np.abs(orbit.fixed_points[-1] - stable3.orbit.fixed_points[-1])) < 1e-7
@@ -289,7 +289,7 @@ def test_refine_fixed_point_diverges_cleanly():
     assert np.max(np.abs(orbit.fixed_points[-1])) < 1e-9
     # far outside the basin it must error, not fabricate an orbit
     with pytest.raises((FixedPointError, IntegrationError)):
-        refine_fixed_point(system, np.array([1.0, 0.0]), cfg, max_iter=8)
+        refine_fixed_point(system, np.array([1.0, 0.0]), cfg)
 
 
 def test_single_domain_cycle():

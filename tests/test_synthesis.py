@@ -212,7 +212,7 @@ def test_dlqr_enforce_entrywise_bound(paperfx):
 
 @pytest.mark.parametrize("q_weight", [1.0, 10.0**12])
 def test_dlqr_entrywise_bound_at_radius_30_certifies_or_refuses(sweep_set, q_weight):
-    # enforce_theorem4 grows Q up to q_growth**12 = 1e12 times its start
+    # enforce_theorem4 grows Q tenfold up to 12 times, to 1e12 times its start
     for i in range(10):
         jacs = sweep_set(1, i, 30.0, 3, 6)
         try:
