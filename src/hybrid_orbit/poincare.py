@@ -153,7 +153,9 @@ def orbit_and_jacobians(
     durations are those of the pass that gave the converged residual,
     except that the last fixed point is the converged x itself rather than
     its image return_map(x).  The Jacobians are that pass's too, so they
-    equal phase_jacobians(system, orbit, cfg, fd_scale) bit for bit.
+    equal phase_jacobians(system, orbit, cfg, fd_scale) bit for bit.  A
+    FixedPointError for a stall or no convergence gives the residual and
+    sigma_min(DP - I) at the last accepted point.
     """
 
     def one_pass(x):
@@ -184,15 +186,24 @@ def orbit_and_jacobians(
             scale *= 0.5
         else:
             raise FixedPointError(
-                f"Newton stalled: residual {res_norm:.3e} does not decrease"
+                f"Newton stalled: residual {res_norm:.3e} does not decrease, "
+                f"sigma_min(DP - I) = {_sigma_min(jacs):.3e}"
             )
         x, (residual, orbit, jacs) = x_try, trial
         res_norm = float(np.max(np.abs(residual)))
     if res_norm < _NEWTON_TOL:
         return orbit, jacs
     raise FixedPointError(
-        f"Newton did not converge: residual {res_norm:.3e} after {_NEWTON_MAX_ITER} iterations"
+        f"Newton did not converge: residual {res_norm:.3e} after {_NEWTON_MAX_ITER} iterations, "
+        f"sigma_min(DP - I) = {_sigma_min(jacs):.3e}"
     )
+
+
+def _sigma_min(jacs) -> float:
+    """The smallest singular value of DP - I, how far Newton's matrix is
+    from singular: near zero, the orbit is close to non-hyperbolic."""
+    product = compose_jacobians(jacs)
+    return float(np.linalg.svd(product - np.eye(product.shape[0]), compute_uv=False)[-1])
 
 
 def refine_fixed_point(

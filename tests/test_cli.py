@@ -218,6 +218,29 @@ def test_numerical_failure_exits_three(tmp_path):
     assert run(["synthesize", "-i", jacs, "--method", "dlqr", "-o", out]) == 3
 
 
+def test_diverging_open_loop_run_is_not_a_stall(tmp_path):
+    # Open loop, unstable-2 diverges about 5.4x per cycle.  By cycle 14 the
+    # state is near 6e6, where rounding alone puts |H| above the absolute
+    # guard_tol at the located crossing; that is accepted, not a stall.
+    out = tmp_path / "d.csv"
+    assert run(["simulate", "--system", "unstable-2", "--method", "none", "--cycles", 20, "-o", out]) == 0
+    errors = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+    assert len(errors) == 21 and errors[-1] > 1e11
+    ratios = np.array(errors[11:]) / np.array(errors[10:-1])
+    assert np.all((ratios > 5.3) & (ratios < 5.5))
+
+
+def test_non_hyperbolic_orbit_reports_sigma_min(tmp_path, capsys):
+    # boundary-2's return map has an eigenvalue of exactly 1; at base step
+    # 3e-2 Newton stalls just above its tolerance, and says why.
+    assert run(["analyze", "--system", "boundary-2", "--base-step", "3e-2", "-o", tmp_path / "j.json"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: Newton stalled: residual ")
+    sigma = float(err.split("sigma_min(DP - I) = ")[1])
+    assert 0.0 < sigma < 1e-7
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_outputs_are_byte_identical(tmp_path):
     jacs = tmp_path / "jacs.json"
     assert run(["analyze", "--system", "stable-2", "-o", jacs] + FAST) == 0

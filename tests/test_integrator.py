@@ -45,15 +45,25 @@ def test_unit_flow_hits_unit_guard():
     assert abs(traj.exit_state[0] - 1.0) < 1e-9
 
 
-def test_crossing_step_without_splits_makes_no_trial_step(monkeypatch):
-    # Outside the crossing refinement, a flow whose member never splits a
-    # step makes one RK4 step per accepted step, the crossing step included.
+@pytest.fixture
+def rk4_calls(monkeypatch):
+    """The step argument of every RK4 step the integrator takes."""
     calls = []
 
     def counted_rk4(f, x, h):
         calls.append(h)
         return rk4_step(f, x, h)
 
+    monkeypatch.setattr(integrator, "rk4_step", counted_rk4)
+    return calls
+
+
+def test_crossing_step_without_splits_makes_no_trial_step(monkeypatch, rk4_calls, stable3):
+    # Outside the crossing refinement, a flow whose member never splits a
+    # step makes one RK4 step per accepted step, the crossing step included:
+    # a guard-bounded run stops short of the guard, so no run step is thrown
+    # away.
+    calls = rk4_calls
     refine = integrator._exit_crossing
     refine_calls = []
 
@@ -63,13 +73,36 @@ def test_crossing_step_without_splits_makes_no_trial_step(monkeypatch):
         refine_calls.append(len(calls) - before)
         return out
 
-    monkeypatch.setattr(integrator, "rk4_step", counted_rk4)
     monkeypatch.setattr(integrator, "_exit_crossing", counted_refine)
     dom = autonomous(lambda x: np.ones_like(x), lambda x: float(x[0] - 0.105), 1)
     traj = flow_to_guard(dom, np.array([0.0]), np.zeros(0), IntegratorConfig(base_step=1e-2))
     assert abs(traj.exit_time - 0.105) < 1e-12
     assert len(refine_calls) == 1
     assert len(calls) - refine_calls[0] == len(traj.times) - 1 == 11
+
+    # A catalog flow long enough for runs, with far fewer guard calls than
+    # steps, and an approach whose guard rate grows 1% a step.
+    dom = stable3.system.domains[0]
+    batch_guard = dom.batch_guard
+    guard_calls = []
+
+    def counted_guard(x):
+        guard_calls.append(x.shape[0])
+        return batch_guard(x)
+
+    flows = [
+        (replace(dom, batch_guard=counted_guard), stable3.phases[0].start_state, np.zeros(3), 2e-3),
+        (ACCELERATING["exponential"][0], np.array([1.0]), np.zeros(0), 1e-2),
+    ]
+    steps = []
+    for dom, x0, beta, base_step in flows:
+        calls.clear()
+        refine_calls.clear()
+        traj = flow_to_guard(dom, x0, beta, IntegratorConfig(base_step=base_step))
+        steps.append(len(traj.times) - 1)
+        assert len(refine_calls) == 1
+        assert len(calls) - refine_calls[0] == steps[-1] > 300
+    assert len(guard_calls) < steps[0] / 8
 
 
 def test_linear_flow_matches_matrix_exponential_root():
@@ -114,6 +147,13 @@ def test_on_guard_start_rejected():
     dom = autonomous(lambda x: np.array([1.0]), lambda x: float(x[0]), 1)
     with pytest.raises(ValueError, match="interior"):
         flow_to_guard(dom, np.array([0.0]), np.zeros(0), IntegratorConfig())
+    # One ulp off a guard at 1e8, |H| = 1.5e-8 is above guard_tol but within
+    # the rounding floor of evaluating H there.
+    dom = autonomous(lambda x: np.array([1.0]), lambda x: float(x[0] - 1e8), 1)
+    with pytest.raises(ValueError, match="interior"):
+        flow_to_guard(dom, np.array([np.nextafter(1e8, 0.0)]), np.zeros(0), IntegratorConfig())
+    traj = flow_to_guard(dom, np.array([1e8 - 1e-3]), np.zeros(0), IntegratorConfig())
+    assert abs(traj.exit_time - 1e-3) < 1e-7
 
 
 def test_early_crossing_raises_chattering():
@@ -395,7 +435,11 @@ def reference_flow(domain, x0, beta, cfg):
         states.append(x)
 
 
-@pytest.mark.parametrize("cfg", [IntegratorConfig(base_step=5e-3), SPLITTING], ids=["base-steps", "split-steps"])
+@pytest.mark.parametrize(
+    "cfg",
+    [IntegratorConfig(base_step=5e-3), IntegratorConfig(base_step=2e-3), SPLITTING],
+    ids=["base-steps", "long-runs", "split-steps"],
+)
 def test_single_flow_equals_the_scalar_reference_loop(stable3, cfg):
     rng = np.random.default_rng(5)
     for i, phase in enumerate(stable3.phases):
@@ -407,6 +451,43 @@ def test_single_flow_equals_the_scalar_reference_loop(stable3, cfg):
             traj = flow_to_guard(dom, x0, beta, cfg)
             assert np.array_equal(traj.times, times)
             assert np.array_equal(traj.states, states)
+
+
+# Guards whose step changes outgrow the cap in the middle of a run: an
+# exponential approach (x' = x towards x = 1e3) and a growing spiral whose
+# guard value swings through its range many times before the crossing.
+SPIRAL = np.array([[0.05, 1.0], [-1.0, 0.05]])
+ACCELERATING = {
+    "exponential": (
+        autonomous(lambda x: x, lambda x: float(x[0] - 1e3), 1),
+        np.array([1.0]),
+        IntegratorConfig(base_step=1e-2, guard_step_fraction=5e-3),
+    ),
+    "spiral": (
+        autonomous(lambda x: SPIRAL @ x, lambda x: float(x[0] - 2.0), 2),
+        np.array([1.0, 0.0]),
+        IntegratorConfig(base_step=2e-2, guard_step_fraction=5e-3),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ACCELERATING)
+def test_runs_under_a_changing_guard_rate_equal_the_scalar_reference_loop(name):
+    dom, x0, cfg = ACCELERATING[name]
+    times, states = reference_flow(dom, x0, np.zeros(0), cfg)
+    traj = flow_to_guard(dom, x0, np.zeros(0), cfg)
+    assert times.size > 500
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.states, states)
+
+
+def test_runs_stop_at_the_phase_duration_cap(rk4_calls):
+    # The jump guard keeps g = 1 until x1 = 0.5, so its rate reads 0 and
+    # runs take the most steps; none may step past the cap at t = 0.45.
+    dom = autonomous(lambda x: np.array([1.0]), jump_guard, 1)
+    with pytest.raises(NoCrossing):
+        flow_to_guard(dom, np.array([0.0]), np.zeros(0), IntegratorConfig(max_phase_duration=0.45))
+    assert len(rk4_calls) <= 46
 
 
 @pytest.mark.parametrize("name", ("stable-3", "rebuilt"))
@@ -452,12 +533,18 @@ def velocity_system(batched: bool) -> MultiDomainSystem:
     return MultiDomainSystem(domains=(dom,))
 
 
-# One bad member per failure: (section coordinate, beta, error).
+# One bad member per failure: (section coordinate, beta, error).  The
+# "late" members fail inside what would be a guard-bounded run: x2 starts
+# at 1.5e308 and overflows at t = 2.97, after about 300 base steps, and an
+# approach at velocity 0.19 is still 0.05 short of the guard when the phase
+# duration cap cuts its run.
 BAD_MEMBERS = {
     "no-crossing": (1.0, (-1.0, 0.0), NoCrossing),
+    "late-no-crossing": (1.0, (0.19, 0.0), NoCrossing),
     "chattering": (1.0, (1e3, 0.0), Chattering),
     "non-transversal": (1e-11, (2e-10, 0.0), NonTransversal),
     "non-finite": (1.0, (1.0, 1e308), NonFinite),
+    "late-non-finite": (1.5e308, (1.0, 1e307), NonFinite),
 }
 
 
@@ -480,5 +567,6 @@ def test_one_bad_member_fails_the_batch_like_a_solo_run(case, batched):
         with pytest.raises(error) as batch:
             section_step(system, 0, y, betas, cfg)
     assert type(batch.value) is type(solo.value)
+    assert str(batch.value) == str(solo.value)
     assert batch.value.phase == 0
     assert str(batch.value).startswith("phase 0: ")
