@@ -12,6 +12,7 @@ Exit codes: 0 success / stable verdict, 1 unstable verdict, 2 input error,
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -252,11 +253,20 @@ def _cmd_simulate(args) -> int:
     states = simulate_cycle(model.system, law, x0, args.cycles, cfg)
     header = ["cycle", "err_norm"] + [f"x{j + 1}" for j in range(reference.size)]
     rows = [
-        [cycle, repr(float(np.linalg.norm(y - reference)))] + [repr(float(v)) for v in y]
+        [cycle, repr(_err_norm(y - reference))] + [repr(float(v)) for v in y]
         for cycle, y in enumerate([x0] + states)
     ]
     jsonio._dump_csv([header] + rows, args.output)
     return EXIT_OK
+
+
+def _err_norm(d: np.ndarray) -> float:
+    """The Euclidean norm of d, finite while d and its norm are.  Only
+    where np.linalg.norm's sum of squares overflows does math.hypot, which
+    scales, take over, so every row that fits keeps its bytes."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(d))
+    return math.hypot(*d) if math.isinf(norm) else norm
 
 
 def _cmd_verify_paper(args) -> int:

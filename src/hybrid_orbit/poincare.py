@@ -36,6 +36,12 @@ class FixedPointError(RuntimeError):
 _NEWTON_TOL = 1e-9
 _NEWTON_MAX_ITER = 30
 _NEWTON_MAX_DAMPING = 8
+# Step scales Newton tries in turn: 1, 1/2, ... (the damping), preceded by
+# the extrapolated 2 after a full step whose residual ratio lies in
+# _SINGULAR_RATIO, around the 1/4 of Newton at a simple singular root.
+_DAMPING = tuple(0.5**j for j in range(_NEWTON_MAX_DAMPING + 1))
+_EXTRAPOLATED = (2.0,) + _DAMPING
+_SINGULAR_RATIO = (0.2, 0.3)
 
 
 @dataclass(frozen=True)
@@ -156,6 +162,21 @@ def orbit_and_jacobians(
     equal phase_jacobians(system, orbit, cfg, fd_scale) bit for bit.  A
     FixedPointError for a stall or no convergence gives the residual and
     sigma_min(DP - I) at the last accepted point.
+
+    Where DP - I is singular, Newton converges only linearly: at a simple
+    singular root the residual falls by 1/4 per step.  So after an
+    accepted full step whose max-norm residual ratio lies in (0.2, 0.3),
+    the next step is first tried at twice its length, the extrapolated
+    Newton step of Kelley & Suresh (SIAM J. Numer. Anal. 1983).  If that
+    trial pass does not lower the residual, the damping sequence 1, 1/2,
+    ... follows unchanged, so the trial costs at most one extra pass.  On
+    boundary-2, whose return map has an eigenvalue of exactly 1, 1e-3
+    kicks take 3-4 passes, where plain Newton takes up to 7.  The
+    residual test pins such an orbit along its neutral direction only to
+    about the square root of the tolerance: from those kicks the orbit
+    lies up to 2.3e-5 from the closed form and A_i, F_i up to 5.8e-5,
+    against about 5e-10 on the hyperbolic catalog systems.  The trial
+    moves where the iteration stops, not this limit.
     """
 
     def one_pass(x):
@@ -168,6 +189,7 @@ def orbit_and_jacobians(
     x = np.asarray(x_guess, dtype=float).copy()
     residual, orbit, jacs = one_pass(x)
     res_norm = float(np.max(np.abs(residual)))
+    scales = _DAMPING
     for _ in range(_NEWTON_MAX_ITER):
         if res_norm < _NEWTON_TOL:
             return orbit, jacs
@@ -177,20 +199,21 @@ def orbit_and_jacobians(
             raise FixedPointError(
                 "singular (I - A): the orbit is non-hyperbolic in a unit-eigenvalue direction"
             ) from exc
-        scale = 1.0
-        for _ in range(_NEWTON_MAX_DAMPING + 1):
+        for scale in scales:
             x_try = x + scale * step
             trial = one_pass(x_try)
-            if float(np.max(np.abs(trial[0]))) < res_norm:
+            trial_norm = float(np.max(np.abs(trial[0])))
+            if trial_norm < res_norm:
                 break
-            scale *= 0.5
         else:
             raise FixedPointError(
                 f"Newton stalled: residual {res_norm:.3e} does not decrease, "
                 f"sigma_min(DP - I) = {_sigma_min(jacs):.3e}"
             )
+        singular = _SINGULAR_RATIO[0] < trial_norm / res_norm < _SINGULAR_RATIO[1]
+        scales = _EXTRAPOLATED if scale == 1.0 and singular else _DAMPING
         x, (residual, orbit, jacs) = x_try, trial
-        res_norm = float(np.max(np.abs(residual)))
+        res_norm = trial_norm
     if res_norm < _NEWTON_TOL:
         return orbit, jacs
     raise FixedPointError(

@@ -230,6 +230,20 @@ def test_diverging_open_loop_run_is_not_a_stall(tmp_path):
     assert np.all((ratios > 5.3) & (ratios < 5.5))
 
 
+@pytest.mark.filterwarnings("error")
+def test_err_norm_stays_finite_while_the_state_does(tmp_path):
+    # From cycle 215 the sum of squares of the error overflows while the
+    # state is still finite; err_norm must neither warn nor read inf.
+    out = tmp_path / "o.csv"
+    assert run(["simulate", "--system", "unstable-2", "--method", "none", "--cycles", 300, "-o", out]) == 0
+    rows = np.array([[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[1:]])
+    assert len(rows) == 301 and np.all(np.isfinite(rows))
+    errors = rows[:, 1]
+    assert errors[-1] > 1e216
+    ratios = errors[11:] / errors[10:-1]
+    assert np.all((ratios > 5.3) & (ratios < 5.5))
+
+
 def test_non_hyperbolic_orbit_reports_sigma_min(tmp_path, capsys):
     # boundary-2's return map has an eigenvalue of exactly 1; at base step
     # 3e-2 Newton stalls just above its tolerance, and says why.

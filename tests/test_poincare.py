@@ -244,6 +244,40 @@ def test_newton_jacobians_match_phase_jacobians_bit_for_bit(name, kick):
         assert np.array_equal(newton.F, measured.F)
 
 
+_KICKS = [1e-3 * np.array([np.cos(a), np.sin(a)]) for a in 2 * np.pi * np.arange(8) / 8]
+
+
+def test_newton_extrapolates_at_a_singular_fixed_point(boundary2):
+    # boundary-2's return map has an eigenvalue of exactly 1, so a full
+    # Newton step cuts the residual by only 1/4; the doubled step tried
+    # after it brings every kick home within 4 passes, where plain Newton
+    # takes 6-7 on six of them.
+    cfg = IntegratorConfig()
+    counted, resets = _reset_counter(boundary2.system)
+    per_pass = _pass_members(boundary2.system)
+    for kick in _KICKS:
+        resets.clear()
+        orbit, jacs = orbit_and_jacobians(counted, boundary2.orbit.fixed_points[-1] + kick, cfg)
+        assert len(resets) <= 4 * per_pass
+        x = orbit.fixed_points[-1]
+        assert np.max(np.abs(return_map(boundary2.system, x, cfg) - x)) < 1e-9
+        for newton, measured in zip(jacs, phase_jacobians(boundary2.system, orbit, cfg)):
+            assert np.array_equal(newton.A, measured.A)
+            assert np.array_equal(newton.F, measured.F)
+
+
+@pytest.mark.parametrize("name", ["stable2", "stable3", "unstable2", "uncoupled2"])
+def test_newton_keeps_its_steps_at_hyperbolic_fixed_points(name, request):
+    # Quadratic convergence never shows the 1/4 ratio, so no doubled step
+    # is tried and every kick takes its three passes.
+    model = request.getfixturevalue(name)
+    counted, resets = _reset_counter(model.system)
+    for kick in _KICKS:
+        resets.clear()
+        orbit_and_jacobians(counted, model.orbit.fixed_points[-1] + kick, IntegratorConfig())
+        assert len(resets) == 3 * _pass_members(model.system)
+
+
 def test_refine_fixed_point_converges_from_perturbed_guess(stable3, cfg_fast):
     guess = stable3.orbit.fixed_points[-1] + np.array([1e-2, -1e-2])
     orbit = refine_fixed_point(stable3.system, guess, cfg_fast)
