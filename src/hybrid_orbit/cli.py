@@ -221,7 +221,7 @@ def _cmd_certify(args) -> int:
     if not isinstance(raw, list) or not raw:
         raise FormatError(f"{path}.designed: expected a non-empty list")
     report = synthesis.certify_designed(
-        [matrix_from_obj(m, f"designed[{i}]") for i, m in enumerate(raw)]
+        [matrix_from_obj(m, f"{path}.designed[{i}]") for i, m in enumerate(raw)]
     )
     full = _report_to_obj(report)
     keys = ("theorem3", "theorem4", "product_radius", "verdict")

@@ -76,33 +76,25 @@ _MAX_RUN = 32
 _FLOOR_ULPS = 4.0
 
 
+# The integrator's tolerances; the flow_batch docstring says what each bounds.
+_GUARD_TOL = 1e-10
+_MIN_PHASE_DURATION = 1e-6
+_MAX_PHASE_DURATION = 50.0
+_TRANSVERSALITY_TOL = 1e-8
+_GUARD_STEP_FRACTION = 0.25
+_MAX_STEP_SPLITS = 6
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """The RK4 base step.  The tolerances are module constants, _GUARD_TOL
+    to _MAX_STEP_SPLITS (see flow_batch)."""
+
     base_step: float = 1e-2
-    guard_tol: float = 1e-10
-    min_phase_duration: float = 1e-6
-    max_phase_duration: float = 50.0
-    transversality_tol: float = 1e-8
-    # Cap on the per-step guard change, as a fraction of the running guard
-    # range; steps violating it are split to reduce missed-crossing risk.
-    guard_step_fraction: float = 0.25
-    max_step_splits: int = 6
 
     def __post_init__(self):
-        positive = (
-            self.base_step,
-            self.guard_tol,
-            self.min_phase_duration,
-            self.max_phase_duration,
-            self.transversality_tol,
-            self.guard_step_fraction,
-        )
-        if not all(np.isfinite(v) and v > 0.0 for v in positive):
-            raise ValueError("all integrator tolerances must be finite and positive")
-        if self.min_phase_duration >= self.max_phase_duration:
-            raise ValueError("min_phase_duration must be below max_phase_duration")
-        if self.max_step_splits < 0:
-            raise ValueError("max_step_splits must be nonnegative")
+        if not (np.isfinite(self.base_step) and self.base_step > 0.0):
+            raise ValueError("base_step must be finite and positive")
 
 
 @dataclass
@@ -170,8 +162,15 @@ def flow_batch(
     a single member's accepted times and states are appended to the two
     lists, the exit row last.
 
+    A member has crossed once past the guard or within _GUARD_TOL = 1e-10
+    of it.  A crossing before _MIN_PHASE_DURATION = 1e-6 raises Chattering,
+    none by _MAX_PHASE_DURATION = 50 NoCrossing, and an exit guard rate of
+    at most _TRANSVERSALITY_TOL = 1e-8 NonTransversal.  A step moving the
+    guard by more than _GUARD_STEP_FRACTION = 0.25 of its range so far is
+    halved, at most _MAX_STEP_SPLITS = 6 times, the last half taken as is.
+
     Base steps go in guard-bounded runs of up to 32 RK4 steps back to
-    back, and of no more than (min g - guard_tol) / (2 |dg|) steps, where
+    back, and of no more than (min g - _GUARD_TOL) / (2 |dg|) steps, where
     |dg| is the largest guard change of the last base step: a run stops
     short of the guard unless the guard's rate more than doubles.  The
     first step, and the step after a split or a crossing, run alone.  One
@@ -195,15 +194,15 @@ def flow_batch(
         raise ValueError("only a single member can record its trajectory")
     guard = domain.batch_guard or row_map(domain.guard)
     h0 = guard(x)
-    if np.any(np.abs(h0) <= cfg.guard_tol + _guard_floor(guard, x)):
+    if np.any(np.abs(h0) <= _GUARD_TOL + _guard_floor(guard, x)):
         raise ValueError("start state lies on the guard; a phase needs an interior start")
     # Guard values are kept signed by the approach side, g = side * H, so a
-    # member has crossed once g <= guard_tol.  Negation is exact, so every
+    # member has crossed once g <= _GUARD_TOL.  Negation is exact, so every
     # test and guard range below equals its unsigned form.
     side = np.where(h0 > 0.0, 1.0, -1.0)
     g_abs0 = np.abs(h0)
     g_val, g_lo, g_hi = g_abs0, g_abs0, g_abs0
-    cap = cfg.guard_step_fraction * g_abs0
+    cap = _GUARD_STEP_FRACTION * g_abs0
     t = np.zeros(n_members)
     members = np.arange(n_members)
     f = _batch_field(domain, betas)
@@ -217,21 +216,19 @@ def flow_batch(
     rate = None  # the largest guard change of the last step; None after a split or a crossing
     ahead = None  # steps a run took past the last accepted one: states, and guard values while finite
     while members.size:
-        if t_lead >= cfg.max_phase_duration:
-            raise NoCrossing(
-                f"guard not reached within max phase duration {cfg.max_phase_duration}"
-            )
-        if cfg.max_phase_duration - t_lead >= cfg.base_step:
+        if t_lead >= _MAX_PHASE_DURATION:
+            raise NoCrossing(f"guard not reached within max phase duration {_MAX_PHASE_DURATION}")
+        if _MAX_PHASE_DURATION - t_lead >= cfg.base_step:
             dt = step = cfg.base_step  # one float step while every member takes the base step
             if ahead is None:
                 ahead = _run(f, guard, x, step, side, _run_length(rate, g_val, t_lead, cfg))
         else:
-            dt = np.minimum(cfg.base_step, cfg.max_phase_duration - t)
+            dt = np.minimum(cfg.base_step, _MAX_PHASE_DURATION - t)
             step = dt[:, None]
             ahead = _run(f, guard, x, step, side, 1)
         xs, g = ahead
         dg = np.abs(g - np.concatenate([g_val[None], g[:-1]]))
-        passed = ((g > cfg.guard_tol) & (dg <= cap)).all(axis=1)
+        passed = ((g > _GUARD_TOL) & (dg <= cap)).all(axis=1)
         n_ok = g.shape[0] if passed.all() else int(np.argmin(passed))
 
         if n_ok:
@@ -246,29 +243,29 @@ def flow_batch(
             x_next, g_next = xs[0], g[0]
             ahead = rate = None
             step = np.broadcast_to(step, (x.shape[0], 1)).copy()
-            pending = ~((g_next <= cfg.guard_tol) | (np.abs(g_next - g_val) <= cap))
-            for split in range(cfg.max_step_splits + 1):
+            pending = ~((g_next <= _GUARD_TOL) | (np.abs(g_next - g_val) <= cap))
+            for split in range(_MAX_STEP_SPLITS + 1):
                 if not pending.any():
                     break
                 step[pending] *= 0.5
                 x_try = rk4_step(f, x, step)
                 _raise_non_finite(x_try[pending], t[pending])
                 g_try = side * guard(x_try)
-                took = pending & ((g_try <= cfg.guard_tol) | (np.abs(g_try - g_val) <= cap))
-                if split == cfg.max_step_splits:
+                took = pending & ((g_try <= _GUARD_TOL) | (np.abs(g_try - g_val) <= cap))
+                if split == _MAX_STEP_SPLITS:
                     took = pending  # out of splits: the last half step is taken as it is
                 x_next = np.where(took[:, None], x_try, x_next)
                 g_next = np.where(took, g_try, g_next)
                 pending &= ~took
             dt = step[:, 0]
 
-            crossed = g_next <= cfg.guard_tol
+            crossed = g_next <= _GUARD_TOL
             if crossed.any():
                 rows = np.flatnonzero(crossed)
                 f_rows = f if rows.size == members.size else _batch_field(domain, betas[members[rows]])
                 x_exit, t_exit = _exit_crossing(
                     f_rows, guard, x[rows], t[rows], dt[rows], side[rows],
-                    g_val[rows], x_next[rows], g_next[rows], cfg,
+                    g_val[rows], x_next[rows], g_next[rows],
                 )
                 x_out[members[rows]] = x_exit
                 t_out[members[rows]] = t_exit
@@ -290,7 +287,7 @@ def flow_batch(
         x, g_val = xs[n_ok - 1], g[n_ok - 1]
         g_lo = np.minimum(g_lo, g[:n_ok].min(axis=0))
         g_hi = np.maximum(g_hi, g[:n_ok].max(axis=0))
-        cap = cfg.guard_step_fraction * np.maximum(g_hi - g_lo, g_abs0)
+        cap = _GUARD_STEP_FRACTION * np.maximum(g_hi - g_lo, g_abs0)
         # Times add up one step at a time.  Rounding is monotone, so the
         # lead time is the largest member time.
         times = np.add.accumulate(np.vstack([t, np.full((n_ok, t.size), dt)]))[1:]
@@ -303,15 +300,15 @@ def flow_batch(
 
 def _run_length(rate, g_val, t_lead, cfg) -> int:
     """Base steps in the next run: one while the guard rate is unknown, else
-    at most _MAX_RUN and (min g - guard_tol) / (2 rate), and no further than
-    the last step that leaves a whole base step before max_phase_duration."""
+    at most _MAX_RUN and (min g - _GUARD_TOL) / (2 rate), and no further than
+    the last step that leaves a whole base step before _MAX_PHASE_DURATION."""
     if rate is None:
         return 1
-    room = float(g_val.min()) - cfg.guard_tol
+    room = float(g_val.min()) - _GUARD_TOL
     n = _MAX_RUN if 2.0 * rate * _MAX_RUN <= room else max(1, int(room / (2.0 * rate)))
     for k in range(1, n):
         t_lead += cfg.base_step
-        if cfg.max_phase_duration - t_lead < cfg.base_step:
+        if _MAX_PHASE_DURATION - t_lead < cfg.base_step:
             return k
     return n
 
@@ -364,7 +361,7 @@ def _guard_floor(guard, x: np.ndarray) -> np.ndarray:
     return _FLOOR_ULPS * np.finfo(float).eps * np.abs(grad).sum(axis=1)
 
 
-def _exit_crossing(f, guard, x_from, t_from, step, side, g_from, x_to, g_to, cfg):
+def _exit_crossing(f, guard, x_from, t_from, step, side, g_from, x_to, g_to):
     """Locate each member's crossing inside its last step, then check it.
 
     g(tau) = side * H(rk4_step(x_from, tau)) falls from g_from > 0 to g_to
@@ -372,7 +369,7 @@ def _exit_crossing(f, guard, x_from, t_from, step, side, g_from, x_to, g_to, cfg
     in place of the end of the same sign, halving the weight of an end kept
     twice in a row, until the bracket is a few ulps of the step wide (at once
     if g_to >= 0 leaves no sign change).  The end with the smaller |H| exits;
-    past guard_tol plus the rounding floor of H at it, the refinement stalled.
+    past _GUARD_TOL plus the rounding floor of H at it, the refinement stalled.
     The guard rate at the exit is the central difference of H along the
     field, step 1e-7, for all members in one pair of guard calls.
     """
@@ -400,27 +397,27 @@ def _exit_crossing(f, guard, x_from, t_from, step, side, g_from, x_to, g_to, cfg
 
     best = (~(h_abs[0] < h_abs[1])).astype(int)  # ties and NaN at lo go to hi
     h_hit, x_hit = h_abs[best, members], x_ends[best, members]
-    stalled = ~(h_hit <= cfg.guard_tol)
+    stalled = ~(h_hit <= _GUARD_TOL)
     if stalled.any():
-        stalled &= ~(h_hit <= cfg.guard_tol + _guard_floor(guard, x_hit))
+        stalled &= ~(h_hit <= _GUARD_TOL + _guard_floor(guard, x_hit))
     if stalled.any():
         raise IntegrationError(
             f"guard refinement stalled at |H| = {h_hit[np.argmax(stalled)]:.3e} "
-            f"(tolerance {cfg.guard_tol:.3e})"
+            f"(tolerance {_GUARD_TOL:.3e})"
         )
     t_exit = t_from + ends[best, members]
 
-    early = t_exit < cfg.min_phase_duration
+    early = t_exit < _MIN_PHASE_DURATION
     if early.any():
         raise Chattering(
             f"guard crossed at t = {t_exit[np.argmax(early)]:.3e}, below the minimum duration "
-            f"{cfg.min_phase_duration:.3e}"
+            f"{_MIN_PHASE_DURATION:.3e}"
         )
     field = f(x_hit)
     rate = central_difference(
         lambda s: [guard(x_hit + s_j * field) for s_j in s[:, 0]], np.zeros(1), 1e-7
     )[:, 0]
-    flat = np.abs(rate) <= cfg.transversality_tol
+    flat = np.abs(rate) <= _TRANSVERSALITY_TOL
     if flat.any():
         raise NonTransversal(f"guard rate {rate[np.argmax(flat)]:.3e} at the crossing is below tolerance")
     return x_hit, t_exit
@@ -440,16 +437,19 @@ def section_step(
     entering phase i and betas the (B, p) parameters held in phase i.
     Returns the reduced coordinates on the exit section of domain i and the
     realized phase durations, one row per member.  Integration errors
-    propagate with the phase index attached.
+    propagate with the phase index attached; a reset or a flow that
+    overflows raises NonFinite, not a floating-point warning.
     """
     n = system.n_domains
     prev = system.domain(i - 1)
     dom = system.domain(i)
     entry_chart = system.chart(i - 1)
     exit_chart = system.chart(i)
-    x_plus = np.array([prev.reset(entry_chart.embed(y)) for y in np.asarray(x_section, dtype=float)])
     try:
-        x_exit, t_exit = flow_batch(dom, x_plus, betas, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_plus = np.array([prev.reset(entry_chart.embed(y)) for y in np.asarray(x_section, dtype=float)])
+            _raise_non_finite(x_plus, np.zeros(x_plus.shape[0]))
+            x_exit, t_exit = flow_batch(dom, x_plus, betas, cfg)
     except IntegrationError as exc:
         exc.phase = i % n
         exc.args = (f"phase {i % n}: {exc.args[0]}",) + exc.args[1:]

@@ -317,11 +317,11 @@ def certify_designed(designed, inexact_design: bool = False) -> StabilityReport:
     The verdict is always the directly computed product radius; the
     certificates are sufficient conditions layered on top.
     """
-    product = compose_jacobians(designed)
-    product_radius = spectral_radius(product)
-    # Before the per-phase radii, so a non-square factor is named by index.
+    # First, so that a non-square factor is named by index.
     cert_theorem3 = certify_theorem3(designed)
     cert_theorem4 = certify_theorem4(designed)
+    product = compose_jacobians(designed)
+    product_radius = spectral_radius(product)
     return StabilityReport(
         designed=designed,
         per_phase_radius=[spectral_radius(m) for m in designed],

@@ -17,7 +17,7 @@ def cfg_fast():
 
 @pytest.fixture(scope="session")
 def cfg_accurate():
-    return IntegratorConfig(base_step=2e-3, guard_tol=1e-12)
+    return IntegratorConfig(base_step=2e-3)
 
 
 @pytest.fixture(scope="session")

@@ -39,7 +39,7 @@ from hybrid_orbit.poincare import phase_jacobians, refine_fixed_point
 from hybrid_orbit import synthesis
 
 
-ACCURATE = IntegratorConfig(base_step=2e-3, guard_tol=1e-12)
+ACCURATE = IntegratorConfig(base_step=2e-3)
 
 
 def report_line(number: int, ok: bool, description: str) -> None:

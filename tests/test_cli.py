@@ -146,6 +146,20 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
         capsys.readouterr()
         assert run(["certify", "-i", bad, "-o", out]) == 2
         assert "input.report" in capsys.readouterr().err
+    # A non-square factor is named by index before any eigenvalue is
+    # taken, and an entry path starts at the document root.
+    for doc, message in (
+        ({"designed": [{"rows": 1, "cols": 2, "data": [1, 2]}]},
+         "designed Jacobian 0 is not square: (1, 2)"),
+        ({"designed": [{"rows": 1, "cols": 1, "data": [True]}]},
+         "input.designed[0].data[0]: non-numeric entry True"),
+        ({"report": {"designed": [matrix_to_obj(np.eye(2)), {"rows": 1, "cols": 1, "data": ["x"]}]}},
+         "input.report.designed[1].data[0]: non-numeric entry 'x'"),
+    ):
+        dump_json(doc, bad)
+        assert run(["certify", "-i", bad, "-o", out]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
 
     # file-system errors on an input or output path
     designed = tmp_path / "designed.json"
@@ -242,6 +256,19 @@ def test_err_norm_stays_finite_while_the_state_does(tmp_path):
     assert errors[-1] > 1e216
     ratios = errors[11:] / errors[10:-1]
     assert np.all((ratios > 5.3) & (ratios < 5.5))
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_reset_is_a_numerical_failure(tmp_path, capsys):
+    # Open loop, unstable-2 grows about 5.4x per cycle until the state
+    # overflows in the phase-1 reset, from a 1e-2 start before cycle 600
+    # and from a 1e200 start sooner.  That fails as NonFinite with its
+    # phase, exit 3, and no floating-point warning is raised on the way.
+    out = tmp_path / "o.csv"
+    argv = ["simulate", "--system", "unstable-2", "--method", "none", "--cycles", 600, "-o", out]
+    assert run(argv + ["--perturb", 1e200]) == 3
+    assert capsys.readouterr().err == "numerical failure: phase 1: state became non-finite near t = 0\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_non_hyperbolic_orbit_reports_sigma_min(tmp_path, capsys):

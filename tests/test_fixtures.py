@@ -159,7 +159,7 @@ def test_zero_coupling_profile_has_zero_parameter_jacobians(uncoupled2, cfg_fast
 
 
 def test_engineered_orbit_is_a_return_map_fixed_point(stable3):
-    cfg = IntegratorConfig(base_step=1e-3, guard_tol=1e-12)
+    cfg = IntegratorConfig(base_step=1e-3)
     x_star = stable3.orbit.fixed_points[-1]
     residual = return_map(stable3.system, x_star, cfg) - x_star
     assert np.max(np.abs(residual)) < 1e-9

@@ -38,6 +38,12 @@ def autonomous(drift, guard, dim):
     )
 
 
+def set_constants(monkeypatch, **constants):
+    """Set integrator constants, such as _GUARD_TOL, for one test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(integrator, name, value)
+
+
 def test_unit_flow_hits_unit_guard():
     dom = autonomous(lambda x: np.array([1.0]), lambda x: float(x[0] - 1.0), 1)
     traj = flow_to_guard(dom, np.array([0.0]), np.zeros(0), IntegratorConfig())
@@ -131,7 +137,7 @@ def test_linear_flow_matches_matrix_exponential_root():
             lo = mid
     t_exact = 0.5 * (lo + hi)
 
-    cfg = IntegratorConfig(base_step=1e-3, guard_tol=1e-13)
+    cfg = IntegratorConfig(base_step=1e-3)
     traj = flow_to_guard(dom, x0, np.zeros(0), cfg)
     assert abs(traj.exit_time - t_exact) < 1e-8
     assert np.max(np.abs(traj.exit_state - expm(a * t_exact) @ x0)) < 1e-8
@@ -140,14 +146,14 @@ def test_linear_flow_matches_matrix_exponential_root():
 def test_receding_guard_raises_no_crossing():
     dom = autonomous(lambda x: np.array([1.0]), lambda x: float(x[0] + 1.0), 1)
     with pytest.raises(NoCrossing):
-        flow_to_guard(dom, np.array([0.0]), np.zeros(0), IntegratorConfig(max_phase_duration=5.0))
+        flow_to_guard(dom, np.array([0.0]), np.zeros(0), IntegratorConfig())
 
 
 def test_on_guard_start_rejected():
     dom = autonomous(lambda x: np.array([1.0]), lambda x: float(x[0]), 1)
     with pytest.raises(ValueError, match="interior"):
         flow_to_guard(dom, np.array([0.0]), np.zeros(0), IntegratorConfig())
-    # One ulp off a guard at 1e8, |H| = 1.5e-8 is above guard_tol but within
+    # One ulp off a guard at 1e8, |H| = 1.5e-8 is above _GUARD_TOL but within
     # the rounding floor of evaluating H there.
     dom = autonomous(lambda x: np.array([1.0]), lambda x: float(x[0] - 1e8), 1)
     with pytest.raises(ValueError, match="interior"):
@@ -156,23 +162,24 @@ def test_on_guard_start_rejected():
     assert abs(traj.exit_time - 1e-3) < 1e-7
 
 
-def test_early_crossing_raises_chattering():
+def test_early_crossing_raises_chattering(monkeypatch):
+    set_constants(monkeypatch, _MIN_PHASE_DURATION=1e-2)
     dom = autonomous(lambda x: np.array([1.0]), lambda x: float(x[0] - 1e-4), 1)
-    cfg = IntegratorConfig(min_phase_duration=1e-2)
     with pytest.raises(Chattering):
-        flow_to_guard(dom, np.array([0.0]), np.zeros(0), cfg)
+        flow_to_guard(dom, np.array([0.0]), np.zeros(0), IntegratorConfig())
 
 
-def test_tangential_crossing_raises_non_transversal():
-    # guard drifts at 2e-10 per unit time: crossing exists but is not transversal
+def test_tangential_crossing_raises_non_transversal(monkeypatch):
+    # guard drifts at 2e-10 per unit time: crossing exists but is not
+    # transversal at _TRANSVERSALITY_TOL = 1e-8
+    set_constants(monkeypatch, _GUARD_TOL=1e-14)
     dom = autonomous(
         lambda x: np.array([1.0, 2e-10]),
         lambda x: float(x[1] - 1e-10),
         2,
     )
-    cfg = IntegratorConfig(guard_tol=1e-14, transversality_tol=1e-8)
     with pytest.raises(NonTransversal):
-        flow_to_guard(dom, np.array([0.0, 0.0]), np.zeros(0), cfg)
+        flow_to_guard(dom, np.array([0.0, 0.0]), np.zeros(0), IntegratorConfig())
 
 
 def jump_guard(x):
@@ -234,17 +241,17 @@ def test_trajectory_is_deterministic():
     assert first.exit_time == second.exit_time
 
 
-def test_fourth_order_convergence_against_exact_flow():
+def test_fourth_order_convergence_against_exact_flow(monkeypatch):
     a = np.array([[0.0, 1.0], [-2.0, -0.3]])
     normal = np.array([1.0, 0.4])
     dom = autonomous(lambda x: a @ x, lambda x: float(normal @ x - 0.8), 2)
     x0 = np.array([0.1, 1.5])
 
     # disable the guard-change step cap so the raw scheme order is visible
+    set_constants(monkeypatch, _GUARD_TOL=1e-14, _GUARD_STEP_FRACTION=1e6)
     errors = []
     for step in (4e-2, 2e-2):
-        cfg = IntegratorConfig(base_step=step, guard_tol=1e-14, guard_step_fraction=1e6)
-        traj = flow_to_guard(dom, x0, np.zeros(0), cfg)
+        traj = flow_to_guard(dom, x0, np.zeros(0), IntegratorConfig(base_step=step))
         exact = expm(a * traj.exit_time) @ x0
         errors.append(np.max(np.abs(traj.exit_state - exact)))
     assert errors[0] / errors[1] > 2.0 ** 3.5
@@ -254,7 +261,7 @@ def test_guard_residual_within_tolerance(stable3, cfg_fast):
     for i, phase in enumerate(stable3.phases):
         dom = stable3.system.domains[i]
         traj = flow_to_guard(dom, phase.start_state, np.zeros(3), cfg_fast)
-        assert abs(dom.guard(traj.exit_state)) <= cfg_fast.guard_tol
+        assert abs(dom.guard(traj.exit_state)) <= integrator._GUARD_TOL
 
 
 def test_simulate_cycle_stays_on_fixed_point(stable3, cfg_fast):
@@ -288,27 +295,21 @@ def test_simulate_cycle_attaches_phase_index(stable2, cfg_fast):
         exit_chart=broken.exit_chart,
     )
     system = type(stable2.system)(domains=(stable2.system.domains[0], dom))
-    cfg = IntegratorConfig(base_step=cfg_fast.base_step, max_phase_duration=2.0)
     with pytest.raises(NoCrossing) as exc_info:
-        simulate_cycle(system, None, stable2.orbit.fixed_points[-1], 1, cfg)
+        simulate_cycle(system, None, stable2.orbit.fixed_points[-1], 1, cfg_fast)
     assert exc_info.value.phase == 1
     assert "phase 1" in str(exc_info.value)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(base_step=-1.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(min_phase_duration=2.0, max_phase_duration=1.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(max_step_splits=-1)
-    for bad in (float("nan"), float("inf")):
+    for bad in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             IntegratorConfig(base_step=bad)
-        with pytest.raises(ValueError):
-            IntegratorConfig(guard_tol=bad)
-        with pytest.raises(ValueError):
-            IntegratorConfig(max_phase_duration=bad)
+    # The tolerances are module constants, not options.
+    for name in ("guard_tol", "min_phase_duration", "max_phase_duration",
+                 "transversality_tol", "guard_step_fraction", "max_step_splits"):
+        with pytest.raises(TypeError):
+            IntegratorConfig(**{name: 1.0})
 
 
 def test_trajectory_csv_layout(tmp_path):
@@ -335,17 +336,17 @@ def test_trajectory_csv_under_missing_directory(tmp_path):
     assert list(tmp_path.rglob("*")) == []
 
 
-def test_last_resort_step_is_checked_for_finiteness():
+def test_last_resort_step_is_checked_for_finiteness(monkeypatch):
     # The full step stays finite but moves the guard past the cap; with no
     # splits allowed the half step is taken regardless, and its RK4 stage at
     # x = 0.25 lands in the band where the field is -inf.
     def drift(x):
         return np.array([-np.inf if 0.24 < x[0] < 0.26 else 1.0])
 
+    set_constants(monkeypatch, _GUARD_STEP_FRACTION=0.01, _MAX_STEP_SPLITS=0)
     dom = autonomous(drift, lambda x: float(x[0] + 10.0), 1)
-    cfg = IntegratorConfig(base_step=1.0, guard_step_fraction=0.01, max_step_splits=0)
     with pytest.raises(NonFinite):
-        flow_to_guard(dom, np.array([0.0]), np.zeros(0), cfg)
+        flow_to_guard(dom, np.array([0.0]), np.zeros(0), IntegratorConfig(base_step=1.0))
 
 
 def catalog_model(request, name):
@@ -361,13 +362,16 @@ def lifted(domain):
 
 # Long steps under a tight guard-change cap make members split their steps
 # differently, down to the last-resort half step.
-SPLITTING = IntegratorConfig(base_step=5e-2, guard_step_fraction=0.02, max_step_splits=1)
+SPLITTING = {"_GUARD_STEP_FRACTION": 0.02, "_MAX_STEP_SPLITS": 1}
 
 
 @pytest.mark.parametrize("splits", [False, True], ids=["base-steps", "split-steps"])
 @pytest.mark.parametrize("name", CATALOG + ("rebuilt",))
-def test_batch_members_match_solo_and_lifted_runs(request, name, splits, cfg_fast):
-    cfg = SPLITTING if splits else cfg_fast
+def test_batch_members_match_solo_and_lifted_runs(request, monkeypatch, name, splits, cfg_fast):
+    cfg = cfg_fast
+    if splits:
+        set_constants(monkeypatch, **SPLITTING)
+        cfg = IntegratorConfig(base_step=5e-2)
     model = catalog_model(request, name)
     rng = np.random.default_rng(7)
     for i, phase in enumerate(model.phases):
@@ -387,26 +391,27 @@ def test_batch_members_match_solo_and_lifted_runs(request, name, splits, cfg_fas
 
 def reference_flow(domain, x0, beta, cfg):
     """The one-member flow written as a plain scalar loop: accepted times
-    and states, the refined crossing last.  Checks are left out."""
+    and states, the refined crossing last.  Checks are left out.  The
+    integrator constants are read at call time, as the kernel reads them."""
     f = domain.vector_field(beta)
     h0 = float(domain.guard(x0))
     side = 1.0 if h0 > 0.0 else -1.0
     times, states = [0.0], [x0.copy()]
     t, x, h_val, h_lo, h_hi = 0.0, x0, h0, h0, h0
     while True:
-        step = min(cfg.base_step, cfg.max_phase_duration - t)
+        step = min(cfg.base_step, integrator._MAX_PHASE_DURATION - t)
         h_range = max(h_hi - h_lo, abs(h0))
-        for _ in range(cfg.max_step_splits + 1):
+        for _ in range(integrator._MAX_STEP_SPLITS + 1):
             x_next = rk4_step(f, x, step)
             h_next = float(domain.guard(x_next))
-            crossed = h_next * side < 0.0 or abs(h_next) <= cfg.guard_tol
-            if crossed or abs(h_next - h_val) <= cfg.guard_step_fraction * h_range:
+            crossed = h_next * side < 0.0 or abs(h_next) <= integrator._GUARD_TOL
+            if crossed or abs(h_next - h_val) <= integrator._GUARD_STEP_FRACTION * h_range:
                 break
             step *= 0.5
         else:
             x_next = rk4_step(f, x, step)
             h_next = float(domain.guard(x_next))
-        if h_next * side < 0.0 or abs(h_next) <= cfg.guard_tol:
+        if h_next * side < 0.0 or abs(h_next) <= integrator._GUARD_TOL:
             # Illinois regula falsi on the step fraction, to a 4-ulp bracket
             lo, hi, g_lo, g_hi = 0.0, step, side * h_val, side * h_next
             x_lo, x_hi, last = x, x_next, 0
@@ -436,11 +441,13 @@ def reference_flow(domain, x0, beta, cfg):
 
 
 @pytest.mark.parametrize(
-    "cfg",
-    [IntegratorConfig(base_step=5e-3), IntegratorConfig(base_step=2e-3), SPLITTING],
+    "base_step, constants",
+    [(5e-3, {}), (2e-3, {}), (5e-2, SPLITTING)],
     ids=["base-steps", "long-runs", "split-steps"],
 )
-def test_single_flow_equals_the_scalar_reference_loop(stable3, cfg):
+def test_single_flow_equals_the_scalar_reference_loop(stable3, monkeypatch, base_step, constants):
+    set_constants(monkeypatch, **constants)
+    cfg = IntegratorConfig(base_step=base_step)
     rng = np.random.default_rng(5)
     for i, phase in enumerate(stable3.phases):
         dom = lifted(stable3.system.domains[i])
@@ -456,23 +463,25 @@ def test_single_flow_equals_the_scalar_reference_loop(stable3, cfg):
 # Guards whose step changes outgrow the cap in the middle of a run: an
 # exponential approach (x' = x towards x = 1e3) and a growing spiral whose
 # guard value swings through its range many times before the crossing.
+# Both run under a guard-change cap of 5e-3 of the guard range.
 SPIRAL = np.array([[0.05, 1.0], [-1.0, 0.05]])
 ACCELERATING = {
     "exponential": (
         autonomous(lambda x: x, lambda x: float(x[0] - 1e3), 1),
         np.array([1.0]),
-        IntegratorConfig(base_step=1e-2, guard_step_fraction=5e-3),
+        IntegratorConfig(base_step=1e-2),
     ),
     "spiral": (
         autonomous(lambda x: SPIRAL @ x, lambda x: float(x[0] - 2.0), 2),
         np.array([1.0, 0.0]),
-        IntegratorConfig(base_step=2e-2, guard_step_fraction=5e-3),
+        IntegratorConfig(base_step=2e-2),
     ),
 }
 
 
 @pytest.mark.parametrize("name", ACCELERATING)
-def test_runs_under_a_changing_guard_rate_equal_the_scalar_reference_loop(name):
+def test_runs_under_a_changing_guard_rate_equal_the_scalar_reference_loop(monkeypatch, name):
+    set_constants(monkeypatch, _GUARD_STEP_FRACTION=5e-3)
     dom, x0, cfg = ACCELERATING[name]
     times, states = reference_flow(dom, x0, np.zeros(0), cfg)
     traj = flow_to_guard(dom, x0, np.zeros(0), cfg)
@@ -481,12 +490,13 @@ def test_runs_under_a_changing_guard_rate_equal_the_scalar_reference_loop(name):
     assert np.array_equal(traj.states, states)
 
 
-def test_runs_stop_at_the_phase_duration_cap(rk4_calls):
+def test_runs_stop_at_the_phase_duration_cap(monkeypatch, rk4_calls):
     # The jump guard keeps g = 1 until x1 = 0.5, so its rate reads 0 and
     # runs take the most steps; none may step past the cap at t = 0.45.
+    set_constants(monkeypatch, _MAX_PHASE_DURATION=0.45)
     dom = autonomous(lambda x: np.array([1.0]), jump_guard, 1)
     with pytest.raises(NoCrossing):
-        flow_to_guard(dom, np.array([0.0]), np.zeros(0), IntegratorConfig(max_phase_duration=0.45))
+        flow_to_guard(dom, np.array([0.0]), np.zeros(0), IntegratorConfig())
     assert len(rk4_calls) <= 46
 
 
@@ -550,11 +560,10 @@ BAD_MEMBERS = {
 
 @pytest.mark.parametrize("batched", [True, False], ids=["batch-callables", "lifted"])
 @pytest.mark.parametrize("case", BAD_MEMBERS)
-def test_one_bad_member_fails_the_batch_like_a_solo_run(case, batched):
+def test_one_bad_member_fails_the_batch_like_a_solo_run(monkeypatch, case, batched):
+    set_constants(monkeypatch, _GUARD_TOL=1e-14, _MIN_PHASE_DURATION=1e-2, _MAX_PHASE_DURATION=5.0)
     system = velocity_system(batched)
-    cfg = IntegratorConfig(
-        base_step=1e-2, guard_tol=1e-14, min_phase_duration=1e-2, max_phase_duration=5.0
-    )
+    cfg = IntegratorConfig(base_step=1e-2)
     y_bad, beta_bad, error = BAD_MEMBERS[case]
     y = np.array([[0.5], [1.0], [y_bad], [1.5]])
     betas = np.array([[1.0, 0.0], [2.0, 0.0], beta_bad, [0.5, 0.0]])
