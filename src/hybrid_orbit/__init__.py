@@ -15,10 +15,8 @@ from .integrator import (
     NoCrossing,
     NonFinite,
     NonTransversal,
-    PhaseTrajectory,
-    flow_to_guard,
+    flow_batch,
     simulate_cycle,
-    write_trajectory_csv,
 )
 from .model import (
     Domain,

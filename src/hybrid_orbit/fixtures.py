@@ -605,11 +605,10 @@ def _assemble(profile: str, linear_phases: tuple[LinearPhase, ...]) -> Synthetic
                 drift=lambda x, m=ph.drift: m @ x,
                 input_map=lambda x, g=ph.input_map: g,
                 controller=lambda x, beta, w=ph.beta_coupling: w @ beta,
-                guard=lambda x, n=ph.guard_normal, d=ph.guard_offset: float(n @ x - d),
+                guard=lambda x, n=ph.guard_normal, d=ph.guard_offset: (x * n).sum(axis=1) - d,
                 reset=lambda x, r=ph.reset: r @ x,
                 exit_chart=affine_section_chart(ph.guard_normal, ph.guard_offset),
                 batch_field=_linear_batch_field(ph.drift, ph.input_map @ ph.beta_coupling),
-                batch_guard=lambda x, n=ph.guard_normal, d=ph.guard_offset: (x * n).sum(axis=1) - d,
             )
         )
     return SyntheticModel(

@@ -1,6 +1,6 @@
 """Fixed-step RK4 phase integration with guard-event detection.
 
-A phase flow runs until the scalar exit guard first changes sign, then the
+A phase flow runs until the exit guard first changes sign, then the
 crossing is located by regula falsi on the fraction of the final step, to
 a few ulps of the step (Shampine & Thompson, "Event location for ordinary
 differential equations", 2000).  Identical inputs produce bit-identical
@@ -19,22 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonio import _dump_csv
-from .model import Domain, FeedbackLaw, MultiDomainSystem, row_map
+from .model import Domain, FeedbackLaw, MultiDomainSystem
 from .numerics import central_difference
 
 __all__ = [
     "IntegratorConfig",
-    "PhaseTrajectory",
     "IntegrationError",
     "NoCrossing",
     "NonTransversal",
     "Chattering",
     "NonFinite",
     "rk4_step",
-    "flow_to_guard",
+    "flow_batch",
     "simulate_cycle",
-    "write_trajectory_csv",
 ]
 
 
@@ -97,16 +94,6 @@ class IntegratorConfig:
             raise ValueError("base_step must be finite and positive")
 
 
-@dataclass
-class PhaseTrajectory:
-    """One phase flow: accepted steps plus the refined guard crossing."""
-
-    times: np.ndarray
-    states: np.ndarray
-    exit_state: np.ndarray
-    exit_time: float
-
-
 def rk4_step(f, x: np.ndarray, h: float | np.ndarray) -> np.ndarray:
     """One classical RK4 step.  x may be a (B, m) stack of states, with h a
     shared float or a (B, 1) column of per-member steps."""
@@ -117,50 +104,27 @@ def rk4_step(f, x: np.ndarray, h: float | np.ndarray) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def flow_to_guard(
-    domain: Domain,
-    x0: np.ndarray,
-    beta: np.ndarray,
-    cfg: IntegratorConfig,
-) -> PhaseTrajectory:
-    """Integrate one phase until the exit guard is crossed.
-
-    The start state must lie strictly off the guard; the side of the guard
-    at t = 0 defines the approach side.  A sign change (or a guard value
-    already inside tolerance) ends the flow, and regula falsi locates the
-    crossing inside the final step.  Crossings earlier than the minimum
-    phase duration, absent crossings, non-transversal exits and state
-    blow-up all raise distinct errors rather than returning a wrong
-    trajectory.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    times, states = [], []
-    x_exit, t_exit = flow_batch(domain, x0[None], beta[None], cfg, (times, states))
-    return PhaseTrajectory(
-        times=np.array(times),
-        states=np.array(states),
-        exit_state=x_exit[0],
-        exit_time=float(t_exit[0]),
-    )
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def flow_batch(
     domain: Domain,
     x0: np.ndarray,
     betas: np.ndarray,
     cfg: IntegratorConfig,
-    record: tuple[list, list] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate B members of one phase in lockstep to their guard crossings.
 
-    Row b of the (B, m) stack x0 flows with betas[b] held fixed.  Every
-    member follows the flow_to_guard algorithm on its own: its own step and
-    step splits, its own crossing location and its own checks.  If any
-    member fails, its typed error is raised and nothing is returned.  The
-    result is the (B, m) exit states and the (B,) exit times.  With record,
-    a single member's accepted times and states are appended to the two
-    lists, the exit row last.
+    Row b of the (B, m) stack x0 flows with betas[b] held fixed; a single
+    flow is the one-member stack x0[None], betas[None].  Every start state
+    must lie strictly off the guard, and the side of the guard at t = 0 is
+    the member's approach side.  A sign change, or a guard value already
+    inside tolerance, ends a member's flow, and regula falsi locates the
+    crossing inside its final step.  Each member has its own step and step
+    splits, its own crossing location and its own checks.  Crossings
+    earlier than the minimum phase duration, absent crossings,
+    non-transversal exits and state blow-up raise distinct typed errors;
+    if any member fails, its error is raised and nothing is returned.  An
+    overflowing state raises NonFinite, not a floating-point warning.  The
+    result is the (B, m) exit states and the (B,) exit times.
 
     A member has crossed once past the guard or within _GUARD_TOL = 1e-10
     of it.  A crossing before _MIN_PHASE_DURATION = 1e-6 raises Chattering,
@@ -190,9 +154,7 @@ def flow_batch(
         raise ValueError(
             f"parameter stack has shape {betas.shape}, expected ({n_members}, {domain.param_dim})"
         )
-    if record is not None and n_members != 1:
-        raise ValueError("only a single member can record its trajectory")
-    guard = domain.batch_guard or row_map(domain.guard)
+    guard = domain.guard
     h0 = guard(x)
     if np.any(np.abs(h0) <= _GUARD_TOL + _guard_floor(guard, x)):
         raise ValueError("start state lies on the guard; a phase needs an interior start")
@@ -208,9 +170,6 @@ def flow_batch(
     f = _batch_field(domain, betas)
     x_out = np.empty_like(x)
     t_out = np.empty(n_members)
-    if record is not None:
-        record[0].append(0.0)
-        record[1].append(x[0].copy())
 
     t_lead = 0.0  # the largest member time
     rate = None  # the largest guard change of the last step; None after a split or a crossing
@@ -269,9 +228,6 @@ def flow_batch(
                 )
                 x_out[members[rows]] = x_exit
                 t_out[members[rows]] = t_exit
-                if record is not None:
-                    record[0].append(float(t_exit[0]))
-                    record[1].append(x_exit[0].copy())
                 keep = ~crossed
                 members = members[keep]
                 if not members.size:
@@ -292,9 +248,6 @@ def flow_batch(
         # lead time is the largest member time.
         times = np.add.accumulate(np.vstack([t, np.full((n_ok, t.size), dt)]))[1:]
         t, t_lead = times[-1], float(times[-1].max())
-        if record is not None:
-            record[0].extend(times[:, 0].tolist())
-            record[1].extend(xs[:n_ok, 0].copy())
     return x_out, t_out
 
 
@@ -448,8 +401,8 @@ def section_step(
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             x_plus = np.array([prev.reset(entry_chart.embed(y)) for y in np.asarray(x_section, dtype=float)])
-            _raise_non_finite(x_plus, np.zeros(x_plus.shape[0]))
-            x_exit, t_exit = flow_batch(dom, x_plus, betas, cfg)
+        _raise_non_finite(x_plus, np.zeros(x_plus.shape[0]))
+        x_exit, t_exit = flow_batch(dom, x_plus, betas, cfg)
     except IntegrationError as exc:
         exc.phase = i % n
         exc.args = (f"phase {i % n}: {exc.args[0]}",) + exc.args[1:]
@@ -500,9 +453,3 @@ def _check_law(system: MultiDomainSystem, law: FeedbackLaw) -> None:
         if ref.shape != (k,):
             raise ValueError(f"reference point of gain {i} has shape {ref.shape}, expected ({k},)")
 
-
-def write_trajectory_csv(traj: PhaseTrajectory, path) -> None:
-    """Write a phase trajectory as t,x1,...,xm with the exit row last."""
-    header = ["t"] + [f"x{j + 1}" for j in range(traj.states.shape[1])]
-    rows = [[repr(float(v)) for v in (t, *x)] for t, x in zip(traj.times, traj.states)]
-    _dump_csv([header] + rows, path)

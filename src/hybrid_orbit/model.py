@@ -1,7 +1,7 @@
 """Multi-domain cyclic hybrid systems with parameterized phase controllers.
 
 A system is an ordered ring of N domains executed 1 -> 2 -> ... -> N -> 1.
-Each domain owns a continuous flow x' = f(x) + g(x) u, a scalar exit guard
+Each domain owns a continuous flow x' = f(x) + g(x) u, an exit guard
 whose zero set is the switching surface into the next domain, a reset map
 applied at the crossing, and a controller u = Gamma(x, beta) parameterized
 by a vector beta that event-triggered feedback freezes at phase entry.
@@ -11,7 +11,6 @@ callable must be pure: section maps and their finite-difference Jacobians
 are evaluated repeatedly at nearby points and must give repeatable results.
 """
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -53,19 +52,20 @@ class SectionChart:
 class Domain:
     """One continuous phase and its exit transition.
 
-    batch_field and batch_guard are optional stacked forms of the closed
-    phase field and the guard.  batch_field(betas) takes a (B, param_dim)
-    parameter stack and returns a map from a (B, state_dim) state stack to
-    the (B, state_dim) field rows, row b held at betas[b]; batch_guard maps
-    a state stack to the (B,) guard values.  They must agree row by row
-    with the scalar callables.  Without them, batched integration applies
-    the scalar callables one row at a time.
+    guard maps a (B, state_dim) state stack to its (B,) guard values; a
+    single state x is the stack x[None].  batch_field is an optional
+    stacked form of the closed phase field: batch_field(betas) takes a
+    (B, param_dim) parameter stack and returns a map from a
+    (B, state_dim) state stack to the (B, state_dim) field rows, row b
+    held at betas[b].  It must agree row by row with drift, input_map
+    and controller; without it, batched integration applies those one
+    row at a time.
 
-    When present they take precedence over the scalar callables, and
-    dataclasses.replace copies them unchanged: replace(d, drift=f) keeps
-    the old batch_field, which then silently integrates the old field.
-    Clear them with the change, as in
-    replace(d, drift=f, batch_field=None, batch_guard=None).
+    When present batch_field takes precedence over the scalar field
+    callables, and dataclasses.replace copies it unchanged:
+    replace(d, drift=f) keeps the old batch_field, which then silently
+    integrates the old field.  Clear it with the change, as in
+    replace(d, drift=f, batch_field=None).
     """
 
     state_dim: int
@@ -74,11 +74,10 @@ class Domain:
     drift: Callable[[np.ndarray], np.ndarray]
     input_map: Callable[[np.ndarray], np.ndarray]
     controller: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    guard: Callable[[np.ndarray], float]
+    guard: Callable[[np.ndarray], np.ndarray]
     reset: Callable[[np.ndarray], np.ndarray]
     exit_chart: SectionChart | None = None
     batch_field: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]] | None = None
-    batch_guard: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.state_dim < 1:
@@ -112,7 +111,7 @@ def row_map(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np
 
 def guard_gradient(domain: Domain, x: np.ndarray) -> np.ndarray:
     """Central finite-difference gradient of the exit guard at x."""
-    return central_difference(row_map(domain.guard), x, _GRAD_STEP)[0]
+    return central_difference(domain.guard, x, _GRAD_STEP)[0]
 
 
 @dataclass(frozen=True)
@@ -175,13 +174,12 @@ class FeedbackLaw:
 
     The deviation is measured in reduced section coordinates on entry into
     phase i, before the reset is applied, and beta_i is held constant for
-    the remainder of the phase.  trust_radius only triggers a warning; the
-    admissible-parameter set is otherwise treated as unbounded.
+    the remainder of the phase.  The admissible-parameter set is treated
+    as unbounded.
     """
 
     gains: tuple[np.ndarray, ...]
     orbit: PeriodicOrbit
-    trust_radius: float = float("inf")
 
     def __post_init__(self):
         object.__setattr__(
@@ -194,15 +192,7 @@ class FeedbackLaw:
         n = len(self.gains)
         gain = self.gains[i % n]
         ref = self.orbit.fixed_points[(i - 1) % n]
-        value = -gain @ (np.asarray(x_section, dtype=float) - ref)
-        if np.max(np.abs(value), initial=0.0) > self.trust_radius:
-            warnings.warn(
-                f"phase {i % n}: |beta| = {np.max(np.abs(value)):.3e} exceeds the "
-                f"trust radius {self.trust_radius:.3e}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return value
+        return -gain @ (np.asarray(x_section, dtype=float) - ref)
 
 
 @dataclass
@@ -315,7 +305,7 @@ def chart_from_guard(domain: Domain, x_ref: np.ndarray) -> SectionChart:
         x[keep] = y
         x[j] = x_ref_j
         for _ in range(50):
-            h_val = domain.guard(x)
+            h_val = domain.guard(x[None])[0]
             if abs(h_val) <= 1e-12:
                 return x
             slope = guard_gradient(domain, x)[j]

@@ -24,7 +24,7 @@ def make_domain(controller, param_dim=2, guard=None):
         drift=lambda x: np.array([1.0, -0.5 * x[1]]),
         input_map=lambda x: np.array([[0.0], [1.0]]),
         controller=controller,
-        guard=guard or (lambda x: float(x[0] - 1.0)),
+        guard=guard or (lambda X: X[:, 0] - 1.0),
         reset=lambda x: x,
     )
 
@@ -109,7 +109,7 @@ def test_zero_param_domain_trivially_passes():
         drift=lambda x: np.array([1.0]),
         input_map=lambda x: np.zeros((1, 0)),
         controller=lambda x, beta: np.zeros(0),
-        guard=lambda x: float(x[0] - 1.0),
+        guard=lambda X: X[:, 0] - 1.0,
         reset=lambda x: x,
     )
     assert validate_c1_c2(dom, [np.zeros(1)]).passed
@@ -143,14 +143,14 @@ def test_chart_from_guard_nonlinear():
         drift=lambda x: np.array([1.0, 0.0]),
         input_map=lambda x: np.zeros((2, 0)),
         controller=lambda x, beta: np.zeros(0),
-        guard=lambda x: float(x[1] ** 3 + x[1] - x[0]),
+        guard=lambda X: X[:, 1] ** 3 + X[:, 1] - X[:, 0],
         reset=lambda x: x,
     )
     x_ref = np.array([2.0, 1.0])  # guard(x_ref) = 0
     chart = chart_from_guard(dom, x_ref)
     for y in (np.array([2.0]), np.array([1.5]), np.array([2.4])):
         x = chart.embed(y)
-        assert abs(dom.guard(x)) < 1e-10
+        assert abs(dom.guard(x[None])[0]) < 1e-10
         assert np.max(np.abs(chart.project(x) - y)) < 1e-12
 
 
@@ -168,11 +168,14 @@ def test_periodic_orbit_validation():
 
 def test_feedback_law_beta_and_trust_radius():
     orbit = PeriodicOrbit(fixed_points=(np.zeros(2), np.ones(2)), phase_durations=(1.0, 1.0))
-    law = FeedbackLaw(gains=(np.eye(2), np.eye(2)), orbit=orbit, trust_radius=0.5)
+    law = FeedbackLaw(gains=(np.eye(2), np.eye(2)), orbit=orbit)
     beta = law.beta(0, np.array([1.2, 1.0]))  # deviation measured from section 1 point
     assert np.allclose(beta, [-0.2, 0.0])
-    with pytest.warns(RuntimeWarning, match="trust radius"):
-        law.beta(0, np.array([3.0, 1.0]))
+    # The parameter set is unbounded: a large beta is returned, unwarned.
+    assert np.allclose(law.beta(0, np.array([3.0, 1.0])), [-2.0, 0.0])
+    # The trust radius is gone, not an option.
+    with pytest.raises(TypeError):
+        FeedbackLaw(gains=(np.eye(2), np.eye(2)), orbit=orbit, trust_radius=0.5)
 
 
 def test_simulate_cycle_validates_gain_shapes(stable2, cfg_fast):

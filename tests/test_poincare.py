@@ -244,6 +244,37 @@ def test_newton_jacobians_match_phase_jacobians_bit_for_bit(name, kick):
         assert np.array_equal(newton.F, measured.F)
 
 
+def test_pass_through_callables_leave_the_orbit_unchanged(stable3):
+    # bench/tracing.py counts work by rebuilding every domain with its five
+    # callables wrapped through dataclasses.replace.  Wrappers that only
+    # pass their calls on must see the kernel's guard calls and give the
+    # same orbit and Jacobians bit for bit.
+    names = ("drift", "input_map", "controller", "guard", "reset")
+    calls = dict.fromkeys(names, 0)
+
+    def passing(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    wrapped = replace(stable3.system, domains=tuple(
+        replace(dom, **{name: passing(name, getattr(dom, name)) for name in names})
+        for dom in stable3.system.domains
+    ))
+    cfg = IntegratorConfig(base_step=2e-3)
+    start = stable3.orbit.fixed_points[-1] + 1e-3 * np.array([0.6, -0.8])
+    orbit, jacs = orbit_and_jacobians(stable3.system, start, cfg)
+    orbit_w, jacs_w = orbit_and_jacobians(wrapped, start, cfg)
+    assert calls["guard"] > 0 and calls["reset"] > 0
+    assert all(np.array_equal(a, b) for a, b in zip(orbit.fixed_points, orbit_w.fixed_points))
+    assert orbit.phase_durations == orbit_w.phase_durations
+    for plain, traced in zip(jacs, jacs_w, strict=True):
+        assert np.array_equal(plain.A, traced.A)
+        assert np.array_equal(plain.F, traced.F)
+
+
 _KICKS = [1e-3 * np.array([np.cos(a), np.sin(a)]) for a in 2 * np.pi * np.arange(8) / 8]
 
 
@@ -297,7 +328,7 @@ def _escape_prone_system():
         drift=lambda x: np.array([x[0], -0.3 * x[1], -0.4 * x[2]]),
         input_map=lambda x: np.zeros((3, 0)),
         controller=lambda x, beta: np.zeros(0),
-        guard=lambda x: float(x[0] - 1.0),
+        guard=lambda X: X[:, 0] - 1.0,
         reset=lambda x: x.copy(),
         exit_chart=affine_section_chart(np.array([1.0, 0.0, 0.0]), 1.0),
     )
@@ -308,7 +339,7 @@ def _escape_prone_system():
         drift=lambda x: np.array([-0.5, 0.0, 0.0]),
         input_map=lambda x: np.zeros((3, 0)),
         controller=lambda x, beta: np.zeros(0),
-        guard=lambda x: float(x[0] - 0.25),
+        guard=lambda X: X[:, 0] - 0.25,
         reset=lambda x: np.array([x[0] * (1.0 - 4.0 * x[1] ** 2), x[1], x[2]]),
         exit_chart=affine_section_chart(np.array([1.0, 0.0, 0.0]), 0.25),
     )
@@ -337,7 +368,7 @@ def test_single_domain_cycle():
         drift=lambda x: np.array([1.0, -0.3 * x[1], 0.2 * x[2]]),
         input_map=lambda x: np.zeros((3, 0)),
         controller=lambda x, beta: np.zeros(0),
-        guard=lambda x: float(normal @ x - 1.0),
+        guard=lambda X: X @ normal - 1.0,
         reset=lambda x: reset @ x,
         exit_chart=affine_section_chart(normal, 1.0),
     )
@@ -366,7 +397,7 @@ def test_translation_phase_jacobian_by_hand():
                 drift=lambda x, c=c: c,
                 input_map=lambda x: np.zeros((3, 0)),
                 controller=lambda x, beta: np.zeros(0),
-                guard=lambda x, n=n, d=d: float(n @ x - d),
+                guard=lambda X, n=n, d=d: X @ n - d,
                 reset=lambda x: x.copy(),
                 exit_chart=affine_section_chart(n, d),
             )
