@@ -88,24 +88,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _add_integrator_flags(sub_parser) -> None:
     sub_parser.add_argument("--base-step", type=float, default=IntegratorConfig.base_step,
                             help="integrator base step (default %(default)g)")
-    sub_parser.add_argument("--fd-step", type=float, default=1e-5,
-                            help="finite-difference step scale")
-
-
-def _integrator_config(args) -> IntegratorConfig:
-    # Checked here so that the error names --fd-step and comes before the
-    # catalog loads.
-    if not (np.isfinite(args.fd_step) and args.fd_step > 0.0):
-        raise FormatError("--fd-step must be finite and positive")
-    return IntegratorConfig(base_step=args.base_step)
 
 
 def _cmd_analyze(args) -> int:
-    cfg = _integrator_config(args)
+    cfg = IntegratorConfig(base_step=args.base_step)
     model = fixtures.from_catalog(args.system)
-    orbit, jacs = orbit_and_jacobians(
-        model.system, model.orbit.fixed_points[-1], cfg, fd_scale=args.fd_step
-    )
+    orbit, jacs = orbit_and_jacobians(model.system, model.orbit.fixed_points[-1], cfg)
     product = compose_jacobians(jacs)
     doc = {
         "system": args.system,
@@ -234,11 +222,9 @@ def _cmd_simulate(args) -> int:
         raise FormatError("--cycles must be nonnegative")
     if not np.isfinite(args.perturb):
         raise FormatError("--perturb must be finite")
-    cfg = _integrator_config(args)
+    cfg = IntegratorConfig(base_step=args.base_step)
     model = fixtures.from_catalog(args.system)
-    orbit, jacs = orbit_and_jacobians(
-        model.system, model.orbit.fixed_points[-1], cfg, fd_scale=args.fd_step
-    )
+    orbit, jacs = orbit_and_jacobians(model.system, model.orbit.fixed_points[-1], cfg)
     law = None
     if args.method != "none":
         gains = _synthesize_gains(jacs, args.method)

@@ -329,7 +329,7 @@ class SyntheticModel:
             prev = (i - 1) % n_domains
             a_i = geo.project @ geo.saltation @ geo.flow @ self.phases[prev].reset @ self._geometry[prev].embed
             f_i = geo.project @ geo.saltation @ (geo.response @ ph.beta_coupling)
-            jacobians.append(PhaseJacobians(phase_index=i, A=a_i, F=f_i, fd_step=0.0))
+            jacobians.append(PhaseJacobians(phase_index=i, A=a_i, F=f_i))
         return tuple(jacobians)
 
     @cached_property

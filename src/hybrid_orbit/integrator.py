@@ -15,6 +15,7 @@ one guard call on all the run's states stacked.  Each step is tested as
 one-at-a-time stepping would test it, so the runs change no result.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,13 +86,16 @@ _MAX_STEP_SPLITS = 6
 @dataclass(frozen=True)
 class IntegratorConfig:
     """The RK4 base step.  The tolerances are module constants, _GUARD_TOL
-    to _MAX_STEP_SPLITS (see flow_batch)."""
+    to _MAX_STEP_SPLITS (see flow_batch).  A step too small to change 50,
+    below about 3.6e-15, could never reach _MAX_PHASE_DURATION."""
 
     base_step: float = 1e-2
 
     def __post_init__(self):
         if not (np.isfinite(self.base_step) and self.base_step > 0.0):
             raise ValueError("base_step must be finite and positive")
+        if _MAX_PHASE_DURATION + self.base_step == _MAX_PHASE_DURATION:
+            raise ValueError(f"base_step {self.base_step:g} is too small to reach {_MAX_PHASE_DURATION:g}")
 
 
 def rk4_step(f, x: np.ndarray, h: float | np.ndarray) -> np.ndarray:
@@ -128,10 +132,13 @@ def flow_batch(
 
     A member has crossed once past the guard or within _GUARD_TOL = 1e-10
     of it.  A crossing before _MIN_PHASE_DURATION = 1e-6 raises Chattering,
-    none by _MAX_PHASE_DURATION = 50 NoCrossing, and an exit guard rate of
-    at most _TRANSVERSALITY_TOL = 1e-8 NonTransversal.  A step moving the
-    guard by more than _GUARD_STEP_FRACTION = 0.25 of its range so far is
-    halved, at most _MAX_STEP_SPLITS = 6 times, the last half taken as is.
+    and an exit guard rate of at most _TRANSVERSALITY_TOL = 1e-8
+    NonTransversal.  Every step is a whole base step unless it splits: a
+    step moving the guard by more than _GUARD_STEP_FRACTION = 0.25 of its
+    range so far is halved, at most _MAX_STEP_SPLITS = 6 times, the last
+    half taken as is.  Once the lead member time reaches
+    _MAX_PHASE_DURATION = 50 with a member still uncrossed, NoCrossing is
+    raised, so the last step ends at or past 50.
 
     Base steps go in guard-bounded runs of up to 32 RK4 steps back to
     back, and of no more than (min g - _GUARD_TOL) / (2 |dg|) steps, where
@@ -141,11 +148,11 @@ def flow_batch(
     finiteness check and one guard call on the stacked (L B, m) states test
     the whole run, each step against the guard-change cap at the run's
     start; caps only grow, so that is a lower bound of every later cap.
-    The passing steps are accepted and the test resumes at the first
-    failing step under the updated cap.  A step that fails at its exact
-    cap splits or crosses as a lone step would, and the rest of the run is
-    dropped.  Runs take the same steps as one-at-a-time stepping, so
-    trajectories, exits and errors are the same bit for bit.
+    The passing steps are accepted and the rest of the run is dropped: the
+    first failing step opens the next run, where it is tested at its exact
+    cap.  A step that fails there splits or crosses as a lone step would.
+    Runs take the same steps as one-at-a-time stepping, so trajectories,
+    exits and errors are the same bit for bit.
     """
     x = np.array(x0, dtype=float)
     betas = np.asarray(betas, dtype=float)
@@ -173,25 +180,16 @@ def flow_batch(
 
     t_lead = 0.0  # the largest member time
     rate = None  # the largest guard change of the last step; None after a split or a crossing
-    ahead = None  # steps a run took past the last accepted one: states, and guard values while finite
     while members.size:
         if t_lead >= _MAX_PHASE_DURATION:
             raise NoCrossing(f"guard not reached within max phase duration {_MAX_PHASE_DURATION}")
-        if _MAX_PHASE_DURATION - t_lead >= cfg.base_step:
-            dt = step = cfg.base_step  # one float step while every member takes the base step
-            if ahead is None:
-                ahead = _run(f, guard, x, step, side, _run_length(rate, g_val, t_lead, cfg))
-        else:
-            dt = np.minimum(cfg.base_step, _MAX_PHASE_DURATION - t)
-            step = dt[:, None]
-            ahead = _run(f, guard, x, step, side, 1)
-        xs, g = ahead
+        dt = cfg.base_step
+        xs, g = _run(f, guard, x, dt, side, _run_length(rate, g_val, t_lead, cfg))
         dg = np.abs(g - np.concatenate([g_val[None], g[:-1]]))
         passed = ((g > _GUARD_TOL) & (dg <= cap)).all(axis=1)
         n_ok = g.shape[0] if passed.all() else int(np.argmin(passed))
 
         if n_ok:
-            ahead = (xs[n_ok:], g[n_ok:]) if n_ok < xs.shape[0] else None
             rate = float(dg[n_ok - 1].max())
         elif not g.shape[0]:
             _raise_non_finite(xs[0], t)
@@ -200,8 +198,8 @@ def flow_batch(
             # crossed, or changed its guard by more than the cap and splits
             # its step.  The rest of the run is dropped.
             x_next, g_next = xs[0], g[0]
-            ahead = rate = None
-            step = np.broadcast_to(step, (x.shape[0], 1)).copy()
+            rate = None
+            step = np.full((x.shape[0], 1), dt)
             pending = ~((g_next <= _GUARD_TOL) | (np.abs(g_next - g_val) <= cap))
             for split in range(_MAX_STEP_SPLITS + 1):
                 if not pending.any():
@@ -253,17 +251,13 @@ def flow_batch(
 
 def _run_length(rate, g_val, t_lead, cfg) -> int:
     """Base steps in the next run: one while the guard rate is unknown, else
-    at most _MAX_RUN and (min g - _GUARD_TOL) / (2 rate), and no further than
-    the last step that leaves a whole base step before _MAX_PHASE_DURATION."""
+    at most _MAX_RUN and (min g - _GUARD_TOL) / (2 rate), and no more than
+    the ceil((_MAX_PHASE_DURATION - t_lead) / base_step) that reach the cap."""
     if rate is None:
         return 1
     room = float(g_val.min()) - _GUARD_TOL
     n = _MAX_RUN if 2.0 * rate * _MAX_RUN <= room else max(1, int(room / (2.0 * rate)))
-    for k in range(1, n):
-        t_lead += cfg.base_step
-        if _MAX_PHASE_DURATION - t_lead < cfg.base_step:
-            return k
-    return n
+    return min(n, math.ceil((_MAX_PHASE_DURATION - t_lead) / cfg.base_step))
 
 
 def _run(f, guard, x, step, side, n):

@@ -95,8 +95,9 @@ def dump_json(obj, path) -> None:
 
 
 def _json_text(obj) -> str:
-    """The one JSON serialization: sorted keys, two-space indent, final newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The one JSON serialization: sorted keys, two-space indent, final
+    newline.  A non-finite number raises ValueError: it is not JSON."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _atomic_write(path, text: str) -> None:

@@ -49,13 +49,17 @@ def eigenvalues(m) -> np.ndarray:
 
     Returned as a complex array sorted by descending magnitude (ties broken
     by real part, then imaginary part) so repeated calls give identical
-    orderings.  For real input the set is closed under conjugation.
+    orderings.  For real input the set is closed under conjugation.  An
+    eigenvalue that overflows, as for entries near the float limit, raises
+    NumericsError.
     """
     m = _require_square(m, "eigenvalues")
     try:
         vals = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"eigenvalue iteration did not converge: {exc}") from exc
+    if not np.isfinite(vals).all():
+        raise NumericsError("eigenvalues of a finite matrix overflowed")
     order = np.lexsort((vals.imag, vals.real, -np.abs(vals)))
     return vals[order]
 

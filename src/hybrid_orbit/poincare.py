@@ -42,6 +42,8 @@ _NEWTON_MAX_DAMPING = 8
 _DAMPING = tuple(0.5**j for j in range(_NEWTON_MAX_DAMPING + 1))
 _EXTRAPOLATED = (2.0,) + _DAMPING
 _SINGULAR_RATIO = (0.2, 0.3)
+# The relative central-difference step of every phase Jacobian.
+_FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -49,14 +51,12 @@ class PhaseJacobians:
     """Per-phase section-map sensitivities in reduced chart coordinates.
 
     A is the state sensitivity at the entry fixed point with beta = 0;
-    F is the parameter sensitivity at beta = 0.  fd_step records the base
-    finite-difference step used (0 for analytically built Jacobians).
+    F is the parameter sensitivity at beta = 0.
     """
 
     phase_index: int
     A: np.ndarray
     F: np.ndarray
-    fd_step: float = 0.0
 
 
 def partial_map(
@@ -85,13 +85,13 @@ def _phase_step(
     i: int,
     x: np.ndarray,
     cfg: IntegratorConfig,
-    fd_scale: float,
 ) -> tuple[np.ndarray, float, PhaseJacobians]:
     """Phase-i leg from entry point x at beta = 0 and its Jacobians.
 
-    The undisturbed member and the 2 (k + p) central-difference members,
-    state and parameter together, are integrated as one batch.  Returns the
-    undisturbed exit point and duration, and A_i, F_i at x.
+    The undisturbed member and the 2 (k + p) central-difference members of
+    relative step _FD_STEP, state and parameter together, are integrated as
+    one batch.  Returns the undisturbed exit point and duration, and A_i,
+    F_i at x.
     """
     k = x.size
     z0 = np.concatenate([x, np.zeros(system.domain(i).param_dim)])
@@ -103,20 +103,19 @@ def _phase_step(
         center[:] = y[0], durations[0]
         return y[1:]
 
-    jac = central_difference(members, z0, fd_scale)
-    return *center, PhaseJacobians(phase_index=i, A=jac[:, :k], F=jac[:, k:], fd_step=fd_scale)
+    jac = central_difference(members, z0, _FD_STEP)
+    return *center, PhaseJacobians(phase_index=i, A=jac[:, :k], F=jac[:, k:])
 
 
 def phase_jacobians(
     system: MultiDomainSystem,
     orbit: PeriodicOrbit,
     cfg: IntegratorConfig,
-    fd_scale: float = 1e-5,
 ) -> list[PhaseJacobians]:
     """State and parameter Jacobians for every phase of the cycle, one
     batch per phase."""
     return [
-        _phase_step(system, i, orbit.fixed_points[i - 1], cfg, fd_scale)[2]
+        _phase_step(system, i, orbit.fixed_points[i - 1], cfg)[2]
         for i in range(system.n_domains)
     ]
 
@@ -144,7 +143,6 @@ def orbit_and_jacobians(
     system: MultiDomainSystem,
     x_guess: np.ndarray,
     cfg: IntegratorConfig,
-    fd_scale: float = 1e-5,
 ) -> tuple[PeriodicOrbit, list[PhaseJacobians]]:
     """Newton refinement of a return-map fixed point and the per-phase
     Jacobians at it.
@@ -159,7 +157,7 @@ def orbit_and_jacobians(
     durations are those of the pass that gave the converged residual,
     except that the last fixed point is the converged x itself rather than
     its image return_map(x).  The Jacobians are that pass's too, so they
-    equal phase_jacobians(system, orbit, cfg, fd_scale) bit for bit.  A
+    equal phase_jacobians(system, orbit, cfg) bit for bit.  A
     FixedPointError for a stall or no convergence gives the residual and
     sigma_min(DP - I) at the last accepted point.
 
@@ -180,9 +178,9 @@ def orbit_and_jacobians(
     """
 
     def one_pass(x):
-        legs = [_phase_step(system, 0, x, cfg, fd_scale)]
+        legs = [_phase_step(system, 0, x, cfg)]
         for i in range(1, system.n_domains):
-            legs.append(_phase_step(system, i, legs[-1][0], cfg, fd_scale))
+            legs.append(_phase_step(system, i, legs[-1][0], cfg))
         points, durations, jacs = zip(*legs)
         return points[-1] - x, PeriodicOrbit(points[:-1] + (x,), durations), list(jacs)
 
@@ -233,7 +231,6 @@ def refine_fixed_point(
     system: MultiDomainSystem,
     x_guess: np.ndarray,
     cfg: IntegratorConfig,
-    fd_scale: float = 1e-5,
 ) -> PeriodicOrbit:
     """The periodic orbit of orbit_and_jacobians, without its Jacobians."""
-    return orbit_and_jacobians(system, x_guess, cfg, fd_scale)[0]
+    return orbit_and_jacobians(system, x_guess, cfg)[0]

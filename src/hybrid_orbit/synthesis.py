@@ -151,7 +151,9 @@ def symmetric_matrix_gains(jacs, m_sym: np.ndarray | None = None) -> GainSet:
         raise ValueError("target matrix must have spectral radius below one")
 
     gains, residuals = [], []
-    for a, f in pairs:
+    for idx, (a, f) in enumerate(pairs):
+        if a.shape != m_sym.shape:
+            raise ValueError(f"phase {idx}: A has shape {a.shape}, the target {m_sym.shape}")
         gain, residual = _solve_gain(a, f, m_sym)
         gains.append(gain)
         residuals.append(residual)

@@ -42,7 +42,7 @@ def test_analyze_synthesize_certify_round_trip(system, tmp_path):
 
 
 def test_analyze_defaults_match_the_closed_form(tmp_path):
-    # No --base-step or --fd-step: the default settings alone must give
+    # No --base-step: the default settings alone must give
     # the exact per-phase Jacobians to FD accuracy.
     out = tmp_path / "jacs.json"
     for system in CATALOG:
@@ -119,6 +119,26 @@ def test_certify_reference_pair_is_unstable(tmp_path):
     assert not doc["theorem3"]["passed"]
 
 
+def test_certify_of_an_overflowing_spectrum_is_a_numerical_failure(tmp_path, capsys):
+    # The eigenvalue 2e308 of finite entries is not written as Infinity.
+    designed = tmp_path / "designed.json"
+    dump_json({"designed": [matrix_to_obj(np.full((2, 2), 1e308))]}, designed)
+    out = tmp_path / "cert.json"
+    assert run(["certify", "-i", designed, "-o", out]) == 3
+    assert "overflowed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_symmetric_design_names_the_phase_of_a_mismatched_section(tmp_path, capsys):
+    jacs = tmp_path / "jacs.json"
+    dump_json({"phases": [{"A": matrix_to_obj(np.eye(3)), "F": matrix_to_obj(np.ones((3, 1)))},
+                          {"A": matrix_to_obj(np.eye(2)), "F": matrix_to_obj(np.ones((2, 1)))}]}, jacs)
+    out = tmp_path / "gains.json"
+    assert run(["synthesize", "-i", jacs, "--method", "symmetric", "-o", out]) == 2
+    assert capsys.readouterr().err == "input error: phase 1: A has shape (2, 2), the target (3, 3)\n"
+    assert not out.exists()
+
+
 def test_certify_repeats_the_synthesize_verdict(tmp_path):
     # certify re-derives from the designed Jacobians alone the four verdict
     # keys of the synthesize report
@@ -173,8 +193,7 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     assert run(["simulate", "--system", "stable-2", "--cycles", 1,
                 "-o", designed / "s.csv"] + FAST) == 2
 
-    for flags in (["--base-step", "nan"], ["--base-step", "inf"], ["--fd-step", "nan"],
-                  ["--fd-step=-1e-5"], ["--fd-step", "0"], ["--fd-step", "inf"]):
+    for flags in (["--base-step", "nan"], ["--base-step", "inf"], ["--base-step", "1e-300"]):
         assert run(["analyze", "--system", "stable-2", "-o", out] + flags) == 2
         assert run(["simulate", "--system", "stable-2", "-o", out] + flags) == 2
     sim = tmp_path / "sim.csv"
@@ -183,20 +202,14 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
     assert not sim.exists()
 
 
-def test_fd_step_reaches_newton(tmp_path, monkeypatch):
-    seen = []
-    refine = cli.orbit_and_jacobians
-
-    def recording(*args, **kwargs):
-        seen.append(kwargs.get("fd_scale"))
-        return refine(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "orbit_and_jacobians", recording)
-    step = ["--fd-step", "3e-5"]
-    assert run(["analyze", "--system", "stable-2", "-o", tmp_path / "j.json"] + FAST + step) == 0
-    assert run(["simulate", "--system", "stable-2", "--cycles", 1,
-                "-o", tmp_path / "s.csv"] + FAST + step) == 0
-    assert seen == [3e-5, 3e-5]
+def test_fd_step_is_not_an_option(tmp_path):
+    # The finite-difference step is the constant poincare._FD_STEP.
+    for command in (["analyze", "--system", "stable-2", "-o", tmp_path / "j.json"],
+                    ["simulate", "--system", "stable-2", "-o", tmp_path / "s.csv"]):
+        with pytest.raises(SystemExit) as exc:
+            run(command + ["--fd-step", "1e-5"])
+        assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
 
 
 def test_analyze_and_simulate_make_one_pass(tmp_path, monkeypatch):

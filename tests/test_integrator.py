@@ -328,6 +328,13 @@ def test_config_validation():
     for bad in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             IntegratorConfig(base_step=bad)
+    # A step too small to move the phase clock off _MAX_PHASE_DURATION
+    # could never reach it: half an ulp of 50 rounds back to 50.
+    half_ulp = np.spacing(integrator._MAX_PHASE_DURATION) / 2.0
+    for tiny in (1e-300, half_ulp):
+        with pytest.raises(ValueError, match="too small"):
+            IntegratorConfig(base_step=tiny)
+    IntegratorConfig(base_step=np.nextafter(half_ulp, 1.0))
     # The tolerances are module constants, not options.
     for name in ("guard_tol", "min_phase_duration", "max_phase_duration",
                  "transversality_tol", "guard_step_fraction", "max_step_splits"):
@@ -402,7 +409,7 @@ def reference_flow(domain, x0, beta, cfg):
     times, states = [0.0], [x0.copy()]
     t, x, h_val, h_lo, h_hi = 0.0, x0, h0, h0, h0
     while True:
-        step = min(cfg.base_step, integrator._MAX_PHASE_DURATION - t)
+        step = cfg.base_step
         h_range = max(h_hi - h_lo, abs(h0))
         for _ in range(integrator._MAX_STEP_SPLITS + 1):
             x_next = rk4_step(f, x, step)
@@ -495,12 +502,18 @@ def test_runs_under_a_changing_guard_rate_equal_the_scalar_reference_loop(monkey
 
 def test_runs_stop_at_the_phase_duration_cap(monkeypatch, rk4_calls):
     # The jump guard keeps g = 1 until x1 = 0.5, so its rate reads 0 and
-    # runs take the most steps; none may step past the cap at t = 0.45.
-    set_constants(monkeypatch, _MAX_PHASE_DURATION=0.45)
+    # runs take the most steps.  Every step is a whole base step, and the
+    # flow stops at the first that ends at or past the cap, 0.45 or 0.455:
+    # 46 steps reach 0.46, and no run steps on from there.
     dom = autonomous(lambda x: np.array([1.0]), jump_guard, 1)
-    with pytest.raises(NoCrossing):
-        flow_one(dom, [0.0], np.zeros(0), IntegratorConfig())
-    assert len(rk4_calls) <= 46
+    cfg = IntegratorConfig()
+    for cap in (0.45, 0.455):
+        set_constants(monkeypatch, _MAX_PHASE_DURATION=cap)
+        rk4_calls.clear()
+        with pytest.raises(NoCrossing):
+            flow_one(dom, [0.0], np.zeros(0), cfg)
+        assert all(np.all(np.asarray(h) == cfg.base_step) for h in rk4_calls)
+        assert len(rk4_calls) <= 46
 
 
 @pytest.mark.parametrize("name", ("stable-3", "rebuilt"))

@@ -74,6 +74,14 @@ def test_dump_json_is_deterministic_and_atomic(tmp_path):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_dump_json_refuses_non_finite_numbers(tmp_path):
+    path = tmp_path / "out.json"
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            dump_json({"a": value}, path)
+    assert not list(tmp_path.iterdir())
+
+
 def test_outputs_get_the_mode_of_a_plain_open(tmp_path):
     old_umask = os.umask(0o022)
     try:

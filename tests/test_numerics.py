@@ -68,6 +68,12 @@ def test_eigenvalues_rejects_non_square():
         eigenvalues(np.ones((2, 3)))
 
 
+def test_eigenvalues_refuse_an_overflowing_spectrum():
+    # Finite entries whose eigenvalue 2e308 overflows.
+    with pytest.raises(NumericsError, match="overflowed"):
+        eigenvalues(np.full((2, 2), 1e308))
+
+
 def test_eigenvalues_ordering_deterministic():
     rng = np.random.default_rng(7)
     m = rng.normal(size=(6, 6))
