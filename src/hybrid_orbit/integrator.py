@@ -1,18 +1,20 @@
 """Fixed-step RK4 phase integration with guard-event detection.
 
-A phase flow runs until the exit guard first changes sign, then the
-crossing is located by regula falsi on the fraction of the final step, to
-a few ulps of the step (Shampine & Thompson, "Event location for ordinary
-differential equations", 2000).  Identical inputs produce bit-identical
-trajectories: the step sequence is a pure function of the configuration.
+A phase flow takes whole base steps until the exit guard first changes
+sign, then the crossing is located by regula falsi on the fraction of the
+final step, to a few ulps of the step (Shampine & Thompson, "Event
+location for ordinary differential equations", 2000).  Identical inputs
+produce bit-identical trajectories: the step sequence is a pure function
+of the configuration.
 
 One kernel, flow_batch, integrates a stack of members of one phase in
-lockstep, each with its own start state and frozen parameter vector; a
-single flow is its one-member case.  It takes base steps in guard-bounded
-runs: several RK4 steps back to back, as many as the guard's last rate
-allows before the guard could be reached, then one finiteness check and
-one guard call on all the run's states stacked.  Each step is tested as
-one-at-a-time stepping would test it, so the runs change no result.
+lockstep on one clock, each with its own start state and frozen parameter
+vector; a single flow is its one-member case.  It takes base steps in
+guard-bounded runs: several RK4 steps back to back, as many as the guard's
+last rate allows before the guard could be reached, then one finiteness
+check and one guard call on all the run's states stacked.  Each step is
+tested as one-at-a-time stepping would test it, so the runs change no
+result.
 """
 
 import math
@@ -62,7 +64,9 @@ class NonFinite(IntegrationError):
     """The state left the finite range during integration."""
 
 
-# Regula falsi locates a crossing in far fewer iterations than this cap.
+# Regula falsi, with the midpoint rule of _exit_crossing, took at most 12
+# iterations per crossing on the catalog's Newton passes, and at most 35 over
+# 300 open-loop cycles of unstable-2, whose state grows past 1e200.
 _REFINE_MAX_ITER = 100
 
 # The most base steps in one guard-bounded run of flow_batch.  Past 32 a
@@ -79,15 +83,14 @@ _GUARD_TOL = 1e-10
 _MIN_PHASE_DURATION = 1e-6
 _MAX_PHASE_DURATION = 50.0
 _TRANSVERSALITY_TOL = 1e-8
-_GUARD_STEP_FRACTION = 0.25
-_MAX_STEP_SPLITS = 6
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """The RK4 base step.  The tolerances are module constants, _GUARD_TOL
-    to _MAX_STEP_SPLITS (see flow_batch).  A step too small to change 50,
-    below about 3.6e-15, could never reach _MAX_PHASE_DURATION."""
+    """The RK4 base step, the length of every step of a phase flow.  The
+    tolerances are module constants, _GUARD_TOL to _TRANSVERSALITY_TOL (see
+    flow_batch).  A step too small to change 50, below about 3.6e-15, could
+    never reach _MAX_PHASE_DURATION."""
 
     base_step: float = 1e-2
 
@@ -100,7 +103,8 @@ class IntegratorConfig:
 
 def rk4_step(f, x: np.ndarray, h: float | np.ndarray) -> np.ndarray:
     """One classical RK4 step.  x may be a (B, m) stack of states, with h a
-    shared float or a (B, 1) column of per-member steps."""
+    shared float or, as the crossing refinement passes it, a (B, 1) column
+    of per-member steps."""
     k1 = f(x)
     k2 = f(x + 0.5 * h * k1)
     k3 = f(x + 0.5 * h * k2)
@@ -120,39 +124,35 @@ def flow_batch(
     Row b of the (B, m) stack x0 flows with betas[b] held fixed; a single
     flow is the one-member stack x0[None], betas[None].  Every start state
     must lie strictly off the guard, and the side of the guard at t = 0 is
-    the member's approach side.  A sign change, or a guard value already
-    inside tolerance, ends a member's flow, and regula falsi locates the
-    crossing inside its final step.  Each member has its own step and step
-    splits, its own crossing location and its own checks.  Crossings
-    earlier than the minimum phase duration, absent crossings,
-    non-transversal exits and state blow-up raise distinct typed errors;
-    if any member fails, its error is raised and nothing is returned.  An
-    overflowing state raises NonFinite, not a floating-point warning.  The
-    result is the (B, m) exit states and the (B,) exit times.
+    the member's approach side.  All members take the same whole base
+    steps on one clock.  A sign change, or a guard value already inside
+    tolerance, ends a member's flow, and regula falsi locates the crossing
+    inside that step; each member has its own crossing location and its own
+    checks.  Crossings earlier than the minimum phase duration, absent
+    crossings, non-transversal exits and state blow-up raise distinct typed
+    errors; if any member fails, its error is raised and nothing is
+    returned.  An overflowing state raises NonFinite, not a floating-point
+    warning.  The result is the (B, m) exit states and the (B,) exit times.
 
     A member has crossed once past the guard or within _GUARD_TOL = 1e-10
     of it.  A crossing before _MIN_PHASE_DURATION = 1e-6 raises Chattering,
     and an exit guard rate of at most _TRANSVERSALITY_TOL = 1e-8
-    NonTransversal.  Every step is a whole base step unless it splits: a
-    step moving the guard by more than _GUARD_STEP_FRACTION = 0.25 of its
-    range so far is halved, at most _MAX_STEP_SPLITS = 6 times, the last
-    half taken as is.  Once the lead member time reaches
-    _MAX_PHASE_DURATION = 50 with a member still uncrossed, NoCrossing is
-    raised, so the last step ends at or past 50.
+    NonTransversal.  Every step is a whole base step, the last one
+    included: once the time reaches _MAX_PHASE_DURATION = 50 with a member
+    still uncrossed, NoCrossing is raised, so the last step ends at or past
+    50.
 
     Base steps go in guard-bounded runs of up to 32 RK4 steps back to
     back, and of no more than (min g - _GUARD_TOL) / (2 |dg|) steps, where
     |dg| is the largest guard change of the last base step: a run stops
     short of the guard unless the guard's rate more than doubles.  The
-    first step, and the step after a split or a crossing, run alone.  One
-    finiteness check and one guard call on the stacked (L B, m) states test
-    the whole run, each step against the guard-change cap at the run's
-    start; caps only grow, so that is a lower bound of every later cap.
-    The passing steps are accepted and the rest of the run is dropped: the
-    first failing step opens the next run, where it is tested at its exact
-    cap.  A step that fails there splits or crosses as a lone step would.
-    Runs take the same steps as one-at-a-time stepping, so trajectories,
-    exits and errors are the same bit for bit.
+    first step, and the step after a crossing, run alone.  One finiteness
+    check and one guard call on the stacked (L B, m) states test the whole
+    run.  The steps before the first one that crosses are accepted and the
+    rest of the run is dropped: the crossing step opens the next run, where
+    it crosses as a lone step would.  Runs take the same steps as
+    one-at-a-time stepping, so trajectories, exits and errors are the same
+    bit for bit.
     """
     x = np.array(x0, dtype=float)
     betas = np.asarray(betas, dtype=float)
@@ -167,97 +167,65 @@ def flow_batch(
         raise ValueError("start state lies on the guard; a phase needs an interior start")
     # Guard values are kept signed by the approach side, g = side * H, so a
     # member has crossed once g <= _GUARD_TOL.  Negation is exact, so every
-    # test and guard range below equals its unsigned form.
+    # test below equals its unsigned form.
     side = np.where(h0 > 0.0, 1.0, -1.0)
-    g_abs0 = np.abs(h0)
-    g_val, g_lo, g_hi = g_abs0, g_abs0, g_abs0
-    cap = _GUARD_STEP_FRACTION * g_abs0
-    t = np.zeros(n_members)
+    g_val = np.abs(h0)
+    dt = cfg.base_step
+    t = 0.0
     members = np.arange(n_members)
     f = _batch_field(domain, betas)
     x_out = np.empty_like(x)
     t_out = np.empty(n_members)
 
-    t_lead = 0.0  # the largest member time
-    rate = None  # the largest guard change of the last step; None after a split or a crossing
+    rate = None  # the largest guard change of the last step; None after a crossing
     while members.size:
-        if t_lead >= _MAX_PHASE_DURATION:
+        if t >= _MAX_PHASE_DURATION:
             raise NoCrossing(f"guard not reached within max phase duration {_MAX_PHASE_DURATION}")
-        dt = cfg.base_step
-        xs, g = _run(f, guard, x, dt, side, _run_length(rate, g_val, t_lead, cfg))
-        dg = np.abs(g - np.concatenate([g_val[None], g[:-1]]))
-        passed = ((g > _GUARD_TOL) & (dg <= cap)).all(axis=1)
+        xs, g = _run(f, guard, x, dt, side, _run_length(rate, g_val, t, dt))
+        passed = (g > _GUARD_TOL).all(axis=1)
         n_ok = g.shape[0] if passed.all() else int(np.argmin(passed))
 
         if n_ok:
-            rate = float(dg[n_ok - 1].max())
+            rate = float(np.abs(g[n_ok - 1] - (g[n_ok - 2] if n_ok > 1 else g_val)).max())
         elif not g.shape[0]:
             _raise_non_finite(xs[0], t)
         else:
-            # The first step of the run fails at the exact cap: some member
-            # crossed, or changed its guard by more than the cap and splits
-            # its step.  The rest of the run is dropped.
-            x_next, g_next = xs[0], g[0]
-            rate = None
-            step = np.full((x.shape[0], 1), dt)
-            pending = ~((g_next <= _GUARD_TOL) | (np.abs(g_next - g_val) <= cap))
-            for split in range(_MAX_STEP_SPLITS + 1):
-                if not pending.any():
-                    break
-                step[pending] *= 0.5
-                x_try = rk4_step(f, x, step)
-                _raise_non_finite(x_try[pending], t[pending])
-                g_try = side * guard(x_try)
-                took = pending & ((g_try <= _GUARD_TOL) | (np.abs(g_try - g_val) <= cap))
-                if split == _MAX_STEP_SPLITS:
-                    took = pending  # out of splits: the last half step is taken as it is
-                x_next = np.where(took[:, None], x_try, x_next)
-                g_next = np.where(took, g_try, g_next)
-                pending &= ~took
-            dt = step[:, 0]
+            # The first step of the run crosses for some members: locate
+            # their exits.  The others take the step; the rest of the run is
+            # dropped.
+            crossed = g[0] <= _GUARD_TOL
+            rows = np.flatnonzero(crossed)
+            f_rows = f if rows.size == members.size else _batch_field(domain, betas[members[rows]])
+            x_exit, t_exit = _exit_crossing(
+                f_rows, guard, x[rows], t, dt, side[rows], g_val[rows], xs[0, rows], g[0, rows]
+            )
+            x_out[members[rows]] = x_exit
+            t_out[members[rows]] = t_exit
+            keep = ~crossed
+            members = members[keep]
+            if not members.size:
+                break
+            xs, g, side = xs[:1, keep], g[:1, keep], side[keep]
+            f = _batch_field(domain, betas[members])
+            rate, n_ok = None, 1
 
-            crossed = g_next <= _GUARD_TOL
-            if crossed.any():
-                rows = np.flatnonzero(crossed)
-                f_rows = f if rows.size == members.size else _batch_field(domain, betas[members[rows]])
-                x_exit, t_exit = _exit_crossing(
-                    f_rows, guard, x[rows], t[rows], dt[rows], side[rows],
-                    g_val[rows], x_next[rows], g_next[rows],
-                )
-                x_out[members[rows]] = x_exit
-                t_out[members[rows]] = t_exit
-                keep = ~crossed
-                members = members[keep]
-                if not members.size:
-                    break
-                x, x_next, t, dt = x[keep], x_next[keep], t[keep], dt[keep]
-                side, g_abs0, g_next = side[keep], g_abs0[keep], g_next[keep]
-                g_val, g_lo, g_hi = g_val[keep], g_lo[keep], g_hi[keep]
-                f = _batch_field(domain, betas[members])
-            xs, g, n_ok = x_next[None], g_next[None], 1
-
-        # Accept the first n_ok steps.  Min and max are exact, so folding
-        # the guard range once equals folding it step by step.
+        # Accept the first n_ok steps.  The clock adds them one at a time, as
+        # one-at-a-time stepping does, so exit times match it bit for bit.
         x, g_val = xs[n_ok - 1], g[n_ok - 1]
-        g_lo = np.minimum(g_lo, g[:n_ok].min(axis=0))
-        g_hi = np.maximum(g_hi, g[:n_ok].max(axis=0))
-        cap = _GUARD_STEP_FRACTION * np.maximum(g_hi - g_lo, g_abs0)
-        # Times add up one step at a time.  Rounding is monotone, so the
-        # lead time is the largest member time.
-        times = np.add.accumulate(np.vstack([t, np.full((n_ok, t.size), dt)]))[1:]
-        t, t_lead = times[-1], float(times[-1].max())
+        for _ in range(n_ok):
+            t += dt
     return x_out, t_out
 
 
-def _run_length(rate, g_val, t_lead, cfg) -> int:
+def _run_length(rate, g_val, t, step) -> int:
     """Base steps in the next run: one while the guard rate is unknown, else
     at most _MAX_RUN and (min g - _GUARD_TOL) / (2 rate), and no more than
-    the ceil((_MAX_PHASE_DURATION - t_lead) / base_step) that reach the cap."""
+    the ceil((_MAX_PHASE_DURATION - t) / step) that reach the cap."""
     if rate is None:
         return 1
     room = float(g_val.min()) - _GUARD_TOL
     n = _MAX_RUN if 2.0 * rate * _MAX_RUN <= room else max(1, int(room / (2.0 * rate)))
-    return min(n, math.ceil((_MAX_PHASE_DURATION - t_lead) / cfg.base_step))
+    return min(n, math.ceil((_MAX_PHASE_DURATION - t) / step))
 
 
 def _run(f, guard, x, step, side, n):
@@ -282,11 +250,10 @@ def _batch_field(domain: Domain, betas: np.ndarray):
     return lambda x: np.array([f(row) for f, row in zip(fields, x)])
 
 
-def _raise_non_finite(x: np.ndarray, t: np.ndarray) -> None:
-    """Raise NonFinite for the first member whose state is not finite."""
-    bad = ~np.isfinite(x).all(axis=1)
-    if bad.any():
-        raise NonFinite(f"state became non-finite near t = {t[np.argmax(bad)]:.6g}")
+def _raise_non_finite(x: np.ndarray, t: float) -> None:
+    """Raise NonFinite if a member's state at time t is not finite."""
+    if not np.isfinite(x).all():
+        raise NonFinite(f"state became non-finite near t = {t:.6g}")
 
 
 def _guard_floor(guard, x: np.ndarray) -> np.ndarray:
@@ -309,20 +276,24 @@ def _guard_floor(guard, x: np.ndarray) -> np.ndarray:
 
 
 def _exit_crossing(f, guard, x_from, t_from, step, side, g_from, x_to, g_to):
-    """Locate each member's crossing inside its last step, then check it.
+    """Locate each member's crossing inside the base step from time t_from,
+    then check it.
 
     g(tau) = side * H(rk4_step(x_from, tau)) falls from g_from > 0 to g_to
     over the step.  Illinois regula falsi puts the secant root of the bracket
     in place of the end of the same sign, halving the weight of an end kept
     twice in a row, until the bracket is a few ulps of the step wide (at once
-    if g_to >= 0 leaves no sign change).  The end with the smaller |H| exits;
+    if g_to >= 0 leaves no sign change).  A secant root that rounds onto an
+    end of the bracket, as when one end's |g| dwarfs the other's, is
+    replaced by the midpoint.  The end with the smaller |H| exits;
     past _GUARD_TOL plus the rounding floor of H at it, the refinement stalled.
     The guard rate at the exit is the central difference of H along the
     field, step 1e-7, for all members in one pair of guard calls.
     """
     members = np.arange(x_from.shape[0])
     width = 4.0 * np.finfo(float).eps * step
-    ends = np.stack([np.zeros_like(step), step])  # tau at the lo and the hi end
+    ends = np.zeros((2, members.size))  # tau at the lo and the hi end
+    ends[1] = step
     weight = np.stack([g_from, g_to])  # g at the ends, halved by the Illinois rule
     h_abs, x_ends = np.abs(weight), np.stack([x_from, x_to])
     last = np.full(members.size, -1)  # the end replaced last
@@ -332,6 +303,7 @@ def _exit_crossing(f, guard, x_from, t_from, step, side, g_from, x_to, g_to):
             break
         lo, hi = ends
         tau = np.clip(lo + (hi - lo) * (weight[0] / (weight[0] - weight[1])), lo, hi)
+        tau = np.where((tau == lo) | (tau == hi), 0.5 * (lo + hi), tau)
         x_tau = rk4_step(f, x_from, tau[:, None])
         g_tau = side * guard(x_tau)
         rows = members[active]
@@ -395,7 +367,7 @@ def section_step(
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             x_plus = np.array([prev.reset(entry_chart.embed(y)) for y in np.asarray(x_section, dtype=float)])
-        _raise_non_finite(x_plus, np.zeros(x_plus.shape[0]))
+        _raise_non_finite(x_plus, 0.0)
         x_exit, t_exit = flow_batch(dom, x_plus, betas, cfg)
     except IntegrationError as exc:
         exc.phase = i % n

@@ -95,13 +95,14 @@ class StabilityReport:
 
 
 def _unpack(jacs) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (A_i, F_i) matrix pairs, each F_i with as many rows as A_i."""
     pairs = []
-    for j in jacs:
-        if isinstance(j, PhaseJacobians):
-            pairs.append((as_matrix(j.A), as_matrix(j.F)))
-        else:
-            a, f = j
-            pairs.append((as_matrix(a), as_matrix(f)))
+    for idx, j in enumerate(jacs):
+        a, f = (j.A, j.F) if isinstance(j, PhaseJacobians) else j
+        a, f = as_matrix(a), as_matrix(f)
+        if f.shape[0] != a.shape[0]:
+            raise ValueError(f"phase {idx}: F has {f.shape[0]} rows, A has {a.shape[0]}")
+        pairs.append((a, f))
     if not pairs:
         raise ValueError("need at least one phase")
     return pairs
@@ -317,12 +318,16 @@ def certify_designed(designed, inexact_design: bool = False) -> StabilityReport:
     """Both certificates and the product-radius verdict of designed Jacobians.
 
     The verdict is always the directly computed product radius; the
-    certificates are sufficient conditions layered on top.
+    certificates are sufficient conditions layered on top.  Finite factors
+    whose product overflows raise NumericsError.
     """
     # First, so that a non-square factor is named by index.
     cert_theorem3 = certify_theorem3(designed)
     cert_theorem4 = certify_theorem4(designed)
-    product = compose_jacobians(designed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = compose_jacobians(designed)
+    if not np.isfinite(product).all():
+        raise NumericsError("product of the designed Jacobians overflowed")
     product_radius = spectral_radius(product)
     return StabilityReport(
         designed=designed,

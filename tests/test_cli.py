@@ -129,6 +129,27 @@ def test_certify_of_an_overflowing_spectrum_is_a_numerical_failure(tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_certify_of_an_overflowing_product_is_a_numerical_failure(tmp_path, capsys):
+    # Each factor is finite with a finite spectrum; their product is not.
+    designed = tmp_path / "designed.json"
+    dump_json({"designed": [matrix_to_obj(np.full((2, 2), 1e200))] * 2}, designed)
+    out = tmp_path / "cert.json"
+    assert run(["certify", "-i", designed, "-o", out]) == 3
+    assert capsys.readouterr().err == "numerical failure: product of the designed Jacobians overflowed\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["symmetric", "scale", "dlqr"])
+def test_design_names_the_phase_whose_f_and_a_rows_differ(tmp_path, capsys, method):
+    jacs = tmp_path / "jacs.json"
+    dump_json({"phases": [{"A": matrix_to_obj(np.eye(2)), "F": matrix_to_obj(np.ones((3, 1)))}]}, jacs)
+    out = tmp_path / "gains.json"
+    assert run(["synthesize", "-i", jacs, "--method", method, "-o", out]) == 2
+    assert capsys.readouterr().err == "input error: phase 0: F has 3 rows, A has 2\n"
+    assert not out.exists()
+
+
 def test_symmetric_design_names_the_phase_of_a_mismatched_section(tmp_path, capsys):
     jacs = tmp_path / "jacs.json"
     dump_json({"phases": [{"A": matrix_to_obj(np.eye(3)), "F": matrix_to_obj(np.ones((3, 1)))},

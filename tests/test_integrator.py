@@ -69,29 +69,35 @@ def rk4_calls(monkeypatch):
     return calls
 
 
-def test_crossing_step_without_splits_makes_no_trial_step(monkeypatch, rk4_calls, stable3):
-    # Outside the crossing refinement, a flow whose member never splits a
-    # step makes one RK4 step per accepted step, the crossing step included:
-    # a guard-bounded run stops short of the guard, so no run step is thrown
-    # away.
-    calls = rk4_calls
+@pytest.fixture
+def refine_spans(monkeypatch, rk4_calls):
+    """The (start, end) index span in rk4_calls of the RK4 steps of each
+    crossing refinement."""
+    spans = []
     refine = integrator._exit_crossing
-    refine_calls = []
 
-    def counted_refine(*args):
-        before = len(calls)
+    def spanned_refine(*args):
+        start = len(rk4_calls)
         out = refine(*args)
-        refine_calls.append(len(calls) - before)
+        spans.append((start, len(rk4_calls)))
         return out
 
-    monkeypatch.setattr(integrator, "_exit_crossing", counted_refine)
+    monkeypatch.setattr(integrator, "_exit_crossing", spanned_refine)
+    return spans
+
+
+def test_crossing_step_without_splits_makes_no_trial_step(rk4_calls, refine_spans, stable3):
+    # Outside the crossing refinement, a flow makes one RK4 step per
+    # accepted step, the crossing step included: a guard-bounded run stops
+    # short of the guard, so no run step is thrown away.
+    calls, spans = rk4_calls, refine_spans
     dom = autonomous(lambda x: np.ones_like(x), lambda X: X[:, 0] - 0.105, 1)
     cfg = IntegratorConfig(base_step=1e-2)
     steps = len(reference_flow(dom, np.array([0.0]), np.zeros(0), cfg)[0]) - 1
     _, t_exit = flow_one(dom, [0.0], np.zeros(0), cfg)
     assert abs(t_exit - 0.105) < 1e-12
-    assert len(refine_calls) == 1
-    assert len(calls) - refine_calls[0] == steps == 11
+    ((start, end),) = spans
+    assert len(calls) - (end - start) == steps == 11
 
     # A catalog flow long enough for runs, with far fewer guard calls than
     # steps, and an approach whose guard rate grows 1% a step.  The steps,
@@ -113,11 +119,41 @@ def test_crossing_step_without_splits_makes_no_trial_step(monkeypatch, rk4_calls
         cfg = IntegratorConfig(base_step=base_step)
         steps.append(len(reference_flow(plain, x0, beta, cfg)[0]) - 1)
         calls.clear()
-        refine_calls.clear()
+        spans.clear()
         flow_one(counted, x0, beta, cfg)
-        assert len(refine_calls) == 1
-        assert len(calls) - refine_calls[0] == steps[-1] > 300
+        ((start, end),) = spans
+        assert len(calls) - (end - start) == steps[-1] > 300
     assert len(guard_calls) < steps[0] / 8
+
+
+def test_coarse_steps_are_whole_base_steps(rk4_calls, refine_spans, stable3):
+    # At base step 0.2 a step moves the stable-3 guards by more than a
+    # quarter of their range, and every step is still a whole base step.
+    cfg = IntegratorConfig(base_step=0.2)
+    for i, phase in enumerate(stable3.phases):
+        rk4_calls.clear()
+        refine_spans.clear()
+        flow_one(stable3.system.domains[i], phase.start_state, np.zeros(3), cfg)
+        ((start, end),) = refine_spans
+        steps = rk4_calls[:start] + rk4_calls[end:]
+        assert steps and all(np.all(np.asarray(h) == 0.2) for h in steps)
+
+
+def test_crossing_from_a_grown_state_refines_in_few_steps(refine_spans, unstable2):
+    # Open loop, unstable-2 grows about 5.4x a cycle; after 40 cycles the
+    # section state is about 2.5e26 in size.  There the secant root rounds
+    # onto the bracket end just replaced, and without the midpoint rule the
+    # Illinois halving crawls for about 60 iterations before the bracket
+    # moves.
+    cfg = IntegratorConfig()
+    x_star = unstable2.orbit.fixed_points[-1]
+    y = simulate_cycle(unstable2.system, None, x_star + 1e-2 * np.array([0.6, 0.8]), 40, cfg)[-1]
+    assert 1e26 < np.max(np.abs(y)) < 1e27
+    refine_spans.clear()
+    p = unstable2.system.domains[0].param_dim
+    section_step(unstable2.system, 0, y[None], np.zeros((1, p)), cfg)
+    ((start, end),) = refine_spans
+    assert end - start < 50
 
 
 def test_linear_flow_matches_matrix_exponential_root():
@@ -254,8 +290,8 @@ def test_fourth_order_convergence_against_exact_flow(monkeypatch):
     dom = autonomous(lambda x: a @ x, lambda X: X @ normal - 0.8, 2)
     x0 = np.array([0.1, 1.5])
 
-    # disable the guard-change step cap so the raw scheme order is visible
-    set_constants(monkeypatch, _GUARD_TOL=1e-14, _GUARD_STEP_FRACTION=1e6)
+    # every step is a whole base step, so the raw scheme order is visible
+    set_constants(monkeypatch, _GUARD_TOL=1e-14)
     errors = []
     for step in (4e-2, 2e-2):
         x_exit, t_exit = flow_one(dom, x0, np.zeros(0), IntegratorConfig(base_step=step))
@@ -342,19 +378,6 @@ def test_config_validation():
             IntegratorConfig(**{name: 1.0})
 
 
-def test_last_resort_step_is_checked_for_finiteness(monkeypatch):
-    # The full step stays finite but moves the guard past the cap; with no
-    # splits allowed the half step is taken regardless, and its RK4 stage at
-    # x = 0.25 lands in the band where the field is -inf.
-    def drift(x):
-        return np.array([-np.inf if 0.24 < x[0] < 0.26 else 1.0])
-
-    set_constants(monkeypatch, _GUARD_STEP_FRACTION=0.01, _MAX_STEP_SPLITS=0)
-    dom = autonomous(drift, lambda X: X[:, 0] + 10.0, 1)
-    with pytest.raises(NonFinite):
-        flow_one(dom, [0.0], np.zeros(0), IntegratorConfig(base_step=1.0))
-
-
 def catalog_model(request, name):
     if name == "rebuilt":
         return synthetic_from_obj(synthetic_to_obj(request.getfixturevalue("stable3")))
@@ -366,18 +389,10 @@ def lifted(domain):
     return replace(domain, batch_field=None)
 
 
-# Long steps under a tight guard-change cap make members split their steps
-# differently, down to the last-resort half step.
-SPLITTING = {"_GUARD_STEP_FRACTION": 0.02, "_MAX_STEP_SPLITS": 1}
-
-
-@pytest.mark.parametrize("splits", [False, True], ids=["base-steps", "split-steps"])
+@pytest.mark.parametrize("base_step", [5e-3, 5e-2], ids=["base-steps", "coarse-steps"])
 @pytest.mark.parametrize("name", CATALOG + ("rebuilt",))
-def test_batch_members_match_solo_and_lifted_runs(request, monkeypatch, name, splits, cfg_fast):
-    cfg = cfg_fast
-    if splits:
-        set_constants(monkeypatch, **SPLITTING)
-        cfg = IntegratorConfig(base_step=5e-2)
+def test_batch_members_match_solo_and_lifted_runs(request, name, base_step):
+    cfg = IntegratorConfig(base_step=base_step)
     model = catalog_model(request, name)
     rng = np.random.default_rng(7)
     for i, phase in enumerate(model.phases):
@@ -407,28 +422,21 @@ def reference_flow(domain, x0, beta, cfg):
     h0 = H(x0)
     side = 1.0 if h0 > 0.0 else -1.0
     times, states = [0.0], [x0.copy()]
-    t, x, h_val, h_lo, h_hi = 0.0, x0, h0, h0, h0
+    t, x, h_val, step = 0.0, x0, h0, cfg.base_step
     while True:
-        step = cfg.base_step
-        h_range = max(h_hi - h_lo, abs(h0))
-        for _ in range(integrator._MAX_STEP_SPLITS + 1):
-            x_next = rk4_step(f, x, step)
-            h_next = H(x_next)
-            crossed = h_next * side < 0.0 or abs(h_next) <= integrator._GUARD_TOL
-            if crossed or abs(h_next - h_val) <= integrator._GUARD_STEP_FRACTION * h_range:
-                break
-            step *= 0.5
-        else:
-            x_next = rk4_step(f, x, step)
-            h_next = H(x_next)
+        x_next = rk4_step(f, x, step)
+        h_next = H(x_next)
         if h_next * side < 0.0 or abs(h_next) <= integrator._GUARD_TOL:
-            # Illinois regula falsi on the step fraction, to a 4-ulp bracket
+            # Illinois regula falsi on the step fraction, to a 4-ulp bracket;
+            # a secant root that rounds onto an end becomes the midpoint
             lo, hi, g_lo, g_hi = 0.0, step, side * h_val, side * h_next
             x_lo, x_hi, last = x, x_next, 0
             for _ in range(100):
                 if not (g_hi < 0.0 and hi - lo > 4 * np.finfo(float).eps * step):
                     break
                 tau = min(max(lo + (hi - lo) * (g_lo / (g_lo - g_hi)), lo), hi)
+                if tau in (lo, hi):
+                    tau = 0.5 * (lo + hi)
                 x_tau = rk4_step(f, x, tau)
                 g_tau = side * H(x_tau)
                 moved = 1 if g_tau <= 0.0 else -1
@@ -445,18 +453,12 @@ def reference_flow(domain, x0, beta, cfg):
                 return np.array(times + [t + hi]), np.array(states + [x_hi])
             return np.array(times + [t + lo]), np.array(states + [x_lo])
         t, x, h_val = t + step, x_next, h_next
-        h_lo, h_hi = min(h_lo, h_val), max(h_hi, h_val)
         times.append(t)
         states.append(x)
 
 
-@pytest.mark.parametrize(
-    "base_step, constants",
-    [(5e-3, {}), (2e-3, {}), (5e-2, SPLITTING)],
-    ids=["base-steps", "long-runs", "split-steps"],
-)
-def test_single_flow_equals_the_scalar_reference_loop(stable3, monkeypatch, base_step, constants):
-    set_constants(monkeypatch, **constants)
+@pytest.mark.parametrize("base_step", [5e-3, 2e-3, 5e-2], ids=["base-steps", "long-runs", "coarse-steps"])
+def test_single_flow_equals_the_scalar_reference_loop(stable3, base_step):
     cfg = IntegratorConfig(base_step=base_step)
     rng = np.random.default_rng(5)
     for i, phase in enumerate(stable3.phases):
@@ -470,10 +472,9 @@ def test_single_flow_equals_the_scalar_reference_loop(stable3, monkeypatch, base
             assert np.array_equal(t_exit, times[-1])
 
 
-# Guards whose step changes outgrow the cap in the middle of a run: an
-# exponential approach (x' = x towards x = 1e3) and a growing spiral whose
-# guard value swings through its range many times before the crossing.
-# Both run under a guard-change cap of 5e-3 of the guard range.
+# Guards whose rate grows in the middle of a run: an exponential approach
+# (x' = x towards x = 1e3) and a growing spiral whose guard value swings
+# through its range many times before the crossing.
 SPIRAL = np.array([[0.05, 1.0], [-1.0, 0.05]])
 ACCELERATING = {
     "exponential": (
@@ -490,14 +491,45 @@ ACCELERATING = {
 
 
 @pytest.mark.parametrize("name", ACCELERATING)
-def test_runs_under_a_changing_guard_rate_equal_the_scalar_reference_loop(monkeypatch, name):
-    set_constants(monkeypatch, _GUARD_STEP_FRACTION=5e-3)
+def test_runs_under_a_changing_guard_rate_equal_the_scalar_reference_loop(name):
     dom, x0, cfg = ACCELERATING[name]
     times, states = reference_flow(dom, x0, np.zeros(0), cfg)
     x_exit, t_exit = flow_one(dom, x0, np.zeros(0), cfg)
     assert times.size > 500
     assert np.array_equal(x_exit, states[-1])
     assert np.array_equal(t_exit, times[-1])
+
+
+def test_a_run_that_reaches_the_guard_is_accepted_in_part(monkeypatch):
+    # The guard is flat at 1 until x = 0.5, so its rate reads 0 and runs take
+    # 32 steps; then it falls through a root at x = 0.52 inside a run.  The
+    # steps before the crossing step are accepted, the rest of that run is
+    # dropped, and the flow still equals the scalar reference loop.
+    def flat_then_falling(X):
+        return np.minimum(1.0, 1.0 - 50.0 * (X[:, 0] - 0.5))
+
+    dom = autonomous(lambda x: np.array([1.0]), flat_then_falling, 1)
+    cfg = IntegratorConfig()
+    runs = []
+    run = integrator._run
+
+    def recorded_run(f, guard, x, step, side, n):
+        xs, g = run(f, guard, x, step, side, n)
+        runs.append((x.copy(), xs))
+        return xs, g
+
+    monkeypatch.setattr(integrator, "_run", recorded_run)
+    times, states = reference_flow(dom, np.array([0.0]), np.zeros(0), cfg)
+    x_exit, t_exit = flow_one(dom, [0.0], np.zeros(0), cfg)
+    assert np.array_equal(x_exit, states[-1])
+    assert np.array_equal(t_exit, times[-1])
+    assert abs(t_exit - 0.52) < 1e-12
+    # A run is accepted in part when the next one starts from one of its
+    # states other than the last.
+    assert any(
+        any(np.array_equal(start, state) for state in xs[:-1])
+        for (_, xs), (start, _) in zip(runs, runs[1:])
+    )
 
 
 def test_runs_stop_at_the_phase_duration_cap(monkeypatch, rk4_calls):
