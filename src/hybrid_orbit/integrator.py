@@ -11,10 +11,10 @@ One kernel, flow_batch, integrates a stack of members of one phase in
 lockstep on one clock, each with its own start state and frozen parameter
 vector; a single flow is its one-member case.  It takes base steps in
 guard-bounded runs: several RK4 steps back to back, as many as the guard's
-last rate allows before the guard could be reached, then one finiteness
-check and one guard call on all the run's states stacked.  Each step is
-tested as one-at-a-time stepping would test it, so the runs change no
-result.
+last rate allows before the guard could be reached, then one guard call
+on all the run's states stacked and a finiteness check of the states and
+the guard values.  Each step is tested as one-at-a-time stepping would
+test it, so the runs change no result.
 """
 
 import math
@@ -104,12 +104,16 @@ class IntegratorConfig:
 def rk4_step(f, x: np.ndarray, h: float | np.ndarray) -> np.ndarray:
     """One classical RK4 step.  x may be a (B, m) stack of states, with h a
     shared float or, as the crossing refinement passes it, a (B, 1) column
-    of per-member steps."""
+    of per-member steps.  The weights 2 are written as doublings, k + k,
+    summed in the order of k1 + 2 k2 + 2 k3 + k4: doubling is exact, so the
+    step has the bits of the textbook formula, and an array sum skips the
+    scalar conversion of 2.0 * k."""
+    hh = 0.5 * h
     k1 = f(x)
-    k2 = f(x + 0.5 * h * k1)
-    k3 = f(x + 0.5 * h * k2)
+    k2 = f(x + hh * k1)
+    k3 = f(x + hh * k2)
     k4 = f(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x + (h / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -132,7 +136,9 @@ def flow_batch(
     crossings, non-transversal exits and state blow-up raise distinct typed
     errors; if any member fails, its error is raised and nothing is
     returned.  An overflowing state raises NonFinite, not a floating-point
-    warning.  The result is the (B, m) exit states and the (B,) exit times.
+    warning, and so does a guard value that is NaN or infinite, at the
+    start or at the step where it appears.  The result is the (B, m) exit
+    states and the (B,) exit times.
 
     A member has crossed once past the guard or within _GUARD_TOL = 1e-10
     of it.  A crossing before _MIN_PHASE_DURATION = 1e-6 raises Chattering,
@@ -146,11 +152,12 @@ def flow_batch(
     back, and of no more than (min g - _GUARD_TOL) / (2 |dg|) steps, where
     |dg| is the largest guard change of the last base step: a run stops
     short of the guard unless the guard's rate more than doubles.  The
-    first step, and the step after a crossing, run alone.  One finiteness
-    check and one guard call on the stacked (L B, m) states test the whole
-    run.  The steps before the first one that crosses are accepted and the
-    rest of the run is dropped: the crossing step opens the next run, where
-    it crosses as a lone step would.  Runs take the same steps as
+    first step, and the step after a crossing, run alone.  One guard call
+    on the stacked (L B, m) states, and a finiteness check of the states
+    and of the guard values, test the whole run.  The steps before the
+    first one that crosses or is not finite are accepted and the rest of
+    the run is dropped: that step opens the next run, where it crosses or
+    raises NonFinite as a lone step would.  Runs take the same steps as
     one-at-a-time stepping, so trajectories, exits and errors are the same
     bit for bit.
     """
@@ -163,6 +170,7 @@ def flow_batch(
         )
     guard = domain.guard
     h0 = guard(x)
+    _raise_non_finite(x, 0.0, h0)
     if np.any(np.abs(h0) <= _GUARD_TOL + _guard_floor(guard, x)):
         raise ValueError("start state lies on the guard; a phase needs an interior start")
     # Guard values are kept signed by the approach side, g = side * H, so a
@@ -188,7 +196,8 @@ def flow_batch(
         if n_ok:
             rate = float(np.abs(g[n_ok - 1] - (g[n_ok - 2] if n_ok > 1 else g_val)).max())
         elif not g.shape[0]:
-            _raise_non_finite(xs[0], t)
+            # The run's first step has a non-finite state or guard value.
+            _raise_non_finite(xs[0], t, np.nan)
         else:
             # The first step of the run crosses for some members: locate
             # their exits.  The others take the step; the rest of the run is
@@ -230,7 +239,7 @@ def _run_length(rate, g_val, t, step) -> int:
 
 def _run(f, guard, x, step, side, n):
     """n RK4 steps from x, and the signed guard values of the steps before
-    the first one with a non-finite state."""
+    the first one with a non-finite state or guard value."""
     xs = np.empty((n,) + x.shape)
     for k in range(n):
         x = xs[k] = rk4_step(f, x, step)
@@ -238,7 +247,9 @@ def _run(f, guard, x, step, side, n):
     n_finite = n if finite.all() else int(np.argmin(finite))
     if not n_finite:
         return xs, np.empty((0, x.shape[0]))
-    return xs, side * guard(xs[:n_finite].reshape(-1, x.shape[1])).reshape(n_finite, -1)
+    g = side * guard(xs[:n_finite].reshape(-1, x.shape[1])).reshape(n_finite, -1)
+    finite = np.isfinite(g).all(axis=1)
+    return xs, g if finite.all() else g[: int(np.argmin(finite))]
 
 
 def _batch_field(domain: Domain, betas: np.ndarray):
@@ -250,10 +261,13 @@ def _batch_field(domain: Domain, betas: np.ndarray):
     return lambda x: np.array([f(row) for f, row in zip(fields, x)])
 
 
-def _raise_non_finite(x: np.ndarray, t: float) -> None:
-    """Raise NonFinite if a member's state at time t is not finite."""
+def _raise_non_finite(x: np.ndarray, t: float, g) -> None:
+    """Raise NonFinite if a member's state at time t, or else its guard
+    value g, is not finite."""
     if not np.isfinite(x).all():
         raise NonFinite(f"state became non-finite near t = {t:.6g}")
+    if not np.isfinite(g).all():
+        raise NonFinite(f"guard value became non-finite near t = {t:.6g}")
 
 
 def _guard_floor(guard, x: np.ndarray) -> np.ndarray:
@@ -367,7 +381,6 @@ def section_step(
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             x_plus = np.array([prev.reset(entry_chart.embed(y)) for y in np.asarray(x_section, dtype=float)])
-        _raise_non_finite(x_plus, 0.0)
         x_exit, t_exit = flow_batch(dom, x_plus, betas, cfg)
     except IntegrationError as exc:
         exc.phase = i % n

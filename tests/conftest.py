@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hybrid_orbit.fixtures import from_catalog, paper_fixture
+from hybrid_orbit.fixtures import build_synthetic, from_catalog, paper_fixture
 from hybrid_orbit.integrator import IntegratorConfig
 
 
@@ -43,6 +43,13 @@ def boundary2():
 @pytest.fixture(scope="session")
 def uncoupled2():
     return from_catalog("uncoupled-2")
+
+
+@pytest.fixture(scope="session")
+def unstable3():
+    """unstable-3, a bench design system; only CATALOG systems are stored,
+    so it is generated."""
+    return build_synthetic(3, "unstable")
 
 
 @pytest.fixture(scope="session")

@@ -56,6 +56,28 @@ def test_unit_flow_hits_unit_guard():
     assert abs(x_exit[0, 0] - 1.0) < 1e-9
 
 
+def textbook_rk4(f, x, h):
+    """The classical RK4 step as printed."""
+    k1 = f(x)
+    k2 = f(x + h / 2 * k1)
+    k3 = f(x + h / 2 * k2)
+    k4 = f(x + h * k3)
+    return x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+@pytest.mark.parametrize("n_members", [1, 11])
+def test_rk4_step_equals_the_textbook_formula_bit_for_bit(n_members):
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(3, 3))
+
+    def f(x):
+        return np.sin(x.dot(a)) + x * x
+
+    x = rng.normal(size=(n_members, 3))
+    for h in (2e-3, 0.37, rng.uniform(1e-4, 0.1, size=(n_members, 1))):
+        assert np.array_equal(rk4_step(f, x, h), textbook_rk4(f, x, h))
+
+
 @pytest.fixture
 def rk4_calls(monkeypatch):
     """The step argument of every RK4 step the integrator takes."""
@@ -272,6 +294,52 @@ def test_blow_up_raises_non_finite():
     dom = autonomous(lambda x: np.array([1.0 + x[0] ** 2]), lambda X: X[:, 0] - 1e300, 1)
     with pytest.raises(NonFinite):
         flow_one(dom, [1.0], np.zeros(0), IntegratorConfig(base_step=0.5))
+
+
+def guard_turning(value, after):
+    """The guard x1 - 1 for its first `after` calls, then `value` in every
+    row, and the list of its calls."""
+    calls = []
+
+    def guard(X):
+        calls.append(X.shape[0])
+        return X[:, 0] - 1.0 if len(calls) <= after else np.full(X.shape[0], value)
+
+    return guard, calls
+
+
+@pytest.mark.parametrize("after", [0, 5], ids=["at-start", "mid-flow"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_guard_value_raises_non_finite_at_once(value, after):
+    # The start value is the first call; the guard-rounding floor the
+    # second; then one call per guard-bounded run.  The flow stops at the
+    # first non-finite value instead of stepping on to the duration cap.
+    guard, calls = guard_turning(value, after)
+    dom = autonomous(lambda x: np.array([1.0]), guard, 1)
+    with pytest.raises(NonFinite, match="guard value"):
+        flow_one(dom, [0.0], np.zeros(0), IntegratorConfig())
+    assert len(calls) == after + 1
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_guard_value_fails_at_its_step_in_a_batch(value):
+    # Member 1's guard turns non-finite once x1 passes 0.505, inside a
+    # guard-bounded run: the step from t = 0.5 to 0.51.  Its batch fails
+    # there, as it does alone, and the other members flow on their own.
+    def guard(X):
+        return X[:, 0] - 1.0 + np.where((X[:, 1] > 0.0) & (X[:, 0] > 0.505), value, 0.0)
+
+    dom = autonomous(lambda x: np.array([1.0, 0.0]), guard, 2)
+    x0 = np.array([[0.0, -1.0], [0.0, 1.0], [0.2, -1.0]])
+    cfg = IntegratorConfig()
+    _, t_exit = flow_batch(dom, x0[[0, 2]], np.zeros((2, 0)), cfg)
+    assert np.allclose(t_exit, [1.0, 0.8])
+    with pytest.raises(NonFinite, match="guard value") as solo:
+        flow_one(dom, x0[1], np.zeros(0), cfg)
+    with pytest.raises(NonFinite) as batch:
+        flow_batch(dom, x0, np.zeros((3, 0)), cfg)
+    assert str(batch.value) == str(solo.value)
+    assert str(solo.value).endswith("near t = 0.5")
 
 
 def test_trajectory_is_deterministic():
@@ -548,7 +616,7 @@ def test_runs_stop_at_the_phase_duration_cap(monkeypatch, rk4_calls):
         assert len(rk4_calls) <= 46
 
 
-@pytest.mark.parametrize("name", ("stable-3", "rebuilt"))
+@pytest.mark.parametrize("name", CATALOG + ("unstable-3", "rebuilt"))
 def test_synthetic_batch_callables_match_scalar_ones(request, name):
     model = catalog_model(request, name)
     rng = np.random.default_rng(11)
@@ -560,6 +628,21 @@ def test_synthetic_batch_callables_match_scalar_ones(request, name):
         for b in range(6):
             scalar = dom.drift(x[b]) + dom.input_map(x[b]) @ dom.controller(x[b], betas[b])
             assert np.max(np.abs(rows[b] - scalar)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", CATALOG + ("unstable-3",))
+def test_catalog_field_rows_do_not_depend_on_the_batch_size(request, name):
+    # Members of a batch flow must take the bits of their solo flows, so
+    # the field must not take a different product path for a stack of rows.
+    model = catalog_model(request, name)
+    rng = np.random.default_rng(13)
+    for dom in model.system.domains:
+        for n_members in (1, 2, 11, 25):
+            x = rng.normal(size=(n_members, dom.state_dim))
+            betas = rng.normal(size=(n_members, dom.param_dim))
+            rows = dom.batch_field(betas)(x)
+            for b in range(n_members):
+                assert np.array_equal(rows[b], dom.batch_field(betas[b:b + 1])(x[b:b + 1])[0])
 
 
 def velocity_system(batched: bool) -> MultiDomainSystem:
