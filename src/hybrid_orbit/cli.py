@@ -14,6 +14,7 @@ Exit codes: 0 success / stable verdict, 1 unstable verdict, 2 input error,
 import argparse
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -259,22 +260,7 @@ def _cmd_verify_paper(args) -> int:
     report = fixtures.verify_paper()
     print(report.format_table())
     if args.output:
-        dump_json(
-            {
-                "passed": report.passed,
-                "checks": [
-                    {
-                        "name": c.name,
-                        "passed": c.passed,
-                        "measured": c.measured,
-                        "tolerance": c.tolerance,
-                        "detail": c.detail,
-                    }
-                    for c in report.checks
-                ],
-            },
-            args.output,
-        )
+        dump_json({"passed": report.passed, "checks": [asdict(c) for c in report.checks]}, args.output)
     return EXIT_OK if report.passed else EXIT_UNSTABLE
 
 

@@ -15,6 +15,7 @@ Two kinds of test substrate live here:
   the generator nor scipy.
 """
 
+import inspect
 import json
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
@@ -24,9 +25,9 @@ import numpy as np
 
 from .jsonio import FormatError, _json_text, _number, matrix_from_obj, matrix_to_obj, vector_from_obj, vector_to_obj
 from .model import Domain, MultiDomainSystem, PeriodicOrbit, affine_chart_matrices, affine_section_chart
-from .numerics import eigenvalues, max_abs_entry, pinv, spectral_radius
+from .numerics import max_abs_entry, pinv, spectral_radius
 from .poincare import PhaseJacobians, compose_jacobians
-from . import synthesis
+from . import numerics, synthesis
 
 __all__ = [
     "PaperFixture",
@@ -79,21 +80,16 @@ def paper_fixture() -> PaperFixture:
     """Load a fresh copy of the bundled reference matrices."""
     raw = resources.files("hybrid_orbit").joinpath("data/paper_fixtures.json").read_text()
     doc = json.loads(raw)
-    eigs = np.array([complex(e["re"], e["im"]) for e in doc["eigenvalues"]])
-    mats = {
-        key: matrix_from_obj(doc[key], key)
-        for key in (
-            "A1", "A2", "A", "F1", "F2", "K1", "K2",
-            "A1d", "A2d", "Ad", "remark1_A1d", "remark1_A2d",
-        )
-    }
-    return PaperFixture(
-        eigenvalues=eigs,
-        rho_A=float(doc["rho_A"]),
-        rho_Ad=float(doc["rho_Ad"]),
-        remark1_rho=float(doc["remark1_rho"]),
-        **mats,
-    )
+    values = {}
+    for field in fields(PaperFixture):
+        entry = doc[field.name]
+        if field.name == "eigenvalues":
+            values[field.name] = np.array([complex(e["re"], e["im"]) for e in entry])
+        elif field.type is float:
+            values[field.name] = float(entry)
+        else:
+            values[field.name] = matrix_from_obj(entry, field.name)
+    return PaperFixture(**values)
 
 
 def corrupt(fixture: PaperFixture, field_name: str, index=None) -> PaperFixture:
@@ -147,22 +143,6 @@ class FixtureReport:
         return "\n".join(lines)
 
 
-# Which fixture fields each check reads; fault injection outside a check's
-# fields must never change its outcome.
-CHECK_FIELDS = {
-    "compose_return_jacobian": ("A1", "A2", "A"),
-    "eigenvalue_reproduction": ("A", "eigenvalues"),
-    "open_loop_radius": ("A", "rho_A"),
-    "gain_reproduction_1": ("A1", "F1", "K1"),
-    "gain_reproduction_2": ("A2", "F2", "K2"),
-    "designed_jacobian_1": ("A1", "F1", "A1d"),
-    "designed_jacobian_2": ("A2", "F2", "A2d"),
-    "designed_product": ("A1", "F1", "A2", "F2", "Ad"),
-    "designed_product_radius": ("A1", "F1", "A2", "F2", "rho_Ad"),
-    "pinv_axioms_F1": ("F1",),
-    "remark1_product_radius": ("remark1_A1d", "remark1_A2d", "remark1_rho"),
-}
-
 # The printed K1 table carries one entry inconsistent with its companion
 # matrices: the pseudoinverse solve that reproduces the other 17 entries to
 # ~4e-3 (and K2 entirely) gives -5.8548 at this position, and only that
@@ -184,13 +164,7 @@ def _argmax_entry(delta: np.ndarray) -> str:
     return f"entry ({i + 1}, {j + 1})"
 
 
-def _check(name, measured, tol, detail, holds=True) -> FixtureCheck:
-    """The one pass rule: a side condition holds and the measured
-    deviation is within tolerance."""
-    return FixtureCheck(name, bool(holds) and measured <= tol, measured, tol, detail)
-
-
-def _entrywise_check(name, computed, expected, tol, exclude=None) -> FixtureCheck:
+def _entrywise(computed, expected, tol, exclude=None):
     delta = np.abs(computed - expected)
     note = ""
     if exclude is not None:
@@ -201,84 +175,111 @@ def _entrywise_check(name, computed, expected, tol, exclude=None) -> FixtureChec
         )
         delta = delta.copy()
         delta[exclude] = 0.0
-    return _check(name, float(np.max(delta)), tol, f"max delta at {_argmax_entry(delta)}{note}")
+    return float(np.max(delta)), tol, f"max delta at {_argmax_entry(delta)}{note}"
 
 
-def _scale_factor_phase(a, f):
-    gains = synthesis.scale_factor_gains([(a, f)], eta=1.0)
-    k = gains.gains[0]
-    return k, a - f @ k
+def _scale_factor_gain(a, f):
+    return synthesis.scale_factor_gains([(a, f)], eta=1.0).gains[0]
+
+
+def _designed(a, f):
+    return a - f @ _scale_factor_gain(a, f)
+
+
+# The checks of verify_paper follow.  A check's parameters are the fixture
+# fields it reads, and it is called with those fields only.  It returns
+# (measured, tolerance, detail) and, when its pass needs a side condition,
+# whether that holds.
+
+
+def _compose_return_jacobian(A1, A2, A):
+    return _entrywise(A2 @ A1, A, _TOL_PRODUCT)
+
+
+def _eigenvalue_reproduction(A, eigenvalues):
+    computed = numerics.eigenvalues(A)
+    worst = max((float(np.min(np.abs(computed - e))) for e in eigenvalues), default=0.0)
+    detail = f"worst match distance over {eigenvalues.size} eigenvalues"
+    return worst, _TOL_DIRECT, detail, computed.size == eigenvalues.size
+
+
+def _open_loop_radius(A, rho_A):
+    rho_a = spectral_radius(A)
+    return abs(rho_a - rho_A), _TOL_DIRECT, f"measured radius {rho_a:.4f}"
+
+
+def _gain_reproduction_1(A1, F1, K1):
+    return _entrywise(_scale_factor_gain(A1, F1), K1, _TOL_PINV, exclude=K1_EXCLUDED_ENTRY)
+
+
+def _gain_reproduction_2(A2, F2, K2):
+    return _entrywise(_scale_factor_gain(A2, F2), K2, _TOL_PINV)
+
+
+def _designed_jacobian_1(A1, F1, A1d):
+    return _entrywise(_designed(A1, F1), A1d, _TOL_DIRECT)
+
+
+def _designed_jacobian_2(A2, F2, A2d):
+    return _entrywise(_designed(A2, F2), A2d, _TOL_DIRECT)
+
+
+def _designed_product(A1, F1, A2, F2, Ad):
+    return _entrywise(_designed(A2, F2) @ _designed(A1, F1), Ad, _TOL_DIRECT)
+
+
+def _designed_product_radius(A1, F1, A2, F2, rho_Ad):
+    rho_ad = spectral_radius(_designed(A2, F2) @ _designed(A1, F1))
+    return abs(rho_ad - rho_Ad), _TOL_DIRECT, f"measured radius {rho_ad:.6f}"
+
+
+def _pinv_axioms_F1(F1):
+    p1 = pinv(F1)
+    axiom_defect = max(
+        max_abs_entry(F1 @ p1 @ F1 - F1),
+        max_abs_entry(p1 @ F1 @ p1 - p1),
+        max_abs_entry((F1 @ p1).T - F1 @ p1),
+        max_abs_entry((p1 @ F1).T - p1 @ F1),
+    )
+    return axiom_defect, 1e-8, "worst of the four pseudoinverse axioms"
+
+
+def _remark1_product_radius(remark1_A1d, remark1_A2d, remark1_rho):
+    rho_pair = spectral_radius(remark1_A2d @ remark1_A1d)
+    rho_1, rho_2 = spectral_radius(remark1_A1d), spectral_radius(remark1_A2d)
+    detail = (f"product radius {rho_pair:.6f} from factors with radii "
+              f"{rho_1:.4f}, {rho_2:.4f} (both contractions)")
+    return abs(rho_pair - remark1_rho), 1e-4, detail, rho_1 < 1.0 and rho_2 < 1.0
+
+
+# The checks in report order, each named by its function less the leading
+# underscore.
+_CHECKS = {
+    check.__name__[1:]: check
+    for check in (
+        _compose_return_jacobian, _eigenvalue_reproduction, _open_loop_radius,
+        _gain_reproduction_1, _gain_reproduction_2, _designed_jacobian_1, _designed_jacobian_2,
+        _designed_product, _designed_product_radius, _pinv_axioms_F1, _remark1_product_radius,
+    )
+}
+
+# Which fixture fields each check reads; fault injection outside a check's
+# fields must never change its outcome.
+CHECK_FIELDS = {name: tuple(inspect.signature(check).parameters) for name, check in _CHECKS.items()}
 
 
 def verify_paper(fixture: PaperFixture | None = None) -> FixtureReport:
     """Run every fixture consistency check and report measured deltas.
 
     Deterministic and self-contained; failures are reported, never raised.
+    A check passes when its side condition holds and the measured deviation
+    is within tolerance.
     """
     fx = fixture if fixture is not None else paper_fixture()
     checks = []
-
-    checks.append(_entrywise_check("compose_return_jacobian", fx.A2 @ fx.A1, fx.A, _TOL_PRODUCT))
-
-    computed_eigs = eigenvalues(fx.A)
-    worst = 0.0
-    for expected in fx.eigenvalues:
-        worst = max(worst, float(np.min(np.abs(computed_eigs - expected))))
-    checks.append(
-        _check(
-            "eigenvalue_reproduction",
-            worst,
-            _TOL_DIRECT,
-            f"worst match distance over {fx.eigenvalues.size} eigenvalues",
-            holds=computed_eigs.size == fx.eigenvalues.size,
-        )
-    )
-
-    rho_a = spectral_radius(fx.A)
-    checks.append(
-        _check("open_loop_radius", abs(rho_a - fx.rho_A), _TOL_DIRECT, f"measured radius {rho_a:.4f}")
-    )
-
-    k1, a1d = _scale_factor_phase(fx.A1, fx.F1)
-    k2, a2d = _scale_factor_phase(fx.A2, fx.F2)
-    checks.append(
-        _entrywise_check("gain_reproduction_1", k1, fx.K1, _TOL_PINV, exclude=K1_EXCLUDED_ENTRY)
-    )
-    checks.append(_entrywise_check("gain_reproduction_2", k2, fx.K2, _TOL_PINV))
-    checks.append(_entrywise_check("designed_jacobian_1", a1d, fx.A1d, _TOL_DIRECT))
-    checks.append(_entrywise_check("designed_jacobian_2", a2d, fx.A2d, _TOL_DIRECT))
-
-    product = a2d @ a1d
-    checks.append(_entrywise_check("designed_product", product, fx.Ad, _TOL_DIRECT))
-    rho_ad = spectral_radius(product)
-    checks.append(
-        _check("designed_product_radius", abs(rho_ad - fx.rho_Ad), _TOL_DIRECT,
-               f"measured radius {rho_ad:.6f}")
-    )
-
-    p1 = pinv(fx.F1)
-    axiom_defect = max(
-        max_abs_entry(fx.F1 @ p1 @ fx.F1 - fx.F1),
-        max_abs_entry(p1 @ fx.F1 @ p1 - p1),
-        max_abs_entry((fx.F1 @ p1).T - fx.F1 @ p1),
-        max_abs_entry((p1 @ fx.F1).T - p1 @ fx.F1),
-    )
-    checks.append(_check("pinv_axioms_F1", axiom_defect, 1e-8, "worst of the four pseudoinverse axioms"))
-
-    rho_pair = spectral_radius(fx.remark1_A2d @ fx.remark1_A1d)
-    rho_1 = spectral_radius(fx.remark1_A1d)
-    rho_2 = spectral_radius(fx.remark1_A2d)
-    checks.append(
-        _check(
-            "remark1_product_radius",
-            abs(rho_pair - fx.remark1_rho),
-            1e-4,
-            f"product radius {rho_pair:.6f} from factors with radii "
-            f"{rho_1:.4f}, {rho_2:.4f} (both contractions)",
-            holds=rho_1 < 1.0 and rho_2 < 1.0,
-        )
-    )
-
+    for name, check in _CHECKS.items():
+        measured, tol, detail, *holds = check(**{f: getattr(fx, f) for f in CHECK_FIELDS[name]})
+        checks.append(FixtureCheck(name, all(holds) and measured <= tol, measured, tol, detail))
     return FixtureReport(checks=checks)
 
 
@@ -648,6 +649,17 @@ def _catalog_text() -> str:
     return _json_text(entries)
 
 
+# How a descriptor phase stores a LinearPhase field, as (reader, writer);
+# the fields not listed are matrices.
+_PHASE_FIELDS = {
+    "guard_normal": (vector_from_obj, vector_to_obj),
+    "start_state": (vector_from_obj, vector_to_obj),
+    "guard_offset": (_number, float),
+    "duration": (_number, float),
+}
+_MATRIX_FIELD = (matrix_from_obj, matrix_to_obj)
+
+
 def synthetic_to_obj(model: SyntheticModel) -> dict:
     """JSON descriptor of the piecewise-linear family (matrices only)."""
     return {
@@ -655,14 +667,8 @@ def synthetic_to_obj(model: SyntheticModel) -> dict:
         "n_domains": len(model.phases),
         "phases": [
             {
-                "drift": matrix_to_obj(ph.drift),
-                "input_map": matrix_to_obj(ph.input_map),
-                "beta_coupling": matrix_to_obj(ph.beta_coupling),
-                "guard_normal": vector_to_obj(ph.guard_normal),
-                "guard_offset": float(ph.guard_offset),
-                "reset": matrix_to_obj(ph.reset),
-                "start_state": vector_to_obj(ph.start_state),
-                "duration": float(ph.duration),
+                field.name: _PHASE_FIELDS.get(field.name, _MATRIX_FIELD)[1](getattr(ph, field.name))
+                for field in fields(LinearPhase)
             }
             for ph in model.phases
         ],
@@ -677,12 +683,6 @@ def synthetic_from_obj(obj: dict) -> SyntheticModel:
         raise FormatError("descriptor: expected an object")
     if not isinstance(obj.get("phases"), list):
         raise FormatError("phases: expected a list of phase objects")
-    readers = {
-        "guard_normal": vector_from_obj,
-        "start_state": vector_from_obj,
-        "guard_offset": _number,
-        "duration": _number,
-    }
     phases = []
     for idx, entry in enumerate(obj["phases"]):
         if not isinstance(entry, dict):
@@ -692,6 +692,6 @@ def synthetic_from_obj(obj: dict) -> SyntheticModel:
             path = f"phases[{idx}].{field.name}"
             if field.name not in entry:
                 raise FormatError(f"{path}: missing")
-            values[field.name] = readers.get(field.name, matrix_from_obj)(entry[field.name], path)
+            values[field.name] = _PHASE_FIELDS.get(field.name, _MATRIX_FIELD)[0](entry[field.name], path)
         phases.append(LinearPhase(**values))
     return _assemble(str(obj.get("profile", "custom")), tuple(phases))

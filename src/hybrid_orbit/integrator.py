@@ -137,8 +137,8 @@ def flow_batch(
     errors; if any member fails, its error is raised and nothing is
     returned.  An overflowing state raises NonFinite, not a floating-point
     warning, and so does a guard value that is NaN or infinite, at the
-    start or at the step where it appears.  The result is the (B, m) exit
-    states and the (B,) exit times.
+    start, at the step where it appears, or in the guard rate at an exit.
+    The result is the (B, m) exit states and the (B,) exit times.
 
     A member has crossed once past the guard or within _GUARD_TOL = 1e-10
     of it.  A crossing before _MIN_PHASE_DURATION = 1e-6 raises Chattering,
@@ -302,7 +302,8 @@ def _exit_crossing(f, guard, x_from, t_from, step, side, g_from, x_to, g_to):
     replaced by the midpoint.  The end with the smaller |H| exits;
     past _GUARD_TOL plus the rounding floor of H at it, the refinement stalled.
     The guard rate at the exit is the central difference of H along the
-    field, step 1e-7, for all members in one pair of guard calls.
+    field, step 1e-7, for all members in one pair of guard calls; a rate
+    that is NaN or infinite raises NonFinite at the exit time.
     """
     members = np.arange(x_from.shape[0])
     width = 4.0 * np.finfo(float).eps * step
@@ -350,6 +351,9 @@ def _exit_crossing(f, guard, x_from, t_from, step, side, g_from, x_to, g_to):
     rate = central_difference(
         lambda s: [guard(x_hit + s_j * field) for s_j in s[:, 0]], np.zeros(1), 1e-7
     )[:, 0]
+    bad = ~np.isfinite(rate)
+    if bad.any():
+        _raise_non_finite(x_hit, t_exit[np.argmax(bad)], rate)
     flat = np.abs(rate) <= _TRANSVERSALITY_TOL
     if flat.any():
         raise NonTransversal(f"guard rate {rate[np.argmax(flat)]:.3e} at the crossing is below tolerance")

@@ -321,7 +321,8 @@ def certify_designed(designed, inexact_design: bool = False) -> StabilityReport:
     certificates are sufficient conditions layered on top.  Finite factors
     whose product overflows raise NumericsError.
     """
-    # First, so that a non-square factor is named by index.
+    # First, so that a non-square factor is named by index; its radii are
+    # also the report's per-phase radii.
     cert_theorem3 = certify_theorem3(designed)
     cert_theorem4 = certify_theorem4(designed)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -331,7 +332,7 @@ def certify_designed(designed, inexact_design: bool = False) -> StabilityReport:
     product_radius = spectral_radius(product)
     return StabilityReport(
         designed=designed,
-        per_phase_radius=[spectral_radius(m) for m in designed],
+        per_phase_radius=[entry["radius"] for entry in cert_theorem3.per_phase],
         product=product,
         product_radius=product_radius,
         cert_theorem3=cert_theorem3,

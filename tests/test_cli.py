@@ -2,7 +2,7 @@
 
 import json
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 import subprocess
 import sys
 
@@ -12,7 +12,7 @@ import pytest
 import hybrid_orbit
 from hybrid_orbit import cli
 from hybrid_orbit.cli import main
-from hybrid_orbit.fixtures import CATALOG, from_catalog, paper_fixture
+from hybrid_orbit.fixtures import CATALOG, FixtureCheck, from_catalog, paper_fixture, verify_paper
 from hybrid_orbit.integrator import IntegratorConfig
 from hybrid_orbit.jsonio import dump_json, matrix_to_obj
 from test_poincare import _reset_counter
@@ -362,6 +362,18 @@ def test_verify_paper_exit_and_report(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["passed"] is True
     assert len(doc["checks"]) == 11
+
+
+def test_verify_paper_report_writes_each_fixture_check_whole(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run(["verify-paper", "-o", out]) == 0
+    doc = json.loads(out.read_text())
+    report = verify_paper()
+    keys = [f.name for f in fields(FixtureCheck)]
+    assert len(doc["checks"]) == len(report.checks)
+    for written, check in zip(doc["checks"], report.checks):
+        assert sorted(written) == sorted(keys)
+        assert written == {key: getattr(check, key) for key in keys}
 
 
 def _scipy_loaded_after(code, tmp_path):

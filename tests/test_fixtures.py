@@ -1,6 +1,7 @@
 """Reference-fixture consistency suite and the synthetic model family."""
 
 import json
+from dataclasses import fields
 from importlib import resources
 
 import numpy as np
@@ -12,6 +13,8 @@ from hybrid_orbit.fixtures import (
     CATALOG,
     CHECK_FIELDS,
     K1_EXCLUDED_ENTRY,
+    LinearPhase,
+    PaperFixture,
     build_synthetic,
     corrupt,
     from_catalog,
@@ -37,6 +40,13 @@ def test_stock_fixture_all_checks_pass():
     table = report.format_table()
     for name in CHECK_FIELDS:
         assert name in table
+
+
+def test_every_fixture_field_is_read_by_a_check():
+    names = {f.name for f in fields(PaperFixture)}
+    read = {field for deps in CHECK_FIELDS.values() for field in deps}
+    assert names - read == set()
+    assert read - names == set()
 
 
 def test_corrupted_entry_fails_the_corresponding_check():
@@ -217,6 +227,13 @@ def test_descriptor_round_trip(stable2):
 def test_descriptor_rebuilds_byte_identically(name):
     doc = json.dumps(synthetic_to_obj(from_catalog(name)))
     assert json.dumps(synthetic_to_obj(synthetic_from_obj(json.loads(doc)))) == doc
+
+
+def test_descriptor_phases_have_exactly_the_linear_phase_fields():
+    keys = [f.name for f in fields(LinearPhase)]
+    for name in fixtures.CATALOG:
+        doc = synthetic_to_obj(from_catalog(name))
+        assert [list(phase) for phase in doc["phases"]] == [keys] * len(doc["phases"])
 
 
 def _edited(stable2, edit):

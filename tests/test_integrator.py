@@ -342,6 +342,27 @@ def test_non_finite_guard_value_fails_at_its_step_in_a_batch(value):
     assert str(solo.value).endswith("near t = 0.5")
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_exit_guard_rate_raises_non_finite(value):
+    # The guard x1 - 1 is finite at the located exit, x1 = 1 to within
+    # 1e-9, and turns non-finite just past it, where the central difference
+    # of the guard rate (step 1e-7 along the field) evaluates it.  The exit
+    # is not accepted: the flow raises NonFinite at the exit time, alone and
+    # in a batch with a member that exits elsewhere.
+    def guard(X):
+        h = X[:, 0] - 1.0
+        return np.where((h > 1e-9) & (h < 1e-6), value, h)
+
+    dom = autonomous(lambda x: np.array([1.0]), guard, 1)
+    cfg = IntegratorConfig()
+    with pytest.raises(NonFinite, match="guard value") as solo:
+        flow_one(dom, [0.0], np.zeros(0), cfg)
+    assert str(solo.value).endswith("near t = 1")
+    with pytest.raises(NonFinite) as batch:
+        flow_batch(dom, np.array([[0.0], [-1.0]]), np.zeros((2, 0)), cfg)
+    assert str(batch.value) == str(solo.value)
+
+
 def test_trajectory_is_deterministic():
     a = np.array([[0.0, 1.0], [-1.0, -0.1]])
     dom = autonomous(lambda x: a @ x, lambda X: X[:, 0] - 0.4, 2)
