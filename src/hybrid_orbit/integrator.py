@@ -69,9 +69,10 @@ class NonFinite(IntegrationError):
 # 300 open-loop cycles of unstable-2, whose state grows past 1e200.
 _REFINE_MAX_ITER = 100
 
-# The most base steps in one guard-bounded run of flow_batch.  Past 32 a
-# one-member flow at base step 2e-3 gets no faster.
-_MAX_RUN = 32
+# The most base steps in one guard-bounded run of flow_batch.  A stable-3
+# phase-0 flow of 1 or 11 members takes 1-2% less time at 64 than at 32,
+# at base step 2e-3 and at 1e-2; 128 gains nothing clear over 64.
+_MAX_RUN = 64
 
 # A guard value this many ulps of |grad H| |x| from zero is on the guard
 # as far as rounding can tell (see _guard_floor).
@@ -103,17 +104,42 @@ class IntegratorConfig:
 
 def rk4_step(f, x: np.ndarray, h: float | np.ndarray) -> np.ndarray:
     """One classical RK4 step.  x may be a (B, m) stack of states, with h a
-    shared float or, as the crossing refinement passes it, a (B, 1) column
-    of per-member steps.  The weights 2 are written as doublings, k + k,
-    summed in the order of k1 + 2 k2 + 2 k3 + k4: doubling is exact, so the
-    step has the bits of the textbook formula, and an array sum skips the
-    scalar conversion of 2.0 * k."""
-    hh = 0.5 * h
+    shared float or a (B, 1) column of per-member steps.  The result has
+    the bits of the textbook formula x + h/6 (k1 + 2 k2 + 2 k3 + k4).  f
+    returns float arrays, since the stages are summed in place in their
+    dtype; see _rk4, the step every phase flow takes."""
+    return _rk4(f, x, 0.5 * h, h, h / 6.0)
+
+
+def _rk4(f, x, hh, h, h6):
+    """The RK4 step of rk4_step, given its constants hh = h/2, h and
+    h6 = h/6: flow_batch makes them once per flow as 0-d arrays, which
+    multiply an array without the scalar conversion of a Python float.
+
+    Only arrays made here are updated in place, the stage inputs and the
+    weighted sum; the field's outputs and x are never written, since a
+    field may return its input or an array it keeps.  The weights 2 are
+    doublings, k + k, and the sum adds k1 + 2 k2 + 2 k3 + k4 in that
+    order up to commuting one addition: float addition is commutative and
+    doubling is exact, so the step keeps the bits of the textbook formula.
+    """
     k1 = f(x)
-    k2 = f(x + hh * k1)
-    k3 = f(x + hh * k2)
-    k4 = f(x + h * k3)
-    return x + (h / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
+    t = hh * k1
+    t += x
+    k2 = f(t)
+    t = hh * k2
+    t += x
+    k3 = f(t)
+    t = h * k3
+    t += x
+    k4 = f(t)
+    s = k2 + k2
+    s += k1
+    s += k3 + k3
+    s += k4
+    s *= h6
+    s += x
+    return s
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -148,7 +174,7 @@ def flow_batch(
     still uncrossed, NoCrossing is raised, so the last step ends at or past
     50.
 
-    Base steps go in guard-bounded runs of up to 32 RK4 steps back to
+    Base steps go in guard-bounded runs of up to 64 RK4 steps back to
     back, and of no more than (min g - _GUARD_TOL) / (2 |dg|) steps, where
     |dg| is the largest guard change of the last base step: a run stops
     short of the guard unless the guard's rate more than doubles.  The
@@ -179,6 +205,7 @@ def flow_batch(
     side = np.where(h0 > 0.0, 1.0, -1.0)
     g_val = np.abs(h0)
     dt = cfg.base_step
+    consts = np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0)
     t = 0.0
     members = np.arange(n_members)
     f = _batch_field(domain, betas)
@@ -189,7 +216,7 @@ def flow_batch(
     while members.size:
         if t >= _MAX_PHASE_DURATION:
             raise NoCrossing(f"guard not reached within max phase duration {_MAX_PHASE_DURATION}")
-        xs, g = _run(f, guard, x, dt, side, _run_length(rate, g_val, t, dt))
+        xs, g = _run(f, guard, x, consts, side, _run_length(rate, g_val, t, dt))
         passed = (g > _GUARD_TOL).all(axis=1)
         n_ok = g.shape[0] if passed.all() else int(np.argmin(passed))
 
@@ -237,12 +264,13 @@ def _run_length(rate, g_val, t, step) -> int:
     return min(n, math.ceil((_MAX_PHASE_DURATION - t) / step))
 
 
-def _run(f, guard, x, step, side, n):
-    """n RK4 steps from x, and the signed guard values of the steps before
-    the first one with a non-finite state or guard value."""
+def _run(f, guard, x, consts, side, n):
+    """n RK4 steps from x, each _rk4 with the step constants consts, and the
+    signed guard values of the steps before the first one with a non-finite
+    state or guard value."""
     xs = np.empty((n,) + x.shape)
     for k in range(n):
-        x = xs[k] = rk4_step(f, x, step)
+        x = xs[k] = _rk4(f, x, *consts)
     finite = np.isfinite(xs).all(axis=(1, 2))
     n_finite = n if finite.all() else int(np.argmin(finite))
     if not n_finite:
@@ -254,11 +282,12 @@ def _run(f, guard, x, step, side, n):
 
 def _batch_field(domain: Domain, betas: np.ndarray):
     """The closed phase field for a parameter stack, lifted row by row if
-    the domain has no batch_field."""
+    the domain has no batch_field.  The lifted rows are cast to float, as
+    _rk4 sums the stages in place in their dtype."""
     if domain.batch_field is not None:
         return domain.batch_field(betas)
     fields = [domain.vector_field(beta) for beta in betas]
-    return lambda x: np.array([f(row) for f, row in zip(fields, x)])
+    return lambda x: np.array([f(row) for f, row in zip(fields, x)], dtype=float)
 
 
 def _raise_non_finite(x: np.ndarray, t: float, g) -> None:
@@ -293,7 +322,7 @@ def _exit_crossing(f, guard, x_from, t_from, step, side, g_from, x_to, g_to):
     """Locate each member's crossing inside the base step from time t_from,
     then check it.
 
-    g(tau) = side * H(rk4_step(x_from, tau)) falls from g_from > 0 to g_to
+    g(tau) = side * H(rk4_step(f, x_from, tau)) falls from g_from > 0 to g_to
     over the step.  Illinois regula falsi puts the secant root of the bracket
     in place of the end of the same sign, halving the weight of an end kept
     twice in a row, until the bracket is a few ulps of the step wide (at once

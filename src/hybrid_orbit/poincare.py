@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrator import IntegratorConfig, section_step
+from .integrator import IntegrationError, IntegratorConfig, section_step
 from .model import MultiDomainSystem, PeriodicOrbit
 from .numerics import central_difference
 
@@ -152,14 +152,16 @@ def orbit_and_jacobians(
     The pass gives the residual return_map(x) - x, the orbit and the
     per-phase Jacobians A_i, F_i; Newton solves with the product of the
     A_i, halving the step up to 8 times whenever the residual fails to
-    decrease, and stops once the max-norm residual is below 1e-9, within
-    30 iterations.  The orbit's section fixed points and phase
+    decrease or the trial pass raises an IntegrationError, and stops once
+    the max-norm residual is below 1e-9, within 30 iterations.  The orbit's section fixed points and phase
     durations are those of the pass that gave the converged residual,
     except that the last fixed point is the converged x itself rather than
     its image return_map(x).  The Jacobians are that pass's too, so they
     equal phase_jacobians(system, orbit, cfg) bit for bit.  A
     FixedPointError for a stall or no convergence gives the residual and
-    sigma_min(DP - I) at the last accepted point.
+    sigma_min(DP - I) at the last accepted point; a stall message also
+    counts the trial passes that failed to integrate, if any did.  The
+    guess's own pass is no trial: its IntegrationError propagates.
 
     Where DP - I is singular, Newton converges only linearly: at a simple
     singular root the residual falls by 1/4 per step.  So after an
@@ -197,9 +199,14 @@ def orbit_and_jacobians(
             raise FixedPointError(
                 "singular (I - A): the orbit is non-hyperbolic in a unit-eigenvalue direction"
             ) from exc
+        failed = 0
         for scale in scales:
             x_try = x + scale * step
-            trial = one_pass(x_try)
+            try:
+                trial = one_pass(x_try)
+            except IntegrationError:
+                failed += 1
+                continue
             trial_norm = float(np.max(np.abs(trial[0])))
             if trial_norm < res_norm:
                 break
@@ -207,6 +214,7 @@ def orbit_and_jacobians(
             raise FixedPointError(
                 f"Newton stalled: residual {res_norm:.3e} does not decrease, "
                 f"sigma_min(DP - I) = {_sigma_min(jacs):.3e}"
+                + (f"; {failed} trial passes failed to integrate" if failed else "")
             )
         singular = _SINGULAR_RATIO[0] < trial_norm / res_norm < _SINGULAR_RATIO[1]
         scales = _EXTRAPOLATED if scale == 1.0 and singular else _DAMPING

@@ -50,10 +50,12 @@ def set_constants(monkeypatch, **constants):
 
 
 def test_unit_flow_hits_unit_guard():
-    dom = autonomous(lambda x: np.array([1.0]), lambda X: X[:, 0] - 1.0, 1)
-    x_exit, t_exit = flow_batch(dom, np.array([[0.0]]), np.zeros((1, 0)), IntegratorConfig())
-    assert abs(t_exit[0] - 1.0) < 1e-9
-    assert abs(x_exit[0, 0] - 1.0) < 1e-9
+    # An integer-valued field flows too: the row-by-row lift casts to float.
+    for velocity in (np.array([1.0]), np.array([1])):
+        dom = autonomous(lambda x: velocity, lambda X: X[:, 0] - 1.0, 1)
+        x_exit, t_exit = flow_batch(dom, np.array([[0.0]]), np.zeros((1, 0)), IntegratorConfig())
+        assert abs(t_exit[0] - 1.0) < 1e-9
+        assert abs(x_exit[0, 0] - 1.0) < 1e-9
 
 
 def textbook_rk4(f, x, h):
@@ -65,29 +67,37 @@ def textbook_rk4(f, x, h):
     return x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-@pytest.mark.parametrize("n_members", [1, 11])
+@pytest.mark.parametrize("n_members", [1, 11, 25])
 def test_rk4_step_equals_the_textbook_formula_bit_for_bit(n_members):
+    # Both rk4_step and the core _rk4 that phase flows call, given the step
+    # constants h/2, h, h/6 as flow_batch makes them (0-d arrays) or as
+    # the crossing refinement does ((B, 1) columns).
     rng = np.random.default_rng(3)
-    a = rng.normal(size=(3, 3))
+    for dim in (1, 3):
+        a = rng.normal(size=(dim, dim))
 
-    def f(x):
-        return np.sin(x.dot(a)) + x * x
+        def f(x):
+            return np.sin(x.dot(a)) + x * x
 
-    x = rng.normal(size=(n_members, 3))
-    for h in (2e-3, 0.37, rng.uniform(1e-4, 0.1, size=(n_members, 1))):
-        assert np.array_equal(rk4_step(f, x, h), textbook_rk4(f, x, h))
+        x = rng.normal(size=(n_members, dim))
+        for h in (2e-3, 0.37, rng.uniform(1e-4, 0.1, size=(n_members, 1))):
+            expected = textbook_rk4(f, x, h)
+            assert np.array_equal(rk4_step(f, x, h), expected)
+            consts = [np.array(c) for c in (0.5 * h, h, h / 6.0)]
+            assert np.array_equal(integrator._rk4(f, x, *consts), expected)
 
 
 @pytest.fixture
 def rk4_calls(monkeypatch):
-    """The step argument of every RK4 step the integrator takes."""
+    """The step length h of every RK4 step the integrator takes."""
     calls = []
+    rk4 = integrator._rk4
 
-    def counted_rk4(f, x, h):
+    def counted_rk4(f, x, hh, h, h6):
         calls.append(h)
-        return rk4_step(f, x, h)
+        return rk4(f, x, hh, h, h6)
 
-    monkeypatch.setattr(integrator, "rk4_step", counted_rk4)
+    monkeypatch.setattr(integrator, "_rk4", counted_rk4)
     return calls
 
 
@@ -500,9 +510,10 @@ def test_batch_members_match_solo_and_lifted_runs(request, name, base_step):
 
 
 def reference_flow(domain, x0, beta, cfg):
-    """The one-member flow written as a plain scalar loop: accepted times
-    and states, the refined crossing last.  Checks are left out.  The
-    integrator constants are read at call time, as the kernel reads them."""
+    """The one-member flow written as a plain scalar loop, stepped by
+    textbook_rk4 and not by the package's RK4: accepted times and states,
+    the refined crossing last.  Checks are left out.  The integrator
+    constants are read at call time, as the kernel reads them."""
     f = domain.vector_field(beta)
 
     def H(x):
@@ -513,7 +524,7 @@ def reference_flow(domain, x0, beta, cfg):
     times, states = [0.0], [x0.copy()]
     t, x, h_val, step = 0.0, x0, h0, cfg.base_step
     while True:
-        x_next = rk4_step(f, x, step)
+        x_next = textbook_rk4(f, x, step)
         h_next = H(x_next)
         if h_next * side < 0.0 or abs(h_next) <= integrator._GUARD_TOL:
             # Illinois regula falsi on the step fraction, to a 4-ulp bracket;
@@ -526,7 +537,7 @@ def reference_flow(domain, x0, beta, cfg):
                 tau = min(max(lo + (hi - lo) * (g_lo / (g_lo - g_hi)), lo), hi)
                 if tau in (lo, hi):
                     tau = 0.5 * (lo + hi)
-                x_tau = rk4_step(f, x, tau)
+                x_tau = textbook_rk4(f, x, tau)
                 g_tau = side * H(x_tau)
                 moved = 1 if g_tau <= 0.0 else -1
                 if moved == last == 1:
@@ -589,9 +600,31 @@ def test_runs_under_a_changing_guard_rate_equal_the_scalar_reference_loop(name):
     assert np.array_equal(t_exit, times[-1])
 
 
+def test_fields_that_return_their_input_or_a_kept_array_flow_as_the_textbook_steps():
+    # The RK4 core updates only arrays it made itself.  A batch field may
+    # return its input, here a stage input of the core, or an array it
+    # keeps; both flows equal the textbook reference loop, and the kept
+    # array is not written.
+    kept = np.array([[0.3, -1.2, 2.5]])
+    snapshot = kept.copy()
+    flows = [  # the field of one state, the batch field, the guard, the start
+        (lambda x: x, lambda x: x, lambda X: X[:, 0] - 1e3, np.array([1.0, 0.5, -2.0])),
+        (lambda x: kept[0], lambda x: kept, lambda X: X[:, 0] - 1.0, np.zeros(3)),
+    ]
+    cfg = IntegratorConfig()
+    for field, batch, guard, x0 in flows:
+        dom = replace(autonomous(field, guard, 3), batch_field=lambda betas, batch=batch: batch)
+        times, states = reference_flow(dom, x0, np.zeros(0), cfg)
+        x_exit, t_exit = flow_one(dom, x0, np.zeros(0), cfg)
+        assert times.size > 300
+        assert np.array_equal(x_exit, states[-1])
+        assert np.array_equal(t_exit, times[-1])
+        assert np.array_equal(kept, snapshot)
+
+
 def test_a_run_that_reaches_the_guard_is_accepted_in_part(monkeypatch):
     # The guard is flat at 1 until x = 0.5, so its rate reads 0 and runs take
-    # 32 steps; then it falls through a root at x = 0.52 inside a run.  The
+    # 64 steps; then it falls through a root at x = 0.52 inside a run.  The
     # steps before the crossing step are accepted, the rest of that run is
     # dropped, and the flow still equals the scalar reference loop.
     def flat_then_falling(X):

@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 from hybrid_orbit import poincare
 from hybrid_orbit.fixtures import CATALOG, from_catalog
-from hybrid_orbit.integrator import IntegrationError, IntegratorConfig
+from hybrid_orbit.integrator import IntegrationError, IntegratorConfig, NoCrossing
 from hybrid_orbit.model import Domain, MultiDomainSystem, affine_section_chart
 from hybrid_orbit.poincare import (
     FixedPointError,
@@ -309,6 +309,26 @@ def test_newton_keeps_its_steps_at_hyperbolic_fixed_points(name, request):
         resets.clear()
         orbit_and_jacobians(counted, model.orbit.fixed_points[-1] + kick, IntegratorConfig())
         assert len(resets) == 3 * _pass_members(model.system)
+
+
+def test_a_trial_pass_that_fails_to_integrate_is_a_rejected_trial(unstable3):
+    # A 5% kick along (1, 0) on unstable-3: the full Newton step overshoots,
+    # and its trial pass raises NoCrossing in a later phase.  That trial is
+    # rejected like one whose residual does not decrease, and a damped step
+    # brings the kick home to the closed-form orbit.
+    x_star = unstable3.orbit.fixed_points[-1]
+    start = x_star + 0.05 * max(1.0, np.max(np.abs(x_star))) * np.array([1.0, 0.0])
+    orbit, _ = orbit_and_jacobians(unstable3.system, start, IntegratorConfig())
+    for found, exact in zip(orbit.fixed_points, unstable3.orbit.fixed_points, strict=True):
+        assert np.max(np.abs(found - exact)) < 1e-10
+    # Along (0, 1) every scale fails or raises the residual, and the stall
+    # counts the trial passes that failed.  The guess's own pass is no
+    # trial: its error propagates.
+    start = x_star + 0.05 * max(1.0, np.max(np.abs(x_star))) * np.array([0.0, 1.0])
+    with pytest.raises(FixedPointError, match="stalled.*; 2 trial passes failed to integrate$"):
+        orbit_and_jacobians(unstable3.system, start, IntegratorConfig())
+    with pytest.raises(NoCrossing):
+        orbit_and_jacobians(_escape_prone_system(), np.array([1.0, 0.0]), IntegratorConfig())
 
 
 def test_refine_fixed_point_converges_from_perturbed_guess(stable3, cfg_fast):
