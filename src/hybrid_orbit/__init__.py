@@ -43,10 +43,8 @@ from .poincare import (
     PhaseJacobians,
     compose_jacobians,
     orbit_and_jacobians,
-    partial_map,
     phase_jacobians,
     refine_fixed_point,
-    return_map,
 )
 from .synthesis import (
     GainSet,
@@ -61,14 +59,7 @@ from .synthesis import (
     stability_report,
     symmetric_matrix_gains,
 )
-from .fixtures import (
-    CATALOG,
-    PaperFixture,
-    SyntheticModel,
-    build_synthetic,
-    from_catalog,
-    paper_fixture,
-    verify_paper,
-)
+from .paper import PaperFixture, paper_fixture, verify_paper
+from .synthetic import CATALOG, SyntheticModel, build_synthetic, from_catalog
 
 __version__ = "0.1.0"

@@ -18,12 +18,14 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import fixtures, jsonio, synthesis
+from . import jsonio, synthesis
 from .integrator import IntegrationError, IntegratorConfig, simulate_cycle
 from .jsonio import FormatError, dump_json, load_json, matrix_from_obj, matrix_to_obj, vector_to_obj
 from .model import FeedbackLaw
 from .numerics import NumericsError, spectral_radius
+from .paper import verify_paper
 from .poincare import FixedPointError, PhaseJacobians, compose_jacobians, orbit_and_jacobians
+from .synthetic import CATALOG, from_catalog
 
 __all__ = ["main", "entry"]
 
@@ -42,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze = sub.add_parser("analyze", help="compute section-map Jacobians of a catalog system")
-    analyze.add_argument("--system", required=True, help=f"catalog name, one of {', '.join(fixtures.CATALOG)}")
+    analyze.add_argument("--system", required=True, help=f"catalog name, one of {', '.join(CATALOG)}")
     analyze.add_argument("--output", "-o", required=True, help="output JSON path")
     _add_integrator_flags(analyze)
 
@@ -93,7 +95,7 @@ def _add_integrator_flags(sub_parser) -> None:
 
 def _cmd_analyze(args) -> int:
     cfg = IntegratorConfig(base_step=args.base_step)
-    model = fixtures.from_catalog(args.system)
+    model = from_catalog(args.system)
     orbit, jacs = orbit_and_jacobians(model.system, model.orbit.fixed_points[-1], cfg)
     product = compose_jacobians(jacs)
     doc = {
@@ -224,7 +226,7 @@ def _cmd_simulate(args) -> int:
     if not np.isfinite(args.perturb):
         raise FormatError("--perturb must be finite")
     cfg = IntegratorConfig(base_step=args.base_step)
-    model = fixtures.from_catalog(args.system)
+    model = from_catalog(args.system)
     orbit, jacs = orbit_and_jacobians(model.system, model.orbit.fixed_points[-1], cfg)
     law = None
     if args.method != "none":
@@ -257,7 +259,7 @@ def _err_norm(d: np.ndarray) -> float:
 
 
 def _cmd_verify_paper(args) -> int:
-    report = fixtures.verify_paper()
+    report = verify_paper()
     print(report.format_table())
     if args.output:
         dump_json({"passed": report.passed, "checks": [asdict(c) for c in report.checks]}, args.output)

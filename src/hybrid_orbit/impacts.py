@@ -30,7 +30,8 @@ class ImpactModel:
     """Extended inertia matrix, contact Jacobian and relabeling map.
 
     relabel_map uses signed 1-based indices: entry j holding +-(s+1) means
-    output coordinate j is +-coords[s].
+    output coordinate j is +-coords[s].  It must be a signed permutation
+    of the n_coords coordinates, and is checked when the model is built.
     """
 
     inertia: np.ndarray
@@ -59,7 +60,7 @@ class ImpactModel:
                 raise ValueError("contact Jacobian must have full row rank")
         object.__setattr__(self, "contact_jacobian", e)
         if self.relabel_map is not None:
-            object.__setattr__(self, "relabel_map", tuple(int(v) for v in self.relabel_map))
+            object.__setattr__(self, "relabel_map", _signed_permutation(self.relabel_map, d.shape[0]))
 
     @property
     def n_coords(self) -> int:
@@ -99,18 +100,27 @@ def rigid_impact(model: ImpactModel, qdot_minus) -> tuple[np.ndarray, np.ndarray
     return solution[:n], solution[n:]
 
 
+def _signed_permutation(signed_map, n: int) -> tuple[int, ...]:
+    """The map as integers, checked to be a signed permutation of n
+    coordinates: each of 1 ... n once, up to sign."""
+    signed_map = tuple(int(v) for v in signed_map)
+    if len(signed_map) != n:
+        raise ValueError(f"relabel map has length {len(signed_map)}, coordinates have {n}")
+    for entry in signed_map:
+        if entry == 0 or abs(entry) > n:
+            raise ValueError(f"relabel entry {entry} out of range")
+    if len({abs(entry) for entry in signed_map}) < n:
+        raise ValueError(
+            f"relabel map {list(signed_map)} repeats a coordinate; it must be a signed permutation"
+        )
+    return signed_map
+
+
 def relabel(coords, signed_map) -> np.ndarray:
     """Apply a signed permutation: out[j] = sign(map[j]) * coords[|map[j]| - 1]."""
     coords = np.asarray(coords, dtype=float)
-    signed_map = [int(v) for v in signed_map]
-    if len(signed_map) != coords.size:
-        raise ValueError(
-            f"relabel map has length {len(signed_map)}, coordinates have {coords.size}"
-        )
     out = np.empty_like(coords)
-    for j, entry in enumerate(signed_map):
-        if entry == 0 or abs(entry) > coords.size:
-            raise ValueError(f"relabel entry {entry} out of range")
+    for j, entry in enumerate(_signed_permutation(signed_map, coords.size)):
         out[j] = np.sign(entry) * coords[abs(entry) - 1]
     return out
 

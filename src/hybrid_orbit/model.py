@@ -104,11 +104,6 @@ class Domain:
         return self.controller(x, np.zeros(self.param_dim))
 
 
-def row_map(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """Lift a function of one point to a stack of points, one row each."""
-    return lambda points: np.array([fn(x) for x in points])
-
-
 def guard_gradient(domain: Domain, x: np.ndarray) -> np.ndarray:
     """Central finite-difference gradient of the exit guard at x."""
     return central_difference(domain.guard, x, _GRAD_STEP)[0]
@@ -221,21 +216,29 @@ def validate_c1_c2(domain: Domain, samples: list[np.ndarray]) -> ConditionReport
     For each sample state the controller is probed along every parameter
     axis at the magnitudes 1e-1, ..., 1e-5.  Each condition passes when its
     deviation at the smallest magnitude is at most 1e-4.  Violations are
-    reported, never raised.
+    reported, never raised; an empty sample list, or a sample not of shape
+    (state_dim,), raises ValueError.
     """
+    samples = [np.asarray(x, dtype=float) for x in samples]
+    if not samples:
+        raise ValueError("need at least one sample state")
+    for idx, x in enumerate(samples):
+        if x.shape != (domain.state_dim,):
+            raise ValueError(f"sample {idx} has shape {x.shape}, expected ({domain.state_dim},)")
     scales = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]
     if domain.param_dim == 0:
         return ConditionReport(scales, [0.0] * len(scales), [0.0] * len(scales), True, True)
 
     def grad_x(x, beta):
-        return central_difference(row_map(lambda z: domain.controller(z, beta)), x, _GRAD_STEP)
+        return central_difference(
+            lambda points: np.array([domain.controller(z, beta) for z in points]), x, _GRAD_STEP
+        )
 
     c1_dev, c2_dev = [], []
     for scale in scales:
         worst_c1 = 0.0
         worst_c2 = 0.0
         for x in samples:
-            x = np.asarray(x, dtype=float)
             u0 = domain.nominal_control(x)
             g0 = grad_x(x, np.zeros(domain.param_dim))
             for j in range(domain.param_dim):

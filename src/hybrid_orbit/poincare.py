@@ -1,11 +1,12 @@
-"""Section-to-section maps, their finite-difference Jacobians, and
+"""Finite-difference Jacobians of the section-to-section maps, and
 fixed-point refinement.
 
 The phase-i partial map takes reduced coordinates on the section entering
 phase i, applies the preceding reset, flows through phase i and projects
-the guard crossing through the exit chart.  The return map is the
-composition of all partial maps around the cycle; its Jacobian is the
-right-to-left product of the per-phase Jacobians.
+the guard crossing through the exit chart; integrator.section_step
+evaluates it for a stack of members.  The return map is the composition
+of all partial maps around the cycle; its Jacobian is the right-to-left
+product of the per-phase Jacobians.
 """
 
 from dataclasses import dataclass
@@ -19,8 +20,6 @@ from .numerics import central_difference
 __all__ = [
     "PhaseJacobians",
     "FixedPointError",
-    "partial_map",
-    "return_map",
     "phase_jacobians",
     "compose_jacobians",
     "orbit_and_jacobians",
@@ -57,27 +56,6 @@ class PhaseJacobians:
     phase_index: int
     A: np.ndarray
     F: np.ndarray
-
-
-def partial_map(
-    system: MultiDomainSystem,
-    i: int,
-    x_prev: np.ndarray,
-    beta: np.ndarray,
-    cfg: IntegratorConfig,
-) -> np.ndarray:
-    """Phase-i map: reduced entry-section coordinates to exit-section ones."""
-    y, _ = section_step(
-        system, i, np.asarray(x_prev, dtype=float)[None], np.asarray(beta, dtype=float)[None], cfg
-    )
-    return y[0]
-
-
-def return_map(system: MultiDomainSystem, x: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
-    """Full-cycle map at beta = 0, starting on the section entering phase 0."""
-    for i in range(system.n_domains):
-        x = partial_map(system, i, x, np.zeros(system.domain(i).param_dim), cfg)
-    return x
 
 
 def _phase_step(
@@ -149,14 +127,15 @@ def orbit_and_jacobians(
 
     Every trial point, damping trials included, makes one pass around the
     cycle, one batch per phase from the undisturbed member's entry point.
-    The pass gives the residual return_map(x) - x, the orbit and the
-    per-phase Jacobians A_i, F_i; Newton solves with the product of the
-    A_i, halving the step up to 8 times whenever the residual fails to
-    decrease or the trial pass raises an IntegrationError, and stops once
-    the max-norm residual is below 1e-9, within 30 iterations.  The orbit's section fixed points and phase
+    The pass gives the residual P(x) - x, where P is the return map, the
+    orbit and the per-phase Jacobians A_i, F_i; Newton solves with the
+    product of the A_i, halving the step up to 8 times whenever the
+    residual fails to decrease or the trial pass raises an
+    IntegrationError, and stops once the max-norm residual is below 1e-9,
+    within 30 iterations.  The orbit's section fixed points and phase
     durations are those of the pass that gave the converged residual,
     except that the last fixed point is the converged x itself rather than
-    its image return_map(x).  The Jacobians are that pass's too, so they
+    its image P(x).  The Jacobians are that pass's too, so they
     equal phase_jacobians(system, orbit, cfg) bit for bit.  A
     FixedPointError for a stall or no convergence gives the residual and
     sigma_min(DP - I) at the last accepted point; a stall message also

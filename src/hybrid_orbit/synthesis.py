@@ -257,7 +257,8 @@ def certify_theorem3(designed) -> TheoremCertificate:
     Passes when every designed Jacobian is symmetric (within SYMMETRY_TOL =
     1e-10) with spectral radius below one; the product radius is then
     below one as well, because for symmetric factors the spectral norm
-    equals the spectral radius and the norm is submultiplicative.
+    equals the spectral radius and the norm is submultiplicative.  An
+    empty list raises ValueError.
     """
     per_phase = []
     for idx, m in enumerate(designed):
@@ -274,6 +275,8 @@ def certify_theorem3(designed) -> TheoremCertificate:
                 "ok": bool(defect <= SYMMETRY_TOL and radius < 1.0),
             }
         )
+    if not per_phase:
+        raise ValueError("need at least one designed Jacobian")
     return TheoremCertificate(
         name="theorem3",
         passed=all(entry["ok"] for entry in per_phase),
@@ -286,7 +289,8 @@ def certify_theorem4(designed) -> TheoremCertificate:
 
     Passes when every entry of every designed Jacobian is strictly below
     1 / k.  The strict inequality matters: a chain of matrices with all
-    entries exactly 1 / k has product radius exactly one.
+    entries exactly 1 / k has product radius exactly one.  An empty list
+    raises ValueError.
     """
     per_phase = []
     k_dim = None
@@ -307,6 +311,8 @@ def certify_theorem4(designed) -> TheoremCertificate:
                 "ok": bool(m_i < 1.0 / k_dim),
             }
         )
+    if not per_phase:
+        raise ValueError("need at least one designed Jacobian")
     return TheoremCertificate(
         name="theorem4",
         passed=all(entry["ok"] for entry in per_phase),

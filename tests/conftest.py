@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from hybrid_orbit.fixtures import build_synthetic, from_catalog, paper_fixture
-from hybrid_orbit.integrator import IntegratorConfig
+from hybrid_orbit.integrator import IntegratorConfig, section_step
+from hybrid_orbit.paper import paper_fixture
+from hybrid_orbit.synthetic import build_synthetic, from_catalog
 
 
 @pytest.fixture
@@ -67,3 +68,19 @@ def sweep_set():
         return phases
 
     return make
+
+
+@pytest.fixture(scope="session")
+def cycle_map():
+    """The return map at beta = 0: section_step chained around the cycle
+    from the section entering phase 0.  x is one point or a (B, k) stack,
+    and the image has its shape.  Tests use it as a reference apart from
+    Newton's passes."""
+
+    def run(system, x, cfg):
+        y = np.atleast_2d(np.asarray(x, dtype=float))
+        for i in range(system.n_domains):
+            y, _ = section_step(system, i, y, np.zeros((len(y), system.domain(i).param_dim)), cfg)
+        return y.reshape(np.shape(x))
+
+    return run

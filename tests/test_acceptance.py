@@ -15,15 +15,6 @@ import numpy as np
 import pytest
 
 from hybrid_orbit.cli import main as cli_main
-from hybrid_orbit.fixtures import (
-    CATALOG,
-    CHECK_FIELDS,
-    K1_EXCLUDED_ENTRY,
-    corrupt,
-    from_catalog,
-    paper_fixture,
-    verify_paper,
-)
 from hybrid_orbit.integrator import IntegratorConfig, simulate_cycle
 from hybrid_orbit.model import FeedbackLaw
 from hybrid_orbit.numerics import (
@@ -35,7 +26,9 @@ from hybrid_orbit.numerics import (
     spectral_norm,
     spectral_radius,
 )
+from hybrid_orbit.paper import CHECK_FIELDS, K1_EXCLUDED_ENTRY, corrupt, paper_fixture, verify_paper
 from hybrid_orbit.poincare import phase_jacobians, refine_fixed_point
+from hybrid_orbit.synthetic import CATALOG, from_catalog
 from hybrid_orbit import synthesis
 
 

@@ -12,9 +12,10 @@ import pytest
 import hybrid_orbit
 from hybrid_orbit import cli
 from hybrid_orbit.cli import main
-from hybrid_orbit.fixtures import CATALOG, FixtureCheck, from_catalog, paper_fixture, verify_paper
 from hybrid_orbit.integrator import IntegratorConfig
 from hybrid_orbit.jsonio import dump_json, matrix_to_obj
+from hybrid_orbit.paper import FixtureCheck, paper_fixture, verify_paper
+from hybrid_orbit.synthetic import CATALOG, from_catalog
 from test_poincare import _reset_counter
 
 
@@ -239,7 +240,7 @@ def test_analyze_and_simulate_make_one_pass(tmp_path, monkeypatch):
     # stable-3, one per member of one pass.
     model = from_catalog("stable-3")
     counted, resets = _reset_counter(model.system)
-    monkeypatch.setattr(cli.fixtures, "from_catalog", lambda name: replace(model, system=counted))
+    monkeypatch.setattr(cli, "from_catalog", lambda name: replace(model, system=counted))
     assert run(["analyze", "--system", "stable-3", "-o", tmp_path / "j.json"]) == 0
     assert len(resets) == 33
     resets.clear()
@@ -411,6 +412,6 @@ def test_scipy_is_imported_only_to_build_synthetic_systems(tmp_path):
     assert not _scipy_loaded_after(runs, tmp_path)
     # the closed-form oracle is what needs it
     assert _scipy_loaded_after(
-        "from hybrid_orbit.fixtures import from_catalog\nfrom_catalog('stable-2').jacobians\n",
+        "from hybrid_orbit.synthetic import from_catalog\nfrom_catalog('stable-2').jacobians\n",
         tmp_path,
     )

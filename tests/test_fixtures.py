@@ -8,26 +8,21 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from hybrid_orbit import fixtures
-from hybrid_orbit.fixtures import (
-    CATALOG,
-    CHECK_FIELDS,
-    K1_EXCLUDED_ENTRY,
-    LinearPhase,
-    PaperFixture,
-    build_synthetic,
-    corrupt,
-    from_catalog,
-    paper_fixture,
-    synthetic_from_obj,
-    synthetic_to_obj,
-    verify_paper,
-)
+from hybrid_orbit import synthetic
 from hybrid_orbit.integrator import IntegratorConfig
 from hybrid_orbit.jsonio import FormatError
 from hybrid_orbit.model import affine_chart_matrices
 from hybrid_orbit.numerics import spectral_radius
-from hybrid_orbit.poincare import compose_jacobians, phase_jacobians, refine_fixed_point, return_map
+from hybrid_orbit.paper import CHECK_FIELDS, K1_EXCLUDED_ENTRY, PaperFixture, corrupt, paper_fixture, verify_paper
+from hybrid_orbit.poincare import compose_jacobians, phase_jacobians, refine_fixed_point
+from hybrid_orbit.synthetic import (
+    CATALOG,
+    LinearPhase,
+    build_synthetic,
+    from_catalog,
+    synthetic_from_obj,
+    synthetic_to_obj,
+)
 
 
 # ------------------------------------------------------------- fixture checks
@@ -168,10 +163,10 @@ def test_zero_coupling_profile_has_zero_parameter_jacobians(uncoupled2, cfg_fast
         assert np.max(np.abs(jac.F)) < 1e-9
 
 
-def test_engineered_orbit_is_a_return_map_fixed_point(stable3):
+def test_engineered_orbit_is_a_return_map_fixed_point(stable3, cycle_map):
     cfg = IntegratorConfig(base_step=1e-3)
     x_star = stable3.orbit.fixed_points[-1]
-    residual = return_map(stable3.system, x_star, cfg) - x_star
+    residual = cycle_map(stable3.system, x_star, cfg) - x_star
     assert np.max(np.abs(residual)) < 1e-9
 
 
@@ -191,7 +186,7 @@ def test_oracle_chart_is_the_runtime_chart(name):
     model = from_catalog(name)
     rng = np.random.default_rng(5)
     for i, phase in enumerate(model.phases):
-        geometry = fixtures._phase_geometry(phase)
+        geometry = synthetic._phase_geometry(phase)
         embed, offset_vec, project = affine_chart_matrices(phase.guard_normal, phase.guard_offset)
         assert np.array_equal(geometry.embed, embed)
         assert np.array_equal(geometry.project, project)
@@ -223,7 +218,7 @@ def test_descriptor_round_trip(stable2):
         assert np.max(np.abs(a - b)) < 1e-15
 
 
-@pytest.mark.parametrize("name", fixtures.CATALOG)
+@pytest.mark.parametrize("name", CATALOG)
 def test_descriptor_rebuilds_byte_identically(name):
     doc = json.dumps(synthetic_to_obj(from_catalog(name)))
     assert json.dumps(synthetic_to_obj(synthetic_from_obj(json.loads(doc)))) == doc
@@ -231,7 +226,7 @@ def test_descriptor_rebuilds_byte_identically(name):
 
 def test_descriptor_phases_have_exactly_the_linear_phase_fields():
     keys = [f.name for f in fields(LinearPhase)]
-    for name in fixtures.CATALOG:
+    for name in CATALOG:
         doc = synthetic_to_obj(from_catalog(name))
         assert [list(phase) for phase in doc["phases"]] == [keys] * len(doc["phases"])
 
@@ -316,20 +311,20 @@ def test_approach_check_matches_scalar_loop():
     decisions = []
     for _ in range(2000):
         draw = approach_draw(rng)
-        decision = fixtures._approach_ok(*draw)
+        decision = synthetic._approach_ok(*draw)
         assert decision == scalar_approach_ok(*draw)
         decisions.append(decision)
         if decision:
             # a lowered guard that the approach first meets near its end
             lowered = draw[:4] + (draw[4] - rng.uniform(0.0, 0.01),)
-            assert fixtures._approach_ok(*lowered) == scalar_approach_ok(*lowered)
+            assert synthetic._approach_ok(*lowered) == scalar_approach_ok(*lowered)
     assert 100 < sum(decisions) < 1900
 
 
 def test_catalog_unchanged_under_scalar_approach_check(monkeypatch):
     names = CATALOG + ("unstable-3",)
     vectorised = [json.dumps(synthetic_to_obj(_build(n))) for n in names]
-    monkeypatch.setattr(fixtures, "_approach_ok", scalar_approach_ok)
+    monkeypatch.setattr(synthetic, "_approach_ok", scalar_approach_ok)
     scalar = [json.dumps(synthetic_to_obj(_build(n))) for n in names]
     assert vectorised == scalar
 
@@ -337,8 +332,8 @@ def test_catalog_unchanged_under_scalar_approach_check(monkeypatch):
 # ------------------------------------------------------------ stored catalog
 
 REGENERATE = (
-    "PYTHONPATH=src python -c \"from hybrid_orbit import fixtures; "
-    "open('src/hybrid_orbit/data/catalog.json', 'w').write(fixtures._catalog_text())\""
+    "PYTHONPATH=src python -c \"from hybrid_orbit import synthetic; "
+    "open('src/hybrid_orbit/data/catalog.json', 'w').write(synthetic._catalog_text())\""
 )
 
 
@@ -350,7 +345,7 @@ def _build(name):
 
 def test_stored_catalog_is_the_generated_catalog():
     stored = resources.files("hybrid_orbit").joinpath("data/catalog.json").read_text()
-    assert stored == fixtures._catalog_text(), f"data/catalog.json is stale; regenerate it with {REGENERATE}"
+    assert stored == synthetic._catalog_text(), f"data/catalog.json is stale; regenerate it with {REGENERATE}"
 
 
 @pytest.mark.parametrize("name", CATALOG)

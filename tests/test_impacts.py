@@ -98,6 +98,19 @@ def test_relabel_validation():
         relabel(np.ones(2), [0, 1])
 
 
+def test_relabel_rejects_a_repeated_coordinate():
+    with pytest.raises(ValueError, match="signed permutation"):
+        relabel([1.0, 2.0, 3.0], [1, 1, 2])
+    with pytest.raises(ValueError, match="signed permutation"):
+        relabel([1.0, 2.0], [-2, 2])
+
+
+def test_model_rejects_a_relabel_map_that_is_no_signed_permutation():
+    for bad, match in (((1, 1, 9), "range"), ((1, 2), "length"), ((3, -1, 1), "signed permutation")):
+        with pytest.raises(ValueError, match=match):
+            ImpactModel(np.eye(3), np.zeros((0, 3)), relabel_map=bad)
+
+
 def test_apply_reset_combines_impact_and_relabel():
     model = ImpactModel(
         inertia=np.eye(2),

@@ -7,7 +7,6 @@ import pytest
 from scipy.linalg import expm
 
 from hybrid_orbit import cli, integrator
-from hybrid_orbit.fixtures import CATALOG, synthetic_from_obj, synthetic_to_obj
 from hybrid_orbit.integrator import (
     Chattering,
     IntegrationError,
@@ -21,6 +20,7 @@ from hybrid_orbit.integrator import (
     simulate_cycle,
 )
 from hybrid_orbit.model import Domain, MultiDomainSystem, SectionChart
+from hybrid_orbit.synthetic import CATALOG, synthetic_from_obj, synthetic_to_obj
 
 
 def autonomous(drift, guard, dim):

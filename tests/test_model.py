@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hybrid_orbit.integrator import simulate_cycle
+from hybrid_orbit.integrator import section_step, simulate_cycle
 from hybrid_orbit.model import (
     Domain,
     FeedbackLaw,
@@ -13,7 +13,6 @@ from hybrid_orbit.model import (
     chart_from_guard,
     validate_c1_c2,
 )
-from hybrid_orbit.poincare import partial_map
 
 
 def make_domain(controller, param_dim=2, guard=None):
@@ -113,6 +112,16 @@ def test_zero_param_domain_trivially_passes():
         reset=lambda x: x,
     )
     assert validate_c1_c2(dom, [np.zeros(1)]).passed
+
+
+@pytest.mark.parametrize("param_dim", [2, 0])
+def test_validate_c1_c2_rejects_empty_or_misshaped_samples(param_dim):
+    # checked before the param_dim == 0 shortcut: no report certifies
+    # nothing, or states of another dimension
+    dom = make_domain(lambda x, beta: np.array([x[0]]), param_dim=param_dim)
+    for samples in ([], [np.zeros(5)], [np.zeros(2), np.zeros((1, 2))]):
+        with pytest.raises(ValueError, match="sample"):
+            validate_c1_c2(dom, samples)
 
 
 # ---------------------------------------------------------------------- charts
@@ -215,7 +224,7 @@ def test_first_step_error_maps_through_designed_jacobian(stable2, cfg_accurate):
     x_star_next = stable2.orbit.fixed_points[0]
     delta = np.array([7e-5, -5e-5])
     beta = -gain @ delta
-    out = partial_map(stable2.system, 0, x_star_prev + delta, beta, cfg_accurate)
+    (out,), _ = section_step(stable2.system, 0, (x_star_prev + delta)[None], beta[None], cfg_accurate)
     predicted = x_star_next + designed @ delta
     assert np.max(np.abs(out - predicted)) < 1e-7
 

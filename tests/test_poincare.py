@@ -7,26 +7,22 @@ import pytest
 from scipy.linalg import expm
 
 from hybrid_orbit import poincare
-from hybrid_orbit.fixtures import CATALOG, from_catalog
-from hybrid_orbit.integrator import IntegrationError, IntegratorConfig, NoCrossing
+from hybrid_orbit.integrator import IntegrationError, IntegratorConfig, NoCrossing, section_step
 from hybrid_orbit.model import Domain, MultiDomainSystem, affine_section_chart
 from hybrid_orbit.poincare import (
     FixedPointError,
     compose_jacobians,
     orbit_and_jacobians,
-    partial_map,
     phase_jacobians,
     refine_fixed_point,
-    return_map,
 )
+from hybrid_orbit.synthetic import CATALOG, from_catalog
 
 
 def test_partial_map_preserves_fixed_points(stable3, cfg_fast):
-    n = len(stable3.phases)
-    for i in range(n):
-        out = partial_map(
-            stable3.system, i, stable3.orbit.fixed_points[(i - 1) % n], np.zeros(3), cfg_fast
-        )
+    points = stable3.orbit.fixed_points
+    for i in range(len(points)):
+        (out,), _ = section_step(stable3.system, i, points[i - 1][None], np.zeros((1, 3)), cfg_fast)
         assert np.max(np.abs(out - stable3.orbit.fixed_points[i])) < 1e-7
 
 
@@ -60,7 +56,7 @@ def test_partial_map_matches_analytic_composition(stable2, cfg_accurate):
         t_star = 0.5 * (lo + hi)
         expected = exit_chart.project(expm(phase.drift * t_star) @ x_plus)
 
-        out = partial_map(stable2.system, i, y, np.zeros(3), cfg_accurate)
+        (out,), _ = section_step(stable2.system, i, y[None], np.zeros((1, 3)), cfg_accurate)
         assert np.max(np.abs(out - expected)) < 1e-8
 
 
@@ -68,34 +64,27 @@ def test_parameter_perturbation_first_order(stable2, cfg_accurate):
     jac = stable2.jacobians[0]
     x_star = stable2.orbit.fixed_points[-1]
     delta_beta = np.array([1e-3, -5e-4, 8e-4])
-    out = partial_map(stable2.system, 0, x_star, delta_beta, cfg_accurate)
+    (out,), _ = section_step(stable2.system, 0, x_star[None], delta_beta[None], cfg_accurate)
     predicted = stable2.orbit.fixed_points[0] + jac.F @ delta_beta
     assert np.max(np.abs(out - predicted)) < 1e-4 * max(1.0, np.max(np.abs(jac.F)))
 
 
-def test_return_map_fixed_point(stable3, cfg_fast):
+def test_return_map_fixed_point(stable3, cfg_fast, cycle_map):
     x_star = stable3.orbit.fixed_points[-1]
-    assert np.max(np.abs(return_map(stable3.system, x_star, cfg_fast) - x_star)) < 1e-7
+    assert np.max(np.abs(cycle_map(stable3.system, x_star, cfg_fast) - x_star)) < 1e-7
 
 
 @pytest.mark.parametrize("name", ["stable-2", "stable-3", "unstable-2", "boundary-2", "uncoupled-2"])
-def test_return_map_jacobian_equals_phase_product(name, cfg_accurate):
+def test_return_map_jacobian_equals_phase_product(name, cfg_accurate, cycle_map):
     # two independent finite-difference computations of the same derivative
     model = from_catalog(name)
     orbit = model.orbit
     product = compose_jacobians(phase_jacobians(model.system, orbit, cfg_accurate))
 
     x_star = orbit.fixed_points[-1]
-    cols = []
-    for j in range(2):
-        h = 1e-5 * max(1.0, abs(x_star[j]))
-        e = np.zeros(2)
-        e[j] = h
-        cols.append(
-            (return_map(model.system, x_star + e, cfg_accurate)
-             - return_map(model.system, x_star - e, cfg_accurate)) / (2 * h)
-        )
-    direct = np.column_stack(cols)
+    h = 1e-5 * np.maximum(1.0, np.abs(x_star))
+    images = cycle_map(model.system, np.vstack([x_star + np.diag(h), x_star - np.diag(h)]), cfg_accurate)
+    direct = (images[:2] - images[2:]).T / (2 * h)
     rel = np.max(np.abs(direct - product)) / np.max(np.abs(direct))
     assert rel < 1e-4
 
@@ -206,13 +195,13 @@ def test_refine_fixed_point_keeps_its_last_cycle_walk(stable3, cfg_fast):
     assert len(resets) == _pass_members(stable3.system) == 33
     y = start
     for i in range(stable3.system.n_domains - 1):
-        y = partial_map(stable3.system, i, y, np.zeros(3), cfg_fast)
+        (y,), _ = section_step(stable3.system, i, y[None], np.zeros((1, 3)), cfg_fast)
         assert np.array_equal(orbit.fixed_points[i], y)
     assert np.array_equal(orbit.fixed_points[-1], start)
 
 
 @pytest.mark.parametrize("name", ["stable3", "boundary2"])
-def test_refine_fixed_point_flows_only_whole_passes(name, request, cfg_fast):
+def test_refine_fixed_point_flows_only_whole_passes(name, request, cfg_fast, cycle_map):
     # Every Newton trial point, damping trials included, is one full pass;
     # no flow runs outside a pass.
     model = request.getfixturevalue(name)
@@ -224,7 +213,7 @@ def test_refine_fixed_point_flows_only_whole_passes(name, request, cfg_fast):
         resets.clear()
         orbit = refine_fixed_point(counted, x_star + kick, cfg_fast)
         x = orbit.fixed_points[-1]
-        assert np.max(np.abs(return_map(model.system, x, cfg_fast) - x)) < 1e-9
+        assert np.max(np.abs(cycle_map(model.system, x, cfg_fast) - x)) < 1e-9
         assert len(resets) % per_pass == 0
         assert len(resets) >= 2 * per_pass
 
@@ -280,7 +269,7 @@ def test_pass_through_callables_leave_the_orbit_unchanged(stable3):
 _KICKS = [1e-3 * np.array([np.cos(a), np.sin(a)]) for a in 2 * np.pi * np.arange(8) / 8]
 
 
-def test_newton_extrapolates_at_a_singular_fixed_point(boundary2):
+def test_newton_extrapolates_at_a_singular_fixed_point(boundary2, cycle_map):
     # boundary-2's return map has an eigenvalue of exactly 1, so a full
     # Newton step cuts the residual by only 1/4; the doubled step tried
     # after it brings every kick home within 4 passes, where plain Newton
@@ -293,7 +282,7 @@ def test_newton_extrapolates_at_a_singular_fixed_point(boundary2):
         orbit, jacs = orbit_and_jacobians(counted, boundary2.orbit.fixed_points[-1] + kick, cfg)
         assert len(resets) <= 4 * per_pass
         x = orbit.fixed_points[-1]
-        assert np.max(np.abs(return_map(boundary2.system, x, cfg) - x)) < 1e-9
+        assert np.max(np.abs(cycle_map(boundary2.system, x, cfg) - x)) < 1e-9
         for newton, measured in zip(jacs, phase_jacobians(boundary2.system, orbit, cfg)):
             assert np.array_equal(newton.A, measured.A)
             assert np.array_equal(newton.F, measured.F)
@@ -331,10 +320,10 @@ def test_a_trial_pass_that_fails_to_integrate_is_a_rejected_trial(unstable3):
         orbit_and_jacobians(_escape_prone_system(), np.array([1.0, 0.0]), IntegratorConfig())
 
 
-def test_refine_fixed_point_converges_from_perturbed_guess(stable3, cfg_fast):
+def test_refine_fixed_point_converges_from_perturbed_guess(stable3, cfg_fast, cycle_map):
     guess = stable3.orbit.fixed_points[-1] + np.array([1e-2, -1e-2])
     orbit = refine_fixed_point(stable3.system, guess, cfg_fast)
-    residual = return_map(stable3.system, orbit.fixed_points[-1], cfg_fast) - orbit.fixed_points[-1]
+    residual = cycle_map(stable3.system, orbit.fixed_points[-1], cfg_fast) - orbit.fixed_points[-1]
     assert np.max(np.abs(residual)) < 1e-9
     assert np.max(np.abs(orbit.fixed_points[-1] - stable3.orbit.fixed_points[-1])) < 1e-7
 
@@ -379,7 +368,7 @@ def test_refine_fixed_point_diverges_cleanly():
         refine_fixed_point(system, np.array([1.0, 0.0]), cfg)
 
 
-def test_single_domain_cycle():
+def test_single_domain_cycle(cycle_map):
     # N = 1 degenerates to the classical single-section return map
     normal = np.array([1.0, 0.2, -0.1])
     reset = np.array([[0.2, 0.0, 0.0], [0.1, 0.6, 0.0], [0.0, 0.0, 0.5]])
@@ -398,7 +387,7 @@ def test_single_domain_cycle():
     cfg = IntegratorConfig(base_step=2e-3)
     orbit = refine_fixed_point(system, np.array([0.0, 0.0]), cfg)
     assert len(orbit.fixed_points) == 1
-    y = return_map(system, orbit.fixed_points[0], cfg)
+    y = cycle_map(system, orbit.fixed_points[0], cfg)
     assert np.max(np.abs(y - orbit.fixed_points[0])) < 1e-9
 
 
@@ -449,13 +438,7 @@ def test_translation_phase_jacobian_by_hand():
     cfg = IntegratorConfig(base_step=1e-3)
     entry_chart = affine_section_chart(n1, -1.0)
     y0 = entry_chart.project(np.array([-1.2, 0.4, 0.3]))
-    cols = []
-    for j in range(2):
-        e = np.zeros(2)
-        e[j] = 1e-5
-        cols.append(
-            (partial_map(system, 0, y0 + e, np.zeros(0), cfg)
-             - partial_map(system, 0, y0 - e, np.zeros(0), cfg)) / 2e-5
-        )
-    measured = np.column_stack(cols)
+    e = 1e-5 * np.eye(2)
+    images, _ = section_step(system, 0, np.vstack([y0 + e, y0 - e]), np.zeros((4, 0)), cfg)
+    measured = (images[:2] - images[2:]).T / 2e-5
     assert np.max(np.abs(measured - expected)) < 1e-7

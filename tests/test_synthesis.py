@@ -244,6 +244,12 @@ def test_dlqr_unstabilizable_raises():
 # ---------------------------------------------------------------- certificates
 
 
+@pytest.mark.parametrize("certify", [certify_theorem3, certify_theorem4])
+def test_certificates_reject_an_empty_chain(certify):
+    with pytest.raises(ValueError, match="need at least one"):
+        certify([])
+
+
 def test_certify_theorem3_simple_pass():
     cert = certify_theorem3([0.5 * np.eye(3)] * 4)
     assert cert.passed
