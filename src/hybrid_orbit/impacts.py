@@ -117,8 +117,13 @@ def _signed_permutation(signed_map, n: int) -> tuple[int, ...]:
 
 
 def relabel(coords, signed_map) -> np.ndarray:
-    """Apply a signed permutation: out[j] = sign(map[j]) * coords[|map[j]| - 1]."""
+    """Apply a signed permutation: out[j] = sign(map[j]) * coords[|map[j]| - 1].
+
+    coords must be a vector (1-D); any other shape raises ValueError.
+    """
     coords = np.asarray(coords, dtype=float)
+    if coords.ndim != 1:
+        raise ValueError(f"relabel coordinates must be a vector, got shape {coords.shape}")
     out = np.empty_like(coords)
     for j, entry in enumerate(_signed_permutation(signed_map, coords.size)):
         out[j] = np.sign(entry) * coords[abs(entry) - 1]

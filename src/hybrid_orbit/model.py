@@ -234,13 +234,12 @@ def validate_c1_c2(domain: Domain, samples: list[np.ndarray]) -> ConditionReport
             lambda points: np.array([domain.controller(z, beta) for z in points]), x, _GRAD_STEP
         )
 
+    nominal = [(x, domain.nominal_control(x), grad_x(x, np.zeros(domain.param_dim))) for x in samples]
     c1_dev, c2_dev = [], []
     for scale in scales:
         worst_c1 = 0.0
         worst_c2 = 0.0
-        for x in samples:
-            u0 = domain.nominal_control(x)
-            g0 = grad_x(x, np.zeros(domain.param_dim))
+        for x, u0, g0 in nominal:
             for j in range(domain.param_dim):
                 beta = np.zeros(domain.param_dim)
                 beta[j] = scale

@@ -32,7 +32,7 @@ def as_matrix(values) -> np.ndarray:
         m = m.reshape(1, -1)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"expected a non-empty 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     return m
 
@@ -44,6 +44,19 @@ def _require_square(m: np.ndarray, who: str) -> np.ndarray:
     return m
 
 
+def _eigvals(m) -> np.ndarray:
+    """Eigenvalues of a square matrix in LAPACK's order; a failed iteration
+    or an overflowing eigenvalue raises NumericsError."""
+    m = _require_square(m, "eigenvalues")
+    try:
+        vals = np.linalg.eigvals(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"eigenvalue iteration did not converge: {exc}") from exc
+    if not np.isfinite(vals).all():
+        raise NumericsError("eigenvalues of a finite matrix overflowed")
+    return vals
+
+
 def eigenvalues(m) -> np.ndarray:
     """All eigenvalues of a square real matrix, with multiplicity.
 
@@ -53,20 +66,13 @@ def eigenvalues(m) -> np.ndarray:
     eigenvalue that overflows, as for entries near the float limit, raises
     NumericsError.
     """
-    m = _require_square(m, "eigenvalues")
-    try:
-        vals = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"eigenvalue iteration did not converge: {exc}") from exc
-    if not np.isfinite(vals).all():
-        raise NumericsError("eigenvalues of a finite matrix overflowed")
-    order = np.lexsort((vals.imag, vals.real, -np.abs(vals)))
-    return vals[order]
+    vals = _eigvals(m)
+    return vals[np.lexsort((vals.imag, vals.real, -np.abs(vals)))]
 
 
 def spectral_radius(m) -> float:
     """Largest eigenvalue magnitude of a square matrix."""
-    return float(np.max(np.abs(eigenvalues(m))))
+    return float(np.abs(_eigvals(m)).max())
 
 
 def spectral_norm(m) -> float:
@@ -80,7 +86,7 @@ def spectral_norm(m) -> float:
 
 def max_abs_entry(m) -> float:
     """Largest entry magnitude.  n * max_abs_entry(m) is a matrix norm."""
-    return float(np.max(np.abs(as_matrix(m))))
+    return float(np.abs(as_matrix(m)).max())
 
 
 def pinv(m) -> np.ndarray:
@@ -113,8 +119,8 @@ def central_difference(fn, x, rel_step: float) -> np.ndarray:
 
 def _check_weight(q: np.ndarray, name: str, definite: bool) -> np.ndarray:
     q = _require_square(q, name)
-    scale = max(1.0, float(np.max(np.abs(q))))
-    if np.max(np.abs(q - q.T)) > 1e-8 * scale:
+    scale = max(1.0, float(np.abs(q).max()))
+    if np.abs(q - q.T).max() > 1e-8 * scale:
         raise ValueError(f"{name} must be symmetric")
     eigs = np.linalg.eigvalsh(0.5 * (q + q.T))
     if definite and eigs[0] <= 0.0:
@@ -122,6 +128,23 @@ def _check_weight(q: np.ndarray, name: str, definite: bool) -> np.ndarray:
     if not definite and eigs[0] < -1e-10 * scale:
         raise ValueError(f"{name} must be positive semi-definite")
     return 0.5 * (q + q.T)
+
+
+def _lq_problem(a, b, q, r, who: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Validated (A, B, Q, R): A square, B with A's rows, Q symmetric positive
+    semi-definite and R symmetric positive definite (both returned
+    symmetrized), sized to match A and B."""
+    a = _require_square(a, who)
+    b = as_matrix(b)
+    if b.shape[0] != a.shape[0]:
+        raise ValueError(f"B has {b.shape[0]} rows, expected {a.shape[0]}")
+    q = _check_weight(q, "Q", definite=False)
+    r = _check_weight(r, "R", definite=True)
+    if q.shape != a.shape:
+        raise ValueError("Q must match the state dimension")
+    if r.shape[0] != b.shape[1]:
+        raise ValueError("R must match the input dimension")
+    return a, b, q, r
 
 
 def dare_solve(a, b, q, r) -> np.ndarray:
@@ -142,19 +165,15 @@ def dare_solve(a, b, q, r) -> np.ndarray:
     A diverging or non-finite iterate, a singular solve or running out of
     steps is reported as unstabilizable or ill-conditioned rather than
     returning a wrong answer; the residual of the returned P is checked
-    independently of the iteration.
+    independently of the iteration.  That final check computes Res(P) and
+    the gain K = (B'PB + R)^-1 B'PA; dlqr_gain returns that same K.
     """
-    a = _require_square(a, "dare_solve")
-    b = as_matrix(b)
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(f"B has {b.shape[0]} rows, expected {a.shape[0]}")
-    q = _check_weight(q, "Q", definite=False)
-    r = _check_weight(r, "R", definite=True)
-    if q.shape != a.shape:
-        raise ValueError("Q must match the state dimension")
-    if r.shape[0] != b.shape[1]:
-        raise ValueError("R must match the input dimension")
+    return _dare(*_lq_problem(a, b, q, r, "dare_solve"))[0]
 
+
+def _dare(a, b, q, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """dare_solve of a problem _lq_problem validated: P, and the residual
+    Res(P) and gain K of its final check."""
     n = a.shape[0]
     eye = np.eye(n)
     failure = "Riccati {}: (A, B) unstabilizable or ill-conditioned"
@@ -162,7 +181,7 @@ def dare_solve(a, b, q, r) -> np.ndarray:
         ak, gk, h = a, b @ np.linalg.solve(r, b.T), q
         for _ in range(100):
             try:
-                solved = np.linalg.solve(eye + gk @ h, np.hstack([ak, gk]))
+                solved = np.linalg.solve(eye + gk @ h, np.concatenate((ak, gk), axis=1))
             except np.linalg.LinAlgError as exc:
                 raise NumericsError(failure.format(f"doubling hit a singular solve ({exc})")) from exc
             w_a, w_g = solved[:, :n], solved[:, n:]
@@ -171,10 +190,10 @@ def dare_solve(a, b, q, r) -> np.ndarray:
             gk = gk + ak @ w_g @ ak.T
             gk = 0.5 * (gk + gk.T)
             ak = ak @ w_a
-            size = np.max(np.abs(h_next))
+            size = np.abs(h_next).max()
             if not size <= 1e100:
                 raise NumericsError(failure.format("doubling diverged"))
-            step = np.max(np.abs(h_next - h))
+            step = np.abs(h_next - h).max()
             h = h_next
             if step < 1e-12 * max(1.0, size):
                 break
@@ -182,17 +201,20 @@ def dare_solve(a, b, q, r) -> np.ndarray:
             raise NumericsError(failure.format("doubling did not converge"))
 
         res, gain = _dare_residual(a, b, q, r, h)
-        closed = a - b @ gain
+        # I - kron(C', C') for C = A - BK, one product per entry
+        ct = (a - b @ gain).T
+        stein = np.eye(n * n) - (ct[:, None, :, None] * ct[None, :, None, :]).reshape(n * n, n * n)
         try:
-            x = np.linalg.solve(np.eye(n * n) - np.kron(closed.T, closed.T), res.reshape(-1))
+            x = np.linalg.solve(stein, res.reshape(-1))
         except np.linalg.LinAlgError as exc:
             raise NumericsError(failure.format(f"Newton step hit a singular solve ({exc})")) from exc
         x = x.reshape(n, n)
         p = h + 0.5 * (x + x.T)
-        residual = np.max(np.abs(_dare_residual(a, b, q, r, p)[0]))
-    if not residual <= 1e-8 * max(1.0, np.max(np.abs(p))):
+        res, gain = _dare_residual(a, b, q, r, p)
+        residual = np.abs(res).max()
+    if not residual <= 1e-8 * max(1.0, np.abs(p).max()):
         raise NumericsError(f"Riccati residual {residual:.3e} above tolerance")
-    return p
+    return p, res, gain
 
 
 def _dare_residual(a, b, q, r, p) -> tuple[np.ndarray, np.ndarray]:
@@ -210,21 +232,19 @@ def dlqr_gain(a, b, q, r) -> np.ndarray:
     """Discrete LQR gain K = (B'PB + R)^-1 B'PA with P from dare_solve.
 
     P is the doubling solution after one Newton correction (see
-    dare_solve), so K is the optimal gain to the residual bound checked
-    there.  The closed loop A - B K is verified to be a strict contraction.
+    dare_solve), and K is the gain its final residual check computed, so
+    K is the optimal gain to the residual bound checked there.  The
+    closed loop A - B K is verified to be a strict contraction.
     """
-    return _dlqr(a, b, q, r)[0]
+    return _dlqr(*_lq_problem(a, b, q, r, "dlqr_gain"))[0]
 
 
 def _dlqr(a, b, q, r) -> tuple[np.ndarray, float]:
-    """dlqr_gain's gain and the relative Riccati residual of its P,
-    max|Res(P)| / max(1, max|P|), the quantity dare_solve bounds by 1e-8."""
-    a = _require_square(a, "dlqr_gain")
-    b = as_matrix(b)
-    p = dare_solve(a, b, q, r)
-    res, gain = _dare_residual(a, b, q, r, p)
-    closed = a - b @ gain
-    rho = spectral_radius(closed)
+    """dlqr_gain of a problem _lq_problem validated: the gain and the
+    relative Riccati residual of its P, max|Res(P)| / max(1, max|P|), the
+    quantity dare_solve bounds by 1e-8."""
+    p, res, gain = _dare(a, b, q, r)
+    rho = spectral_radius(a - b @ gain)
     if rho >= 1.0:
         raise NumericsError(f"DLQR closed loop is not a contraction (rho = {rho:.6f})")
-    return gain, float(np.max(np.abs(res)) / max(1.0, np.max(np.abs(p))))
+    return gain, float(np.abs(res).max() / max(1.0, np.abs(p).max()))

@@ -21,6 +21,7 @@ import numpy as np
 from .numerics import (
     NumericsError,
     _dlqr,
+    _lq_problem,
     as_matrix,
     max_abs_entry,
     pinv,
@@ -209,7 +210,8 @@ def dlqr_gains(
     strictly below 1 / k (larger Q shrinks the designed Jacobian); the
     applied scale is reported per phase.  The residual of each phase is
     the relative Riccati residual max|Res(P)| / max(1, max|P|) of its
-    final gain.
+    final gain.  Each Q_i and R_i is checked once, as dlqr_gain checks
+    them; the tenfold scalings of a checked Q_i are not checked again.
     """
     pairs = _unpack(jacs)
     n = len(pairs)
@@ -222,16 +224,17 @@ def dlqr_gains(
 
     gains, residuals, scalings = [], [], []
     for idx, ((a, f), q_i, r_i) in enumerate(zip(pairs, q, r)):
+        a, f, q_i, r_i = _lq_problem(a, f, q_i, r_i, "dlqr_gain")
         k_dim = a.shape[0]
         scale = 1.0
         try:
-            gain, residual = _dlqr(a, f, scale * np.asarray(q_i, dtype=float), r_i)
+            gain, residual = _dlqr(a, f, q_i, r_i)
             if enforce_theorem4:
                 for _ in range(_MAX_Q_SCALINGS):
-                    if max_abs_entry(a - f @ gain) < 1.0 / k_dim:
+                    if np.abs(a - f @ gain).max() < 1.0 / k_dim:
                         break
                     scale *= 10.0
-                    gain, residual = _dlqr(a, f, scale * np.asarray(q_i, dtype=float), r_i)
+                    gain, residual = _dlqr(a, f, scale * q_i, r_i)
                 else:
                     raise SynthesisError(
                         f"phase {idx}: entrywise bound not reached after "
@@ -260,11 +263,21 @@ def certify_theorem3(designed) -> TheoremCertificate:
     equals the spectral radius and the norm is submultiplicative.  An
     empty list raises ValueError.
     """
-    per_phase = []
+    return _theorem3(designed)[0]
+
+
+def _square_factor(idx: int, m) -> np.ndarray:
+    m = as_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"designed Jacobian {idx} is not square: {m.shape}")
+    return m
+
+
+def _theorem3(designed) -> tuple[TheoremCertificate, list[np.ndarray]]:
+    """certify_theorem3 and the checked square factors it certified."""
+    per_phase, factors = [], []
     for idx, m in enumerate(designed):
-        m = as_matrix(m)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"designed Jacobian {idx} is not square: {m.shape}")
+        m = _square_factor(idx, m)
         defect = max_abs_entry(m - m.T)
         radius = spectral_radius(m)
         per_phase.append(
@@ -275,13 +288,11 @@ def certify_theorem3(designed) -> TheoremCertificate:
                 "ok": bool(defect <= SYMMETRY_TOL and radius < 1.0),
             }
         )
+        factors.append(m)
     if not per_phase:
         raise ValueError("need at least one designed Jacobian")
-    return TheoremCertificate(
-        name="theorem3",
-        passed=all(entry["ok"] for entry in per_phase),
-        per_phase=per_phase,
-    )
+    passed = all(entry["ok"] for entry in per_phase)
+    return TheoremCertificate(name="theorem3", passed=passed, per_phase=per_phase), factors
 
 
 def certify_theorem4(designed) -> TheoremCertificate:
@@ -292,17 +303,19 @@ def certify_theorem4(designed) -> TheoremCertificate:
     entries exactly 1 / k has product radius exactly one.  An empty list
     raises ValueError.
     """
+    return _theorem4(_square_factor(idx, m) for idx, m in enumerate(designed))
+
+
+def _theorem4(factors) -> TheoremCertificate:
+    """certify_theorem4 of checked square factors, taken in order."""
     per_phase = []
     k_dim = None
-    for idx, m in enumerate(designed):
-        m = as_matrix(m)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"designed Jacobian {idx} is not square: {m.shape}")
+    for idx, m in enumerate(factors):
         if k_dim is None:
             k_dim = m.shape[0]
         elif m.shape[0] != k_dim:
             raise ValueError("designed Jacobians must share one dimension")
-        m_i = max_abs_entry(m)
+        m_i = float(np.abs(m).max())
         per_phase.append(
             {
                 "phase": idx,
@@ -327,12 +340,13 @@ def certify_designed(designed, inexact_design: bool = False) -> StabilityReport:
     certificates are sufficient conditions layered on top.  Finite factors
     whose product overflows raise NumericsError.
     """
-    # First, so that a non-square factor is named by index; its radii are
-    # also the report's per-phase radii.
-    cert_theorem3 = certify_theorem3(designed)
-    cert_theorem4 = certify_theorem4(designed)
+    # Theorem 3 first, so that a non-square factor is named by index; its
+    # radii are also the report's per-phase radii, and the factors it
+    # checked feed Theorem 4 and the product.
+    cert_theorem3, factors = _theorem3(designed)
+    cert_theorem4 = _theorem4(factors)
     with np.errstate(over="ignore", invalid="ignore"):
-        product = compose_jacobians(designed)
+        product = compose_jacobians(factors)
     if not np.isfinite(product).all():
         raise NumericsError("product of the designed Jacobians overflowed")
     product_radius = spectral_radius(product)

@@ -96,6 +96,9 @@ def test_relabel_validation():
         relabel(np.ones(2), [1, 3])
     with pytest.raises(ValueError, match="range"):
         relabel(np.ones(2), [0, 1])
+    for shape in ((1, 3), (3, 1)):
+        with pytest.raises(ValueError, match="vector"):
+            relabel(np.ones(shape), [1, 2, 3])
 
 
 def test_relabel_rejects_a_repeated_coordinate():

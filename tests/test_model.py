@@ -1,5 +1,7 @@
 """System description, section charts and controller-consistency checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from hybrid_orbit.model import (
     chart_from_guard,
     validate_c1_c2,
 )
+from hybrid_orbit.numerics import central_difference
 
 
 def make_domain(controller, param_dim=2, guard=None):
@@ -112,6 +115,47 @@ def test_zero_param_domain_trivially_passes():
         reset=lambda x: x,
     )
     assert validate_c1_c2(dom, [np.zeros(1)]).passed
+
+
+def c1_c2_deviations_reference(domain, samples, scales):
+    # the nominal control and its gradient recomputed at every probe
+    def grad_x(x, beta):
+        return central_difference(lambda zs: np.array([domain.controller(z, beta) for z in zs]), x, 1e-7)
+
+    zero = np.zeros(domain.param_dim)
+    c1, c2 = [], []
+    for scale in scales:
+        worst_c1 = worst_c2 = 0.0
+        for x in samples:
+            for j in range(domain.param_dim):
+                beta = np.zeros(domain.param_dim)
+                beta[j] = scale
+                u0, g0 = domain.controller(x, zero), grad_x(x, zero)
+                worst_c1 = max(worst_c1, float(np.max(np.abs(domain.controller(x, beta) - u0))))
+                worst_c2 = max(worst_c2, float(np.max(np.abs(grad_x(x, beta) - g0))))
+        c1.append(worst_c1)
+        c2.append(worst_c2)
+    return c1, c2
+
+
+def test_validate_c1_c2_probes_the_nominal_controller_once_per_sample(stable2):
+    # one stable-2 sample (3 states, 3 parameters): u0 and its 6-point FD
+    # gradient once (7 calls), then 3 axes x 5 scales x 7 calls = 105
+    domain = stable2.system.domains[0]
+    calls = []
+
+    def counting(x, beta):
+        calls.append(1)
+        return domain.controller(x, beta)
+
+    sample = np.array([0.3, -0.2, 0.5])
+    validate_c1_c2(replace(domain, controller=counting), [sample])
+    assert len(calls) == 112
+
+    nonlinear = make_domain(lambda x, beta: np.array([np.tanh(x[0] ** 2 - np.sin(x[1]) + beta @ [0.5, -0.8])]))
+    for dom, samples in ((domain, [sample]), (nonlinear, [np.array([0.4, -0.6]), np.array([0.0, 0.2])])):
+        report = validate_c1_c2(dom, samples)
+        assert (report.c1_deviation, report.c2_deviation) == c1_c2_deviations_reference(dom, samples, report.scales)
 
 
 @pytest.mark.parametrize("param_dim", [2, 0])

@@ -109,6 +109,21 @@ def test_spectral_radius_power_identity():
             assert abs(spectral_radius(mk) - rho**k) < 1e-8 * max(1.0, rho**k)
 
 
+def test_spectral_radius_equals_the_sorted_spectrum_maximum():
+    # spectral_radius takes the max of the unsorted eigenvalues; it must be
+    # the same float as the first magnitude of eigenvalues' sorted list
+    rng = np.random.default_rng(5)
+    mats = [np.zeros((n, n)) for n in range(2, 7)]
+    mats += [rng.normal(size=(n, n)) for n in range(2, 7) for _ in range(20)]
+    assert any((eigenvalues(m).imag != 0.0).any() for m in mats)
+    for m in mats:
+        assert spectral_radius(m) == float(np.abs(eigenvalues(m)).max())
+    with pytest.raises(ValueError, match="square"):
+        spectral_radius(np.ones((2, 3)))
+    with pytest.raises(NumericsError, match="overflowed"):
+        spectral_radius(np.full((2, 2), 1e308))
+
+
 # -------------------------------------------------------------- spectral norm
 
 

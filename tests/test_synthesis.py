@@ -236,6 +236,27 @@ def test_dlqr_residuals_are_the_relative_riccati_residuals(paperfx):
         assert not gains.inexact
 
 
+@pytest.mark.parametrize("enforce", [False, True])
+def test_dlqr_gains_check_the_user_weights(paperfx, enforce):
+    # checked once per phase, before any tenfold Q scaling
+    pairs = [(paperfx.A1, paperfx.F1)]
+    bad = (
+        ([np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])], None, "symmetric"),
+        ([np.diag([1.0, -1.0, 1.0])], None, "semi-definite"),
+        (None, [np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 0.0])], "definite"),
+    )
+    for q, r, match in bad:
+        with pytest.raises(ValueError, match=match):
+            dlqr_gains(pairs, q=q, r=r, enforce_theorem4=enforce)
+    # a finite Q too large for the doubling
+    with pytest.raises(SynthesisError, match="phase 0.*diverged"):
+        dlqr_gains(pairs, q=[1e300 * np.eye(3)], enforce_theorem4=enforce)
+    # the user's Q is judged at its own scale: a negative eigenvalue within
+    # the absolute 1e-10 floor passes, also once Q is grown past max|Q| = 1
+    gains = dlqr_gains(pairs, q=[np.diag([0.01, 0.01, -5e-11])], enforce_theorem4=enforce)
+    assert gains.q_scalings == [1e4 if enforce else 1.0]
+
+
 def test_dlqr_unstabilizable_raises():
     with pytest.raises(SynthesisError, match="phase 0"):
         dlqr_gains([(2.0 * np.eye(2), np.zeros((2, 2)))])
