@@ -147,7 +147,7 @@ def symmetric_matrix_gains(jacs, m_sym: np.ndarray | None = None) -> GainSet:
     m_sym = as_matrix(m_sym)
     if m_sym.shape != (k_dim, k_dim):
         raise ValueError(f"target has shape {m_sym.shape}, expected ({k_dim}, {k_dim})")
-    if max_abs_entry(m_sym - m_sym.T) > SYMMETRY_TOL:
+    if _symmetry_defect(m_sym) > SYMMETRY_TOL:
         raise ValueError("target matrix must be symmetric")
     if spectral_radius(m_sym) >= 1.0:
         raise ValueError("target matrix must have spectral radius below one")
@@ -261,9 +261,17 @@ def certify_theorem3(designed) -> TheoremCertificate:
     1e-10) with spectral radius below one; the product radius is then
     below one as well, because for symmetric factors the spectral norm
     equals the spectral radius and the norm is submultiplicative.  An
-    empty list raises ValueError.
+    empty list raises ValueError, and finite factors whose symmetry defect
+    overflows raise NumericsError.
     """
     return _theorem3(designed)[0]
+
+
+def _symmetry_defect(m: np.ndarray) -> float:
+    """max |m - m.T| of a finite square m; inf where the difference
+    overflows, as for entries near the float limit."""
+    with np.errstate(over="ignore"):
+        return float(np.abs(m - m.T).max())
 
 
 def _square_factor(idx: int, m) -> np.ndarray:
@@ -278,7 +286,9 @@ def _theorem3(designed) -> tuple[TheoremCertificate, list[np.ndarray]]:
     per_phase, factors = [], []
     for idx, m in enumerate(designed):
         m = _square_factor(idx, m)
-        defect = max_abs_entry(m - m.T)
+        defect = _symmetry_defect(m)
+        if defect == np.inf:
+            raise NumericsError(f"symmetry defect of designed Jacobian {idx} overflowed")
         radius = spectral_radius(m)
         per_phase.append(
             {

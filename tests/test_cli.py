@@ -141,6 +141,17 @@ def test_certify_of_an_overflowing_product_is_a_numerical_failure(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_certify_of_an_overflowing_symmetry_defect_is_a_numerical_failure(tmp_path, capsys):
+    # The factor is finite, but m - m.T is not.
+    designed = tmp_path / "designed.json"
+    dump_json({"designed": [matrix_to_obj(np.array([[0.0, 1e308], [-1e308, 0.0]]))]}, designed)
+    out = tmp_path / "cert.json"
+    assert run(["certify", "-i", designed, "-o", out]) == 3
+    assert capsys.readouterr().err == "numerical failure: symmetry defect of designed Jacobian 0 overflowed\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method", ["symmetric", "scale", "dlqr"])
 def test_design_names_the_phase_whose_f_and_a_rows_differ(tmp_path, capsys, method):
     jacs = tmp_path / "jacs.json"

@@ -20,6 +20,7 @@ from hybrid_orbit.integrator import (
     simulate_cycle,
 )
 from hybrid_orbit.model import Domain, MultiDomainSystem, SectionChart
+from hybrid_orbit.poincare import phase_jacobians
 from hybrid_orbit.synthetic import CATALOG, synthetic_from_obj, synthetic_to_obj
 
 
@@ -169,6 +170,29 @@ def test_coarse_steps_are_whole_base_steps(rk4_calls, refine_spans, stable3):
         ((start, end),) = refine_spans
         steps = rk4_calls[:start] + rk4_calls[end:]
         assert steps and all(np.all(np.asarray(h) == 0.2) for h in steps)
+
+
+def test_group_crossing_stops_at_the_rounding_floor(monkeypatch, refine_spans, stable3):
+    # phase_jacobians integrates each stable-3 phase as one batch of the
+    # undisturbed member and its 10 central-difference members.  A member
+    # stops refining once its exit's |H| is within the rounding floor of H,
+    # a few iterations after it first reaches _GUARD_TOL; refining every
+    # bracket to 4 ulps took 5, 12 and 6 RK4 steps on these three groups.
+    exits = []
+    flow = integrator.flow_batch
+
+    def recorded_flow(domain, x0, betas, cfg):
+        x_exit, t_exit = flow(domain, x0, betas, cfg)
+        exits.append((domain, x_exit))
+        return x_exit, t_exit
+
+    monkeypatch.setattr(integrator, "flow_batch", recorded_flow)
+    phase_jacobians(stable3.system, stable3.orbit, IntegratorConfig(base_step=2e-3))
+    assert [end - start for start, end in refine_spans] == [2, 4, 4]
+    for dom, x_exit in exits:
+        assert x_exit.shape == (11, 3)
+        h = np.abs(dom.guard(x_exit))
+        assert np.all(h <= integrator._GUARD_TOL + integrator._guard_floor(dom.guard, x_exit))
 
 
 def test_crossing_from_a_grown_state_refines_in_few_steps(refine_spans, unstable2):
@@ -519,6 +543,17 @@ def reference_flow(domain, x0, beta, cfg):
     def H(x):
         return float(domain.guard(x[None])[0])
 
+    def rounding_floor(x):
+        # _FLOOR_ULPS ulps of sum_j |dH/dx_j| max(1, max_j |x_j|), the
+        # gradient by central differences of relative step 1e-7
+        scale = max(1.0, float(np.abs(x).max()))
+        total = 0.0
+        for j in range(x.size):
+            e = np.zeros(x.size)
+            e[j] = 1e-7 * scale
+            total += abs((H(x + e) - H(x - e)) / 2e-7)
+        return integrator._FLOOR_ULPS * np.finfo(float).eps * total
+
     h0 = H(x0)
     side = 1.0 if h0 > 0.0 else -1.0
     times, states = [0.0], [x0.copy()]
@@ -527,12 +562,20 @@ def reference_flow(domain, x0, beta, cfg):
         x_next = textbook_rk4(f, x, step)
         h_next = H(x_next)
         if h_next * side < 0.0 or abs(h_next) <= integrator._GUARD_TOL:
-            # Illinois regula falsi on the step fraction, to a 4-ulp bracket;
-            # a secant root that rounds onto an end becomes the midpoint
+            # Illinois regula falsi on the step fraction, until the end with
+            # the smaller |H| is within the rounding floor of H at x_next,
+            # worked out once that end is within _GUARD_TOL, or the bracket
+            # is 4 ulps wide; a secant root that rounds onto an end becomes
+            # the midpoint
             lo, hi, g_lo, g_hi = 0.0, step, side * h_val, side * h_next
-            x_lo, x_hi, last = x, x_next, 0
-            for _ in range(100):
+            x_lo, x_hi, last, floor = x, x_next, 0, None
+            for _ in range(integrator._REFINE_MAX_ITER):
                 if not (g_hi < 0.0 and hi - lo > 4 * np.finfo(float).eps * step):
+                    break
+                h_best = min(abs(H(x_lo)), abs(H(x_hi)))
+                if floor is None and h_best <= integrator._GUARD_TOL:
+                    floor = rounding_floor(x_next)
+                if floor is not None and h_best <= floor:
                     break
                 tau = min(max(lo + (hi - lo) * (g_lo / (g_lo - g_hi)), lo), hi)
                 if tau in (lo, hi):

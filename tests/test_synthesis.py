@@ -100,8 +100,12 @@ def test_symmetric_gains_validate_target():
     rng = np.random.default_rng(61)
     jacs = random_jacs(rng, n_phases=1)
     lopsided = np.array([[0.1, 0.5, 0.0], [0.0, 0.1, 0.0], [0.0, 0.0, 0.1]])
-    with pytest.raises(ValueError, match="symmetric"):
-        symmetric_matrix_gains(jacs, m_sym=lopsided)
+    # Finite entries whose asymmetry overflows are not symmetric either.
+    overflowing = np.diag([0.0, 0.0, 0.1])
+    overflowing[0, 1], overflowing[1, 0] = 1e308, -1e308
+    for target in (lopsided, overflowing):
+        with pytest.raises(ValueError, match="symmetric"):
+            symmetric_matrix_gains(jacs, m_sym=target)
     with pytest.raises(ValueError, match="spectral radius"):
         symmetric_matrix_gains(jacs, m_sym=np.eye(3))
 
