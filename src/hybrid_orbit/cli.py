@@ -19,13 +19,8 @@ from dataclasses import asdict
 import numpy as np
 
 from . import jsonio, synthesis
-from .integrator import IntegrationError, IntegratorConfig, simulate_cycle
 from .jsonio import FormatError, dump_json, load_json, matrix_from_obj, matrix_to_obj, vector_to_obj
-from .model import FeedbackLaw
-from .numerics import NumericsError, spectral_radius
-from .paper import verify_paper
-from .poincare import FixedPointError, PhaseJacobians, compose_jacobians, orbit_and_jacobians
-from .synthetic import CATALOG, from_catalog
+from .numerics import NumericsError, PhaseJacobians, compose_jacobians, spectral_radius
 
 __all__ = ["main", "entry"]
 
@@ -35,20 +30,35 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command) -> argparse.ArgumentParser:
+    """Every command's name and help, and the arguments of command only.
+
+    Each command imports the modules it runs when it runs.  Adding only
+    its own arguments keeps the others' imports out too: analyze and
+    simulate read CATALOG and the default base step from their modules.
+    """
     parser = argparse.ArgumentParser(
         prog="hybrid-orbit",
         description="Design and certify event-triggered stabilizing feedback "
         "for periodic orbits of multi-domain hybrid systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
+        sub_parser = sub.add_parser(name, help=help_text)
+        if name == command:
+            add_arguments(sub_parser)
+    return parser
 
-    analyze = sub.add_parser("analyze", help="compute section-map Jacobians of a catalog system")
+
+def _analyze_arguments(analyze) -> None:
+    from .synthetic import CATALOG
+
     analyze.add_argument("--system", required=True, help=f"catalog name, one of {', '.join(CATALOG)}")
     analyze.add_argument("--output", "-o", required=True, help="output JSON path")
     _add_integrator_flags(analyze)
 
-    synth = sub.add_parser("synthesize", help="design gains from a Jacobians JSON file")
+
+def _synthesize_arguments(synth) -> None:
     synth.add_argument("--input", "-i", required=True, help="Jacobians JSON (analyze output)")
     synth.add_argument("--output", "-o", required=True, help="output JSON path")
     synth.add_argument(
@@ -64,11 +74,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="grow Q until the entrywise certificate margin is met",
     )
 
-    certify = sub.add_parser("certify", help="certify designed Jacobians")
+
+def _certify_arguments(certify) -> None:
     certify.add_argument("--input", "-i", required=True, help="designed-Jacobians JSON")
     certify.add_argument("--output", "-o", required=True, help="output JSON path")
 
-    simulate = sub.add_parser("simulate", help="closed-loop cycle simulation of a catalog system")
+
+def _simulate_arguments(simulate) -> None:
     simulate.add_argument("--system", required=True)
     simulate.add_argument("--output", "-o", required=True, help="output CSV path")
     simulate.add_argument(
@@ -82,18 +94,23 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="seed for the perturbation direction")
     _add_integrator_flags(simulate)
 
-    verify = sub.add_parser("verify-paper", help="run the reference-fixture consistency suite")
-    verify.add_argument("--output", "-o", help="optional JSON report path")
 
-    return parser
+def _verify_paper_arguments(verify) -> None:
+    verify.add_argument("--output", "-o", help="optional JSON report path")
 
 
 def _add_integrator_flags(sub_parser) -> None:
+    from .integrator import IntegratorConfig
+
     sub_parser.add_argument("--base-step", type=float, default=IntegratorConfig.base_step,
                             help="integrator base step (default %(default)g)")
 
 
 def _cmd_analyze(args) -> int:
+    from .integrator import IntegratorConfig
+    from .poincare import orbit_and_jacobians
+    from .synthetic import from_catalog
+
     cfg = IntegratorConfig(base_step=args.base_step)
     model = from_catalog(args.system)
     orbit, jacs = orbit_and_jacobians(model.system, model.orbit.fixed_points[-1], cfg)
@@ -221,6 +238,11 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .integrator import IntegratorConfig, simulate_cycle
+    from .model import FeedbackLaw
+    from .poincare import orbit_and_jacobians
+    from .synthetic import from_catalog
+
     if args.cycles < 0:
         raise FormatError("--cycles must be nonnegative")
     if not np.isfinite(args.perturb):
@@ -259,6 +281,8 @@ def _err_norm(d: np.ndarray) -> float:
 
 
 def _cmd_verify_paper(args) -> int:
+    from .paper import verify_paper
+
     report = verify_paper()
     print(report.format_table())
     if args.output:
@@ -266,24 +290,30 @@ def _cmd_verify_paper(args) -> int:
     return EXIT_OK if report.passed else EXIT_UNSTABLE
 
 
+# name: (help, argument adder, runner)
 _COMMANDS = {
-    "analyze": _cmd_analyze,
-    "synthesize": _cmd_synthesize,
-    "certify": _cmd_certify,
-    "simulate": _cmd_simulate,
-    "verify-paper": _cmd_verify_paper,
+    "analyze": ("compute section-map Jacobians of a catalog system", _analyze_arguments, _cmd_analyze),
+    "synthesize": ("design gains from a Jacobians JSON file", _synthesize_arguments, _cmd_synthesize),
+    "certify": ("certify designed Jacobians", _certify_arguments, _cmd_certify),
+    "simulate": ("closed-loop cycle simulation of a catalog system", _simulate_arguments, _cmd_simulate),
+    "verify-paper": ("run the reference-fixture consistency suite", _verify_paper_arguments,
+                     _cmd_verify_paper),
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser takes no option with a value, so the first
+    # token that is not an option names the command
+    command = next((a for a in argv if not a.startswith("-")), None)
+    args = _build_parser(command).parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except (FormatError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NumericsError, synthesis.SynthesisError, FixedPointError, IntegrationError) as exc:
+    except (NumericsError, synthesis.SynthesisError) as exc:
+        # IntegrationError and FixedPointError are NumericsErrors
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

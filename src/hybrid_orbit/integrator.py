@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Domain, FeedbackLaw, MultiDomainSystem
-from .numerics import central_difference
+from .numerics import NumericsError, central_difference
 
 __all__ = [
     "IntegratorConfig",
@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-class IntegrationError(RuntimeError):
+class IntegrationError(NumericsError):
     """Base class for phase-integration failures.
 
     The phase attribute is attached when the failure happens inside a

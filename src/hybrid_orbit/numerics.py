@@ -2,13 +2,19 @@
 
 Everything here operates on plain numpy arrays (real, row-major, finite)
 and is a pure function of its inputs, so all routines are safe to call
-from multiple threads.
+from multiple threads.  PhaseJacobians, the per-phase (A_i, F_i) that
+poincare measures and synthesis designs from, lives here so that gain
+design needs no integrator.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "NumericsError",
+    "PhaseJacobians",
+    "compose_jacobians",
     "as_matrix",
     "eigenvalues",
     "spectral_radius",
@@ -23,6 +29,38 @@ __all__ = [
 
 class NumericsError(RuntimeError):
     """A numerical routine failed to converge or produced invalid output."""
+
+
+@dataclass(frozen=True)
+class PhaseJacobians:
+    """Per-phase section-map sensitivities in reduced chart coordinates.
+
+    A is the state sensitivity at the entry fixed point with beta = 0;
+    F is the parameter sensitivity at beta = 0.
+    """
+
+    phase_index: int
+    A: np.ndarray
+    F: np.ndarray
+
+
+def compose_jacobians(jacs) -> np.ndarray:
+    """Right-to-left product of a phase-ordered Jacobian chain.
+
+    The list is ordered phase 1 ... phase N; the last phase ends up
+    leftmost in the product, matching the composition of the maps.
+    """
+    mats = [j.A if isinstance(j, PhaseJacobians) else np.asarray(j, dtype=float) for j in jacs]
+    if not mats:
+        raise ValueError("need at least one Jacobian")
+    product = mats[0]
+    for m in mats[1:]:
+        if m.shape[1] != product.shape[0]:
+            raise ValueError(
+                f"dimension mismatch in Jacobian chain: {m.shape} after {product.shape}"
+            )
+        product = m @ product
+    return product
 
 
 def as_matrix(values) -> np.ndarray:

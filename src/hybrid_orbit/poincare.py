@@ -9,13 +9,11 @@ of all partial maps around the cycle; its Jacobian is the right-to-left
 product of the per-phase Jacobians.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .integrator import IntegrationError, IntegratorConfig, section_step
 from .model import MultiDomainSystem, PeriodicOrbit
-from .numerics import central_difference
+from .numerics import NumericsError, PhaseJacobians, central_difference, compose_jacobians
 
 __all__ = [
     "PhaseJacobians",
@@ -27,7 +25,7 @@ __all__ = [
 ]
 
 
-class FixedPointError(RuntimeError):
+class FixedPointError(NumericsError):
     """Newton refinement diverged or hit a non-hyperbolic direction."""
 
 
@@ -43,19 +41,6 @@ _EXTRAPOLATED = (2.0,) + _DAMPING
 _SINGULAR_RATIO = (0.2, 0.3)
 # The relative central-difference step of every phase Jacobian.
 _FD_STEP = 1e-5
-
-
-@dataclass(frozen=True)
-class PhaseJacobians:
-    """Per-phase section-map sensitivities in reduced chart coordinates.
-
-    A is the state sensitivity at the entry fixed point with beta = 0;
-    F is the parameter sensitivity at beta = 0.
-    """
-
-    phase_index: int
-    A: np.ndarray
-    F: np.ndarray
 
 
 def _phase_step(
@@ -96,25 +81,6 @@ def phase_jacobians(
         _phase_step(system, i, orbit.fixed_points[i - 1], cfg)[2]
         for i in range(system.n_domains)
     ]
-
-
-def compose_jacobians(jacs) -> np.ndarray:
-    """Right-to-left product of a phase-ordered Jacobian chain.
-
-    The list is ordered phase 1 ... phase N; the last phase ends up
-    leftmost in the product, matching the composition of the maps.
-    """
-    mats = [j.A if isinstance(j, PhaseJacobians) else np.asarray(j, dtype=float) for j in jacs]
-    if not mats:
-        raise ValueError("need at least one Jacobian")
-    product = mats[0]
-    for m in mats[1:]:
-        if m.shape[1] != product.shape[0]:
-            raise ValueError(
-                f"dimension mismatch in Jacobian chain: {m.shape} after {product.shape}"
-            )
-        product = m @ product
-    return product
 
 
 def orbit_and_jacobians(

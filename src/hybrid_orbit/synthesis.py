@@ -20,14 +20,15 @@ import numpy as np
 
 from .numerics import (
     NumericsError,
+    PhaseJacobians,
     _dlqr,
     _lq_problem,
     as_matrix,
+    compose_jacobians,
     max_abs_entry,
     pinv,
     spectral_radius,
 )
-from .poincare import PhaseJacobians, compose_jacobians
 
 __all__ = [
     "GainSet",
@@ -58,7 +59,11 @@ _MAX_Q_SCALINGS = 12
 
 
 class SynthesisError(RuntimeError):
-    """Gain synthesis failed (unreachable target or solver failure)."""
+    """Gain synthesis failed (unreachable target or solver failure).
+
+    Not a NumericsError: dlqr_gains wraps the NumericsError of a phase's
+    solve in one, and must not wrap its own a second time.
+    """
 
 
 @dataclass

@@ -16,8 +16,7 @@ import numpy as np
 
 from .jsonio import FormatError, _json_text, _number, matrix_from_obj, matrix_to_obj, vector_from_obj, vector_to_obj
 from .model import Domain, MultiDomainSystem, PeriodicOrbit, affine_chart_matrices, affine_section_chart
-from .numerics import spectral_radius
-from .poincare import PhaseJacobians, compose_jacobians
+from .numerics import PhaseJacobians, compose_jacobians, spectral_radius
 from . import synthesis
 
 __all__ = [

@@ -10,11 +10,19 @@ import numpy as np
 import pytest
 
 import hybrid_orbit
-from hybrid_orbit import cli
+from hybrid_orbit import cli, numerics, poincare, synthesis, synthetic
 from hybrid_orbit.cli import main
-from hybrid_orbit.integrator import IntegratorConfig
+from hybrid_orbit.integrator import (
+    Chattering,
+    IntegrationError,
+    IntegratorConfig,
+    NoCrossing,
+    NonFinite,
+    NonTransversal,
+)
 from hybrid_orbit.jsonio import dump_json, matrix_to_obj
 from hybrid_orbit.paper import FixtureCheck, paper_fixture, verify_paper
+from hybrid_orbit.poincare import FixedPointError
 from hybrid_orbit.synthetic import CATALOG, from_catalog
 from test_poincare import _reset_counter
 
@@ -59,7 +67,7 @@ def test_analyze_defaults_match_the_closed_form(tmp_path):
 
 def test_base_step_default_is_the_integrator_default():
     for command in ("analyze", "simulate"):
-        args = cli._build_parser().parse_args([command, "--system", "stable-2", "-o", "x"])
+        args = cli._build_parser(command).parse_args([command, "--system", "stable-2", "-o", "x"])
         assert args.base_step == IntegratorConfig().base_step
 
 
@@ -251,7 +259,7 @@ def test_analyze_and_simulate_make_one_pass(tmp_path, monkeypatch):
     # stable-3, one per member of one pass.
     model = from_catalog("stable-3")
     counted, resets = _reset_counter(model.system)
-    monkeypatch.setattr(cli, "from_catalog", lambda name: replace(model, system=counted))
+    monkeypatch.setattr(synthetic, "from_catalog", lambda name: replace(model, system=counted))
     assert run(["analyze", "--system", "stable-3", "-o", tmp_path / "j.json"]) == 0
     assert len(resets) == 33
     resets.clear()
@@ -276,6 +284,41 @@ def test_numerical_failure_exits_three(tmp_path):
     )
     out = tmp_path / "out.json"
     assert run(["synthesize", "-i", jacs, "--method", "dlqr", "-o", out]) == 3
+
+
+def test_typed_errors_are_numerics_errors_except_synthesis_error():
+    for error in (IntegrationError, FixedPointError):
+        assert issubclass(error, numerics.NumericsError)
+    assert not issubclass(synthesis.SynthesisError, numerics.NumericsError)
+
+
+@pytest.mark.parametrize("error", [
+    IntegrationError, NoCrossing, NonTransversal, Chattering, NonFinite,
+    FixedPointError, numerics.NumericsError, synthesis.SynthesisError,
+])
+def test_each_typed_failure_exits_three(error, monkeypatch, tmp_path, capsys):
+    def fail(*args, **kwargs):
+        raise error("no orbit here")
+
+    monkeypatch.setattr(poincare, "orbit_and_jacobians", fail)
+    for command in ("analyze", "simulate"):
+        assert run([command, "--system", "stable-2", "-o", tmp_path / "out"]) == 3
+        assert capsys.readouterr().err == "numerical failure: no orbit here\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_enforce_t4_names_its_phase_once(tmp_path, capsys):
+    # phase 1's second state is out of reach of F and keeps its 0.5, which
+    # is not below 1 / k = 0.5 however far Q grows
+    reachable = {"A": matrix_to_obj(0.9 * np.eye(2)), "F": matrix_to_obj(np.eye(2))}
+    stuck = {"A": matrix_to_obj(np.diag([0.9, 0.5])), "F": matrix_to_obj([[1.0], [0.0]])}
+    jacs = tmp_path / "jacs.json"
+    dump_json({"phases": [reachable, stuck]}, jacs)
+    out = tmp_path / "gains.json"
+    assert run(["synthesize", "-i", jacs, "--method", "dlqr", "--enforce-t4", "-o", out]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: phase 1: entrywise bound not reached after 12 Q scalings\n"
+    assert not out.exists()
 
 
 def test_diverging_open_loop_run_is_not_a_stall(tmp_path):
@@ -388,30 +431,61 @@ def test_verify_paper_report_writes_each_fixture_check_whole(tmp_path, capsys):
         assert written == {key: getattr(check, key) for key in keys}
 
 
-def _scipy_loaded_after(code, tmp_path):
-    """Run code in a fresh interpreter; report whether it imported scipy."""
+def _loaded_after(code, tmp_path):
+    """Run code in a fresh interpreter; the scipy and hybrid_orbit modules
+    it imported."""
     src = os.path.dirname(os.path.dirname(hybrid_orbit.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = code + "\nimport sys\nprint('scipy' in sys.modules)\n"
+    probe = code + (
+        "\nimport sys\n"
+        "print(' '.join(m for m in sys.modules if m == 'scipy' or m.startswith('hybrid_orbit')))\n"
+    )
     done = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
                           capture_output=True, text=True, check=True)
-    return done.stdout.strip().splitlines()[-1] == "True"
+    return set(done.stdout.strip().splitlines()[-1].split())
 
 
-def test_scipy_is_imported_only_to_build_synthetic_systems(tmp_path):
+def _paper_jacobians_file(path):
     fx = paper_fixture()
     dump_json({"phases": [{"A": matrix_to_obj(fx.A1), "F": matrix_to_obj(fx.F1)},
                           {"A": matrix_to_obj(fx.A2), "F": matrix_to_obj(fx.F2)}]},
-              tmp_path / "jacs.json")
-    assert not _scipy_loaded_after("import hybrid_orbit", tmp_path)
-    assert not _scipy_loaded_after("import hybrid_orbit.cli", tmp_path)
+              path)
+
+
+_DESIGN = {"jsonio", "numerics", "synthesis"}
+_FLOW = _DESIGN | {"integrator", "model", "poincare", "synthetic"}
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (None, set()),
+    (["synthesize", "-i", "jacs.json", "--method", "dlqr", "--enforce-t4", "-o", "g.json"], _DESIGN),
+    (["certify", "-i", "designed.json", "-o", "c.json"], _DESIGN),
+    (["analyze", "--system", "stable-2", "-o", "j.json"], _FLOW),
+    (["simulate", "--system", "stable-2", "--method", "dlqr", "--cycles", "2", "-o", "s.csv"], _FLOW),
+    (["verify-paper", "-o", "v.json"], _DESIGN | {"paper"}),
+], ids=["import", "synthesize", "certify", "analyze", "simulate", "verify-paper"])
+def test_each_command_loads_only_its_modules(argv, modules, tmp_path):
+    _paper_jacobians_file(tmp_path / "jacs.json")
+    dump_json({"designed": [matrix_to_obj(0.5 * np.eye(2))]}, tmp_path / "designed.json")
+    code = "import hybrid_orbit" if argv is None else (
+        f"from hybrid_orbit.cli import main\nassert main({argv!r}) == 0"
+    )
+    loaded = _loaded_after(code, tmp_path)
+    package = {"hybrid_orbit"} | (set() if argv is None else {"hybrid_orbit.cli"})
+    assert loaded == package | {f"hybrid_orbit.{m}" for m in modules}
+
+
+def test_scipy_is_imported_only_to_build_synthetic_systems(tmp_path):
+    _paper_jacobians_file(tmp_path / "jacs.json")
+    assert "scipy" not in _loaded_after("import hybrid_orbit", tmp_path)
+    assert "scipy" not in _loaded_after("import hybrid_orbit.cli", tmp_path)
     commands = (
         "from hybrid_orbit.cli import main\n"
         "assert main(['synthesize', '-i', 'jacs.json', '--method', 'dlqr', '-o', 'g.json']) == 0\n"
         "assert main(['certify', '-i', 'g.json', '-o', 'c.json']) == 0\n"
         "assert main(['verify-paper', '-o', 'v.json']) == 0\n"
     )
-    assert not _scipy_loaded_after(commands, tmp_path)
+    assert "scipy" not in _loaded_after(commands, tmp_path)
     # analyze and simulate run a catalog system from its stored data
     runs = "from hybrid_orbit.cli import main\n" + "".join(
         f"assert main(['analyze', '--system', '{name}', '-o', 'j.json']) == 0\n" for name in CATALOG
@@ -420,9 +494,9 @@ def test_scipy_is_imported_only_to_build_synthetic_systems(tmp_path):
         f"'--cycles', '2', '-o', 's.csv']) == 0\n"
         for method in ("none", "symmetric", "scale", "dlqr")
     )
-    assert not _scipy_loaded_after(runs, tmp_path)
+    assert "scipy" not in _loaded_after(runs, tmp_path)
     # the closed-form oracle is what needs it
-    assert _scipy_loaded_after(
+    assert "scipy" in _loaded_after(
         "from hybrid_orbit.synthetic import from_catalog\nfrom_catalog('stable-2').jacobians\n",
         tmp_path,
     )

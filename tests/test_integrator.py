@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from hybrid_orbit import cli, integrator
+from hybrid_orbit import cli, integrator, poincare
 from hybrid_orbit.integrator import (
     Chattering,
     IntegrationError,
@@ -315,7 +315,7 @@ def test_refine_stall_carries_its_phase_and_exits_three(monkeypatch, tmp_path, c
     def stalled_newton(*args, **kwargs):
         section_step(system, 0, np.zeros((1, 1)), np.zeros((1, 0)), IntegratorConfig())
 
-    monkeypatch.setattr(cli, "orbit_and_jacobians", stalled_newton)
+    monkeypatch.setattr(poincare, "orbit_and_jacobians", stalled_newton)
     assert cli.main(["analyze", "--system", "stable-2", "-o", str(tmp_path / "j.json")]) == 3
     err = capsys.readouterr().err
     assert err == "numerical failure: phase 0: guard refinement stalled at |H| = 1.000e+00 (tolerance 1.000e-10)\n"

@@ -8,6 +8,7 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import hybrid_orbit
 
@@ -65,3 +66,66 @@ def test_readme_library_quick_start_runs():
     errors = namespace["errors"]
     assert len(errors) == 20 and np.all(np.isfinite(errors))
     assert errors[-1] < errors[0]
+
+
+# Every name the package exported when it imported all its modules eagerly,
+# by the module it was imported from then.
+EXPORTED = {
+    "impacts": ("ImpactModel", "apply_reset", "relabel", "rigid_impact"),
+    "integrator": ("Chattering", "IntegrationError", "IntegratorConfig", "NoCrossing", "NonFinite",
+                   "NonTransversal", "flow_batch", "simulate_cycle"),
+    "model": ("Domain", "FeedbackLaw", "MultiDomainSystem", "PeriodicOrbit", "SectionChart",
+              "affine_section_chart", "chart_from_guard", "validate_c1_c2"),
+    "numerics": ("NumericsError", "dare_solve", "dlqr_gain", "eigenvalues", "max_abs_entry", "pinv",
+                 "spectral_norm", "spectral_radius"),
+    "poincare": ("FixedPointError", "PhaseJacobians", "compose_jacobians", "orbit_and_jacobians",
+                 "phase_jacobians", "refine_fixed_point"),
+    "synthesis": ("GainSet", "StabilityReport", "SynthesisError", "TheoremCertificate", "certify_theorem3",
+                  "certify_theorem4", "designed_jacobians", "dlqr_gains", "scale_factor_gains",
+                  "stability_report", "symmetric_matrix_gains"),
+    "paper": ("PaperFixture", "paper_fixture", "verify_paper"),
+    "synthetic": ("CATALOG", "SyntheticModel", "build_synthetic", "from_catalog"),
+}
+
+
+def test_the_lazy_package_serves_every_exported_name():
+    names = [name for group in EXPORTED.values() for name in group]
+    assert len(names) == 52 and sorted(hybrid_orbit.__all__) == sorted(names)
+    listed = dir(hybrid_orbit)
+    for module, group in EXPORTED.items():
+        home = importlib.import_module(f"hybrid_orbit.{module}")
+        assert getattr(hybrid_orbit, module) is home
+        for name in group:
+            assert getattr(hybrid_orbit, name) is getattr(home, name)
+            assert name in listed
+    namespace = {}
+    exec("from hybrid_orbit import *", namespace)
+    assert all(namespace[name] is getattr(hybrid_orbit, name) for name in names)
+    assert hybrid_orbit.jsonio is importlib.import_module("hybrid_orbit.jsonio")
+    for missing in ("no_such_name", "_HOME_", "fixtures"):
+        with pytest.raises(AttributeError, match=missing):
+            getattr(hybrid_orbit, missing)
+
+
+def test_phase_jacobians_have_one_definition():
+    from hybrid_orbit import numerics, poincare, synthesis, synthetic
+
+    for module in (poincare, synthesis, synthetic):
+        assert module.PhaseJacobians is numerics.PhaseJacobians
+        assert module.compose_jacobians is numerics.compose_jacobians
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_help_reads_the_catalog_and_the_default_step(command, monkeypatch, capsys):
+    from hybrid_orbit.cli import main
+    from hybrid_orbit.integrator import IntegratorConfig
+    from hybrid_orbit.synthetic import CATALOG
+
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as done:
+        main([command, "--help"])
+    assert done.value.code == 0
+    out = capsys.readouterr().out
+    assert f"integrator base step (default {IntegratorConfig.base_step:g})" in out
+    if command == "analyze":
+        assert f"catalog name, one of {', '.join(CATALOG)}" in out
