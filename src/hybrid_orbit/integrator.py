@@ -169,7 +169,8 @@ def flow_batch(
     returned.  An overflowing state raises NonFinite, not a floating-point
     warning, and so does a guard value that is NaN or infinite, at the
     start, at the step where it appears, or in the guard rate at an exit.
-    The result is the (B, m) exit states and the (B,) exit times.
+    The result is the (B, m) exit states and the (B,) exit times.  Stacks
+    x0 and betas of other shapes raise ValueError.
 
     A member has crossed once past the guard or within _GUARD_TOL = 1e-10
     of it.  A crossing before _MIN_PHASE_DURATION = 1e-6 raises Chattering,
@@ -194,11 +195,11 @@ def flow_batch(
     """
     x = np.array(x0, dtype=float)
     betas = np.asarray(betas, dtype=float)
-    n_members = x.shape[0]
-    if betas.shape != (n_members, domain.param_dim):
-        raise ValueError(
-            f"parameter stack has shape {betas.shape}, expected ({n_members}, {domain.param_dim})"
-        )
+    if betas.ndim != 2 or betas.shape[1] != domain.param_dim:
+        raise ValueError(f"parameter stack has shape {betas.shape}, expected (B, {domain.param_dim})")
+    n_members = betas.shape[0]
+    if x.shape != (n_members, domain.state_dim):
+        raise ValueError(f"start stack has shape {x.shape}, expected ({n_members}, {domain.state_dim})")
     guard = domain.guard
     h0 = guard(x)
     _raise_non_finite(x, 0.0, h0)
@@ -422,11 +423,15 @@ def section_step(
     flow phase i, project.
 
     x_section is a (B, k) stack of reduced coordinates on the section
-    entering phase i and betas the (B, p) parameters held in phase i.
-    Returns the reduced coordinates on the exit section of domain i and the
-    realized phase durations, one row per member.  Integration errors
-    propagate with the phase index attached; a reset or a flow that
-    overflows raises NonFinite, not a floating-point warning.
+    entering phase i and betas the (B, p) parameters held in phase i.  The
+    entry chart's embed, the reset of domain i - 1 and the exit chart's
+    project each map the whole stack in one call.  Returns the (B, k')
+    reduced coordinates on the exit section of domain i and the (B,)
+    realized phase durations.  Integration errors propagate with the phase
+    index attached; a reset or a flow that overflows raises NonFinite, not
+    a floating-point warning.  A reset or a projection whose result is not
+    a (B, m) or (B, k') stack raises ValueError, as one written for a
+    single state does unless B equals the length of the rows it indexes.
     """
     n = system.n_domains
     prev = system.domain(i - 1)
@@ -435,13 +440,19 @@ def section_step(
     exit_chart = system.chart(i)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            x_plus = np.array([prev.reset(entry_chart.embed(y)) for y in np.asarray(x_section, dtype=float)])
+            x_plus = prev.reset(entry_chart.embed(np.asarray(x_section, dtype=float)))
         x_exit, t_exit = flow_batch(dom, x_plus, betas, cfg)
     except IntegrationError as exc:
         exc.phase = i % n
         exc.args = (f"phase {i % n}: {exc.args[0]}",) + exc.args[1:]
         raise
-    return np.array([exit_chart.project(x) for x in x_exit]), t_exit
+    y_exit = exit_chart.project(x_exit)
+    if np.shape(y_exit) != (len(x_exit), exit_chart.k):
+        raise ValueError(
+            f"exit chart of domain {i % n} projected to shape {np.shape(y_exit)}, "
+            f"expected ({len(x_exit)}, {exit_chart.k})"
+        )
+    return y_exit, t_exit
 
 
 def simulate_cycle(

@@ -30,6 +30,7 @@ __all__ = [
     "affine_section_chart",
     "chart_from_guard",
     "guard_gradient",
+    "matvec_rows",
 ]
 
 _GRAD_STEP = 1e-7
@@ -39,8 +40,11 @@ _GRAD_STEP = 1e-7
 class SectionChart:
     """Reduced coordinates on a switching surface.
 
-    embed maps k reduced coordinates to a full state on the surface;
-    project inverts it.  project(embed(y)) must equal y.
+    embed maps a (B, k) stack of reduced coordinates to the (B, m) stack
+    of full states on the surface; project maps a (B, m) stack back to
+    (B, k).  Row b of each result depends on row b of the input alone,
+    and project(embed(Y)) must equal Y.  A single point y is the stack
+    y[None].
     """
 
     k: int
@@ -52,14 +56,17 @@ class SectionChart:
 class Domain:
     """One continuous phase and its exit transition.
 
-    guard maps a (B, state_dim) state stack to its (B,) guard values; a
-    single state x is the stack x[None].  batch_field is an optional
-    stacked form of the closed phase field: batch_field(betas) takes a
-    (B, param_dim) parameter stack and returns a map from a
-    (B, state_dim) state stack to the (B, state_dim) field rows, row b
-    held at betas[b].  It must agree row by row with drift, input_map
-    and controller; without it, batched integration applies those one
-    row at a time.
+    guard maps a (B, state_dim) state stack to its (B,) guard values, and
+    reset maps it row by row to the (B, state_dim) states entering the
+    next domain; a single state x is the stack x[None].  A matrix reset is
+    matvec_rows(R, X): the row form lambda x: R @ x runs on the wrong
+    axis.  drift, input_map and controller take one state.  batch_field
+    is an optional stacked form of the closed phase field:
+    batch_field(betas) takes a (B, param_dim) parameter stack and returns
+    a map from a (B, state_dim) state stack to the (B, state_dim) field
+    rows, row b held at betas[b].  It must agree row by row with drift,
+    input_map and controller; without it, batched integration applies
+    those one row at a time.
 
     When present batch_field takes precedence over the scalar field
     callables, and dataclasses.replace copies it unchanged:
@@ -251,6 +258,17 @@ def validate_c1_c2(domain: Domain, samples: list[np.ndarray]) -> ConditionReport
     return ConditionReport(scales, c1_dev, c2_dev, c1_dev[-1] <= 1e-4, c2_dev[-1] <= 1e-4)
 
 
+def matvec_rows(matrix: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """matrix @ x for each row x of the (B, n) stack X: the (B, m) stack
+    (matrix @ X[:, :, None])[:, :, 0].
+
+    Each row has the bits of the one-row product matrix @ x, whatever B
+    is.  X @ matrix.T runs another BLAS kernel, which can round a row
+    differently.
+    """
+    return (matrix @ np.asarray(X, dtype=float)[:, :, None])[:, :, 0]
+
+
 def affine_chart_matrices(normal, offset: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Drop-coordinate chart (E, e0, P) of the affine surface
     {x : normal . x = offset}.
@@ -275,12 +293,13 @@ def affine_chart_matrices(normal, offset: float) -> tuple[np.ndarray, np.ndarray
 
 def affine_section_chart(normal, offset: float) -> SectionChart:
     """Chart on an affine surface {x : normal . x = offset}, built from
-    affine_chart_matrices."""
+    affine_chart_matrices: embed(Y) = E y + e0 and project(X) = P x for
+    each row, through matvec_rows."""
     embed, offset_vec, project = affine_chart_matrices(normal, offset)
     return SectionChart(
         k=project.shape[0],
-        embed=lambda y: embed @ np.asarray(y, dtype=float) + offset_vec,
-        project=lambda x: project @ np.asarray(x, dtype=float),
+        embed=lambda Y: matvec_rows(embed, Y) + offset_vec,
+        project=lambda X: matvec_rows(project, X),
     )
 
 
@@ -288,7 +307,8 @@ def chart_from_guard(domain: Domain, x_ref: np.ndarray) -> SectionChart:
     """Default chart on a domain's exit surface near a reference crossing.
 
     The coordinate with the largest |dH/dx| component at x_ref is solved
-    from H(x) = 0 by scalar Newton iteration, to |H| <= 1e-12 within 50
+    from H(x) = 0 by scalar Newton iteration on each row of the stack, in
+    one guard call per step for all rows, to |H| <= 1e-12 within 50
     steps; the remaining coordinates are the reduced ones.  Exact (one
     step) for guards affine in the eliminated coordinate.
     """
@@ -299,24 +319,28 @@ def chart_from_guard(domain: Domain, x_ref: np.ndarray) -> SectionChart:
         raise ValueError("guard gradient vanishes at the reference point")
     m = x_ref.size
     keep = [i for i in range(m) if i != j]
-    x_ref_j = float(x_ref[j])
 
-    def embed(y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        x = np.empty(m)
-        x[keep] = y
-        x[j] = x_ref_j
+    def embed(Y: np.ndarray) -> np.ndarray:
+        Y = np.asarray(Y, dtype=float)
+        X = np.empty((Y.shape[0], m))
+        X[:, keep] = Y
+        X[:, j] = x_ref[j]
         for _ in range(50):
-            h_val = domain.guard(x[None])[0]
-            if abs(h_val) <= 1e-12:
-                return x
-            slope = guard_gradient(domain, x)[j]
-            if slope == 0.0:
+            step = _GRAD_STEP * np.maximum(1.0, np.abs(X[:, j]))
+            probes = np.stack([X, X, X])
+            probes[1, :, j] += step
+            probes[2, :, j] -= step
+            h_val, h_up, h_down = domain.guard(probes.reshape(-1, m)).reshape(3, -1)
+            todo = ~(np.abs(h_val) <= 1e-12)
+            if not todo.any():
+                return X
+            slope = (h_up - h_down)[todo] / (2.0 * step[todo])
+            if (slope == 0.0).any():
                 break
-            x[j] -= h_val / slope
+            X[todo, j] -= h_val[todo] / slope
         raise ValueError("could not solve the guard for the eliminated coordinate")
 
-    def project(x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float)[keep].copy()
+    def project(X: np.ndarray) -> np.ndarray:
+        return np.asarray(X, dtype=float)[:, keep]
 
     return SectionChart(k=m - 1, embed=embed, project=project)

@@ -268,6 +268,19 @@ def test_analyze_and_simulate_make_one_pass(tmp_path, monkeypatch):
     assert len(resets) == 33
 
 
+def test_a_reset_written_for_one_state_exits_two(tmp_path, monkeypatch, capsys):
+    # A reset takes the stack of a phase's 11 Newton members; one written
+    # for a single 3-vector returns 3 rows, which the flow refuses.
+    model = from_catalog("stable-3")
+    row_form = replace(model.system, domains=tuple(
+        replace(dom, reset=lambda x: np.array([x[0], x[1], x[2]])) for dom in model.system.domains
+    ))
+    monkeypatch.setattr(synthetic, "from_catalog", lambda name: replace(model, system=row_form))
+    assert run(["analyze", "--system", "stable-3", "-o", tmp_path / "j.json"]) == 2
+    assert capsys.readouterr().err == "input error: start stack has shape (3, 3), expected (11, 3)\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_numerical_failure_exits_three(tmp_path):
     # an uncontrollable phase: F = 0 with an expanding A
     jacs = tmp_path / "jacs.json"

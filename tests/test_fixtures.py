@@ -173,7 +173,7 @@ def test_engineered_orbit_is_a_return_map_fixed_point(stable3, cycle_map):
 def test_guard_normals_not_orthogonal_to_flow(stable3):
     # transversality margin by construction: flow and normal within ~80 deg
     for i, phase in enumerate(stable3.phases):
-        x_end = stable3.system.chart(i).embed(stable3.orbit.fixed_points[i])
+        (x_end,) = stable3.system.chart(i).embed(stable3.orbit.fixed_points[i][None])
         f_end = phase.drift @ x_end
         cosine = (phase.guard_normal @ f_end) / np.linalg.norm(f_end)
         assert cosine > np.cos(np.deg2rad(80.0))
@@ -192,11 +192,11 @@ def test_oracle_chart_is_the_runtime_chart(name):
         assert np.array_equal(geometry.project, project)
         chart = model.system.chart(i)
         assert chart.k == project.shape[0]
-        for y in [model.orbit.fixed_points[i], *rng.normal(size=(4, chart.k))]:
-            x = chart.embed(y)
-            assert np.array_equal(x, embed @ y + offset_vec)
-            assert np.array_equal(chart.project(x), project @ x)
-        assert np.array_equal(chart.project(geometry.x_end), model.orbit.fixed_points[i])
+        y = np.vstack([model.orbit.fixed_points[i], rng.normal(size=(4, chart.k))])
+        x = chart.embed(y)
+        assert np.array_equal(x, [embed @ row + offset_vec for row in y])
+        assert np.array_equal(chart.project(x), [project @ row for row in x])
+        assert np.array_equal(chart.project(geometry.x_end[None])[0], model.orbit.fixed_points[i])
 
 
 def test_unstable_profile_open_loop_radius(unstable2):

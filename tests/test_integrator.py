@@ -33,7 +33,7 @@ def autonomous(drift, guard, dim):
         input_map=lambda x: np.zeros((dim, 0)),
         controller=lambda x, beta: np.zeros(0),
         guard=guard,
-        reset=lambda x: x,
+        reset=lambda X: X,
     )
 
 
@@ -304,8 +304,8 @@ def test_refine_stall_carries_its_phase_and_exits_three(monkeypatch, tmp_path, c
         input_map=lambda x: np.zeros((2, 0)),
         controller=lambda x, beta: np.zeros(0),
         guard=jump_guard,
-        reset=lambda x: x,
-        exit_chart=SectionChart(k=1, embed=lambda y: np.array([0.0, y[0]]), project=lambda x: x[1:].copy()),
+        reset=lambda X: X,
+        exit_chart=SectionChart(k=1, embed=lambda Y: np.insert(Y, 0, 0.0, axis=1), project=lambda X: X[:, 1:]),
     )
     system = MultiDomainSystem(domains=(dom,))
     with pytest.raises(IntegrationError, match="refinement stalled") as exc_info:
@@ -727,19 +727,30 @@ def test_synthetic_batch_callables_match_scalar_ones(request, name):
             assert np.max(np.abs(rows[b] - scalar)) <= 1e-12
 
 
-@pytest.mark.parametrize("name", CATALOG + ("unstable-3",))
+@pytest.mark.parametrize("name", CATALOG + ("unstable-3", "rebuilt"))
 def test_catalog_field_rows_do_not_depend_on_the_batch_size(request, name):
     # Members of a batch flow must take the bits of their solo flows, so
-    # the field must not take a different product path for a stack of rows.
+    # the field, the reset and the chart maps must not take a different
+    # product path for a stack of rows.
     model = catalog_model(request, name)
     rng = np.random.default_rng(13)
     for dom in model.system.domains:
+        chart = dom.exit_chart
         for n_members in (1, 2, 11, 25):
             x = rng.normal(size=(n_members, dom.state_dim))
+            y = rng.normal(size=(n_members, chart.k))
             betas = rng.normal(size=(n_members, dom.param_dim))
-            rows = dom.batch_field(betas)(x)
-            for b in range(n_members):
-                assert np.array_equal(rows[b], dom.batch_field(betas[b:b + 1])(x[b:b + 1])[0])
+            maps = (
+                lambda rows: dom.batch_field(betas[rows])(x[rows]),
+                lambda rows: dom.reset(x[rows]),
+                lambda rows: chart.embed(y[rows]),
+                lambda rows: chart.project(x[rows]),
+            )
+            for fn in maps:
+                stack = fn(slice(None))
+                assert len(stack) == n_members
+                for b in range(n_members):
+                    assert np.array_equal(stack[b], fn(slice(b, b + 1))[0])
 
 
 def velocity_system(batched: bool) -> MultiDomainSystem:
@@ -753,11 +764,11 @@ def velocity_system(batched: bool) -> MultiDomainSystem:
         input_map=lambda x: np.eye(2),
         controller=lambda x, beta: beta,
         guard=lambda X: X[:, 0] - 1.0,
-        reset=lambda x: np.array([1.0 - x[1], x[1]]),
+        reset=lambda X: np.column_stack([1.0 - X[:, 1], X[:, 1]]),
         exit_chart=SectionChart(
             k=1,
-            embed=lambda y: np.array([1.0, y[0]]),
-            project=lambda x: x[1:].copy(),
+            embed=lambda Y: np.insert(Y, 0, 1.0, axis=1),
+            project=lambda X: X[:, 1:],
         ),
     )
     if batched:
@@ -800,3 +811,24 @@ def test_one_bad_member_fails_the_batch_like_a_solo_run(monkeypatch, case, batch
     assert str(batch.value) == str(solo.value)
     assert batch.value.phase == 0
     assert str(batch.value).startswith("phase 0: ")
+
+
+def test_stacks_of_the_wrong_shape_are_refused():
+    # A 1-D start state is no stack.  A reset or a projection written for
+    # one state maps a stack of B != m rows on the wrong axis: flow_batch
+    # refuses what such a reset returns, and section_step what such a
+    # projection returns.
+    system = velocity_system(batched=True)
+    dom = system.domains[0]
+    cfg = IntegratorConfig()
+    with pytest.raises(ValueError, match=r"^start stack has shape \(2,\), expected \(1, 2\)$"):
+        flow_batch(dom, np.array([0.5, 0.0]), np.array([[1.0, 0.0]]), cfg)
+    y = np.array([[0.5], [1.0], [1.5]])
+    betas = np.tile([1.0, 0.0], (3, 1))
+    row_reset = replace(dom, reset=lambda x: np.array([1.0 - x[1], x[1]]))
+    with pytest.raises(ValueError, match=r"^start stack has shape \(2, 2\), expected \(3, 2\)$"):
+        section_step(MultiDomainSystem(domains=(row_reset,)), 0, y, betas, cfg)
+    row_chart = replace(dom.exit_chart, project=lambda x: x[1:].copy())
+    row_project = MultiDomainSystem(domains=(replace(dom, exit_chart=row_chart),))
+    with pytest.raises(ValueError, match=r"projected to shape \(2, 2\), expected \(3, 1\)$"):
+        section_step(row_project, 0, y, betas, cfg)

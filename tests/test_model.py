@@ -27,7 +27,7 @@ def make_domain(controller, param_dim=2, guard=None):
         input_map=lambda x: np.array([[0.0], [1.0]]),
         controller=controller,
         guard=guard or (lambda X: X[:, 0] - 1.0),
-        reset=lambda x: x,
+        reset=lambda X: X,
     )
 
 
@@ -112,7 +112,7 @@ def test_zero_param_domain_trivially_passes():
         input_map=lambda x: np.zeros((1, 0)),
         controller=lambda x, beta: np.zeros(0),
         guard=lambda X: X[:, 0] - 1.0,
-        reset=lambda x: x,
+        reset=lambda X: X,
     )
     assert validate_c1_c2(dom, [np.zeros(1)]).passed
 
@@ -175,16 +175,16 @@ def test_affine_chart_round_trip():
     normal = np.array([0.3, -0.9, 0.2])
     chart = affine_section_chart(normal, 0.7)
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        y = rng.normal(size=2)
-        x = chart.embed(y)
-        assert abs(normal @ x - 0.7) < 1e-12
-        assert np.max(np.abs(chart.project(x) - y)) < 1e-10
+    y = rng.normal(size=(20, 2))
+    x = chart.embed(y)
+    assert x.shape == (20, 3)
+    assert np.max(np.abs(x @ normal - 0.7)) < 1e-12
+    assert np.max(np.abs(chart.project(x) - y)) < 1e-10
 
 
 def test_affine_chart_drops_largest_component():
     chart = affine_section_chart(np.array([0.1, 5.0, 0.2]), 1.0)
-    x = chart.embed(np.array([2.0, 3.0]))
+    (x,) = chart.embed(np.array([[2.0, 3.0]]))
     assert x[0] == 2.0 and x[2] == 3.0  # middle coordinate was eliminated
 
 
@@ -197,14 +197,15 @@ def test_chart_from_guard_nonlinear():
         input_map=lambda x: np.zeros((2, 0)),
         controller=lambda x, beta: np.zeros(0),
         guard=lambda X: X[:, 1] ** 3 + X[:, 1] - X[:, 0],
-        reset=lambda x: x,
+        reset=lambda X: X,
     )
     x_ref = np.array([2.0, 1.0])  # guard(x_ref) = 0
     chart = chart_from_guard(dom, x_ref)
-    for y in (np.array([2.0]), np.array([1.5]), np.array([2.4])):
-        x = chart.embed(y)
-        assert abs(dom.guard(x[None])[0]) < 1e-10
-        assert np.max(np.abs(chart.project(x) - y)) < 1e-12
+    y = np.array([[2.0], [1.5], [2.4]])
+    x = chart.embed(y)
+    assert x.shape == (3, 2)
+    assert np.max(np.abs(dom.guard(x))) < 1e-10
+    assert np.max(np.abs(chart.project(x) - y)) < 1e-12
 
 
 # ----------------------------------------------------- orbits and feedback law

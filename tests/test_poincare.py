@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 from hybrid_orbit import poincare
 from hybrid_orbit.integrator import IntegrationError, IntegratorConfig, NoCrossing, section_step
-from hybrid_orbit.model import Domain, MultiDomainSystem, affine_section_chart
+from hybrid_orbit.model import Domain, MultiDomainSystem, affine_section_chart, matvec_rows
 from hybrid_orbit.poincare import (
     FixedPointError,
     compose_jacobians,
@@ -40,7 +40,7 @@ def test_partial_map_matches_analytic_composition(stable2, cfg_accurate):
     y_star = stable2.orbit.fixed_points[-1]
     for _ in range(3):
         y = y_star + rng.uniform(-5e-3, 5e-3, size=2)
-        x_plus = prev.reset @ entry_chart.embed(y)
+        x_plus = prev.reset @ entry_chart.embed(y[None])[0]
 
         def h_exact(t):
             return float(normal @ (expm(phase.drift * t) @ x_plus) - offset)
@@ -54,7 +54,7 @@ def test_partial_map_matches_analytic_composition(stable2, cfg_accurate):
             else:
                 hi = mid
         t_star = 0.5 * (lo + hi)
-        expected = exit_chart.project(expm(phase.drift * t_star) @ x_plus)
+        expected = exit_chart.project((expm(phase.drift * t_star) @ x_plus)[None])[0]
 
         (out,), _ = section_step(stable2.system, i, y[None], np.zeros((1, 3)), cfg_accurate)
         assert np.max(np.abs(out - expected)) < 1e-8
@@ -169,11 +169,13 @@ def test_refine_fixed_point_accepts_exact_start(stable3, cfg_fast):
 
 
 def _reset_counter(system):
+    # Each reset maps one stack of members, so len(resets) counts the rows
+    # reset, one per member flow, not the calls.
     resets = []
     counted = replace(
         system,
         domains=tuple(
-            replace(dom, reset=lambda x, r=dom.reset: resets.append(1) or r(x))
+            replace(dom, reset=lambda X, r=dom.reset: resets.extend([1] * len(X)) or r(X))
             for dom in system.domains
         ),
     )
@@ -340,7 +342,7 @@ def _escape_prone_system():
         input_map=lambda x: np.zeros((3, 0)),
         controller=lambda x, beta: np.zeros(0),
         guard=lambda X: X[:, 0] - 1.0,
-        reset=lambda x: x.copy(),
+        reset=lambda X: X.copy(),
         exit_chart=affine_section_chart(np.array([1.0, 0.0, 0.0]), 1.0),
     )
     dom1 = Domain(
@@ -351,7 +353,7 @@ def _escape_prone_system():
         input_map=lambda x: np.zeros((3, 0)),
         controller=lambda x, beta: np.zeros(0),
         guard=lambda X: X[:, 0] - 0.25,
-        reset=lambda x: np.array([x[0] * (1.0 - 4.0 * x[1] ** 2), x[1], x[2]]),
+        reset=lambda X: np.column_stack([X[:, 0] * (1.0 - 4.0 * X[:, 1] ** 2), X[:, 1], X[:, 2]]),
         exit_chart=affine_section_chart(np.array([1.0, 0.0, 0.0]), 0.25),
     )
     return MultiDomainSystem(domains=(dom0, dom1))
@@ -380,7 +382,7 @@ def test_single_domain_cycle(cycle_map):
         input_map=lambda x: np.zeros((3, 0)),
         controller=lambda x, beta: np.zeros(0),
         guard=lambda X: X @ normal - 1.0,
-        reset=lambda x: reset @ x,
+        reset=lambda X: matvec_rows(reset, X),
         exit_chart=affine_section_chart(normal, 1.0),
     )
     system = MultiDomainSystem(domains=(dom,))
@@ -409,7 +411,7 @@ def test_translation_phase_jacobian_by_hand():
                 input_map=lambda x: np.zeros((3, 0)),
                 controller=lambda x, beta: np.zeros(0),
                 guard=lambda X, n=n, d=d: X @ n - d,
-                reset=lambda x: x.copy(),
+                reset=lambda X: X.copy(),
                 exit_chart=affine_section_chart(n, d),
             )
         )
@@ -437,7 +439,7 @@ def test_translation_phase_jacobian_by_hand():
     # matrix (the map is affine)
     cfg = IntegratorConfig(base_step=1e-3)
     entry_chart = affine_section_chart(n1, -1.0)
-    y0 = entry_chart.project(np.array([-1.2, 0.4, 0.3]))
+    y0 = entry_chart.project(np.array([[-1.2, 0.4, 0.3]]))[0]
     e = 1e-5 * np.eye(2)
     images, _ = section_step(system, 0, np.vstack([y0 + e, y0 - e]), np.zeros((4, 0)), cfg)
     measured = (images[:2] - images[2:]).T / 2e-5
