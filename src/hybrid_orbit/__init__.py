@@ -14,7 +14,7 @@ designs gains never compiles the integrator.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "impacts": ("ImpactModel", "apply_reset", "relabel", "rigid_impact"),
+    "impacts": ("ImpactModel", "relabel", "rigid_impact"),
     "integrator": (
         "Chattering",
         "IntegrationError",

@@ -1,27 +1,35 @@
 """Rigid (plastic) impact resets from user-supplied matrices.
 
-The post-impact velocities and contact impulse come from one dense solve
-of the block system
+An ImpactModel solves the block system
 
-    [ D  -E' ] [ qdot_plus ]   [ D qdot_minus ]
-    [ E   0  ] [ impulse   ] = [      0       ]
+    [ D  -E' ] [ V ]   [ D ]
+    [ E   0  ] [ L ] = [ 0 ]
 
-so the constrained directions are arrested exactly.  Positions pass
-through an impact unchanged; a signed coordinate permutation handles the
+once, when it is built: a pre-impact velocity qdot_minus leaves with
+velocity V qdot_minus and contact impulse L qdot_minus, so the
+constrained directions are arrested exactly.  Positions pass through an
+impact unchanged; a signed coordinate permutation handles the
 support/swing relabeling that follows.
+
+rigid_impact and relabel map (B, n) stacks row by row, as a Domain reset
+does, and a single state x is the stack x[None].  The impact reset of a
+stack X of states (q, qdot) is
+
+    np.hstack([relabel(X[:, :n], model.relabel_map),
+               relabel(rigid_impact(model, X[:, n:])[0], model.relabel_map)])
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import as_matrix
+from .model import matvec_rows
+from .numerics import _check_weight
 
 __all__ = [
     "ImpactModel",
     "rigid_impact",
     "relabel",
-    "apply_reset",
 ]
 
 
@@ -32,35 +40,42 @@ class ImpactModel:
     relabel_map uses signed 1-based indices: entry j holding +-(s+1) means
     output coordinate j is +-coords[s].  It must be a signed permutation
     of the n_coords coordinates, and is checked when the model is built.
+    velocity_map V (n x n) and impulse_map L (c x n) are solved from the
+    block system when the model is built; with no constraints V is the
+    identity and L is empty.
     """
 
     inertia: np.ndarray
     contact_jacobian: np.ndarray
     relabel_map: tuple[int, ...] | None = None
+    velocity_map: np.ndarray = field(init=False, repr=False)
+    impulse_map: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        d = as_matrix(self.inertia)
-        object.__setattr__(self, "inertia", d)
-        if d.shape[0] != d.shape[1]:
-            raise ValueError("inertia matrix must be square")
-        if np.max(np.abs(d - d.T)) > 1e-10:
-            raise ValueError("inertia matrix must be symmetric")
-        if np.linalg.eigvalsh(d)[0] <= 0.0:
-            raise ValueError("inertia matrix must be positive definite")
-
+        d = _check_weight(self.inertia, "inertia matrix", definite=True)
+        n = d.shape[0]
         e = np.asarray(self.contact_jacobian, dtype=float)
-        if e.ndim != 2 or e.shape[1] != d.shape[0]:
-            raise ValueError(
-                f"contact Jacobian has shape {e.shape}, expected (c, {d.shape[0]})"
-            )
-        if e.shape[0] > 0:
+        if e.ndim != 2 or e.shape[1] != n:
+            raise ValueError(f"contact Jacobian has shape {e.shape}, expected (c, {n})")
+        c = e.shape[0]
+        velocity, impulse = np.eye(n), np.zeros((0, n))
+        if c > 0:
             if not np.all(np.isfinite(e)):
                 raise ValueError("contact Jacobian contains non-finite entries")
-            if np.linalg.matrix_rank(e) < e.shape[0]:
+            if np.linalg.matrix_rank(e) < c:
                 raise ValueError("contact Jacobian must have full row rank")
+            block = np.block([[d, -e.T], [e, np.zeros((c, c))]])
+            try:
+                solution = np.linalg.solve(block, np.concatenate([d, np.zeros((c, n))]))
+            except np.linalg.LinAlgError as exc:
+                raise ValueError(f"singular impact block system: {exc}") from exc
+            velocity, impulse = solution[:n], solution[n:]
+        object.__setattr__(self, "inertia", d)
         object.__setattr__(self, "contact_jacobian", e)
+        object.__setattr__(self, "velocity_map", velocity)
+        object.__setattr__(self, "impulse_map", impulse)
         if self.relabel_map is not None:
-            object.__setattr__(self, "relabel_map", _signed_permutation(self.relabel_map, d.shape[0]))
+            object.__setattr__(self, "relabel_map", _signed_permutation(self.relabel_map, n))
 
     @property
     def n_coords(self) -> int:
@@ -71,68 +86,43 @@ class ImpactModel:
         return self.contact_jacobian.shape[0]
 
 
-def rigid_impact(model: ImpactModel, qdot_minus) -> tuple[np.ndarray, np.ndarray]:
-    """Post-impact velocities and contact impulse from the block solve.
-
-    With no constraints the velocities pass through unchanged.  A singular
-    block system (which full row rank of E and positive definite D rule
-    out) is reported explicitly.
-    """
-    qdot_minus = np.asarray(qdot_minus, dtype=float)
+def rigid_impact(model: ImpactModel, Qdot) -> tuple[np.ndarray, np.ndarray]:
+    """Post-impact velocities and contact impulses of each row of the
+    (B, n) velocity stack Qdot: the (B, n) stack matvec_rows(V, Qdot) and
+    the (B, c) stack matvec_rows(L, Qdot)."""
+    Qdot = np.asarray(Qdot, dtype=float)
     n = model.n_coords
-    c = model.n_constraints
-    if qdot_minus.shape != (n,):
-        raise ValueError(f"velocity has shape {qdot_minus.shape}, expected ({n},)")
-    if c == 0:
-        return qdot_minus.copy(), np.zeros(0)
-
-    d = model.inertia
-    e = model.contact_jacobian
-    block = np.zeros((n + c, n + c))
-    block[:n, :n] = d
-    block[:n, n:] = -e.T
-    block[n:, :n] = e
-    rhs = np.concatenate([d @ qdot_minus, np.zeros(c)])
-    try:
-        solution = np.linalg.solve(block, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"singular impact block system: {exc}") from exc
-    return solution[:n], solution[n:]
+    if Qdot.ndim != 2 or Qdot.shape[1] != n:
+        raise ValueError(f"velocity stack has shape {Qdot.shape}, expected (B, {n})")
+    return matvec_rows(model.velocity_map, Qdot), matvec_rows(model.impulse_map, Qdot)
 
 
 def _signed_permutation(signed_map, n: int) -> tuple[int, ...]:
     """The map as integers, checked to be a signed permutation of n
     coordinates: each of 1 ... n once, up to sign."""
-    signed_map = tuple(int(v) for v in signed_map)
-    if len(signed_map) != n:
-        raise ValueError(f"relabel map has length {len(signed_map)}, coordinates have {n}")
-    for entry in signed_map:
-        if entry == 0 or abs(entry) > n:
-            raise ValueError(f"relabel entry {entry} out of range")
-    if len({abs(entry) for entry in signed_map}) < n:
+    entries = np.asarray(signed_map, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(entries) & (entries == np.round(entries))):
+        raise ValueError(f"relabel map {entries.tolist()} has an entry that is not a finite integer")
+    if entries.size != n:
+        raise ValueError(f"relabel map has length {entries.size}, coordinates have {n}")
+    out_of_range = (entries == 0) | (np.abs(entries) > n)
+    if out_of_range.any():
+        raise ValueError(f"relabel entry {int(entries[out_of_range][0])} out of range")
+    if np.unique(np.abs(entries)).size < n:
         raise ValueError(
-            f"relabel map {list(signed_map)} repeats a coordinate; it must be a signed permutation"
+            f"relabel map {entries.astype(int).tolist()} repeats a coordinate; it must be a signed permutation"
         )
-    return signed_map
+    return tuple(int(v) for v in entries)
 
 
-def relabel(coords, signed_map) -> np.ndarray:
-    """Apply a signed permutation: out[j] = sign(map[j]) * coords[|map[j]| - 1].
+def relabel(X, signed_map) -> np.ndarray:
+    """Apply a signed permutation to each row of the (B, n) stack X:
+    out[:, j] = sign(map[j]) * X[:, |map[j]| - 1].
 
-    coords must be a vector (1-D); any other shape raises ValueError.
+    Any other shape raises ValueError.
     """
-    coords = np.asarray(coords, dtype=float)
-    if coords.ndim != 1:
-        raise ValueError(f"relabel coordinates must be a vector, got shape {coords.shape}")
-    out = np.empty_like(coords)
-    for j, entry in enumerate(_signed_permutation(signed_map, coords.size)):
-        out[j] = np.sign(entry) * coords[abs(entry) - 1]
-    return out
-
-
-def apply_reset(model: ImpactModel, q_minus, qdot_minus) -> tuple[np.ndarray, np.ndarray]:
-    """Full impact reset: positions relabel only, velocities impact then relabel."""
-    qdot_plus, _ = rigid_impact(model, qdot_minus)
-    if model.relabel_map is None:
-        return np.asarray(q_minus, dtype=float).copy(), qdot_plus
-    return relabel(q_minus, model.relabel_map), relabel(qdot_plus, model.relabel_map)
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"relabel takes a (B, n) stack, got shape {X.shape}")
+    entries = np.array(_signed_permutation(signed_map, X.shape[1]))
+    return np.sign(entries) * X[:, np.abs(entries) - 1]

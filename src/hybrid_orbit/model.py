@@ -29,7 +29,6 @@ __all__ = [
     "affine_chart_matrices",
     "affine_section_chart",
     "chart_from_guard",
-    "guard_gradient",
     "matvec_rows",
 ]
 
@@ -106,14 +105,6 @@ class Domain:
             return self.drift(x) + self.input_map(x) @ self.controller(x, beta)
 
         return f
-
-    def nominal_control(self, x: np.ndarray) -> np.ndarray:
-        return self.controller(x, np.zeros(self.param_dim))
-
-
-def guard_gradient(domain: Domain, x: np.ndarray) -> np.ndarray:
-    """Central finite-difference gradient of the exit guard at x."""
-    return central_difference(domain.guard, x, _GRAD_STEP)[0]
 
 
 @dataclass(frozen=True)
@@ -241,7 +232,8 @@ def validate_c1_c2(domain: Domain, samples: list[np.ndarray]) -> ConditionReport
             lambda points: np.array([domain.controller(z, beta) for z in points]), x, _GRAD_STEP
         )
 
-    nominal = [(x, domain.nominal_control(x), grad_x(x, np.zeros(domain.param_dim))) for x in samples]
+    zero = np.zeros(domain.param_dim)
+    nominal = [(x, domain.controller(x, zero), grad_x(x, zero)) for x in samples]
     c1_dev, c2_dev = [], []
     for scale in scales:
         worst_c1 = 0.0
@@ -313,7 +305,7 @@ def chart_from_guard(domain: Domain, x_ref: np.ndarray) -> SectionChart:
     step) for guards affine in the eliminated coordinate.
     """
     x_ref = np.asarray(x_ref, dtype=float)
-    grad = guard_gradient(domain, x_ref)
+    grad = central_difference(domain.guard, x_ref, _GRAD_STEP)[0]
     j = int(np.argmax(np.abs(grad)))
     if grad[j] == 0.0:
         raise ValueError("guard gradient vanishes at the reference point")

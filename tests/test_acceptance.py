@@ -342,7 +342,7 @@ def test_criterion_11_impact_map():
             contact = rng.normal(size=(c, n))
         model = ImpactModel(inertia=inertia, contact_jacobian=contact)
         qdot_minus = rng.normal(size=n)
-        qdot_plus, _ = rigid_impact(model, qdot_minus)
+        qdot_plus = rigid_impact(model, qdot_minus[None])[0][0]
         worst_arrest = max(worst_arrest, float(np.max(np.abs(contact @ qdot_plus))))
 
         d_inv = np.linalg.inv(inertia)
@@ -355,8 +355,8 @@ def test_criterion_11_impact_map():
         assert worst_schur < 1e-9
 
     point = ImpactModel(inertia=1.5 * np.eye(2), contact_jacobian=np.array([[0.0, 1.0]]))
-    qdot_plus, impulse = rigid_impact(point, np.array([0.4, -2.0]))
-    point_ok = np.allclose(qdot_plus, [0.4, 0.0], atol=1e-14) and impulse[0] == pytest.approx(3.0)
+    qdot_plus, impulse = rigid_impact(point, np.array([[0.4, -2.0]]))
+    point_ok = np.allclose(qdot_plus, [[0.4, 0.0]], atol=1e-14) and impulse[0, 0] == pytest.approx(3.0)
     ok = worst_arrest < 1e-10 and worst_schur < 1e-9 and point_ok
     report_line(
         11, ok,

@@ -69,9 +69,10 @@ def test_readme_library_quick_start_runs():
 
 
 # Every name the package exported when it imported all its modules eagerly,
-# by the module it was imported from then.
+# by the module it was imported from then, less apply_reset, which was deleted
+# when the impact maps came to take stacks.
 EXPORTED = {
-    "impacts": ("ImpactModel", "apply_reset", "relabel", "rigid_impact"),
+    "impacts": ("ImpactModel", "relabel", "rigid_impact"),
     "integrator": ("Chattering", "IntegrationError", "IntegratorConfig", "NoCrossing", "NonFinite",
                    "NonTransversal", "flow_batch", "simulate_cycle"),
     "model": ("Domain", "FeedbackLaw", "MultiDomainSystem", "PeriodicOrbit", "SectionChart",
@@ -90,7 +91,7 @@ EXPORTED = {
 
 def test_the_lazy_package_serves_every_exported_name():
     names = [name for group in EXPORTED.values() for name in group]
-    assert len(names) == 52 and sorted(hybrid_orbit.__all__) == sorted(names)
+    assert len(names) == 51 and sorted(hybrid_orbit.__all__) == sorted(names)
     listed = dir(hybrid_orbit)
     for module, group in EXPORTED.items():
         home = importlib.import_module(f"hybrid_orbit.{module}")
