@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImpactModel:
     """Extended inertia matrix, contact Jacobian and relabeling map.
 

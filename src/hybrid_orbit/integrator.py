@@ -310,17 +310,10 @@ def _guard_floor(guard, x: np.ndarray) -> np.ndarray:
 
     That is _FLOOR_ULPS ulps of sum_j |dH/dx_j| max(1, max_j |x_j|), which
     bounds the rounding error of an affine H = n . x - d evaluated at x.
-    The gradient, scaled by max(1, max_j |x_j|), is the central difference
-    of relative step 1e-7 in each coordinate, for all rows in one guard
-    call.
+    dH/dx is the central difference of relative step 1e-7 at the rows.
     """
-    m = x.shape[1]
     scale = np.maximum(1.0, np.abs(x).max(axis=1))[:, None]
-    grad = central_difference(
-        lambda s: guard((x + s[:, None] * scale).reshape(-1, m)).reshape(s.shape[0], -1),
-        np.zeros(m),
-        1e-7,
-    )
+    grad = central_difference(guard, x, 1e-7)[:, 0] * scale
     return _FLOOR_ULPS * np.finfo(float).eps * np.abs(grad).sum(axis=1)
 
 
@@ -340,9 +333,9 @@ def _exit_crossing(f, guard, x_from, t_from, step, side, g_from, x_to, g_to):
     stalled.  The floor is taken at x_to, in one _guard_floor call made
     only once some end is within _GUARD_TOL.  Every member is stepped on
     every iteration, so the brackets are updated under masks over the
-    whole stack.  The guard rate at the exit is the central difference of
-    H along the field, step 1e-7, for all members in one guard call; a
-    rate that is NaN or infinite raises NonFinite at the exit time.
+    whole stack.  The guard rate at the exit is the central difference,
+    step 1e-7, of s -> H(x_b + s f_b) at the (B, 1) stack s = 0; a rate
+    that is NaN or infinite raises NonFinite at the exit time.
     """
     members = np.arange(x_from.shape[0])
     width = 4.0 * np.finfo(float).eps * step
@@ -397,12 +390,11 @@ def _exit_crossing(f, guard, x_from, t_from, step, side, g_from, x_to, g_to):
             f"{_MIN_PHASE_DURATION:.3e}"
         )
     field = f(x_hit)
-    m = x_hit.shape[1]
     rate = central_difference(
-        lambda s: guard((x_hit + s[:, :, None] * field).reshape(-1, m)).reshape(s.shape[0], -1),
-        np.zeros(1),
+        lambda s: guard((x_hit + s.reshape(2, -1, 1) * field).reshape(-1, x_hit.shape[1])),
+        np.zeros((x_hit.shape[0], 1)),
         1e-7,
-    )[:, 0]
+    )[:, 0, 0]
     bad = ~np.isfinite(rate)
     if bad.any():
         _raise_non_finite(x_hit, t_exit[np.argmax(bad)], rate)

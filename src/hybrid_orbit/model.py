@@ -133,7 +133,7 @@ class MultiDomainSystem:
         return chart
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodicOrbit:
     """Per-section fixed points and phase durations of a periodic solution.
 
@@ -161,7 +161,7 @@ class PeriodicOrbit:
         return float(sum(self.phase_durations))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeedbackLaw:
     """Event-triggered parameter feedback beta_i = -K_i (x_sec - x*).
 
@@ -208,42 +208,41 @@ class ConditionReport:
         return self.c1_pass and self.c2_pass
 
 
-def validate_c1_c2(domain: Domain, samples: list[np.ndarray]) -> ConditionReport:
+def validate_c1_c2(domain: Domain, samples: np.ndarray) -> ConditionReport:
     """Check that the parameterized controller degenerates to the nominal one.
 
-    For each sample state the controller is probed along every parameter
-    axis at the magnitudes 1e-1, ..., 1e-5.  Each condition passes when its
-    deviation at the smallest magnitude is at most 1e-4.  Violations are
-    reported, never raised; an empty sample list, or a sample not of shape
-    (state_dim,), raises ValueError.
+    samples is an (S, state_dim) stack of states; a list of states stacks
+    to one.  The control and its state gradient, one central difference
+    over the stack, are probed along every parameter axis at magnitudes
+    1e-1, ..., 1e-5.  Each condition passes when its deviation at the
+    smallest magnitude is at most 1e-4.  Violations are reported, never
+    raised; an empty or misshaped stack raises ValueError.
     """
-    samples = [np.asarray(x, dtype=float) for x in samples]
-    if not samples:
-        raise ValueError("need at least one sample state")
-    for idx, x in enumerate(samples):
-        if x.shape != (domain.state_dim,):
-            raise ValueError(f"sample {idx} has shape {x.shape}, expected ({domain.state_dim},)")
+    try:
+        X = np.asarray(samples, dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"samples do not stack to one array: {exc}") from exc
+    if X.ndim != 2 or not X.shape[0] or X.shape[1] != domain.state_dim:
+        raise ValueError(f"sample stack has shape {X.shape}, expected (S, {domain.state_dim})")
     scales = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]
     if domain.param_dim == 0:
         return ConditionReport(scales, [0.0] * len(scales), [0.0] * len(scales), True, True)
 
-    def grad_x(x, beta):
-        return central_difference(
-            lambda points: np.array([domain.controller(z, beta) for z in points]), x, _GRAD_STEP
-        )
+    def control(beta):
+        return lambda points: np.array([domain.controller(z, beta) for z in points])
 
-    zero = np.zeros(domain.param_dim)
-    nominal = [(x, domain.controller(x, zero), grad_x(x, zero)) for x in samples]
+    nominal = control(np.zeros(domain.param_dim))
+    u0, g0 = nominal(X), central_difference(nominal, X, _GRAD_STEP)
     c1_dev, c2_dev = [], []
     for scale in scales:
         worst_c1 = 0.0
         worst_c2 = 0.0
-        for x, u0, g0 in nominal:
-            for j in range(domain.param_dim):
-                beta = np.zeros(domain.param_dim)
-                beta[j] = scale
-                worst_c1 = max(worst_c1, float(np.max(np.abs(domain.controller(x, beta) - u0))))
-                worst_c2 = max(worst_c2, float(np.max(np.abs(grad_x(x, beta) - g0))))
+        for j in range(domain.param_dim):
+            beta = np.zeros(domain.param_dim)
+            beta[j] = scale
+            probe = control(beta)
+            worst_c1 = max(worst_c1, float(np.max(np.abs(probe(X) - u0))))
+            worst_c2 = max(worst_c2, float(np.max(np.abs(central_difference(probe, X, _GRAD_STEP) - g0))))
         c1_dev.append(worst_c1)
         c2_dev.append(worst_c2)
 
@@ -298,14 +297,14 @@ def affine_section_chart(normal, offset: float) -> SectionChart:
 def chart_from_guard(domain: Domain, x_ref: np.ndarray) -> SectionChart:
     """Default chart on a domain's exit surface near a reference crossing.
 
-    The coordinate with the largest |dH/dx| component at x_ref is solved
-    from H(x) = 0 by scalar Newton iteration on each row of the stack, in
-    one guard call per step for all rows, to |H| <= 1e-12 within 50
-    steps; the remaining coordinates are the reduced ones.  Exact (one
-    step) for guards affine in the eliminated coordinate.
+    The coordinate j with the largest |dH/dx| component at x_ref is solved
+    from H(x) = 0 by Newton iteration on each row of the stack, slope
+    dH/dx_j from central_difference, to |H| <= 1e-12 within 50 steps; the
+    remaining coordinates are the reduced ones.  Exact (one step) for
+    guards affine in the eliminated coordinate.
     """
     x_ref = np.asarray(x_ref, dtype=float)
-    grad = central_difference(domain.guard, x_ref, _GRAD_STEP)[0]
+    grad = central_difference(domain.guard, x_ref[None], _GRAD_STEP)[0, 0]
     j = int(np.argmax(np.abs(grad)))
     if grad[j] == 0.0:
         raise ValueError("guard gradient vanishes at the reference point")
@@ -318,15 +317,11 @@ def chart_from_guard(domain: Domain, x_ref: np.ndarray) -> SectionChart:
         X[:, keep] = Y
         X[:, j] = x_ref[j]
         for _ in range(50):
-            step = _GRAD_STEP * np.maximum(1.0, np.abs(X[:, j]))
-            probes = np.stack([X, X, X])
-            probes[1, :, j] += step
-            probes[2, :, j] -= step
-            h_val, h_up, h_down = domain.guard(probes.reshape(-1, m)).reshape(3, -1)
+            h_val = domain.guard(X)
             todo = ~(np.abs(h_val) <= 1e-12)
             if not todo.any():
                 return X
-            slope = (h_up - h_down)[todo] / (2.0 * step[todo])
+            slope = central_difference(domain.guard, X[todo], _GRAD_STEP)[:, 0, j]
             if (slope == 0.0).any():
                 break
             X[todo, j] -= h_val[todo] / slope

@@ -31,7 +31,7 @@ class NumericsError(RuntimeError):
     """A numerical routine failed to converge or produced invalid output."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseJacobians:
     """Per-phase section-map sensitivities in reduced chart coordinates.
 
@@ -136,23 +136,26 @@ def pinv(m) -> np.ndarray:
     return np.linalg.pinv(as_matrix(m), rcond=1e-10)
 
 
-def central_difference(fn, x, rel_step: float) -> np.ndarray:
-    """Central-difference Jacobian of fn at x, one column per coordinate.
+def central_difference(fn, X, rel_step: float) -> np.ndarray:
+    """Central-difference Jacobians (B, out, n) of fn at the rows of X (B, n).
 
-    fn is called once, with the (2n, n) stack whose row j is x + h_j e_j and
-    whose row n + j is x - h_j e_j, where h_j = rel_step * max(1, |x_j|); it
-    returns one value per row.  Column j is (value_j - value_{n+j}) / (2 h_j).
-    Scalar values give one row.
+    fn is called once, on the (2nB, n) stack of rows X_b + h_bj e_j, then
+    X_b - h_bj e_j, ordered by sign, coordinate j, then row b, where h_bj =
+    rel_step * max(1, |X_bj|); it returns one scalar or vector per row.
+    Block b has the bits of the call on X_b[None].  X not 2-D raises
+    ValueError.
     """
     if not (np.isfinite(rel_step) and rel_step > 0.0):
         raise ValueError(f"finite-difference step must be finite and positive, got {rel_step!r}")
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    h = rel_step * np.maximum(1.0, np.abs(x))
-    steps = np.diag(h)
-    values = np.asarray(fn(np.concatenate([x + steps, x - steps])), dtype=float)
-    diff = (values[:n] - values[n:]).reshape(n, -1)
-    return (diff / (2.0 * h)[:, None]).T
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"expected a (B, n) stack of points, got shape {X.shape}")
+    n_rows, n = X.shape
+    h = (rel_step * np.maximum(1.0, np.abs(X))).T  # h[j, b] = h_bj
+    steps = np.eye(n)[:, None, :] * h[:, :, None]  # row (j, b) is h_bj e_j
+    values = np.asarray(fn(np.concatenate([X + steps, X - steps]).reshape(-1, n)), dtype=float)
+    diff = (values[: n * n_rows] - values[n * n_rows :]).reshape(n, n_rows, -1)
+    return (diff / (2.0 * h)[:, :, None]).transpose(1, 2, 0)
 
 
 def _check_weight(q: np.ndarray, name: str, definite: bool) -> np.ndarray:

@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PaperFixture:
     """Reference matrices transcribed at 4-decimal print precision."""
 

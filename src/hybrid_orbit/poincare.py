@@ -66,7 +66,7 @@ def _phase_step(
         center[:] = y[0], durations[0]
         return y[1:]
 
-    jac = central_difference(members, z0, _FD_STEP)
+    jac = central_difference(members, z0[None], _FD_STEP)[0]
     return *center, PhaseJacobians(phase_index=i, A=jac[:, :k], F=jac[:, k:])
 
 

@@ -66,7 +66,7 @@ class SynthesisError(RuntimeError):
     """
 
 
-@dataclass
+@dataclass(eq=False)
 class GainSet:
     """Gains from one synthesis method plus per-phase design residuals."""
 
@@ -88,7 +88,7 @@ class TheoremCertificate:
         return [entry for entry in self.per_phase if not entry["ok"]]
 
 
-@dataclass
+@dataclass(eq=False)
 class StabilityReport:
     designed: list[np.ndarray]
     per_phase_radius: list[float]
@@ -120,20 +120,29 @@ def designed_jacobians(jacs, gains: GainSet) -> list[np.ndarray]:
     if len(gains.gains) != len(pairs):
         raise ValueError("gain count does not match phase count")
     out = []
-    for (a, f), k in zip(pairs, gains.gains):
+    for idx, ((a, f), k) in enumerate(zip(pairs, gains.gains)):
         k = as_matrix(k)
         if f.shape[1] != k.shape[0] or k.shape[1] != a.shape[1]:
             raise ValueError(
                 f"dimension mismatch: A {a.shape}, F {f.shape}, K {k.shape}"
             )
-        out.append(a - f @ k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out.append(_designed(idx, a, f, k))
     return out
 
 
-def _solve_gain(a, f, target) -> tuple[np.ndarray, float]:
-    gain = pinv(f) @ (a - target)
-    residual = max_abs_entry(a - f @ gain - target) if a.size else 0.0
-    return gain, residual
+def _designed(idx, a, f, k) -> np.ndarray:
+    """A - F K of phase idx, with the caller's errstate; an overflow raises NumericsError."""
+    designed = a - f @ k
+    if not np.isfinite(designed).all():
+        raise NumericsError(f"phase {idx}: designed Jacobian overflowed")
+    return designed
+
+
+def _solve_gain(idx, a, f, target) -> tuple[np.ndarray, float]:
+    with np.errstate(over="ignore", invalid="ignore"):
+        gain = pinv(f) @ (a - target)
+        return gain, float(np.abs(_designed(idx, a, f, gain) - target).max())
 
 
 def symmetric_matrix_gains(jacs, m_sym: np.ndarray | None = None) -> GainSet:
@@ -161,7 +170,7 @@ def symmetric_matrix_gains(jacs, m_sym: np.ndarray | None = None) -> GainSet:
     for idx, (a, f) in enumerate(pairs):
         if a.shape != m_sym.shape:
             raise ValueError(f"phase {idx}: A has shape {a.shape}, the target {m_sym.shape}")
-        gain, residual = _solve_gain(a, f, m_sym)
+        gain, residual = _solve_gain(idx, a, f, m_sym)
         gains.append(gain)
         residuals.append(residual)
     return GainSet(
@@ -189,7 +198,7 @@ def scale_factor_gains(jacs, eta: float = 1.0) -> GainSet:
             raise SynthesisError(f"phase {idx}: A is zero, the scale factor is undefined")
         k_dim = a.shape[0]
         c_i = eta / (k_dim * m_i)
-        gain, residual = _solve_gain(a, f, c_i * a)
+        gain, residual = _solve_gain(idx, a, f, c_i * a)
         gains.append(gain)
         residuals.append(residual)
         factors.append(c_i)

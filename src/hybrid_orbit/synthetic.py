@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearPhase:
     """One phase of the synthetic family: linear flow, affine guard,
     linear reset into the next phase, and a controller shift linear in
@@ -47,7 +47,7 @@ class LinearPhase:
     duration: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticModel:
     """A runnable system plus its exact orbit and phase Jacobians.
 
@@ -119,7 +119,7 @@ def _forced_response(m: np.ndarray, g: np.ndarray, t: float):
     return full[:dim, :dim], full[:dim, dim:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _PhaseGeometry:
     """Closed-form facts of one phase at its undisturbed exit: flow matrix,
     constant-input response, exit point, the exit section's chart matrices

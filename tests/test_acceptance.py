@@ -18,6 +18,7 @@ from hybrid_orbit.cli import main as cli_main
 from hybrid_orbit.integrator import IntegratorConfig, simulate_cycle
 from hybrid_orbit.model import FeedbackLaw
 from hybrid_orbit.numerics import (
+    central_difference,
     dare_solve,
     dlqr_gain,
     eigenvalues,
@@ -27,7 +28,7 @@ from hybrid_orbit.numerics import (
     spectral_radius,
 )
 from hybrid_orbit.paper import CHECK_FIELDS, K1_EXCLUDED_ENTRY, corrupt, paper_fixture, verify_paper
-from hybrid_orbit.poincare import phase_jacobians, refine_fixed_point
+from hybrid_orbit.poincare import orbit_and_jacobians, phase_jacobians, refine_fixed_point
 from hybrid_orbit.synthetic import CATALOG, from_catalog
 from hybrid_orbit import synthesis
 
@@ -410,3 +411,36 @@ def test_criterion_12_reference_suite_and_fault_injection(tmp_path, capsys):
         f"{len(exact_cases)} exact red sets, {len(containment_cases)} containment cases",
     )
     assert ok
+
+
+def test_criterion_13_closed_loop_jacobian_matches_the_designed_product():
+    # The event-triggered closed loop, measured: the central difference of
+    # one simulate_cycle cycle at x* must be prod(A_i - F_i K_i), the matrix
+    # the certificates judge, on all 14 catalog designs.  The gaps are
+    # 8.8e-12 to 1.9e-9.  Feeding a phase the wrong reference point or the
+    # wrong gain puts 12 designs above the bound; uncoupled-2's F is zero,
+    # so its two designs cannot tell.  Matrices are compared, not radii: on
+    # the deadbeat designs the measured radius is FD noise.
+    cfg = IntegratorConfig()
+    gaps = {}
+    for name in CATALOG:
+        model = from_catalog(name)
+        orbit, jacs = orbit_and_jacobians(model.system, model.orbit.fixed_points[-1], cfg)
+        for maker in (synthesis.symmetric_matrix_gains, synthesis.scale_factor_gains, synthesis.dlqr_gains):
+            if name == "uncoupled-2" and maker is synthesis.dlqr_gains:
+                with pytest.raises(synthesis.SynthesisError):
+                    maker(jacs)
+                continue
+            gains = maker(jacs)
+            law = FeedbackLaw(gains=tuple(gains.gains), orbit=orbit)
+
+            def one_cycle(starts):
+                return np.array([simulate_cycle(model.system, law, y, 1, cfg)[0] for y in starts])
+
+            measured = central_difference(one_cycle, orbit.fixed_points[-1][None], 1e-5)[0]
+            designed = synthesis.stability_report(jacs, gains).product
+            gaps[f"{name} {gains.method}"] = float(np.max(np.abs(measured - designed)))
+    assert len(gaps) == 14
+    worst = max(gaps, key=gaps.get)
+    report_line(13, gaps[worst] <= 1e-8, f"closed-loop FD Jacobian vs designed product: worst {worst} {gaps[worst]:.1e}")
+    assert gaps[worst] <= 1e-8, gaps

@@ -160,6 +160,27 @@ def test_certify_of_an_overflowing_symmetry_defect_is_a_numerical_failure(tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["symmetric", "scale", "dlqr"])
+def test_synthesize_of_an_overflowing_gain_is_a_numerical_failure(tmp_path, capsys, method):
+    # A and F are finite, but the pinv gain 1e400 is not; dlqr's Riccati
+    # solve diverges on the same input.
+    jacs = tmp_path / "jacs.json"
+    dump_json({"phases": [{"A": matrix_to_obj(1e200 * np.eye(2)),
+                           "F": matrix_to_obj(np.array([[1e-200], [0.0]]))}]}, jacs)
+    out = tmp_path / "gains.json"
+    assert run(["synthesize", "-i", jacs, "--method", method, "-o", out]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: phase 0: ")
+    assert not out.exists()
+
+
+def test_designed_jacobians_that_overflow_raise_numerics_error():
+    jacs = [numerics.PhaseJacobians(0, np.eye(2), np.full((2, 1), 1e200))]
+    gains = synthesis.GainSet("given", [np.full((1, 2), 1e200)], [0.0], False)
+    with np.errstate(all="raise"), pytest.raises(numerics.NumericsError, match="phase 0: designed Jacobian overflowed"):
+        synthesis.designed_jacobians(jacs, gains)
+
+
 @pytest.mark.parametrize("method", ["symmetric", "scale", "dlqr"])
 def test_design_names_the_phase_whose_f_and_a_rows_differ(tmp_path, capsys, method):
     jacs = tmp_path / "jacs.json"

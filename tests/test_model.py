@@ -120,7 +120,7 @@ def test_zero_param_domain_trivially_passes():
 def c1_c2_deviations_reference(domain, samples, scales):
     # the nominal control and its gradient recomputed at every probe
     def grad_x(x, beta):
-        return central_difference(lambda zs: np.array([domain.controller(z, beta) for z in zs]), x, 1e-7)
+        return central_difference(lambda zs: np.array([domain.controller(z, beta) for z in zs]), x[None], 1e-7)[0]
 
     zero = np.zeros(domain.param_dim)
     c1, c2 = [], []

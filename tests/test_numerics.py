@@ -260,40 +260,61 @@ def test_central_difference_vector_function_matches_exact_jacobian():
     def fn(x):
         return np.array([x[0] ** 2 * x[1], np.sin(x[1]) + 3.0 * x[2], np.exp(x[0])])
 
+    def exact(x):
+        return np.array(
+            [
+                [2.0 * x[0] * x[1], x[0] ** 2, 0.0],
+                [0.0, np.cos(x[1]), 3.0],
+                [np.exp(x[0]), 0.0, 0.0],
+            ]
+        )
+
     x = np.array([0.5, -2.0, 3.0])
-    exact = np.array(
-        [
-            [2.0 * x[0] * x[1], x[0] ** 2, 0.0],
-            [0.0, np.cos(x[1]), 3.0],
-            [np.exp(x[0]), 0.0, 0.0],
-        ]
-    )
     stacked, calls = recording(fn)
-    jac = central_difference(stacked, x, 1e-5)
-    assert jac.shape == (3, 3)
-    assert np.max(np.abs(jac - exact)) < 1e-8
+    jac = central_difference(stacked, x[None], 1e-5)
+    assert jac.shape == (1, 3, 3)
+    assert np.max(np.abs(jac[0] - exact(x))) < 1e-8
     # one call with the (2n, n) stack: rows x + h_j e_j, then rows x - h_j e_j
     assert len(calls) == 1 and calls[0].shape == (6, 3)
     h = 1e-5 * np.maximum(1.0, np.abs(x))
     assert np.array_equal(calls[0], np.concatenate([x + np.diag(h), x - np.diag(h)]))
 
+    # B = 3: one call on the (2nB, n) stack ordered by sign, then coordinate
+    # j, then member b; each block has the bits of its one-row call
+    X = np.array([x, [-1.5, 0.25, 7.0], [2.0, 1.0, -0.5]])
+    stacked, calls = recording(fn)
+    jacs = central_difference(stacked, X, 1e-5)
+    assert jacs.shape == (3, 3, 3) and len(calls) == 1 and calls[0].shape == (18, 3)
+    H = 1e-5 * np.maximum(1.0, np.abs(X))
+    rows = [X[b] + sign * H[b, j] * np.eye(3)[j] for sign in (1.0, -1.0) for j in range(3) for b in range(3)]
+    assert np.array_equal(calls[0], np.array(rows))
+    for b in range(3):
+        assert np.array_equal(jacs[b], central_difference(recording(fn)[0], X[b : b + 1], 1e-5)[0])
+        assert np.max(np.abs(jacs[b] - exact(X[b]))) < 1e-7
+
 
 def test_central_difference_scalar_row_and_step_scaling():
     # For a cubic the central difference is 3 x^2 + h^2, which exposes h.
-    x = np.array([0.5, -4.0])
+    X = np.array([[0.5, -4.0], [2.0, 0.1]])
     rel = 1e-2
     stacked, calls = recording(lambda z: float(z[0] ** 3 + z[1] ** 3))
-    row = central_difference(stacked, x, rel)
-    assert row.shape == (1, 2)
-    assert len(calls) == 1 and calls[0].shape == (4, 2)
-    h = rel * np.maximum(1.0, np.abs(x))  # 0.01 and 0.04
-    assert row[0] == pytest.approx(3.0 * x**2 + h**2, abs=1e-12)
+    rows = central_difference(stacked, X, rel)
+    assert rows.shape == (2, 1, 2)
+    assert len(calls) == 1 and calls[0].shape == (8, 2)
+    h = rel * np.maximum(1.0, np.abs(X))  # 0.01 and 0.04, then 0.02 and 0.01
+    assert rows[:, 0] == pytest.approx(3.0 * X**2 + h**2, abs=1e-12)
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-5, float("nan"), float("inf")])
 def test_central_difference_rejects_bad_step(step):
     with pytest.raises(ValueError):
-        central_difference(lambda z: z, np.array([1.0]), step)
+        central_difference(lambda z: z, np.array([[1.0]]), step)
+
+
+@pytest.mark.parametrize("shape", [(3,), (1, 2, 3)])
+def test_central_difference_rejects_a_stack_that_is_not_2d(shape):
+    with pytest.raises(ValueError, match="stack"):
+        central_difference(lambda z: z, np.ones(shape), 1e-5)
 
 
 # ----------------------------------------------------------------------- DARE

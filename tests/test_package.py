@@ -1,5 +1,6 @@
 """Package surface: every exported name resolves, no module keeps an unused
-import, and the README's library quick start runs as written."""
+import, the README's library quick start runs as written, and dataclasses
+with array fields compare by identity."""
 
 import ast
 import importlib
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import hybrid_orbit
+from hybrid_orbit import impacts, model, numerics, paper, synthesis, synthetic
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = Path(hybrid_orbit.__file__).resolve().parent
@@ -130,3 +132,32 @@ def test_help_reads_the_catalog_and_the_default_step(command, monkeypatch, capsy
     assert f"integrator base step (default {IntegratorConfig.base_step:g})" in out
     if command == "analyze":
         assert f"catalog name, one of {', '.join(CATALOG)}" in out
+
+
+# name: a function that builds an instance, equal field by field on every call
+ARRAY_DATACLASSES = {
+    "PhaseJacobians": lambda: numerics.PhaseJacobians(0, np.eye(2), np.ones((2, 1))),
+    "PeriodicOrbit": lambda: model.PeriodicOrbit((np.zeros(2),), (1.0,)),
+    "FeedbackLaw": lambda: model.FeedbackLaw((np.ones((1, 2)),), model.PeriodicOrbit((np.zeros(2),), (1.0,))),
+    "ImpactModel": lambda: impacts.ImpactModel(np.eye(2), np.ones((1, 2))),
+    "LinearPhase": lambda: synthetic.from_catalog("stable-2").phases[0],
+    "SyntheticModel": lambda: synthetic.from_catalog("stable-2"),
+    "_PhaseGeometry": lambda: synthetic._phase_geometry(synthetic.from_catalog("stable-2").phases[0]),
+    "PaperFixture": lambda: paper.paper_fixture(),
+    "GainSet": lambda: synthesis.GainSet("symmetric", [np.ones((1, 2))], [0.0], False),
+    "StabilityReport": lambda: synthesis.stability_report(
+        [numerics.PhaseJacobians(0, np.eye(2), np.ones((2, 1)))],
+        synthesis.GainSet("symmetric", [np.ones((1, 2))], [0.0], False),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_DATACLASSES)
+def test_dataclasses_with_array_fields_compare_by_identity(name):
+    # a generated __eq__ would compare the arrays and raise on their truth value
+    a, b = ARRAY_DATACLASSES[name](), ARRAY_DATACLASSES[name]()
+    assert type(a).__name__ == name
+    assert a == a
+    assert a != b
+    assert b not in [a]
+    assert len({a, b}) == 2
