@@ -19,6 +19,7 @@ test it, so the runs change no result.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -454,26 +455,38 @@ def simulate_cycle(
     n_cycles: int,
     cfg: IntegratorConfig,
 ) -> list[np.ndarray]:
-    """Run whole cycles from a point on the section entering phase 0.
+    """Run whole cycles from points on the section entering phase 0.
 
-    Records the reduced section state after each full cycle.  With a law,
-    each phase parameter is computed once from the section state at phase
-    entry (before the reset) and held for the phase; without one the system
-    runs open loop at beta = 0.  A law whose gain count, gain shapes or
-    fixed-point shapes do not fit the system raises ValueError.
+    x_start is one (k,) point or a (B, k) stack of them, with k the
+    dimension of that section.  Records the reduced section states after
+    each full cycle, each with the shape of x_start.  Every phase runs
+    the whole stack in one section_step, so row b of a stacked run has
+    the bits of the run from x_start[b] alone, and one failing member
+    raises for the stack.  With a law, each phase's parameter rows are
+    computed once from the section states at phase entry (before the
+    reset), in one law.beta call, and held for the phase; without one the
+    system runs open loop at beta = 0.  A start of another shape, a
+    negative or non-integer n_cycles, and a law whose gain count, gain
+    shapes or fixed-point shapes do not fit the system raise ValueError.
     """
     if law is not None:
         _check_law(system, law)
-    y = np.asarray(x_start, dtype=float)
+    if not isinstance(n_cycles, numbers.Integral) or n_cycles < 0:
+        raise ValueError(f"n_cycles must be a nonnegative integer, got {n_cycles!r}")
+    k = system.chart(-1).k
+    x_start = np.asarray(x_start, dtype=float)
+    if x_start.ndim not in (1, 2) or x_start.shape[-1] != k:
+        raise ValueError(f"start has shape {x_start.shape}, expected ({k},) or (B, {k})")
+    Y = x_start.reshape(-1, k)
     out = []
     for _ in range(n_cycles):
         for i in range(system.n_domains):
             if law is not None:
-                beta = law.beta(i, y)
+                betas = law.beta(i, Y)
             else:
-                beta = np.zeros(system.domain(i).param_dim)
-            y = section_step(system, i, y[None], beta[None], cfg)[0][0]
-        out.append(y.copy())
+                betas = np.zeros((len(Y), system.domain(i).param_dim))
+            Y, _ = section_step(system, i, Y, betas, cfg)
+        out.append(Y.reshape(x_start.shape))
     return out
 
 

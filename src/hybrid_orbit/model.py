@@ -167,8 +167,10 @@ class FeedbackLaw:
 
     The deviation is measured in reduced section coordinates on entry into
     phase i, before the reset is applied, and beta_i is held constant for
-    the remainder of the phase.  The admissible-parameter set is treated
-    as unbounded.
+    the remainder of the phase.  beta(i, X) maps a (B, k) stack of section
+    states to the (B, p) parameter rows, each with the bits of
+    -K_i @ (x - x*); a single state x is the stack x[None].  The
+    admissible-parameter set is treated as unbounded.
     """
 
     gains: tuple[np.ndarray, ...]
@@ -181,11 +183,11 @@ class FeedbackLaw:
         if len(self.gains) != len(self.orbit.fixed_points):
             raise ValueError("need one gain matrix per phase")
 
-    def beta(self, i: int, x_section: np.ndarray) -> np.ndarray:
+    def beta(self, i: int, X: np.ndarray) -> np.ndarray:
         n = len(self.gains)
         gain = self.gains[i % n]
         ref = self.orbit.fixed_points[(i - 1) % n]
-        return -gain @ (np.asarray(x_section, dtype=float) - ref)
+        return -matvec_rows(gain, X - ref)
 
 
 @dataclass
@@ -215,8 +217,9 @@ def validate_c1_c2(domain: Domain, samples: np.ndarray) -> ConditionReport:
     to one.  The control and its state gradient, one central difference
     over the stack, are probed along every parameter axis at magnitudes
     1e-1, ..., 1e-5.  Each condition passes when its deviation at the
-    smallest magnitude is at most 1e-4.  Violations are reported, never
-    raised; an empty or misshaped stack raises ValueError.
+    smallest magnitude is at most 1e-4, and a deviation that is not
+    finite is reported as inf, so it fails.  Violations are reported,
+    never raised; an empty or misshaped stack raises ValueError.
     """
     try:
         X = np.asarray(samples, dtype=float)
@@ -241,12 +244,19 @@ def validate_c1_c2(domain: Domain, samples: np.ndarray) -> ConditionReport:
             beta = np.zeros(domain.param_dim)
             beta[j] = scale
             probe = control(beta)
-            worst_c1 = max(worst_c1, float(np.max(np.abs(probe(X) - u0))))
-            worst_c2 = max(worst_c2, float(np.max(np.abs(central_difference(probe, X, _GRAD_STEP) - g0))))
+            worst_c1 = max(worst_c1, _deviation(probe(X) - u0))
+            worst_c2 = max(worst_c2, _deviation(central_difference(probe, X, _GRAD_STEP) - g0))
         c1_dev.append(worst_c1)
         c2_dev.append(worst_c2)
 
     return ConditionReport(scales, c1_dev, c2_dev, c1_dev[-1] <= 1e-4, c2_dev[-1] <= 1e-4)
+
+
+def _deviation(diff: np.ndarray) -> float:
+    """max |diff|, or inf if some entry is not finite: max(worst, nan)
+    would keep worst, and a NaN control would read as no deviation."""
+    worst = float(np.max(np.abs(diff)))
+    return worst if np.isfinite(worst) else np.inf
 
 
 def matvec_rows(matrix: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -255,9 +265,12 @@ def matvec_rows(matrix: np.ndarray, X: np.ndarray) -> np.ndarray:
 
     Each row has the bits of the one-row product matrix @ x, whatever B
     is.  X @ matrix.T runs another BLAS kernel, which can round a row
-    differently.
+    differently.  X not 2-D raises ValueError.
     """
-    return (matrix @ np.asarray(X, dtype=float)[:, :, None])[:, :, 0]
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"expected a (B, n) stack of vectors, got shape {X.shape}")
+    return (matrix @ X[:, :, None])[:, :, 0]
 
 
 def affine_chart_matrices(normal, offset: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -415,8 +415,9 @@ def test_criterion_12_reference_suite_and_fault_injection(tmp_path, capsys):
 
 def test_criterion_13_closed_loop_jacobian_matches_the_designed_product():
     # The event-triggered closed loop, measured: the central difference of
-    # one simulate_cycle cycle at x* must be prod(A_i - F_i K_i), the matrix
-    # the certificates judge, on all 14 catalog designs.  The gaps are
+    # one simulate_cycle cycle at x*, all probes in one batched cycle, must
+    # be prod(A_i - F_i K_i), the matrix the certificates judge, on all 14
+    # catalog designs.  The gaps are
     # 8.8e-12 to 1.9e-9.  Feeding a phase the wrong reference point or the
     # wrong gain puts 12 designs above the bound; uncoupled-2's F is zero,
     # so its two designs cannot tell.  Matrices are compared, not radii: on
@@ -433,11 +434,9 @@ def test_criterion_13_closed_loop_jacobian_matches_the_designed_product():
                 continue
             gains = maker(jacs)
             law = FeedbackLaw(gains=tuple(gains.gains), orbit=orbit)
-
-            def one_cycle(starts):
-                return np.array([simulate_cycle(model.system, law, y, 1, cfg)[0] for y in starts])
-
-            measured = central_difference(one_cycle, orbit.fixed_points[-1][None], 1e-5)[0]
+            measured = central_difference(
+                lambda X: simulate_cycle(model.system, law, X, 1, cfg)[0], orbit.fixed_points[-1][None], 1e-5
+            )[0]
             designed = synthesis.stability_report(jacs, gains).product
             gaps[f"{name} {gains.method}"] = float(np.max(np.abs(measured - designed)))
     assert len(gaps) == 14

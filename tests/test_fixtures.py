@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import expm
 
 from hybrid_orbit import synthetic
-from hybrid_orbit.integrator import IntegratorConfig
+from hybrid_orbit.integrator import IntegratorConfig, simulate_cycle
 from hybrid_orbit.jsonio import FormatError
 from hybrid_orbit.model import affine_chart_matrices
 from hybrid_orbit.numerics import spectral_radius
@@ -163,10 +163,10 @@ def test_zero_coupling_profile_has_zero_parameter_jacobians(uncoupled2, cfg_fast
         assert np.max(np.abs(jac.F)) < 1e-9
 
 
-def test_engineered_orbit_is_a_return_map_fixed_point(stable3, cycle_map):
+def test_engineered_orbit_is_a_return_map_fixed_point(stable3):
     cfg = IntegratorConfig(base_step=1e-3)
     x_star = stable3.orbit.fixed_points[-1]
-    residual = cycle_map(stable3.system, x_star, cfg) - x_star
+    residual = simulate_cycle(stable3.system, None, x_star, 1, cfg)[0] - x_star
     assert np.max(np.abs(residual)) < 1e-9
 
 

@@ -1,12 +1,13 @@
 """Phase integration, event detection and cycle simulation."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from hybrid_orbit import cli, integrator, poincare
+from hybrid_orbit import cli, integrator, poincare, synthesis
 from hybrid_orbit.integrator import (
     Chattering,
     IntegrationError,
@@ -19,9 +20,9 @@ from hybrid_orbit.integrator import (
     section_step,
     simulate_cycle,
 )
-from hybrid_orbit.model import Domain, MultiDomainSystem, SectionChart
+from hybrid_orbit.model import Domain, FeedbackLaw, MultiDomainSystem, SectionChart
 from hybrid_orbit.poincare import phase_jacobians
-from hybrid_orbit.synthetic import CATALOG, synthetic_from_obj, synthetic_to_obj
+from hybrid_orbit.synthetic import CATALOG, from_catalog, synthetic_from_obj, synthetic_to_obj
 
 
 def autonomous(drift, guard, dim):
@@ -481,6 +482,61 @@ def test_simulate_cycle_attaches_phase_index(stable2, cfg_fast):
         simulate_cycle(system, None, stable2.orbit.fixed_points[-1], 1, cfg_fast)
     assert exc_info.value.phase == 1
     assert "phase 1" in str(exc_info.value)
+
+    # In a stack one failing member raises for the whole stack, as it
+    # raises alone: here the reset into phase 1 sends every state more than
+    # 1e-3 from the orbit's to NaN, which only the kicked member is.
+    x_star = stable2.orbit.fixed_points[-1]
+    kicked = x_star + 1e-2 * np.array([0.6, 0.8])
+    exit_0 = stable2.system.chart(0).embed(stable2.orbit.fixed_points[0][None])
+    reset = stable2.system.domains[0].reset
+    poisoned = replace(
+        stable2.system.domains[0],
+        reset=lambda X: np.where(np.abs(X - exit_0).max(axis=1, keepdims=True) > 1e-3, np.nan, reset(X)),
+    )
+    system = MultiDomainSystem(domains=(poisoned, stable2.system.domains[1]))
+    clean = simulate_cycle(stable2.system, None, x_star, 1, cfg_fast)[0]
+    assert np.array_equal(simulate_cycle(system, None, x_star, 1, cfg_fast)[0], clean)
+    with pytest.raises(NonFinite) as solo:
+        simulate_cycle(system, None, kicked, 1, cfg_fast)
+    with pytest.raises(NonFinite) as stack:
+        simulate_cycle(system, None, np.vstack([x_star, kicked]), 1, cfg_fast)
+    assert stack.value.phase == solo.value.phase == 1
+    assert str(stack.value) == str(solo.value)
+    assert str(stack.value).startswith("phase 1: ")
+
+
+def test_simulate_cycle_refuses_bad_starts_and_cycle_counts(stable2, cfg_fast):
+    x_star = stable2.orbit.fixed_points[-1]
+    for start in (x_star[:1], np.zeros(3), np.zeros((4, 3)), x_star[None, None], np.float64(1.0)):
+        expected = f"start has shape {np.shape(start)}, expected (2,) or (B, 2)"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            simulate_cycle(stable2.system, None, start, 1, cfg_fast)
+    for n_cycles in (-1, 1.0, 2.5, "1", None):
+        with pytest.raises(ValueError, match="^n_cycles must be a nonnegative integer"):
+            simulate_cycle(stable2.system, None, x_star, n_cycles, cfg_fast)
+    assert simulate_cycle(stable2.system, None, x_star, np.int64(0), cfg_fast) == []
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_stacked_cycles_match_one_start_runs_bit_for_bit(name):
+    # Each row of a stacked run is its one-start run, open loop and with a
+    # DLQR law (symmetric on uncoupled-2, whose DLQR design fails), at
+    # every stack size.
+    model = from_catalog(name)
+    cfg = IntegratorConfig()
+    x_star = model.orbit.fixed_points[-1]
+    starts = x_star + 1e-3 * np.random.default_rng(30).uniform(-1.0, 1.0, size=(25, x_star.size))
+    design = synthesis.symmetric_matrix_gains if name == "uncoupled-2" else synthesis.dlqr_gains
+    closed = FeedbackLaw(gains=tuple(design(model.jacobians).gains), orbit=model.orbit)
+    for law in (None, closed):
+        solo = [simulate_cycle(model.system, law, x, 2, cfg) for x in starts]
+        for n_starts in (1, 2, 11, 25):
+            stacked = simulate_cycle(model.system, law, starts[:n_starts], 2, cfg)
+            for cycle, Y in enumerate(stacked):
+                assert Y.shape == (n_starts, x_star.size)
+                for row, runs in zip(Y, solo):
+                    assert np.array_equal(row, runs[cycle])
 
 
 def test_config_validation():

@@ -1,5 +1,6 @@
 """System description, section charts and controller-consistency checks."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from hybrid_orbit.model import (
     PeriodicOrbit,
     affine_section_chart,
     chart_from_guard,
+    matvec_rows,
     validate_c1_c2,
 )
 from hybrid_orbit.numerics import central_difference
@@ -68,6 +70,16 @@ def test_c2_fails_for_state_coupled_jump():
 
     report = validate_c1_c2(make_domain(violating), [np.array([0.1, 0.4])])
     assert not report.c2_pass
+
+
+def test_non_finite_control_fails_both_checks():
+    # max(worst, nan) keeps worst, so a NaN deviation would read as none
+    def nan_off_nominal(x, beta):
+        return np.array([x[0] + (np.nan if beta[0] else 0.0)])
+
+    report = validate_c1_c2(make_domain(nan_off_nominal, param_dim=1), [np.array([0.1, 0.4])])
+    assert report.c1_deviation == report.c2_deviation == [np.inf] * len(report.scales)
+    assert not report.c1_pass and not report.c2_pass
 
 
 def test_c1_c2_fifth_order_polynomial_shift():
@@ -223,13 +235,38 @@ def test_periodic_orbit_validation():
 def test_feedback_law_beta_and_trust_radius():
     orbit = PeriodicOrbit(fixed_points=(np.zeros(2), np.ones(2)), phase_durations=(1.0, 1.0))
     law = FeedbackLaw(gains=(np.eye(2), np.eye(2)), orbit=orbit)
-    beta = law.beta(0, np.array([1.2, 1.0]))  # deviation measured from section 1 point
-    assert np.allclose(beta, [-0.2, 0.0])
+    beta = law.beta(0, np.array([[1.2, 1.0]]))  # deviation measured from section 1 point
+    assert beta.shape == (1, 2)
+    assert np.allclose(beta, [[-0.2, 0.0]])
     # The parameter set is unbounded: a large beta is returned, unwarned.
-    assert np.allclose(law.beta(0, np.array([3.0, 1.0])), [-2.0, 0.0])
+    assert np.allclose(law.beta(0, np.array([[3.0, 1.0]])), [[-2.0, 0.0]])
+    # beta takes stacks only; a single state is the stack x[None].
+    with pytest.raises(ValueError, match=r"got shape \(2,\)$"):
+        law.beta(0, np.array([1.2, 1.0]))
     # The trust radius is gone, not an option.
     with pytest.raises(TypeError):
         FeedbackLaw(gains=(np.eye(2), np.eye(2)), orbit=orbit, trust_radius=0.5)
+
+
+def test_feedback_law_beta_rows_keep_the_one_state_bits():
+    rng = np.random.default_rng(30)
+    orbit = PeriodicOrbit(fixed_points=tuple(rng.normal(size=(2, 3))), phase_durations=(1.0, 1.0))
+    law = FeedbackLaw(gains=tuple(rng.normal(size=(2, 4, 3))), orbit=orbit)
+    X = rng.normal(size=(7, 3))
+    for i in range(2):
+        betas = law.beta(i, X)
+        assert betas.shape == (7, 4)
+        for beta, x in zip(betas, X):
+            assert np.array_equal(beta, -law.gains[i] @ (x - orbit.fixed_points[i - 1]))
+
+
+def test_matvec_rows_refuses_what_is_not_a_stack():
+    matrix = np.array([[1.0, 2.0], [-0.5, 3.0]])
+    x = np.array([0.3, -0.7])
+    assert np.array_equal(matvec_rows(matrix, x[None])[0], matrix @ x)
+    for X in (x, np.zeros((1, 1, 2))):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {X.shape}") + "$"):
+            matvec_rows(matrix, X)
 
 
 def test_simulate_cycle_validates_gain_shapes(stable2, cfg_fast):

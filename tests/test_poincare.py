@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from hybrid_orbit import poincare
-from hybrid_orbit.integrator import IntegrationError, IntegratorConfig, NoCrossing, section_step
+from hybrid_orbit.integrator import IntegrationError, IntegratorConfig, NoCrossing, section_step, simulate_cycle
 from hybrid_orbit.model import Domain, MultiDomainSystem, affine_section_chart, matvec_rows
 from hybrid_orbit.poincare import (
     FixedPointError,
@@ -69,13 +69,13 @@ def test_parameter_perturbation_first_order(stable2, cfg_accurate):
     assert np.max(np.abs(out - predicted)) < 1e-4 * max(1.0, np.max(np.abs(jac.F)))
 
 
-def test_return_map_fixed_point(stable3, cfg_fast, cycle_map):
+def test_return_map_fixed_point(stable3, cfg_fast):
     x_star = stable3.orbit.fixed_points[-1]
-    assert np.max(np.abs(cycle_map(stable3.system, x_star, cfg_fast) - x_star)) < 1e-7
+    assert np.max(np.abs(simulate_cycle(stable3.system, None, x_star, 1, cfg_fast)[0] - x_star)) < 1e-7
 
 
 @pytest.mark.parametrize("name", ["stable-2", "stable-3", "unstable-2", "boundary-2", "uncoupled-2"])
-def test_return_map_jacobian_equals_phase_product(name, cfg_accurate, cycle_map):
+def test_return_map_jacobian_equals_phase_product(name, cfg_accurate):
     # two independent finite-difference computations of the same derivative
     model = from_catalog(name)
     orbit = model.orbit
@@ -83,7 +83,8 @@ def test_return_map_jacobian_equals_phase_product(name, cfg_accurate, cycle_map)
 
     x_star = orbit.fixed_points[-1]
     h = 1e-5 * np.maximum(1.0, np.abs(x_star))
-    images = cycle_map(model.system, np.vstack([x_star + np.diag(h), x_star - np.diag(h)]), cfg_accurate)
+    starts = np.vstack([x_star + np.diag(h), x_star - np.diag(h)])
+    images = simulate_cycle(model.system, None, starts, 1, cfg_accurate)[0]
     direct = (images[:2] - images[2:]).T / (2 * h)
     rel = np.max(np.abs(direct - product)) / np.max(np.abs(direct))
     assert rel < 1e-4
@@ -203,7 +204,7 @@ def test_refine_fixed_point_keeps_its_last_cycle_walk(stable3, cfg_fast):
 
 
 @pytest.mark.parametrize("name", ["stable3", "boundary2"])
-def test_refine_fixed_point_flows_only_whole_passes(name, request, cfg_fast, cycle_map):
+def test_refine_fixed_point_flows_only_whole_passes(name, request, cfg_fast):
     # Every Newton trial point, damping trials included, is one full pass;
     # no flow runs outside a pass.
     model = request.getfixturevalue(name)
@@ -215,7 +216,7 @@ def test_refine_fixed_point_flows_only_whole_passes(name, request, cfg_fast, cyc
         resets.clear()
         orbit = refine_fixed_point(counted, x_star + kick, cfg_fast)
         x = orbit.fixed_points[-1]
-        assert np.max(np.abs(cycle_map(model.system, x, cfg_fast) - x)) < 1e-9
+        assert np.max(np.abs(simulate_cycle(model.system, None, x, 1, cfg_fast)[0] - x)) < 1e-9
         assert len(resets) % per_pass == 0
         assert len(resets) >= 2 * per_pass
 
@@ -271,7 +272,7 @@ def test_pass_through_callables_leave_the_orbit_unchanged(stable3):
 _KICKS = [1e-3 * np.array([np.cos(a), np.sin(a)]) for a in 2 * np.pi * np.arange(8) / 8]
 
 
-def test_newton_extrapolates_at_a_singular_fixed_point(boundary2, cycle_map):
+def test_newton_extrapolates_at_a_singular_fixed_point(boundary2):
     # boundary-2's return map has an eigenvalue of exactly 1, so a full
     # Newton step cuts the residual by only 1/4; the doubled step tried
     # after it brings every kick home within 4 passes, where plain Newton
@@ -284,7 +285,7 @@ def test_newton_extrapolates_at_a_singular_fixed_point(boundary2, cycle_map):
         orbit, jacs = orbit_and_jacobians(counted, boundary2.orbit.fixed_points[-1] + kick, cfg)
         assert len(resets) <= 4 * per_pass
         x = orbit.fixed_points[-1]
-        assert np.max(np.abs(cycle_map(boundary2.system, x, cfg) - x)) < 1e-9
+        assert np.max(np.abs(simulate_cycle(boundary2.system, None, x, 1, cfg)[0] - x)) < 1e-9
         for newton, measured in zip(jacs, phase_jacobians(boundary2.system, orbit, cfg)):
             assert np.array_equal(newton.A, measured.A)
             assert np.array_equal(newton.F, measured.F)
@@ -322,10 +323,10 @@ def test_a_trial_pass_that_fails_to_integrate_is_a_rejected_trial(unstable3):
         orbit_and_jacobians(_escape_prone_system(), np.array([1.0, 0.0]), IntegratorConfig())
 
 
-def test_refine_fixed_point_converges_from_perturbed_guess(stable3, cfg_fast, cycle_map):
+def test_refine_fixed_point_converges_from_perturbed_guess(stable3, cfg_fast):
     guess = stable3.orbit.fixed_points[-1] + np.array([1e-2, -1e-2])
     orbit = refine_fixed_point(stable3.system, guess, cfg_fast)
-    residual = cycle_map(stable3.system, orbit.fixed_points[-1], cfg_fast) - orbit.fixed_points[-1]
+    residual = simulate_cycle(stable3.system, None, orbit.fixed_points[-1], 1, cfg_fast)[0] - orbit.fixed_points[-1]
     assert np.max(np.abs(residual)) < 1e-9
     assert np.max(np.abs(orbit.fixed_points[-1] - stable3.orbit.fixed_points[-1])) < 1e-7
 
@@ -370,7 +371,7 @@ def test_refine_fixed_point_diverges_cleanly():
         refine_fixed_point(system, np.array([1.0, 0.0]), cfg)
 
 
-def test_single_domain_cycle(cycle_map):
+def test_single_domain_cycle():
     # N = 1 degenerates to the classical single-section return map
     normal = np.array([1.0, 0.2, -0.1])
     reset = np.array([[0.2, 0.0, 0.0], [0.1, 0.6, 0.0], [0.0, 0.0, 0.5]])
@@ -389,7 +390,7 @@ def test_single_domain_cycle(cycle_map):
     cfg = IntegratorConfig(base_step=2e-3)
     orbit = refine_fixed_point(system, np.array([0.0, 0.0]), cfg)
     assert len(orbit.fixed_points) == 1
-    y = cycle_map(system, orbit.fixed_points[0], cfg)
+    y = simulate_cycle(system, None, orbit.fixed_points[0], 1, cfg)[0]
     assert np.max(np.abs(y - orbit.fixed_points[0])) < 1e-9
 
 
