@@ -26,6 +26,7 @@ _EXPORTS = {
         "simulate_cycle",
     ),
     "model": (
+        "AffineField",
         "Domain",
         "FeedbackLaw",
         "MultiDomainSystem",

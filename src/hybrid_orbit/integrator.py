@@ -16,6 +16,13 @@ last rate allows before the guard could be reached, then one guard call
 on all the run's states stacked and a finiteness check of the states and
 the guard values.  Each step is tested as one-at-a-time stepping would
 test it, so the runs change no result.
+
+A base step has one of two forms (_step_map).  A field that is an
+AffineField, x' = x M' + c, steps by RK4's exact transition, an affine
+map made once per flow: the same method and truncation error as the
+stage form, in 3 numpy calls instead of about 22.  Every other field
+steps by the stage form _rk4, with the bits of the textbook formula.  The
+crossing refinement takes the stage form, rk4_step, for every field.
 """
 
 import math
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Domain, FeedbackLaw, MultiDomainSystem
+from .model import AffineField, Domain, FeedbackLaw, MultiDomainSystem
 from .numerics import NumericsError, central_difference
 
 __all__ = [
@@ -74,9 +81,12 @@ class NonFinite(IntegrationError):
 # at most 35 iterations.
 _REFINE_MAX_ITER = 100
 
-# The most base steps in one guard-bounded run of flow_batch.  A stable-3
-# phase-0 flow of 1 or 11 members takes 1-2% less time at 64 than at 32,
-# at base step 2e-3 and at 1e-2; 128 gains nothing clear over 64.
+# The most base steps in one guard-bounded run of flow_batch.  With stage
+# steps, a stable-3 phase-0 flow of 1 or 11 members took 1-2% less time at
+# 64 than at 32, at base step 2e-3 and at 1e-2, and 128 gained nothing
+# clear.  With transition steps (min and median of 40 interleaved
+# repeats), 128 and 256 took 2-5% less by the min at 2e-3 and nothing at
+# 1e-2, inside the spread of the medians.
 _MAX_RUN = 64
 
 # A guard value this many ulps of |grad H| |x| from zero is on the guard
@@ -112,7 +122,7 @@ def rk4_step(f, x: np.ndarray, h: float | np.ndarray) -> np.ndarray:
     shared float or a (B, 1) column of per-member steps.  The result has
     the bits of the textbook formula x + h/6 (k1 + 2 k2 + 2 k3 + k4).  f
     returns float arrays, since the stages are summed in place in their
-    dtype; see _rk4, the step every phase flow takes."""
+    dtype; see _rk4.  The crossing refinement steps every field by it."""
     return _rk4(f, x, 0.5 * h, h, h / 6.0)
 
 
@@ -120,6 +130,8 @@ def _rk4(f, x, hh, h, h6):
     """The RK4 step of rk4_step, given its constants hh = h/2, h and
     h6 = h/6: flow_batch makes them once per flow as 0-d arrays, which
     multiply an array without the scalar conversion of a Python float.
+    It is the base step of every flow whose field is not an AffineField
+    (see _step_map).
 
     Only arrays made here are updated in place, the stage inputs and the
     weighted sum; the field's outputs and x are never written, since a
@@ -181,11 +193,12 @@ def flow_batch(
     still uncrossed, NoCrossing is raised, so the last step ends at or past
     50.
 
-    Base steps go in guard-bounded runs of up to 64 RK4 steps back to
-    back, and of no more than (min g - _GUARD_TOL) / (2 |dg|) steps, where
-    |dg| is the largest guard change of the last base step: a run stops
-    short of the guard unless the guard's rate more than doubles.  The
-    first step, and the step after a crossing, run alone.  One guard call
+    Base steps, each the map of _step_map for the phase field, go in
+    guard-bounded runs of up to 64 RK4 steps back to back, and of no more
+    than (min g - _GUARD_TOL) / (2 |dg|) steps, where |dg| is the largest
+    guard change of the last base step: a run stops short of the guard
+    unless the guard's rate more than doubles.  The first step, and the
+    step after a crossing, run alone.  One guard call
     on the stacked (L B, m) states, and a finiteness check of the states
     and of the guard values, test the whole run.  The steps before the
     first one that crosses or is not finite are accepted and the rest of
@@ -216,6 +229,7 @@ def flow_batch(
     t = 0.0
     members = np.arange(n_members)
     f = _batch_field(domain, betas)
+    step = _step_map(f, consts)
     x_out = np.empty_like(x)
     t_out = np.empty(n_members)
 
@@ -223,7 +237,7 @@ def flow_batch(
     while members.size:
         if t >= _MAX_PHASE_DURATION:
             raise NoCrossing(f"guard not reached within max phase duration {_MAX_PHASE_DURATION}")
-        xs, g = _run(f, guard, x, consts, side, _run_length(rate, g_val, t, dt))
+        xs, g = _run(step, guard, x, side, _run_length(rate, g_val, t, dt))
         passed = (g > _GUARD_TOL).all(axis=1)
         n_ok = g.shape[0] if passed.all() else int(np.argmin(passed))
 
@@ -250,6 +264,7 @@ def flow_batch(
                 break
             xs, g, side = xs[:1, keep], g[:1, keep], side[keep]
             f = _batch_field(domain, betas[members])
+            step = _step_map(f, consts)
             rate, n_ok = None, 1
 
         # Accept the first n_ok steps.  The clock adds them one at a time, as
@@ -271,13 +286,13 @@ def _run_length(rate, g_val, t, step) -> int:
     return min(n, math.ceil((_MAX_PHASE_DURATION - t) / step))
 
 
-def _run(f, guard, x, consts, side, n):
-    """n RK4 steps from x, each _rk4 with the step constants consts, and the
-    signed guard values of the steps before the first one with a non-finite
-    state or guard value."""
+def _run(step, guard, x, side, n):
+    """n base steps from x, each the map step of _step_map, and the signed
+    guard values of the steps before the first one with a non-finite state
+    or guard value."""
     xs = np.empty((n,) + x.shape)
     for k in range(n):
-        x = xs[k] = _rk4(f, x, *consts)
+        x = xs[k] = step(x)
     finite = np.isfinite(xs).all(axis=(1, 2))
     n_finite = n if finite.all() else int(np.argmin(finite))
     if not n_finite:
@@ -285,6 +300,30 @@ def _run(f, guard, x, consts, side, n):
     g = side * guard(xs[:n_finite].reshape(-1, x.shape[1])).reshape(n_finite, -1)
     finite = np.isfinite(g).all(axis=1)
     return xs, g if finite.all() else g[: int(np.argmin(finite))]
+
+
+def _step_map(f, consts):
+    """The map x -> one RK4 step of the field f from the (B, m) stack x,
+    given the step constants consts = (h/2, h, h/6) of flow_batch.
+
+    An AffineField x' = x M' + c steps by RK4's exact transition: with
+    Z = h M' and Q = Z/2 + Z^2/6 + Z^3/24, one step is x + (x.dot(inc) + s)
+    with inc = Z + Z Q and s = h (c + c Q), RK4's stability polynomial
+    I + Z + ... + Z^4/24 applied to x.  Same method, same truncation error,
+    3 numpy calls a step.  The identity stays out of inc and the small
+    terms of Q are summed first: x.dot(I + inc) rounds the diagonal on
+    every step, and over 500 stable-3 steps at 2e-3 ended 7.3e-14 from RK4
+    in long double, against 1.8e-15 for this form.  Every other field
+    steps by _rk4, the stage form.
+    """
+    if isinstance(f, AffineField):
+        z = consts[1] * f.drift.T
+        z2 = z.dot(z)
+        q = z2.dot(z) / 24.0 + z2 / 6.0 + 0.5 * z
+        inc = z + z.dot(q)
+        s = consts[1] * (f.control + f.control.dot(q))
+        return lambda x: x + (x.dot(inc) + s)
+    return lambda x: _rk4(f, x, *consts)
 
 
 def _batch_field(domain: Domain, betas: np.ndarray):
@@ -323,7 +362,10 @@ def _exit_crossing(f, guard, x_from, t_from, step, side, g_from, x_to, g_to):
     then check it.
 
     g(tau) = side * H(rk4_step(f, x_from, tau)) falls from g_from > 0 to g_to
-    over the step.  Illinois regula falsi puts the secant root of the bracket
+    over the step.  The trial steps take the stage form, since tau differs
+    per member; the hi end at tau = step is the run's x_to, which for an
+    AffineField is the transition step and differs from rk4_step(f, x_from,
+    step) in rounding alone.  Illinois regula falsi puts the secant root of the bracket
     in place of the end of the same sign, halving the weight of an end kept
     twice in a row.  A secant root that rounds onto an end of the bracket,
     as when one end's |g| dwarfs the other's, is replaced by the midpoint.

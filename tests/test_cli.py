@@ -174,6 +174,22 @@ def test_synthesize_of_an_overflowing_gain_is_a_numerical_failure(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_scale_design_of_a_subnormal_a_names_the_overflowing_factor(tmp_path, capsys):
+    # max|A| = 1e-320 makes c = 1 / (2 max|A|) overflow.  The target
+    # (A / max|A|) (eta / k) stays finite, but the factor cannot be written,
+    # so the design exits 3 with no warning and no output.
+    jacs = tmp_path / "jacs.json"
+    dump_json({"phases": [{"A": matrix_to_obj(np.array([[1e-320, 0.0], [0.0, 0.0]])),
+                           "F": matrix_to_obj(np.eye(2))}]}, jacs)
+    out = tmp_path / "gains.json"
+    assert run(["synthesize", "-i", jacs, "--method", "scale", "-o", out]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: phase 0: scale factor c_i = eta / (k max|A|) overflows at max|A| = 1.000e-320\n"
+    )
+    assert not out.exists()
+
+
 def test_designed_jacobians_that_overflow_raise_numerics_error():
     jacs = [numerics.PhaseJacobians(0, np.eye(2), np.full((2, 1), 1e200))]
     gains = synthesis.GainSet("given", [np.full((1, 2), 1e200)], [0.0], False)

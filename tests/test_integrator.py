@@ -20,7 +20,7 @@ from hybrid_orbit.integrator import (
     section_step,
     simulate_cycle,
 )
-from hybrid_orbit.model import Domain, FeedbackLaw, MultiDomainSystem, SectionChart
+from hybrid_orbit.model import AffineField, Domain, FeedbackLaw, MultiDomainSystem, SectionChart
 from hybrid_orbit.poincare import phase_jacobians
 from hybrid_orbit.synthetic import CATALOG, from_catalog, synthetic_from_obj, synthetic_to_obj
 
@@ -71,9 +71,10 @@ def textbook_rk4(f, x, h):
 
 @pytest.mark.parametrize("n_members", [1, 11, 25])
 def test_rk4_step_equals_the_textbook_formula_bit_for_bit(n_members):
-    # Both rk4_step and the core _rk4 that phase flows call, given the step
-    # constants h/2, h, h/6 as flow_batch makes them (0-d arrays) or as
-    # the crossing refinement does ((B, 1) columns).
+    # Both rk4_step and the core _rk4 that phase flows of fields other than
+    # an AffineField step by, given the step constants h/2, h, h/6 as
+    # flow_batch makes them (0-d arrays) or as the crossing refinement does
+    # ((B, 1) columns).
     rng = np.random.default_rng(3)
     for dim in (1, 3):
         a = rng.normal(size=(dim, dim))
@@ -91,15 +92,27 @@ def test_rk4_step_equals_the_textbook_formula_bit_for_bit(n_members):
 
 @pytest.fixture
 def rk4_calls(monkeypatch):
-    """The step length h of every RK4 step the integrator takes."""
+    """The step length h of every RK4 step the integrator takes: each
+    accepted or dropped step of a map made by _step_map, in the stage or
+    the transition form, and each rk4_step of a crossing refinement."""
     calls = []
-    rk4 = integrator._rk4
+    step_map, rk4_step = integrator._step_map, integrator.rk4_step
 
-    def counted_rk4(f, x, hh, h, h6):
+    def counted_step_map(f, consts):
+        step = step_map(f, consts)
+
+        def counted_step(x):
+            calls.append(consts[1])
+            return step(x)
+
+        return counted_step
+
+    def counted_rk4_step(f, x, h):
         calls.append(h)
-        return rk4(f, x, hh, h, h6)
+        return rk4_step(f, x, h)
 
-    monkeypatch.setattr(integrator, "_rk4", counted_rk4)
+    monkeypatch.setattr(integrator, "_step_map", counted_step_map)
+    monkeypatch.setattr(integrator, "rk4_step", counted_rk4_step)
     return calls
 
 
@@ -589,6 +602,47 @@ def test_batch_members_match_solo_and_lifted_runs(request, name, base_step):
             assert abs(t_exit[b] - t_solo) <= 1e-12
 
 
+@pytest.mark.parametrize("name", CATALOG + ("unstable-3", "rebuilt"))
+def test_affine_field_keeps_the_bits_of_the_stacked_lambda(request, name):
+    # The catalog field was the lambda x: x.dot(M') + betas @ (G W)'; as an
+    # AffineField it gives the same bits for every stack size.
+    model = catalog_model(request, name)
+    rng = np.random.default_rng(17)
+    for ph, dom in zip(model.phases, model.system.domains):
+        drift_t = np.ascontiguousarray(ph.drift.T)
+        coupling_t = np.ascontiguousarray((ph.input_map @ ph.beta_coupling).T)
+        for n_members in (1, 11):
+            x = rng.normal(size=(n_members, 3))
+            betas = rng.normal(size=(n_members, 3))
+            field = dom.batch_field(betas)
+            assert isinstance(field, AffineField)
+            assert np.array_equal(field(x), x.dot(drift_t) + betas @ coupling_t)
+    misshaped = [(np.ones((3, 2)), np.ones((1, 3))), (np.eye(3), np.ones(3)), (np.eye(3), np.ones((1, 2)))]
+    for drift, control in misshaped:
+        with pytest.raises(ValueError, match="has shape"):
+            AffineField(drift, control)
+
+
+@pytest.mark.parametrize("base_step", [5e-3, 2e-3, 1e-2, 5e-2])
+@pytest.mark.parametrize("name", CATALOG)
+def test_catalog_transition_flows_match_stage_form_flows(request, name, base_step):
+    # A catalog flow steps by RK4's exact transition, the lifted domain by
+    # the stage form: the same method, apart in rounding alone.  The exits
+    # differed by at most 7.1e-16 relative in the state and 5.6e-16 in the
+    # time.
+    cfg = IntegratorConfig(base_step=base_step)
+    model = catalog_model(request, name)
+    rng = np.random.default_rng(19)
+    for i, phase in enumerate(model.phases):
+        dom = model.system.domains[i]
+        x0 = phase.start_state + 1e-2 * rng.normal(size=(11, dom.state_dim))
+        betas = 5e-2 * rng.normal(size=(11, dom.param_dim))
+        x_exit, t_exit = flow_batch(dom, x0, betas, cfg)
+        x_lift, t_lift = flow_batch(lifted(dom), x0, betas, cfg)
+        assert np.max(np.abs(x_exit - x_lift)) <= 1e-13 * np.max(np.abs(x_lift))
+        assert np.max(np.abs(t_exit - t_lift)) <= 1e-13
+
+
 def reference_flow(domain, x0, beta, cfg):
     """The one-member flow written as a plain scalar loop, stepped by
     textbook_rk4 and not by the package's RK4: accepted times and states,
@@ -734,8 +788,8 @@ def test_a_run_that_reaches_the_guard_is_accepted_in_part(monkeypatch):
     runs = []
     run = integrator._run
 
-    def recorded_run(f, guard, x, step, side, n):
-        xs, g = run(f, guard, x, step, side, n)
+    def recorded_run(step, guard, x, side, n):
+        xs, g = run(step, guard, x, side, n)
         runs.append((x.copy(), xs))
         return xs, g
 
