@@ -10,19 +10,22 @@ of the configuration.
 
 One kernel, flow_batch, integrates a stack of members of one phase in
 lockstep on one clock, each with its own start state and frozen parameter
-vector; a single flow is its one-member case.  It takes base steps in
-guard-bounded runs: several RK4 steps back to back, as many as the guard's
-last rate allows before the guard could be reached, then one guard call
-on all the run's states stacked and a finiteness check of the states and
-the guard values.  Each step is tested as one-at-a-time stepping would
-test it, so the runs change no result.
+vector; a single flow is its one-member case.  It tests its steps in
+runs: several base steps at once, then one guard call on all the run's
+states stacked and a finiteness check of the states and the guard values.
+Each step is tested as one-at-a-time stepping would test it, so a run
+accepts the steps before the first that crosses or is not finite.
 
-A base step has one of two forms (_step_map).  A field that is an
-AffineField, x' = x M' + c, steps by RK4's exact transition, an affine
-map made once per flow: the same method and truncation error as the
-stage form, in 3 numpy calls instead of about 22.  Every other field
-steps by the stage form _rk4, with the bits of the textbook formula.  The
-crossing refinement takes the stage form, rk4_step, for every field.
+A base step has one of two forms.  A field that is an AffineField,
+x' = x M' + c, advances by RK4's exact transition, an affine map
+x -> x R + s, in blocks (_block_table, _block): the _MAX_RUN states after
+an anchor state come from one product with a table of R's powers made
+once per flow, the same method and truncation error as the stage form.
+Anchors fall on every _MAX_RUN-th step from the flow start, so a state is
+a pure function of its member's row and its step index.  Every other
+field steps by the stage form _rk4, with the bits of the textbook
+formula, one step at a time (_step_map) in guard-bounded runs (_run).
+The crossing refinement takes the stage form, rk4_step, for every field.
 """
 
 import math
@@ -81,12 +84,14 @@ class NonFinite(IntegrationError):
 # at most 35 iterations.
 _REFINE_MAX_ITER = 100
 
-# The most base steps in one guard-bounded run of flow_batch.  With stage
-# steps, a stable-3 phase-0 flow of 1 or 11 members took 1-2% less time at
-# 64 than at 32, at base step 2e-3 and at 1e-2, and 128 gained nothing
-# clear.  With transition steps (min and median of 40 interleaved
-# repeats), 128 and 256 took 2-5% less by the min at 2e-3 and nothing at
-# 1e-2, inside the spread of the medians.
+# The length of an affine block, and the most base steps in one
+# guard-bounded run of stage steps.  On the closed-loop benchmark, blocks of
+# 128 or 256 steps ran 4-6% more operations per second than 64 (two
+# alternating ten-second runs each), about the spread of such runs, and the
+# part of a block past the crossing costs its states and guard values.
+# With stage steps, a stable-3 phase-0 flow of 1 or 11 members took 1-2%
+# less time at 64 than at 32, at base step 2e-3 and at 1e-2, and 128 gained
+# nothing clear.
 _MAX_RUN = 64
 
 # A guard value this many ulps of |grad H| |x| from zero is on the guard
@@ -193,19 +198,24 @@ def flow_batch(
     still uncrossed, NoCrossing is raised, so the last step ends at or past
     50.
 
-    Base steps, each the map of _step_map for the phase field, go in
-    guard-bounded runs of up to 64 RK4 steps back to back, and of no more
-    than (min g - _GUARD_TOL) / (2 |dg|) steps, where |dg| is the largest
-    guard change of the last base step: a run stops short of the guard
-    unless the guard's rate more than doubles.  The first step, and the
-    step after a crossing, run alone.  One guard call
-    on the stacked (L B, m) states, and a finiteness check of the states
-    and of the guard values, test the whole run.  The steps before the
-    first one that crosses or is not finite are accepted and the rest of
-    the run is dropped: that step opens the next run, where it crosses or
-    raises NonFinite as a lone step would.  Runs take the same steps as
-    one-at-a-time stepping, so trajectories, exits and errors are the same
-    bit for bit.
+    An AffineField advances in blocks of _MAX_RUN = 64 transition steps
+    (see _block), and a run is the rest of the current block.  It may pass
+    the phase-duration cap: a run accepts no crossing, since the crossing
+    step opens the next run, and the cap is checked before each run.
+    Every other field takes stage steps, the map of _step_map, in
+    guard-bounded runs of up to 64 steps back to back, and of no more than
+    (min g - _GUARD_TOL) / (2 |dg|) steps, where |dg| is the largest guard
+    change of the last base step: a run stops short of the guard unless
+    the guard's rate more than doubles.  The first stage step, and the
+    step after a crossing, run alone.  One guard call on the run's stacked
+    states, and a finiteness check of the states and of the guard values,
+    test the whole run; an affine block is tested once, whole.  The steps
+    before the first one that crosses or is not finite are accepted; that
+    step opens the next run, where it crosses or raises NonFinite as a lone
+    step would.  A crossing drops the crossed members' rows of a block and
+    the rest of a stage run.  So trajectories, exits and errors are those
+    of one-at-a-time stepping bit for bit, and each member's are those of
+    its solo flow.
     """
     x = np.array(x0, dtype=float)
     betas = np.asarray(betas, dtype=float)
@@ -229,27 +239,38 @@ def flow_batch(
     t = 0.0
     members = np.arange(n_members)
     f = _batch_field(domain, betas)
-    step = _step_map(f, consts)
+    affine = isinstance(f, AffineField)
+    if affine:
+        table, s = _block_table(f, dt)
+        block = block_g = np.empty((n_members, 0))  # the states of the block not yet accepted
+    else:
+        step = _step_map(f, consts)
     x_out = np.empty_like(x)
     t_out = np.empty(n_members)
 
-    rate = None  # the largest guard change of the last step; None after a crossing
+    rate = None  # the largest guard change of the last stage step; None after a crossing
     while members.size:
         if t >= _MAX_PHASE_DURATION:
             raise NoCrossing(f"guard not reached within max phase duration {_MAX_PHASE_DURATION}")
-        xs, g = _run(step, guard, x, side, _run_length(rate, g_val, t, dt))
+        if not affine:
+            xs, g = _run(step, guard, x, side, _run_length(rate, g_val, t, dt))
+        else:
+            if not block.shape[1]:
+                block, block_g = _block(table, s, guard, side, x)
+            xs, g = block.swapaxes(0, 1), block_g.T
         passed = (g > _GUARD_TOL).all(axis=1)
-        n_ok = g.shape[0] if passed.all() else int(np.argmin(passed))
+        n_ok = _leading(passed)
 
         if n_ok:
-            rate = float(np.abs(g[n_ok - 1] - (g[n_ok - 2] if n_ok > 1 else g_val)).max())
+            if not affine:
+                rate = float(np.abs(g[n_ok - 1] - (g[n_ok - 2] if n_ok > 1 else g_val)).max())
         elif not g.shape[0]:
             # The run's first step has a non-finite state or guard value.
             _raise_non_finite(xs[0], t, np.nan)
         else:
             # The first step of the run crosses for some members: locate
-            # their exits.  The others take the step; the rest of the run is
-            # dropped.
+            # their exits.  The others take the step; the rest of a stage
+            # run is dropped, and a block keeps the others' rows.
             crossed = g[0] <= _GUARD_TOL
             rows = np.flatnonzero(crossed)
             f_rows = f if rows.size == members.size else _batch_field(domain, betas[members[rows]])
@@ -264,19 +285,24 @@ def flow_batch(
                 break
             xs, g, side = xs[:1, keep], g[:1, keep], side[keep]
             f = _batch_field(domain, betas[members])
-            step = _step_map(f, consts)
+            if affine:
+                block, block_g, s = block[keep], block_g[keep], s[keep]
+            else:
+                step = _step_map(f, consts)
             rate, n_ok = None, 1
 
         # Accept the first n_ok steps.  The clock adds them one at a time, as
         # one-at-a-time stepping does, so exit times match it bit for bit.
         x, g_val = xs[n_ok - 1], g[n_ok - 1]
+        if affine:
+            block, block_g = block[:, n_ok:], block_g[:, n_ok:]
         for _ in range(n_ok):
             t += dt
     return x_out, t_out
 
 
 def _run_length(rate, g_val, t, step) -> int:
-    """Base steps in the next run: one while the guard rate is unknown, else
+    """Stage steps in the next run: one while the guard rate is unknown, else
     at most _MAX_RUN and (min g - _GUARD_TOL) / (2 rate), and no more than
     the ceil((_MAX_PHASE_DURATION - t) / step) that reach the cap."""
     if rate is None:
@@ -287,43 +313,83 @@ def _run_length(rate, g_val, t, step) -> int:
 
 
 def _run(step, guard, x, side, n):
-    """n base steps from x, each the map step of _step_map, and the signed
-    guard values of the steps before the first one with a non-finite state
-    or guard value."""
+    """n stage steps from x, each the map step of _step_map, stacked
+    step-major as (n, B, m), and the signed guard values of the steps
+    before the first one with a non-finite state or guard value."""
     xs = np.empty((n,) + x.shape)
     for k in range(n):
         x = xs[k] = step(x)
-    finite = np.isfinite(xs).all(axis=(1, 2))
-    n_finite = n if finite.all() else int(np.argmin(finite))
+    n_finite = _leading(np.isfinite(xs).all(axis=(1, 2)))
     if not n_finite:
         return xs, np.empty((0, x.shape[0]))
     g = side * guard(xs[:n_finite].reshape(-1, x.shape[1])).reshape(n_finite, -1)
-    finite = np.isfinite(g).all(axis=1)
-    return xs, g if finite.all() else g[: int(np.argmin(finite))]
+    return xs, g[: _leading(np.isfinite(g).all(axis=1))]
 
 
 def _step_map(f, consts):
     """The map x -> one RK4 step of the field f from the (B, m) stack x,
-    given the step constants consts = (h/2, h, h/6) of flow_batch.
-
-    An AffineField x' = x M' + c steps by RK4's exact transition: with
-    Z = h M' and Q = Z/2 + Z^2/6 + Z^3/24, one step is x + (x.dot(inc) + s)
-    with inc = Z + Z Q and s = h (c + c Q), RK4's stability polynomial
-    I + Z + ... + Z^4/24 applied to x.  Same method, same truncation error,
-    3 numpy calls a step.  The identity stays out of inc and the small
-    terms of Q are summed first: x.dot(I + inc) rounds the diagonal on
-    every step, and over 500 stable-3 steps at 2e-3 ended 7.3e-14 from RK4
-    in long double, against 1.8e-15 for this form.  Every other field
-    steps by _rk4, the stage form.
-    """
-    if isinstance(f, AffineField):
-        z = consts[1] * f.drift.T
-        z2 = z.dot(z)
-        q = z2.dot(z) / 24.0 + z2 / 6.0 + 0.5 * z
-        inc = z + z.dot(q)
-        s = consts[1] * (f.control + f.control.dot(q))
-        return lambda x: x + (x.dot(inc) + s)
+    given the step constants consts = (h/2, h, h/6) of flow_batch: the
+    stage form _rk4.  With _run it is the stage path's seam; flow_batch
+    advances an AffineField by _block instead."""
     return lambda x: _rk4(f, x, *consts)
+
+
+def _block_table(f: AffineField, h: float):
+    """The table of up to _MAX_RUN transition steps of the AffineField f at
+    base step h, and its (B, m) step offsets s.
+
+    With Z = h M' and Q = Z/2 + Z^2/6 + Z^3/24, one RK4 step of
+    x' = x M' + c is exactly x -> x + (x inc + s), with inc = Z + Z Q and
+    s = h (c + c Q): RK4's stability polynomial I + Z + ... + Z^4/24, the
+    same method and truncation error as the stage form (Hairer, Norsett &
+    Wanner, Solving ODEs I, sec. II.1).  With R = I + inc, the state j steps
+    after x is x + (x D_j + s G_j), where D_j = R^j - I and
+    G_j = I + R + ... + R^(j-1).  The table is the (2m, L m) matrix
+    [[D_1 ... D_L], [G_1 ... G_L]], made by doubling,
+    D_(i+j) = D_i + (D_j + D_i D_j) and G_(i+j) = G_i + (G_j + D_i G_j),
+    so that no identity is rounded into the D_j.  The small terms of Q are
+    summed first.  L is _MAX_RUN, or the index of the first D_j or G_j that
+    is not finite, but at least 1: a state x with a zero component along an
+    overflowing power stays finite in the stage form, and 0 * inf is NaN.
+    """
+    z = h * f.drift.T
+    z2 = z.dot(z)
+    q = z2.dot(z) / 24.0 + z2 / 6.0 + 0.5 * z
+    d, g = (z + z.dot(q))[None], np.eye(len(z))[None]
+    while len(d) < _MAX_RUN:
+        last = d[-1]
+        d, g = np.concatenate([d, last + (d + last @ d)]), np.concatenate([g, g[-1] + (g + last @ g)])
+    finite = (np.isfinite(d).all(axis=(1, 2)) & np.isfinite(g).all(axis=(1, 2)))[:_MAX_RUN]
+    n = max(1, _leading(finite))
+    table = np.concatenate([d[:n], g[:n]], axis=1).transpose(1, 0, 2).reshape(2 * len(z), -1)
+    return table, h * (f.control + f.control.dot(q))
+
+
+def _block(table, s, guard, side, x):
+    """The (B, L, m) states of the L transition steps from the (B, m)
+    anchor states x, for the table and step offsets s of _block_table, and
+    their (B, n) signed guard values up to the first step at which some
+    member's state or guard value is not finite.
+
+    The states are one batched product of each row [x_b, s_b] with the
+    table.  np.matmul takes the same product for every row whatever B is;
+    y.dot(table) takes another for one row than for a stack, so members
+    would lose the bits of their solo flows.  The block stays member-major:
+    the guard takes it as (B L, m) rows without a copy.
+    """
+    n_members, m = x.shape
+    xs = np.matmul(np.concatenate([x, s], axis=1)[:, None, :], table).reshape(n_members, -1, m)
+    xs += x[:, None, :]
+    n = _leading(np.isfinite(xs).all(axis=(0, 2)))
+    if not n:
+        return xs, np.empty((n_members, 0))
+    g = side[:, None] * guard(xs[:, :n].reshape(-1, m)).reshape(n_members, n)
+    return xs, g[:, : _leading(np.isfinite(g).all(axis=0))]
+
+
+def _leading(mask: np.ndarray) -> int:
+    """The number of True entries of the 1-D mask before its first False."""
+    return mask.size if mask.all() else int(np.argmin(mask))
 
 
 def _batch_field(domain: Domain, betas: np.ndarray):
@@ -364,7 +430,7 @@ def _exit_crossing(f, guard, x_from, t_from, step, side, g_from, x_to, g_to):
     g(tau) = side * H(rk4_step(f, x_from, tau)) falls from g_from > 0 to g_to
     over the step.  The trial steps take the stage form, since tau differs
     per member; the hi end at tau = step is the run's x_to, which for an
-    AffineField is the transition step and differs from rk4_step(f, x_from,
+    AffineField is the block state and differs from rk4_step(f, x_from,
     step) in rounding alone.  Illinois regula falsi puts the secant root of the bracket
     in place of the end of the same sign, halving the weight of an end kept
     twice in a row.  A secant root that rounds onto an end of the bracket,

@@ -59,8 +59,9 @@ class AffineField:
     drift is the (m, m) matrix M and control the (B, m) stack of constant
     rows C, row b of the field held at control[b]; a batch_field whose
     closed phase field is affine in the state returns one.  Each row of
-    field(X) has the same bits whatever B is.  flow_batch steps such a
-    field by its exact RK4 transition (see integrator._step_map).
+    field(X) has the same bits whatever B is.  flow_batch advances such a
+    field by its exact RK4 transition, 64 steps per product (see
+    integrator._block_table).
     """
 
     drift: np.ndarray
@@ -97,9 +98,11 @@ class Domain:
     rows, row b held at betas[b].  It must agree row by row with drift,
     input_map and controller; without it, batched integration applies
     those one row at a time.  A phase whose closed field is affine in the
-    state should return an AffineField: flows then step it by its exact
-    RK4 transition, about 3x faster than the RK4 stages that any other
-    map takes, with the same truncation error.
+    state should return an AffineField: flows then advance it by its
+    exact RK4 transition in blocks of 64 steps, one product and one guard
+    call per block, with the same truncation error as the RK4 stages that
+    any other map takes one step at a time, and several times faster
+    (see the README's "Batched phase flows").
 
     When present batch_field takes precedence over the scalar field
     callables, and dataclasses.replace copies it unchanged:

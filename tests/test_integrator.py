@@ -92,9 +92,10 @@ def test_rk4_step_equals_the_textbook_formula_bit_for_bit(n_members):
 
 @pytest.fixture
 def rk4_calls(monkeypatch):
-    """The step length h of every RK4 step the integrator takes: each
-    accepted or dropped step of a map made by _step_map, in the stage or
-    the transition form, and each rk4_step of a crossing refinement."""
+    """The step length h of every RK4 step the integrator takes in the
+    stage form: each accepted or dropped step of a map made by _step_map,
+    and each rk4_step of a crossing refinement.  An AffineField's blocks
+    take no such step."""
     calls = []
     step_map, rk4_step = integrator._step_map, integrator.rk4_step
 
@@ -148,8 +149,9 @@ def test_crossing_step_without_splits_makes_no_trial_step(rk4_calls, refine_span
 
     # A catalog flow long enough for runs, with far fewer guard calls than
     # steps, and an approach whose guard rate grows 1% a step.  The steps,
-    # the crossing step included, are counted by the reference loop.
-    dom = stable3.system.domains[0]
+    # the crossing step included, are counted by the reference loop.  The
+    # catalog field is lifted, so that it takes stage steps.
+    dom = lifted(stable3.system.domains[0])
     exponential = ACCELERATING["exponential"][0]
     guard_calls = []
 
@@ -175,12 +177,13 @@ def test_crossing_step_without_splits_makes_no_trial_step(rk4_calls, refine_span
 
 def test_coarse_steps_are_whole_base_steps(rk4_calls, refine_spans, stable3):
     # At base step 0.2 a step moves the stable-3 guards by more than a
-    # quarter of their range, and every step is still a whole base step.
+    # quarter of their range, and every stage step is still a whole base
+    # step.  (An affine block holds whole steps by construction.)
     cfg = IntegratorConfig(base_step=0.2)
     for i, phase in enumerate(stable3.phases):
         rk4_calls.clear()
         refine_spans.clear()
-        flow_one(stable3.system.domains[i], phase.start_state, np.zeros(3), cfg)
+        flow_one(lifted(stable3.system.domains[i]), phase.start_state, np.zeros(3), cfg)
         ((start, end),) = refine_spans
         steps = rk4_calls[:start] + rk4_calls[end:]
         assert steps and all(np.all(np.asarray(h) == 0.2) for h in steps)
@@ -598,8 +601,8 @@ def test_batch_members_match_solo_and_lifted_runs(request, name, base_step):
         assert np.max(np.abs(t_exit - t_lift)) <= 1e-12
         for b in range(10):
             x_solo, t_solo = flow_one(dom, x0[b], betas[b], cfg)
-            assert np.max(np.abs(x_exit[b] - x_solo)) <= 1e-12
-            assert abs(t_exit[b] - t_solo) <= 1e-12
+            assert np.array_equal(x_exit[b], x_solo)
+            assert t_exit[b] == t_solo
 
 
 @pytest.mark.parametrize("name", CATALOG + ("unstable-3", "rebuilt"))
@@ -626,10 +629,11 @@ def test_affine_field_keeps_the_bits_of_the_stacked_lambda(request, name):
 @pytest.mark.parametrize("base_step", [5e-3, 2e-3, 1e-2, 5e-2])
 @pytest.mark.parametrize("name", CATALOG)
 def test_catalog_transition_flows_match_stage_form_flows(request, name, base_step):
-    # A catalog flow steps by RK4's exact transition, the lifted domain by
-    # the stage form: the same method, apart in rounding alone.  The exits
-    # differed by at most 7.1e-16 relative in the state and 5.6e-16 in the
-    # time.
+    # A catalog flow advances by blocks of RK4's exact transition, the
+    # lifted domain by the stage form: the same method, apart in rounding
+    # alone.  The exits differed by at most 2.1e-15 relative in the state
+    # and 2.8e-15 in the time (7.1e-16 and 5.6e-16 with one transition step
+    # at a time).
     cfg = IntegratorConfig(base_step=base_step)
     model = catalog_model(request, name)
     rng = np.random.default_rng(19)
@@ -641,6 +645,46 @@ def test_catalog_transition_flows_match_stage_form_flows(request, name, base_ste
         x_lift, t_lift = flow_batch(lifted(dom), x0, betas, cfg)
         assert np.max(np.abs(x_exit - x_lift)) <= 1e-13 * np.max(np.abs(x_lift))
         assert np.max(np.abs(t_exit - t_lift)) <= 1e-13
+
+
+def test_an_overflowing_transition_power_cuts_the_block():
+    # With Z = 50 on the first axis, R^j overflows near j = 57.  The start
+    # has no component along that axis, so the stage form stays finite, and
+    # so must the block: a full 64-step table gives 0 * inf = NaN and raised
+    # NonFinite near t = 2.8.  The exit is x2 = 0.5, at t = ln(2) / 0.2.
+    a = np.diag([1000.0, -0.2])
+    dom = replace(
+        autonomous(lambda x: a @ x, lambda X: X[:, 1] - 0.5, 2),
+        batch_field=lambda betas: AffineField(a, np.zeros((len(betas), 2))),
+    )
+    cfg = IntegratorConfig(base_step=0.05)
+    x_exit, t_exit = flow_one(dom, [0.0, 1.0], np.zeros(0), cfg)
+    x_lift, t_lift = flow_one(lifted(dom), [0.0, 1.0], np.zeros(0), cfg)
+    assert abs(t_exit - 3.4657359) < 1e-7
+    assert abs(t_exit - t_lift) <= 1e-13
+    assert np.max(np.abs(x_exit - x_lift)) <= 1e-13
+    with np.errstate(over="ignore", invalid="ignore"):
+        table, _ = integrator._block_table(dom.batch_field(np.zeros((1, 0))), cfg.base_step)
+    assert np.isfinite(table).all() and 1 <= table.shape[1] // 2 < integrator._MAX_RUN
+
+
+def test_an_affine_flow_tests_each_block_with_one_guard_call(stable3):
+    # A flow of 373 steps at 2e-3, the crossing step included, takes six
+    # blocks of 64 states: six guard calls of 64 rows, besides the start
+    # value, the rounding floor and the crossing refinement.
+    dom = stable3.system.domains[0]
+    x0, cfg = stable3.phases[0].start_state, IntegratorConfig(base_step=2e-3)
+    steps = len(reference_flow(lifted(dom), x0, np.zeros(3), cfg)[0]) - 1
+    calls = []
+
+    def counted_guard(x):
+        calls.append(x.shape[0])
+        return dom.guard(x)
+
+    flow_one(replace(dom, guard=counted_guard), x0, np.zeros(3), cfg)
+    assert steps == 373
+    assert calls.count(integrator._MAX_RUN) == -(-steps // integrator._MAX_RUN) == 6
+    assert len(calls) < 20
 
 
 def reference_flow(domain, x0, beta, cfg):
@@ -821,6 +865,12 @@ def test_runs_stop_at_the_phase_duration_cap(monkeypatch, rk4_calls):
             flow_one(dom, [0.0], np.zeros(0), cfg)
         assert all(np.all(np.asarray(h) == cfg.base_step) for h in rk4_calls)
         assert len(rk4_calls) <= 46
+        # An affine block runs on to 0.64, past the jump at 0.5.  The flow
+        # still stops at the cap and does not refine the crossing at the
+        # jump, which would stall.
+        unit = replace(dom, batch_field=lambda betas: AffineField(np.zeros((1, 1)), np.ones((len(betas), 1))))
+        with pytest.raises(NoCrossing):
+            flow_one(unit, [0.0], np.zeros(0), cfg)
 
 
 @pytest.mark.parametrize("name", CATALOG + ("unstable-3", "rebuilt"))
@@ -863,9 +913,35 @@ def test_catalog_field_rows_do_not_depend_on_the_batch_size(request, name):
                     assert np.array_equal(stack[b], fn(slice(b, b + 1))[0])
 
 
-def velocity_system(batched: bool) -> MultiDomainSystem:
+@pytest.mark.parametrize("name", CATALOG + ("unstable-3", "rebuilt"))
+def test_catalog_block_rows_do_not_depend_on_the_batch_size(request, name):
+    # An affine block's states and guard values for a member are those of
+    # its one-row block, bit for bit, at every stack size; y.dot(table) in
+    # place of the batched matmul failed this for most rows.
+    model = catalog_model(request, name)
+    rng = np.random.default_rng(23)
+    for ph, dom in zip(model.phases, model.system.domains):
+        for base_step in (2e-3, 1e-2):
+            for n_members in (1, 2, 11, 25):
+                x = ph.start_state + 1e-2 * rng.normal(size=(n_members, dom.state_dim))
+                betas = 5e-2 * rng.normal(size=(n_members, dom.param_dim))
+                side = np.where(rng.normal(size=n_members) > 0.0, 1.0, -1.0)
+                table, s = integrator._block_table(dom.batch_field(betas), base_step)
+                states, g = integrator._block(table, s, dom.guard, side, x)
+                assert states.shape == (n_members, integrator._MAX_RUN, dom.state_dim)
+                assert g.shape == (n_members, integrator._MAX_RUN)
+                for b in range(n_members):
+                    table_b, s_b = integrator._block_table(dom.batch_field(betas[b : b + 1]), base_step)
+                    states_b, g_b = integrator._block(table_b, s_b, dom.guard, side[b : b + 1], x[b : b + 1])
+                    assert np.array_equal(states[b], states_b[0])
+                    assert np.array_equal(g[b], g_b[0])
+
+
+def velocity_system(field: str) -> MultiDomainSystem:
     """One domain moving at constant velocity beta from x1 = 1 - y to the
-    guard x1 = 1, where y is the section coordinate; x2 is carried along."""
+    guard x1 = 1, where y is the section coordinate; x2 is carried along.
+    Its field is "lifted" from the scalar callables, a "batch-callable" or
+    an "affine" AffineField, which advances in blocks."""
     dom = Domain(
         state_dim=2,
         control_dim=2,
@@ -881,8 +957,10 @@ def velocity_system(batched: bool) -> MultiDomainSystem:
             project=lambda X: X[:, 1:],
         ),
     )
-    if batched:
+    if field == "batch-callables":
         dom = replace(dom, batch_field=lambda betas: (lambda x: np.zeros_like(x) + betas))
+    elif field == "affine":
+        dom = replace(dom, batch_field=lambda betas: AffineField(np.zeros((2, 2)), betas))
     return MultiDomainSystem(domains=(dom,))
 
 
@@ -901,11 +979,21 @@ BAD_MEMBERS = {
 }
 
 
-@pytest.mark.parametrize("batched", [True, False], ids=["batch-callables", "lifted"])
-@pytest.mark.parametrize("case", BAD_MEMBERS)
-def test_one_bad_member_fails_the_batch_like_a_solo_run(monkeypatch, case, batched):
+# The transition never forms the stage sum 2 k2 that overflows in the
+# "non-finite" member's first step, so an affine field reaches that guard;
+# its overflow is the late case.
+BAD_MEMBER_RUNS = [
+    (case, field)
+    for case in BAD_MEMBERS
+    for field in ("batch-callables", "lifted", "affine")
+    if (case, field) != ("non-finite", "affine")
+]
+
+
+@pytest.mark.parametrize("case, field", BAD_MEMBER_RUNS, ids=["-".join(run) for run in BAD_MEMBER_RUNS])
+def test_one_bad_member_fails_the_batch_like_a_solo_run(monkeypatch, case, field):
     set_constants(monkeypatch, _GUARD_TOL=1e-14, _MIN_PHASE_DURATION=1e-2, _MAX_PHASE_DURATION=5.0)
-    system = velocity_system(batched)
+    system = velocity_system(field)
     cfg = IntegratorConfig(base_step=1e-2)
     y_bad, beta_bad, error = BAD_MEMBERS[case]
     y = np.array([[0.5], [1.0], [y_bad], [1.5]])
@@ -928,7 +1016,7 @@ def test_stacks_of_the_wrong_shape_are_refused():
     # one state maps a stack of B != m rows on the wrong axis: flow_batch
     # refuses what such a reset returns, and section_step what such a
     # projection returns.
-    system = velocity_system(batched=True)
+    system = velocity_system("batch-callables")
     dom = system.domains[0]
     cfg = IntegratorConfig()
     with pytest.raises(ValueError, match=r"^start stack has shape \(2,\), expected \(1, 2\)$"):
