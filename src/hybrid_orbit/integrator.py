@@ -19,8 +19,10 @@ accepts the steps before the first that crosses or is not finite.
 A base step has one of two forms.  A field that is an AffineField,
 x' = x M' + c, advances by RK4's exact transition, an affine map
 x -> x R + s, in blocks (_block_table, _block): the _MAX_RUN states after
-an anchor state come from one product with a table of R's powers made
-once per flow, the same method and truncation error as the stage form.
+an anchor state come from one product with a table of R's powers, the
+same method and truncation error as the stage form.  The table depends
+on the drift and the base step alone, so it is made once per (drift,
+base step) and cached by value (_transition).
 Anchors fall on every _MAX_RUN-th step from the flow start, so a state is
 a pure function of its member's row and its step index.  Every other
 field steps by the stage form _rk4, with the bits of the textbook
@@ -28,6 +30,7 @@ formula, one step at a time (_step_map) in guard-bounded runs (_run).
 The crossing refinement takes the stage form, rk4_step, for every field.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -93,6 +96,12 @@ _REFINE_MAX_ITER = 100
 # less time at 64 than at 32, at base step 2e-3 and at 1e-2, and 128 gained
 # nothing clear.
 _MAX_RUN = 64
+
+# The most (base step, drift) transition tables kept by _transition.  An
+# entry holds the (2m, 64m) table, Q and the drift's bytes, 1040 m^2 bytes
+# for state dimension m, so a full cache holds at most 33 m^2 kB: 0.3 MB at
+# m = 3.  A closed-loop run uses one table per phase.
+_TABLE_CACHE_SIZE = 32
 
 # A guard value this many ulps of |grad H| |x| from zero is on the guard
 # as far as rounding can tell (see _guard_floor).
@@ -336,7 +345,20 @@ def _step_map(f, consts):
 
 def _block_table(f: AffineField, h: float):
     """The table of up to _MAX_RUN transition steps of the AffineField f at
-    base step h, and its (B, m) step offsets s.
+    base step h, and its (B, m) step offsets s = h (c + c Q) for the
+    control rows c of f (see _transition).  The table is made once per
+    drift and base step and shared, read-only, by every flow that has
+    them; the offsets are made per call."""
+    table, q = _transition(float(h), f.drift.shape, f.drift.tobytes())
+    return table, h * (f.control + f.control.dot(q))
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _transition(h: float, shape: tuple, drift: bytes):
+    """The read-only transition table at base step h of the drift matrix M
+    whose float64 values, in C order, are the bytes drift, and the matrix
+    Q below.  The cache is keyed by value, so a drift mutated in place, or
+    a new array of the same values, never meets a stale table.
 
     With Z = h M' and Q = Z/2 + Z^2/6 + Z^3/24, one RK4 step of
     x' = x M' + c is exactly x -> x + (x inc + s), with inc = Z + Z Q and
@@ -352,7 +374,7 @@ def _block_table(f: AffineField, h: float):
     is not finite, but at least 1: a state x with a zero component along an
     overflowing power stays finite in the stage form, and 0 * inf is NaN.
     """
-    z = h * f.drift.T
+    z = h * np.frombuffer(drift).reshape(shape).T
     z2 = z.dot(z)
     q = z2.dot(z) / 24.0 + z2 / 6.0 + 0.5 * z
     d, g = (z + z.dot(q))[None], np.eye(len(z))[None]
@@ -362,7 +384,8 @@ def _block_table(f: AffineField, h: float):
     finite = (np.isfinite(d).all(axis=(1, 2)) & np.isfinite(g).all(axis=(1, 2)))[:_MAX_RUN]
     n = max(1, _leading(finite))
     table = np.concatenate([d[:n], g[:n]], axis=1).transpose(1, 0, 2).reshape(2 * len(z), -1)
-    return table, h * (f.control + f.control.dot(q))
+    table.flags.writeable = q.flags.writeable = False
+    return table, q
 
 
 def _block(table, s, guard, side, x):
@@ -442,44 +465,49 @@ def _exit_crossing(f, guard, x_from, t_from, step, side, g_from, x_to, g_to):
     stalled.  The floor is taken at x_to, in one _guard_floor call made
     only once some end is within _GUARD_TOL.  Every member is stepped on
     every iteration, so the brackets are updated under masks over the
-    whole stack.  The guard rate at the exit is the central difference,
-    step 1e-7, of s -> H(x_b + s f_b) at the (B, 1) stack s = 0; a rate
-    that is NaN or infinite raises NonFinite at the exit time.
+    whole stack, each end's tau, weight, |g| and state in an array of its
+    own, updated in place.  The guard rate at the exit is the central
+    difference, step 1e-7, of s -> H(x_b + s f_b) at the (B, 1) stack
+    s = 0; a rate that is NaN or infinite raises NonFinite at the exit
+    time.
     """
-    members = np.arange(x_from.shape[0])
     width = 4.0 * np.finfo(float).eps * step
-    ends = np.zeros((2, members.size))  # tau at the lo and the hi end
-    ends[1] = step
-    weight = np.stack([g_from, g_to])  # g at the ends, halved by the Illinois rule
-    h_abs, x_ends = np.abs(weight), np.stack([x_from, x_to])
-    last = np.zeros((2, members.size), dtype=bool)  # the end each member replaced last
-    active = g_to < 0.0
+    tau_lo, tau_hi = np.zeros(len(x_from)), np.full(len(x_from), step, dtype=float)
+    w_lo, w_hi = np.array(g_from, dtype=float), np.array(g_to, dtype=float)  # g, halved by the Illinois rule
+    a_lo, a_hi = np.abs(w_lo), np.abs(w_hi)  # |g|, never halved
+    x_lo, x_hi = np.array(x_from, dtype=float), np.array(x_to, dtype=float)
+    last_lo = last_hi = np.zeros(len(x_from), dtype=bool)  # the end each member replaced last
+    active = w_hi < 0.0
     floor = None
     for n_iter in range(_REFINE_MAX_ITER + 1):
-        best = (~(h_abs[0] < h_abs[1])).astype(int)  # ties and NaN at lo go to hi
-        h_hit = h_abs[best, members]
+        best_hi = ~(a_lo < a_hi)  # ties and NaN at lo go to hi
+        h_hit = np.where(best_hi, a_hi, a_lo)
         if floor is None and (active & (h_hit <= _GUARD_TOL)).any():
             floor = _guard_floor(guard, x_to)
         if floor is not None:
             active &= ~(h_hit <= floor)
         if n_iter == _REFINE_MAX_ITER or not active.any():
             break
-        lo, hi = ends
-        tau = np.clip(lo + (hi - lo) * (weight[0] / (weight[0] - weight[1])), lo, hi)
-        tau = np.where((tau == lo) | (tau == hi), 0.5 * (lo + hi), tau)
+        tau = np.clip(tau_lo + (tau_hi - tau_lo) * (w_lo / (w_lo - w_hi)), tau_lo, tau_hi)
+        tau = np.where((tau == tau_lo) | (tau == tau_hi), 0.5 * (tau_lo + tau_hi), tau)
         x_tau = rk4_step(f, x_from, tau[:, None])
         g_tau = side * guard(x_tau)
-        to_hi = g_tau <= 0.0
-        moved = np.stack([active & ~to_hi, active & to_hi])
-        weight = np.where((moved & last)[::-1], 0.5 * weight, weight)
-        ends = np.where(moved, tau, ends)
-        weight = np.where(moved, g_tau, weight)
-        h_abs = np.where(moved, np.abs(g_tau), h_abs)
-        x_ends = np.where(moved[:, :, None], x_tau, x_ends)
-        last = moved
-        active &= (weight[1] < 0.0) & (ends[1] - ends[0] > width)
+        a_tau, to_hi = np.abs(g_tau), g_tau <= 0.0
+        move_lo, move_hi = active & ~to_hi, active & to_hi
+        np.multiply(w_lo, 0.5, out=w_lo, where=move_hi & last_hi)
+        np.multiply(w_hi, 0.5, out=w_hi, where=move_lo & last_lo)
+        for moved, tau_end, w_end, a_end, x_end in (
+            (move_lo, tau_lo, w_lo, a_lo, x_lo),
+            (move_hi, tau_hi, w_hi, a_hi, x_hi),
+        ):
+            np.copyto(tau_end, tau, where=moved)
+            np.copyto(w_end, g_tau, where=moved)
+            np.copyto(a_end, a_tau, where=moved)
+            np.copyto(x_end, x_tau, where=moved[:, None])
+        last_lo, last_hi = move_lo, move_hi
+        active &= (w_hi < 0.0) & (tau_hi - tau_lo > width)
 
-    x_hit = x_ends[best, members]
+    x_hit = np.where(best_hi[:, None], x_hi, x_lo)
     stalled = ~(h_hit <= _GUARD_TOL)
     if stalled.any():
         if floor is None:
@@ -490,7 +518,7 @@ def _exit_crossing(f, guard, x_from, t_from, step, side, g_from, x_to, g_to):
             f"guard refinement stalled at |H| = {h_hit[np.argmax(stalled)]:.3e} "
             f"(tolerance {_GUARD_TOL:.3e})"
         )
-    t_exit = t_from + ends[best, members]
+    t_exit = t_from + np.where(best_hi, tau_hi, tau_lo)
 
     early = t_exit < _MIN_PHASE_DURATION
     if early.any():

@@ -60,8 +60,9 @@ class AffineField:
     rows C, row b of the field held at control[b]; a batch_field whose
     closed phase field is affine in the state returns one.  Each row of
     field(X) has the same bits whatever B is.  flow_batch advances such a
-    field by its exact RK4 transition, 64 steps per product (see
-    integrator._block_table).
+    field by its exact RK4 transition, 64 steps per product, with a table
+    of the transition's powers made once per drift and base step and
+    cached by value (see integrator._block_table).
     """
 
     drift: np.ndarray

@@ -1,5 +1,6 @@
-"""A seeded sweep of synthesize and certify input documents against the
-exit-code contract.
+"""A seeded sweep of synthesize and certify input documents, and a sweep
+of analyze and simulate flags at edge values, against the exit-code
+contract.
 
 Each document is drawn from numpy's generator with a fixed seed: 1-3
 phases, k and p of 1-3, entries from normal draws at scales 1e-5 to 1e5
@@ -54,8 +55,25 @@ def _document(rng, certify):
     return {"phases": phases}
 
 
+def _main(argv):
+    """The exit code of cli.main(argv) under warnings as errors, or the
+    type and text of what escaped it."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return cli.main(argv)
+    except Exception as exc:  # the contract: nothing escapes cli.main
+        return f"{type(exc).__name__}: {exc}"
+
+
 def _reject_constant(name):
     raise AssertionError(f"output holds {name}")
+
+
+def _radius(obj):
+    """The spectral radius of a written matrix object."""
+    matrix = np.array(obj["data"]).reshape(obj["rows"], obj["cols"])
+    return float(np.abs(np.linalg.eigvals(matrix)).max())
 
 
 def _contract_breach(argv, out, code):
@@ -75,9 +93,7 @@ def _contract_breach(argv, out, code):
     if argv[0] == "certify":
         rho = report["product_radius"]
     else:
-        product = report["product"]
-        matrix = np.array(product["data"]).reshape(product["rows"], product["cols"])
-        rho = float(np.abs(np.linalg.eigvals(matrix)).max())
+        rho = _radius(report["product"])
         if rho != report["product_radius"]:
             return f"product_radius {report['product_radius']!r}, the written product's {rho!r}"
     if report["verdict"] != ("stable" if rho < 1.0 else "unstable"):
@@ -96,12 +112,9 @@ def test_seeded_documents_keep_the_exit_code_contract(tmp_path, capsys):
         run = RUNS[i % len(RUNS)]
         src.write_text(json.dumps(_document(rng, run[0] == "certify")))
         argv = run + ["-i", str(src), "-o", str(out)]
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                code = cli.main(argv)
-        except Exception as exc:  # the contract: nothing escapes cli.main
-            breaches.append(f"document {i} {run}: {type(exc).__name__}: {exc}")
+        code = _main(argv)
+        if isinstance(code, str):
+            breaches.append(f"document {i} {run}: {code}")
             continue
         codes.append(code)
         breach = _contract_breach(argv, out, code)
@@ -113,3 +126,69 @@ def test_seeded_documents_keep_the_exit_code_contract(tmp_path, capsys):
     assert not breaches, "\n".join(breaches[:20])
     # The sweep reaches every exit code.
     assert set(codes) == {0, 1, 2, 3}
+
+
+# The flag sweep: analyze and simulate at edge values of the integrator and
+# simulation flags, one flag at a time.  Values are passed as --flag=value,
+# since argparse reads "--flag -1" as a missing argument.
+BASE_STEPS = ("nan", "inf", "-1", "0", "1e-300", "1e-4", "0.3", "1", "5", "50", "60")
+FLAG_RUNS = (
+    [["analyze", "--system", "stable-3", f"--base-step={v}"] for v in BASE_STEPS]
+    + [["simulate", "--system", "stable-3", "--method", "dlqr", "--cycles=2", f"--base-step={v}"] for v in BASE_STEPS]
+    + [["simulate", "--system", "unstable-2", "--cycles=2", f"--perturb={v}"]
+       for v in ("nan", "inf", "0", "5e-324", "1", "10", "1e154", "1e300")]
+    + [["simulate", "--system", "stable-2", "--method", "scale", f"--cycles={v}"] for v in ("-1", "0", "1")]
+    + [["simulate", "--system", "stable-2", "--cycles=1", f"--seed={v}"] for v in ("-1", str(2**63))]
+)
+
+
+def _written_breach(argv, out):
+    """What a written analyze or simulate output broke of the contract, or
+    None.  An analyze document holds no NaN or Infinity, and its
+    spectral_radius is the radius of its A_product; a simulate CSV has a
+    row of finite numbers for the start and for each cycle."""
+    if argv[0] == "simulate":
+        lines = out.read_text().splitlines()
+        cycles = int(dict(a.split("=") for a in argv if "=" in a)["--cycles"])
+        if len(lines) != cycles + 2:
+            return f"{len(lines)} lines for {cycles} cycles"
+        if not np.isfinite([float(v) for line in lines[1:] for v in line.split(",")]).all():
+            return "a value that is not finite"
+        return None
+    try:
+        doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+    except AssertionError as exc:
+        return str(exc)
+    rho = _radius(doc["A_product"])
+    if rho != doc["spectral_radius"]:
+        return f"spectral_radius {doc['spectral_radius']!r}, the written product's {rho!r}"
+    return None
+
+
+def test_edge_flags_keep_the_exit_code_contract(tmp_path, capsys):
+    # The same rules as the document sweep; analyze and simulate give no
+    # verdict, so every run that writes exits 0.
+    out = tmp_path / "out" / "out"
+    out.parent.mkdir()
+    breaches, codes = [], []
+    for argv in FLAG_RUNS:
+        code = _main(argv + ["-o", str(out)])
+        if isinstance(code, str):
+            breaches.append(f"{argv}: {code}")
+            continue
+        codes.append(code)
+        written = sorted(p.name for p in out.parent.iterdir())
+        if code in (2, 3):
+            breach = f"exit {code} wrote {written}" if written else None
+        elif code != 0 or written != [out.name]:
+            breach = f"exit {code!r} wrote {written}"
+        else:
+            breach = _written_breach(argv, out)
+        if breach:
+            breaches.append(f"{argv}: {breach}")
+        for path in out.parent.iterdir():
+            path.unlink()
+    capsys.readouterr()
+    assert not breaches, "\n".join(breaches)
+    # Input errors, numerical failures and written results are all reached.
+    assert set(codes) == {0, 2, 3}

@@ -21,6 +21,7 @@ from hybrid_orbit.integrator import (
     simulate_cycle,
 )
 from hybrid_orbit.model import AffineField, Domain, FeedbackLaw, MultiDomainSystem, SectionChart
+from hybrid_orbit.numerics import central_difference
 from hybrid_orbit.poincare import phase_jacobians
 from hybrid_orbit.synthetic import CATALOG, from_catalog, synthetic_from_obj, synthetic_to_obj
 
@@ -935,6 +936,246 @@ def test_catalog_block_rows_do_not_depend_on_the_batch_size(request, name):
                     states_b, g_b = integrator._block(table_b, s_b, dom.guard, side[b : b + 1], x[b : b + 1])
                     assert np.array_equal(states[b], states_b[0])
                     assert np.array_equal(g[b], g_b[0])
+
+
+def test_equal_drifts_share_one_read_only_transition_table():
+    # The table is cached by the drift's values: distinct arrays of equal
+    # values, with other control rows, share one table object.
+    drift = np.array([[0.05, 1.0], [-1.0, 0.05]])
+    first = AffineField(drift, np.zeros((1, 2)))
+    second = AffineField(drift.copy(), np.ones((3, 2)))
+    table, s = integrator._block_table(first, 1e-2)
+    assert integrator._block_table(second, 1e-2)[0] is table
+    assert integrator._block_table(first, 2e-2)[0] is not table
+    assert s.shape == (1, 2) and s.flags.writeable
+    for array in integrator._transition(1e-2, drift.shape, drift.tobytes()):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.0
+
+
+def test_a_drift_mutated_in_place_gets_a_fresh_table():
+    drift = np.array([[0.05, 1.0], [-1.0, 0.05]])
+    dom = replace(
+        autonomous(lambda x: drift @ x, lambda X: X[:, 0] - 0.5, 2),
+        batch_field=lambda betas: AffineField(drift, np.zeros((len(betas), 2))),
+    )
+    cfg = IntegratorConfig(base_step=1e-2)
+    before = flow_one(dom, [0.0, 1.0], np.zeros(0), cfg)
+    old_table = integrator._block_table(dom.batch_field(np.zeros((1, 0))), cfg.base_step)[0]
+    drift[0, 1] = 2.0
+    after = flow_one(dom, [0.0, 1.0], np.zeros(0), cfg)
+    assert integrator._block_table(dom.batch_field(np.zeros((1, 0))), cfg.base_step)[0] is not old_table
+    assert after[1] != before[1]
+    integrator._transition.cache_clear()
+    uncached = flow_one(dom, [0.0, 1.0], np.zeros(0), cfg)
+    assert np.array_equal(after[0], uncached[0]) and after[1] == uncached[1]
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_catalog_flows_from_the_cache_equal_uncached_flows(request, name):
+    cfg = IntegratorConfig(base_step=1e-2)
+    model = catalog_model(request, name)
+    rng = np.random.default_rng(29)
+    for i, phase in enumerate(model.phases):
+        dom = model.system.domains[i]
+        x0 = phase.start_state + 1e-2 * rng.normal(size=(11, dom.state_dim))
+        betas = 5e-2 * rng.normal(size=(11, dom.param_dim))
+        integrator._transition.cache_clear()
+        uncached = flow_batch(dom, x0, betas, cfg)
+        cached = flow_batch(dom, x0, betas, cfg)
+        info = integrator._transition.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert all(np.array_equal(a, b) for a, b in zip(uncached, cached))
+
+
+def test_a_closed_loop_run_builds_one_table_per_phase(stable3):
+    # Ten cycles of the three stable-3 phases make 30 flows and 3 tables.
+    gains = synthesis.dlqr_gains(list(stable3.jacobians))
+    law = FeedbackLaw(gains=tuple(gains.gains), orbit=stable3.orbit)
+    x0 = stable3.orbit.fixed_points[-1] + 1e-2 * np.array([0.6, 0.8])
+    integrator._transition.cache_clear()
+    simulate_cycle(stable3.system, law, x0, 10, IntegratorConfig(base_step=2e-3))
+    info = integrator._transition.cache_info()
+    assert (info.misses, info.hits) == (3, 27)
+
+
+def stacked_exit_crossing(f, guard, x_from, t_from, step, side, g_from, x_to, g_to):
+    """_exit_crossing as it was with the two bracket ends stacked as (2, B)
+    arrays, rebuilt under masks on every iteration: the reference that the
+    in-place refinement must equal bit for bit."""
+    members = np.arange(x_from.shape[0])
+    width = 4.0 * np.finfo(float).eps * step
+    ends = np.zeros((2, members.size))
+    ends[1] = step
+    weight = np.stack([g_from, g_to])
+    h_abs, x_ends = np.abs(weight), np.stack([x_from, x_to])
+    last = np.zeros((2, members.size), dtype=bool)
+    active = g_to < 0.0
+    floor = None
+    for n_iter in range(integrator._REFINE_MAX_ITER + 1):
+        best = (~(h_abs[0] < h_abs[1])).astype(int)
+        h_hit = h_abs[best, members]
+        if floor is None and (active & (h_hit <= integrator._GUARD_TOL)).any():
+            floor = integrator._guard_floor(guard, x_to)
+        if floor is not None:
+            active &= ~(h_hit <= floor)
+        if n_iter == integrator._REFINE_MAX_ITER or not active.any():
+            break
+        lo, hi = ends
+        tau = np.clip(lo + (hi - lo) * (weight[0] / (weight[0] - weight[1])), lo, hi)
+        tau = np.where((tau == lo) | (tau == hi), 0.5 * (lo + hi), tau)
+        x_tau = rk4_step(f, x_from, tau[:, None])
+        g_tau = side * guard(x_tau)
+        to_hi = g_tau <= 0.0
+        moved = np.stack([active & ~to_hi, active & to_hi])
+        weight = np.where((moved & last)[::-1], 0.5 * weight, weight)
+        ends = np.where(moved, tau, ends)
+        weight = np.where(moved, g_tau, weight)
+        h_abs = np.where(moved, np.abs(g_tau), h_abs)
+        x_ends = np.where(moved[:, :, None], x_tau, x_ends)
+        last = moved
+        active &= (weight[1] < 0.0) & (ends[1] - ends[0] > width)
+
+    x_hit = x_ends[best, members]
+    stalled = ~(h_hit <= integrator._GUARD_TOL)
+    if stalled.any():
+        if floor is None:
+            floor = integrator._guard_floor(guard, x_to)
+        stalled &= ~(h_hit <= integrator._GUARD_TOL + floor)
+    if stalled.any():
+        raise IntegrationError(
+            f"guard refinement stalled at |H| = {h_hit[np.argmax(stalled)]:.3e} "
+            f"(tolerance {integrator._GUARD_TOL:.3e})"
+        )
+    t_exit = t_from + ends[best, members]
+    early = t_exit < integrator._MIN_PHASE_DURATION
+    if early.any():
+        raise Chattering(
+            f"guard crossed at t = {t_exit[np.argmax(early)]:.3e}, below the minimum duration "
+            f"{integrator._MIN_PHASE_DURATION:.3e}"
+        )
+    field = f(x_hit)
+    rate = central_difference(
+        lambda s: guard((x_hit + s.reshape(2, -1, 1) * field).reshape(-1, x_hit.shape[1])),
+        np.zeros((x_hit.shape[0], 1)),
+        1e-7,
+    )[:, 0, 0]
+    bad = ~np.isfinite(rate)
+    if bad.any():
+        integrator._raise_non_finite(x_hit, t_exit[np.argmax(bad)], rate)
+    flat = np.abs(rate) <= integrator._TRANSVERSALITY_TOL
+    if flat.any():
+        raise NonTransversal(f"guard rate {rate[np.argmax(flat)]:.3e} at the crossing is below tolerance")
+    return x_hit, t_exit
+
+
+# The refinement under test, taken before any test wraps it.
+EXIT_CROSSING = integrator._exit_crossing
+
+
+def refinement_outcome(refine, f, *args):
+    """The exit states and times of refine, or its error's type and text,
+    and the number of field rows it evaluated: four per trial step and
+    member, and one per member for the exit guard rate."""
+    rows = []
+
+    def counted(x):
+        rows.append(len(x))
+        return f(x)
+
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcome = refine(counted, *args)
+    except IntegrationError as exc:
+        outcome = (type(exc), str(exc))
+    return outcome, sum(rows)
+
+
+def assert_refinements_equal_the_stacked_reference(crossings):
+    for args in crossings:
+        new, new_rows = refinement_outcome(EXIT_CROSSING, *args)
+        old, old_rows = refinement_outcome(stacked_exit_crossing, *args)
+        assert new_rows == old_rows
+        assert type(new[0]) is type(old[0])
+        if isinstance(old[0], type):
+            assert new == old
+        else:
+            assert np.array_equal(new[0], old[0]) and np.array_equal(new[1], old[1])
+
+
+@pytest.fixture
+def recorded_crossings(monkeypatch):
+    """The arguments of every crossing refinement that flows make."""
+    crossings = []
+    refine = integrator._exit_crossing
+
+    def recorded_refine(*args):
+        crossings.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(integrator, "_exit_crossing", recorded_refine)
+    return crossings
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_catalog_refinements_equal_the_stacked_reference(request, recorded_crossings, name):
+    model = catalog_model(request, name)
+    rng = np.random.default_rng(31)
+    for base_step in (2e-3, 1e-2, 5e-2):
+        cfg = IntegratorConfig(base_step=base_step)
+        for i, phase in enumerate(model.phases):
+            dom = model.system.domains[i]
+            for n_members in (1, 2, 11, 25):
+                x0 = phase.start_state + 1e-2 * rng.normal(size=(n_members, dom.state_dim))
+                betas = 5e-2 * rng.normal(size=(n_members, dom.param_dim))
+                flow_batch(dom, x0, betas, cfg)
+    assert len(recorded_crossings) >= 12 * len(model.phases)
+    assert_refinements_equal_the_stacked_reference(recorded_crossings)
+
+
+def test_four_ulp_brackets_equal_the_stacked_reference(recorded_crossings, unstable2):
+    # Open loop, unstable-2 passes 1e20 in size after about 30 cycles.  On
+    # the next 8 cycles |H| stays above _GUARD_TOL, each bracket narrows to
+    # 4 ulps, and secant roots that round onto an end take the midpoint.
+    cfg = IntegratorConfig()
+    x_star = unstable2.orbit.fixed_points[-1]
+    y = simulate_cycle(unstable2.system, None, x_star + 1e-2 * np.array([0.6, 0.8]), 32, cfg)[-1]
+    assert 1e20 < np.max(np.abs(y)) < 1e24
+    recorded_crossings.clear()
+    simulate_cycle(unstable2.system, None, y, 8, cfg)
+    assert_refinements_equal_the_stacked_reference(recorded_crossings)
+    rows = []
+    for args in recorded_crossings:
+        (x_exit, _), n_rows = refinement_outcome(EXIT_CROSSING, *args)
+        assert np.all(np.abs(args[1](x_exit)) > integrator._GUARD_TOL)
+        rows.append(n_rows)
+    assert max(rows) > 4 * 30  # more than 30 trial steps
+
+
+def test_a_nan_trial_guard_value_equals_the_stacked_reference():
+    # H = x^3 - 0.2 at unit velocity crosses at 0.2^(1/3) = 0.585; a guard
+    # that is NaN on (0.55, 0.6) makes the trials close to the root NaN for
+    # the first member, and the refinement stalls.  The second member's
+    # guard has no NaN.
+    def guard(X):
+        h = X[:, 0] ** 3 - 0.2
+        return np.where((X[:, 1] == 0.0) & (X[:, 0] > 0.55) & (X[:, 0] < 0.6), np.nan, h)
+
+    def f(x):
+        return np.column_stack([np.ones(len(x)), np.zeros(len(x))])
+
+    x_from = np.array([[0.0, 0.0], [0.0, 1.0]])
+    x_to = x_from + [1.0, 0.0]
+    side = np.array([-1.0, -1.0])
+    outcomes = []
+    for rows in (slice(None), slice(1, 2)):
+        args = (f, guard, x_from[rows], 0.5, 1.0, side[rows], side[rows] * guard(x_from[rows]), x_to[rows],
+                side[rows] * guard(x_to[rows]))
+        assert_refinements_equal_the_stacked_reference([args])
+        outcomes.append(refinement_outcome(EXIT_CROSSING, *args)[0])
+    assert outcomes[0][0] is IntegrationError and "stalled" in outcomes[0][1]
+    assert abs(outcomes[1][0][0, 0] - 0.2 ** (1 / 3)) < 1e-9
 
 
 def velocity_system(field: str) -> MultiDomainSystem:
