@@ -27,6 +27,7 @@ _EXPORTS = {
     ),
     "model": (
         "AffineField",
+        "AffineGuard",
         "Domain",
         "FeedbackLaw",
         "MultiDomainSystem",

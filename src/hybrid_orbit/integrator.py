@@ -16,6 +16,13 @@ states stacked and a finiteness check of the states and the guard values.
 Each step is tested as one-at-a-time stepping would test it, so a run
 accepts the steps before the first that crosses or is not finite.
 
+A guard that is an AffineGuard, n . x - d, gives its normal n as dH/dx
+(_guard_gradient) to the rounding floors of the start check and of the
+crossing and to the exit guard rate dH/dx . f, so its flows take no
+finite difference; any other guard is differenced centrally.  Its value
+is not finite wherever the state is not, so its runs scan only the guard
+values for finiteness (_finite_guard).
+
 A base step has one of two forms.  A field that is an AffineField,
 x' = x M' + c, advances by RK4's exact transition, an affine map
 x -> x R + s, in blocks (_block_table, _block): the _MAX_RUN states after
@@ -37,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AffineField, Domain, FeedbackLaw, MultiDomainSystem
+from .model import AffineField, AffineGuard, Domain, FeedbackLaw, MultiDomainSystem
 from .numerics import NumericsError, central_difference
 
 __all__ = [
@@ -225,6 +232,12 @@ def flow_batch(
     the rest of a stage run.  So trajectories, exits and errors are those
     of one-at-a-time stepping bit for bit, and each member's are those of
     its solo flow.
+
+    dH/dx, which the rounding floor of H and the exit guard rate need, is
+    an AffineGuard's normal, and a central difference of any other guard
+    (see _guard_gradient).  An AffineGuard's runs check the finiteness of
+    its guard values alone, which are not finite wherever a state is not;
+    the error raised, and the step it is raised at, are the same.
     """
     x = np.array(x0, dtype=float)
     betas = np.asarray(betas, dtype=float)
@@ -323,16 +336,14 @@ def _run_length(rate, g_val, t, step) -> int:
 
 def _run(step, guard, x, side, n):
     """n stage steps from x, each the map step of _step_map, stacked
-    step-major as (n, B, m), and the signed guard values of the steps
-    before the first one with a non-finite state or guard value."""
+    step-major as (n, B, m), and the (n', B) signed guard values of the
+    steps before the first one with a non-finite state or guard value.
+    For an AffineGuard only the guard values are scanned (see
+    _finite_guard)."""
     xs = np.empty((n,) + x.shape)
     for k in range(n):
         x = xs[k] = step(x)
-    n_finite = _leading(np.isfinite(xs).all(axis=(1, 2)))
-    if not n_finite:
-        return xs, np.empty((0, x.shape[0]))
-    g = side * guard(xs[:n_finite].reshape(-1, x.shape[1])).reshape(n_finite, -1)
-    return xs, g[: _leading(np.isfinite(g).all(axis=1))]
+    return xs, _finite_guard(guard, side, xs, 0)
 
 
 def _step_map(f, consts):
@@ -392,7 +403,8 @@ def _block(table, s, guard, side, x):
     """The (B, L, m) states of the L transition steps from the (B, m)
     anchor states x, for the table and step offsets s of _block_table, and
     their (B, n) signed guard values up to the first step at which some
-    member's state or guard value is not finite.
+    member's state or guard value is not finite.  For an AffineGuard only
+    the guard values are scanned (see _finite_guard).
 
     The states are one batched product of each row [x_b, s_b] with the
     table.  np.matmul takes the same product for every row whatever B is;
@@ -403,11 +415,32 @@ def _block(table, s, guard, side, x):
     n_members, m = x.shape
     xs = np.matmul(np.concatenate([x, s], axis=1)[:, None, :], table).reshape(n_members, -1, m)
     xs += x[:, None, :]
-    n = _leading(np.isfinite(xs).all(axis=(0, 2)))
+    return xs, _finite_guard(guard, side, xs, 1)
+
+
+def _finite_guard(guard, side, xs, axis):
+    """The signed guard values side * H of the states xs, whose steps lie
+    along axis 0 of a (n, B, m) run or axis 1 of a (B, n, m) block, up to
+    the first step at which some member's state or guard value is not
+    finite, with the steps along the same axis.
+
+    The states are scanned for finiteness first, and the guard takes only
+    the steps before the first non-finite one.  An AffineGuard skips that
+    scan: its value at a state with an entry that is not finite is not
+    finite (inf times any entry of the normal, 0 included, and NaN
+    propagate), so the scan of its values finds the same step.
+    """
+    members = 1 - axis
+    if isinstance(guard, AffineGuard):
+        n = xs.shape[axis]
+    else:
+        n = _leading(np.isfinite(xs).all(axis=(members, 2)))
+    head = xs[:n] if axis == 0 else xs[:, :n]
     if not n:
-        return xs, np.empty((n_members, 0))
-    g = side[:, None] * guard(xs[:, :n].reshape(-1, m)).reshape(n_members, n)
-    return xs, g[:, : _leading(np.isfinite(g).all(axis=0))]
+        return np.empty(head.shape[:2])
+    g = (side[:, None] if axis else side) * guard(head.reshape(-1, xs.shape[2])).reshape(head.shape[:2])
+    n = _leading(np.isfinite(g).all(axis=members))
+    return g[:n] if axis == 0 else g[:, :n]
 
 
 def _leading(mask: np.ndarray) -> int:
@@ -434,15 +467,25 @@ def _raise_non_finite(x: np.ndarray, t: float, g) -> None:
         raise NonFinite(f"guard value became non-finite near t = {t:.6g}")
 
 
+def _guard_gradient(guard, x: np.ndarray) -> np.ndarray:
+    """dH/dx at each row of the (B, m) stack x: an AffineGuard's normal,
+    broadcast to the rows, and for any other guard the central difference
+    of relative step 1e-7 at the rows."""
+    if isinstance(guard, AffineGuard):
+        return guard.normal[None].repeat(len(x), axis=0)
+    return central_difference(guard, x, 1e-7)[:, 0]
+
+
 def _guard_floor(guard, x: np.ndarray) -> np.ndarray:
     """The rounding floor of the guard at each row of the stack x.
 
     That is _FLOOR_ULPS ulps of sum_j |dH/dx_j| max(1, max_j |x_j|), which
     bounds the rounding error of an affine H = n . x - d evaluated at x.
-    dH/dx is the central difference of relative step 1e-7 at the rows.
+    dH/dx is read from _guard_gradient: exact for an AffineGuard, with no
+    guard call, and a central difference for any other guard.
     """
     scale = np.maximum(1.0, np.abs(x).max(axis=1))[:, None]
-    grad = central_difference(guard, x, 1e-7)[:, 0] * scale
+    grad = _guard_gradient(guard, x) * scale
     return _FLOOR_ULPS * np.finfo(float).eps * np.abs(grad).sum(axis=1)
 
 
@@ -466,10 +509,10 @@ def _exit_crossing(f, guard, x_from, t_from, step, side, g_from, x_to, g_to):
     only once some end is within _GUARD_TOL.  Every member is stepped on
     every iteration, so the brackets are updated under masks over the
     whole stack, each end's tau, weight, |g| and state in an array of its
-    own, updated in place.  The guard rate at the exit is the central
-    difference, step 1e-7, of s -> H(x_b + s f_b) at the (B, 1) stack
-    s = 0; a rate that is NaN or infinite raises NonFinite at the exit
-    time.
+    own, updated in place.  The guard rate at the exit is
+    dH/dx . f(x_hit), with dH/dx from _guard_gradient; a rate that is NaN
+    or infinite raises NonFinite at the exit time.  So a flow with an
+    AffineGuard takes no finite difference.
     """
     width = 4.0 * np.finfo(float).eps * step
     tau_lo, tau_hi = np.zeros(len(x_from)), np.full(len(x_from), step, dtype=float)
@@ -526,12 +569,7 @@ def _exit_crossing(f, guard, x_from, t_from, step, side, g_from, x_to, g_to):
             f"guard crossed at t = {t_exit[np.argmax(early)]:.3e}, below the minimum duration "
             f"{_MIN_PHASE_DURATION:.3e}"
         )
-    field = f(x_hit)
-    rate = central_difference(
-        lambda s: guard((x_hit + s.reshape(2, -1, 1) * field).reshape(-1, x_hit.shape[1])),
-        np.zeros((x_hit.shape[0], 1)),
-        1e-7,
-    )[:, 0, 0]
+    rate = (_guard_gradient(guard, x_hit) * f(x_hit)).sum(axis=1)
     bad = ~np.isfinite(rate)
     if bad.any():
         _raise_non_finite(x_hit, t_exit[np.argmax(bad)], rate)

@@ -20,6 +20,7 @@ from .numerics import central_difference
 
 __all__ = [
     "AffineField",
+    "AffineGuard",
     "SectionChart",
     "Domain",
     "MultiDomainSystem",
@@ -84,13 +85,43 @@ class AffineField:
         return X.dot(self._drift_t) + self.control
 
 
+@dataclass(frozen=True, eq=False)
+class AffineGuard:
+    """The affine guard n . x - d: guard(X) = (X * normal).sum(axis=1) - offset.
+
+    normal is the finite (m,) vector n and offset the finite number d; the
+    switching surface is the hyperplane n . x = d.  Each row of guard(X)
+    has the same bits whatever B is; X.dot(normal) - offset sums in
+    another order and can round differently.  A phase flow reads
+    dH/dx = n instead of differencing the guard, and checks the guard
+    values alone for overflow: a row with an entry that is not finite has
+    a guard value that is not finite, since n and d are finite.
+    """
+
+    normal: np.ndarray
+    offset: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "normal", np.asarray(self.normal, dtype=float))
+        object.__setattr__(self, "offset", float(self.offset))
+        if self.normal.ndim != 1 or not np.isfinite(self.normal).all():
+            raise ValueError(f"normal must be a finite 1-D vector, got shape {self.normal.shape}")
+        if not np.isfinite(self.offset):
+            raise ValueError(f"offset must be finite, got {self.offset!r}")
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        return (X * self.normal).sum(axis=1) - self.offset
+
+
 @dataclass(frozen=True)
 class Domain:
     """One continuous phase and its exit transition.
 
     guard maps a (B, state_dim) state stack to its (B,) guard values, and
     reset maps it row by row to the (B, state_dim) states entering the
-    next domain; a single state x is the stack x[None].  A matrix reset is
+    next domain; a single state x is the stack x[None].  An affine guard
+    should be an AffineGuard: flows then read its normal as dH/dx, where
+    any other guard is differenced centrally.  A matrix reset is
     matvec_rows(R, X): the row form lambda x: R @ x runs on the wrong
     axis.  drift, input_map and controller take one state.  batch_field
     is an optional stacked form of the closed phase field:

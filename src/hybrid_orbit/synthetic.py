@@ -15,7 +15,7 @@ from importlib import resources
 import numpy as np
 
 from .jsonio import FormatError, _json_text, _number, matrix_from_obj, matrix_to_obj, vector_from_obj, vector_to_obj
-from .model import AffineField, Domain, MultiDomainSystem, PeriodicOrbit, affine_chart_matrices, affine_section_chart, matvec_rows
+from .model import AffineField, AffineGuard, Domain, MultiDomainSystem, PeriodicOrbit, affine_chart_matrices, affine_section_chart, matvec_rows
 from .numerics import PhaseJacobians, compose_jacobians, spectral_radius
 from . import synthesis
 
@@ -348,7 +348,7 @@ def _assemble(profile: str, linear_phases: tuple[LinearPhase, ...]) -> Synthetic
                 drift=lambda x, m=ph.drift: m @ x,
                 input_map=lambda x, g=ph.input_map: g,
                 controller=lambda x, beta, w=ph.beta_coupling: w @ beta,
-                guard=lambda x, n=ph.guard_normal, d=ph.guard_offset: (x * n).sum(axis=1) - d,
+                guard=AffineGuard(ph.guard_normal, ph.guard_offset),
                 reset=lambda X, r=ph.reset: matvec_rows(r, X),
                 exit_chart=affine_section_chart(ph.guard_normal, ph.guard_offset),
                 batch_field=_linear_batch_field(ph.drift, ph.input_map @ ph.beta_coupling),

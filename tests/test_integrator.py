@@ -20,7 +20,7 @@ from hybrid_orbit.integrator import (
     section_step,
     simulate_cycle,
 )
-from hybrid_orbit.model import AffineField, Domain, FeedbackLaw, MultiDomainSystem, SectionChart
+from hybrid_orbit.model import AffineField, AffineGuard, Domain, FeedbackLaw, MultiDomainSystem, SectionChart
 from hybrid_orbit.numerics import central_difference
 from hybrid_orbit.poincare import phase_jacobians
 from hybrid_orbit.synthetic import CATALOG, from_catalog, synthetic_from_obj, synthetic_to_obj
@@ -269,16 +269,19 @@ def test_receding_guard_raises_no_crossing():
 
 
 def test_on_guard_start_rejected():
-    dom = autonomous(lambda x: np.array([1.0]), lambda X: X[:, 0], 1)
-    with pytest.raises(ValueError, match="interior"):
-        flow_one(dom, [0.0], np.zeros(0), IntegratorConfig())
-    # One ulp off a guard at 1e8, |H| = 1.5e-8 is above _GUARD_TOL but within
-    # the rounding floor of evaluating H there.
-    dom = autonomous(lambda x: np.array([1.0]), lambda X: X[:, 0] - 1e8, 1)
-    with pytest.raises(ValueError, match="interior"):
-        flow_one(dom, [np.nextafter(1e8, 0.0)], np.zeros(0), IntegratorConfig())
-    _, t_exit = flow_one(dom, [1e8 - 1e-3], np.zeros(0), IntegratorConfig())
-    assert abs(t_exit - 1e-3) < 1e-7
+    # Under the guard x - d as a lambda and as an AffineGuard, whose
+    # rounding floor comes from its exact normal.
+    for guard in (lambda d: (lambda X: X[:, 0] - d), lambda d: AffineGuard([1.0], d)):
+        dom = autonomous(lambda x: np.array([1.0]), guard(0.0), 1)
+        with pytest.raises(ValueError, match="interior"):
+            flow_one(dom, [0.0], np.zeros(0), IntegratorConfig())
+        # One ulp off a guard at 1e8, |H| = 1.5e-8 is above _GUARD_TOL but
+        # within the rounding floor of evaluating H there.
+        dom = autonomous(lambda x: np.array([1.0]), guard(1e8), 1)
+        with pytest.raises(ValueError, match="interior"):
+            flow_one(dom, [np.nextafter(1e8, 0.0)], np.zeros(0), IntegratorConfig())
+        _, t_exit = flow_one(dom, [1e8 - 1e-3], np.zeros(0), IntegratorConfig())
+        assert abs(t_exit - 1e-3) < 1e-7
 
 
 def test_early_crossing_raises_chattering(monkeypatch):
@@ -625,6 +628,51 @@ def test_affine_field_keeps_the_bits_of_the_stacked_lambda(request, name):
     for drift, control in misshaped:
         with pytest.raises(ValueError, match="has shape"):
             AffineField(drift, control)
+
+
+@pytest.mark.parametrize("name", CATALOG + ("unstable-3", "rebuilt"))
+def test_affine_guard_keeps_the_bits_of_the_catalog_lambda(request, name):
+    # The catalog guard was the lambda (x * n).sum(axis=1) - d; as an
+    # AffineGuard it gives the same bits on one row, on a stack and on the
+    # (B L, m) rows of an 11-member block.  A normal that is not a finite
+    # vector, or an offset that is not finite, is refused.
+    model = catalog_model(request, name)
+    rng = np.random.default_rng(19)
+    for ph, dom in zip(model.phases, model.system.domains):
+        assert isinstance(dom.guard, AffineGuard)
+        for n_rows in (1, 11, 11 * integrator._MAX_RUN):
+            x = ph.start_state + rng.normal(size=(n_rows, 3))
+            assert np.array_equal(dom.guard(x), (x * ph.guard_normal).sum(axis=1) - ph.guard_offset)
+    refused = [(np.ones((1, 3)), 0.0), (1.0, 0.0), ([1.0, np.nan, 0.0], 0.0), ([np.inf, 0.0], 0.0),
+               ([1.0, 0.0], np.nan), ([1.0, 0.0], -np.inf)]
+    for normal, offset in refused:
+        with pytest.raises(ValueError, match=r"^(normal must be a finite 1-D vector|offset must be finite)"):
+            AffineGuard(normal, offset)
+
+
+def test_an_affine_guard_flow_takes_no_finite_difference(stable3, monkeypatch):
+    # Ten closed-loop stable-3 cycles read every guard gradient from the
+    # normal.  The same guards hidden in lambdas take the central
+    # difference, and the states keep their bits.
+    gains = synthesis.dlqr_gains(list(stable3.jacobians))
+    law = FeedbackLaw(gains=tuple(gains.gains), orbit=stable3.orbit)
+    x0 = stable3.orbit.fixed_points[-1] + 1e-2 * np.array([0.6, 0.8])
+    cfg = IntegratorConfig(base_step=2e-3)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[1].shape)
+        return central_difference(*args, **kwargs)
+
+    monkeypatch.setattr(integrator, "central_difference", spy)
+    states = simulate_cycle(stable3.system, law, x0, 10, cfg)
+    assert calls == []
+    hidden = MultiDomainSystem(
+        domains=tuple(replace(dom, guard=lambda X, g=dom.guard: g(X)) for dom in stable3.system.domains)
+    )
+    hidden_states = simulate_cycle(hidden, law, x0, 10, cfg)
+    assert len(calls) >= 30  # at least the start check of each flow
+    assert all(np.array_equal(a, b) for a, b in zip(states, hidden_states))
 
 
 @pytest.mark.parametrize("base_step", [5e-3, 2e-3, 1e-2, 5e-2])
@@ -1178,11 +1226,13 @@ def test_a_nan_trial_guard_value_equals_the_stacked_reference():
     assert abs(outcomes[1][0][0, 0] - 0.2 ** (1 / 3)) < 1e-9
 
 
-def velocity_system(field: str) -> MultiDomainSystem:
+def velocity_system(field: str, guard: str = "lambda") -> MultiDomainSystem:
     """One domain moving at constant velocity beta from x1 = 1 - y to the
     guard x1 = 1, where y is the section coordinate; x2 is carried along.
     Its field is "lifted" from the scalar callables, a "batch-callable" or
-    an "affine" AffineField, which advances in blocks."""
+    an "affine" AffineField, which advances in blocks.  Its guard is the
+    "lambda" X[:, 0] - 1 or the "affine" AffineGuard of normal (1, 0),
+    whose value is NaN once x2 overflows (inf * 0)."""
     dom = Domain(
         state_dim=2,
         control_dim=2,
@@ -1190,7 +1240,7 @@ def velocity_system(field: str) -> MultiDomainSystem:
         drift=lambda x: np.zeros(2),
         input_map=lambda x: np.eye(2),
         controller=lambda x, beta: beta,
-        guard=lambda X: X[:, 0] - 1.0,
+        guard=AffineGuard([1.0, 0.0], 1.0) if guard == "affine" else lambda X: X[:, 0] - 1.0,
         reset=lambda X: np.column_stack([1.0 - X[:, 1], X[:, 1]]),
         exit_chart=SectionChart(
             k=1,
@@ -1224,17 +1274,24 @@ BAD_MEMBERS = {
 # "non-finite" member's first step, so an affine field reaches that guard;
 # its overflow is the late case.
 BAD_MEMBER_RUNS = [
-    (case, field)
+    (case, field, guard)
     for case in BAD_MEMBERS
     for field in ("batch-callables", "lifted", "affine")
+    for guard in ("lambda", "affine")
     if (case, field) != ("non-finite", "affine")
 ]
 
 
-@pytest.mark.parametrize("case, field", BAD_MEMBER_RUNS, ids=["-".join(run) for run in BAD_MEMBER_RUNS])
-def test_one_bad_member_fails_the_batch_like_a_solo_run(monkeypatch, case, field):
+@pytest.mark.parametrize(
+    "case, field, guard",
+    BAD_MEMBER_RUNS,
+    ids=[f"{case}-{field}" + ("-affine-guard" if guard == "affine" else "") for case, field, guard in BAD_MEMBER_RUNS],
+)
+def test_one_bad_member_fails_the_batch_like_a_solo_run(monkeypatch, case, field, guard):
+    # Under either guard form the batch raises the error of the bad
+    # member's solo run under the lambda guard, type and text.
     set_constants(monkeypatch, _GUARD_TOL=1e-14, _MIN_PHASE_DURATION=1e-2, _MAX_PHASE_DURATION=5.0)
-    system = velocity_system(field)
+    system = velocity_system(field, guard)
     cfg = IntegratorConfig(base_step=1e-2)
     y_bad, beta_bad, error = BAD_MEMBERS[case]
     y = np.array([[0.5], [1.0], [y_bad], [1.5]])
@@ -1243,13 +1300,14 @@ def test_one_bad_member_fails_the_batch_like_a_solo_run(monkeypatch, case, field
     y_out, t_out = section_step(system, 0, y[good], betas[good], cfg)
     assert np.allclose(t_out, [0.5, 0.5, 3.0])
     with pytest.raises(error) as solo:
-        section_step(system, 0, y[2:3], betas[2:3], cfg)
-    with pytest.raises(error) as batch:
-        section_step(system, 0, y, betas, cfg)
-    assert type(batch.value) is type(solo.value)
-    assert str(batch.value) == str(solo.value)
-    assert batch.value.phase == 0
-    assert str(batch.value).startswith("phase 0: ")
+        section_step(velocity_system(field), 0, y[2:3], betas[2:3], cfg)
+    for stack in (slice(2, 3), slice(None)):
+        with pytest.raises(error) as run:
+            section_step(system, 0, y[stack], betas[stack], cfg)
+        assert type(run.value) is type(solo.value)
+        assert str(run.value) == str(solo.value)
+        assert run.value.phase == 0
+        assert str(run.value).startswith("phase 0: ")
 
 
 def test_stacks_of_the_wrong_shape_are_refused():

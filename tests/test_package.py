@@ -73,13 +73,14 @@ def test_readme_library_quick_start_runs():
 # Every name the package exported when it imported all its modules eagerly,
 # by the module it was imported from then, less apply_reset, which was deleted
 # when the impact maps came to take stacks, plus AffineField, the typed field
-# that phase flows step by its RK4 transition.
+# that phase flows step by its RK4 transition, and AffineGuard, the typed
+# guard whose normal phase flows read instead of differencing it.
 EXPORTED = {
     "impacts": ("ImpactModel", "relabel", "rigid_impact"),
     "integrator": ("Chattering", "IntegrationError", "IntegratorConfig", "NoCrossing", "NonFinite",
                    "NonTransversal", "flow_batch", "simulate_cycle"),
-    "model": ("AffineField", "Domain", "FeedbackLaw", "MultiDomainSystem", "PeriodicOrbit", "SectionChart",
-              "affine_section_chart", "chart_from_guard", "validate_c1_c2"),
+    "model": ("AffineField", "AffineGuard", "Domain", "FeedbackLaw", "MultiDomainSystem", "PeriodicOrbit",
+              "SectionChart", "affine_section_chart", "chart_from_guard", "validate_c1_c2"),
     "numerics": ("NumericsError", "dare_solve", "dlqr_gain", "eigenvalues", "max_abs_entry", "pinv",
                  "spectral_norm", "spectral_radius"),
     "poincare": ("FixedPointError", "PhaseJacobians", "compose_jacobians", "orbit_and_jacobians",
@@ -94,7 +95,7 @@ EXPORTED = {
 
 def test_the_lazy_package_serves_every_exported_name():
     names = [name for group in EXPORTED.values() for name in group]
-    assert len(names) == 52 and sorted(hybrid_orbit.__all__) == sorted(names)
+    assert len(names) == 53 and sorted(hybrid_orbit.__all__) == sorted(names)
     listed = dir(hybrid_orbit)
     for module, group in EXPORTED.items():
         home = importlib.import_module(f"hybrid_orbit.{module}")
