@@ -41,12 +41,9 @@ _EXPORTS = {
         "NumericsError",
         "PhaseJacobians",
         "compose_jacobians",
-        "dare_solve",
-        "dlqr_gain",
         "eigenvalues",
         "max_abs_entry",
         "pinv",
-        "spectral_norm",
         "spectral_radius",
     ),
     "poincare": ("FixedPointError", "orbit_and_jacobians", "phase_jacobians", "refine_fixed_point"),
@@ -55,8 +52,6 @@ _EXPORTS = {
         "StabilityReport",
         "SynthesisError",
         "TheoremCertificate",
-        "certify_theorem3",
-        "certify_theorem4",
         "designed_jacobians",
         "dlqr_gains",
         "scale_factor_gains",

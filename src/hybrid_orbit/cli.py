@@ -66,7 +66,11 @@ def _synthesize_arguments(synth) -> None:
         help="gain-design method",
     )
     synth.add_argument("--msym", help="JSON file with the symmetric target matrix")
-    synth.add_argument("--eta", type=float, help="scale-factor safety margin in (0, 1]")
+    synth.add_argument(
+        "--eta", type=float,
+        help="scale-factor safety margin in (0, 1] (default 1, which puts each designed "
+        "factor's largest entry exactly on theorem 4's 1/k, so rounding decides that verdict)",
+    )
     synth.add_argument("--q", type=float, help="DLQR state weight (Q = q I)")
     synth.add_argument("--r", type=float, help="DLQR input weight (R = r I)")
     synth.add_argument(

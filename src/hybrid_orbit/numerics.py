@@ -18,12 +18,9 @@ __all__ = [
     "as_matrix",
     "eigenvalues",
     "spectral_radius",
-    "spectral_norm",
     "max_abs_entry",
     "pinv",
     "central_difference",
-    "dare_solve",
-    "dlqr_gain",
 ]
 
 
@@ -113,15 +110,6 @@ def spectral_radius(m) -> float:
     return float(np.abs(_eigvals(m)).max())
 
 
-def spectral_norm(m) -> float:
-    """Largest singular value (the matrix 2-norm)."""
-    m = as_matrix(m)
-    try:
-        return float(np.linalg.svd(m, compute_uv=False)[0])
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"SVD did not converge: {exc}") from exc
-
-
 def max_abs_entry(m) -> float:
     """Largest entry magnitude.  n * max_abs_entry(m) is a matrix norm."""
     return float(np.abs(as_matrix(m)).max())
@@ -171,11 +159,11 @@ def _check_weight(q: np.ndarray, name: str, definite: bool) -> np.ndarray:
     return 0.5 * (q + q.T)
 
 
-def _lq_problem(a, b, q, r, who: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _lq_problem(a, b, q, r) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Validated (A, B, Q, R): A square, B with A's rows, Q symmetric positive
     semi-definite and R symmetric positive definite (both returned
     symmetrized), sized to match A and B."""
-    a = _require_square(a, who)
+    a = _require_square(a, "DLQR")
     b = as_matrix(b)
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"B has {b.shape[0]} rows, expected {a.shape[0]}")
@@ -188,8 +176,10 @@ def _lq_problem(a, b, q, r, who: str) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return a, b, q, r
 
 
-def dare_solve(a, b, q, r) -> np.ndarray:
-    """Stabilizing solution P of the discrete algebraic Riccati equation.
+def _dare(a, b, q, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stabilizing solution P of the discrete algebraic Riccati equation of
+    a problem _lq_problem validated, and the residual Res(P) and gain K of
+    its final check.
 
     P = A'PA - A'PB (B'PB + R)^-1 B'PA + Q, found in two steps:
 
@@ -201,20 +191,14 @@ def dare_solve(a, b, q, r) -> np.ndarray:
        doubling steps (a handful suffice on stabilizable input).
     2. One Newton (Hewer) step in correction form: with K and A - BK from
        H, solve the Stein equation X - (A - BK)' X (A - BK) = Res(H), where
-       Res is the Riccati residual, and return H + X.
+       Res is the Riccati residual, and take P = H + X.
 
     A diverging or non-finite iterate, a singular solve or running out of
     steps is reported as unstabilizable or ill-conditioned rather than
     returning a wrong answer; the residual of the returned P is checked
     independently of the iteration.  That final check computes Res(P) and
-    the gain K = (B'PB + R)^-1 B'PA; dlqr_gain returns that same K.
+    the gain K = (B'PB + R)^-1 B'PA.
     """
-    return _dare(*_lq_problem(a, b, q, r, "dare_solve"))[0]
-
-
-def _dare(a, b, q, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """dare_solve of a problem _lq_problem validated: P, and the residual
-    Res(P) and gain K of its final check."""
     n = a.shape[0]
     eye = np.eye(n)
     failure = "Riccati {}: (A, B) unstabilizable or ill-conditioned"
@@ -269,21 +253,15 @@ def _dare_residual(a, b, q, r, p) -> tuple[np.ndarray, np.ndarray]:
     return a.T @ p @ a - (btp @ a).T @ gain + q - p, gain
 
 
-def dlqr_gain(a, b, q, r) -> np.ndarray:
-    """Discrete LQR gain K = (B'PB + R)^-1 B'PA with P from dare_solve.
-
-    P is the doubling solution after one Newton correction (see
-    dare_solve), and K is the gain its final residual check computed, so
-    K is the optimal gain to the residual bound checked there.  The
-    closed loop A - B K is verified to be a strict contraction.
-    """
-    return _dlqr(*_lq_problem(a, b, q, r, "dlqr_gain"))[0]
-
-
 def _dlqr(a, b, q, r) -> tuple[np.ndarray, float]:
-    """dlqr_gain of a problem _lq_problem validated: the gain and the
-    relative Riccati residual of its P, max|Res(P)| / max(1, max|P|), the
-    quantity dare_solve bounds by 1e-8."""
+    """Discrete LQR gain K = (B'PB + R)^-1 B'PA of a problem _lq_problem
+    validated, and the relative Riccati residual of its P, max|Res(P)| /
+    max(1, max|P|), the quantity _dare bounds by 1e-8.
+
+    K is the gain of _dare's final residual check, so it is the optimal
+    gain to the residual bound checked there.  The closed loop A - B K is
+    verified to be a strict contraction.
+    """
     p, res, gain = _dare(a, b, q, r)
     rho = spectral_radius(a - b @ gain)
     if rho >= 1.0:

@@ -8,7 +8,7 @@ synthesis pipeline by verify_paper().
 
 import inspect
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from importlib import resources
 
 import numpy as np
@@ -20,7 +20,6 @@ from . import numerics, synthesis
 __all__ = [
     "PaperFixture",
     "paper_fixture",
-    "corrupt",
     "FixtureCheck",
     "FixtureReport",
     "CHECK_FIELDS",
@@ -65,22 +64,6 @@ def paper_fixture() -> PaperFixture:
         else:
             values[field.name] = matrix_from_obj(entry, field.name)
     return PaperFixture(**values)
-
-
-def corrupt(fixture: PaperFixture, field_name: str, index=None) -> PaperFixture:
-    """Return a copy of the fixture with one entry shifted by 0.1."""
-    valid = {f.name for f in fields(PaperFixture)}
-    if field_name not in valid:
-        raise ValueError(f"unknown fixture field {field_name!r}")
-    value = getattr(fixture, field_name)
-    if isinstance(value, float):
-        return replace(fixture, **{field_name: value + 0.1})
-    value = value.copy()
-    if field_name == "eigenvalues":
-        value[0 if index is None else index] += 0.1
-    else:
-        value[(0, 0) if index is None else tuple(index)] += 0.1
-    return replace(fixture, **{field_name: value})
 
 
 @dataclass

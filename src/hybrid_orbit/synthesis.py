@@ -42,8 +42,6 @@ __all__ = [
     "symmetric_matrix_gains",
     "scale_factor_gains",
     "dlqr_gains",
-    "certify_theorem3",
-    "certify_theorem4",
     "certify_designed",
     "stability_report",
 ]
@@ -231,8 +229,9 @@ def dlqr_gains(
     strictly below 1 / k (larger Q shrinks the designed Jacobian); the
     applied scale is reported per phase.  The residual of each phase is
     the relative Riccati residual max|Res(P)| / max(1, max|P|) of its
-    final gain.  Each Q_i and R_i is checked once, as dlqr_gain checks
-    them; the tenfold scalings of a checked Q_i are not checked again.
+    final gain.  Each Q_i and R_i is checked once, Q_i symmetric positive
+    semi-definite and R_i symmetric positive definite; the tenfold scalings
+    of a checked Q_i are not checked again.
     """
     pairs = _unpack(jacs)
     n = len(pairs)
@@ -245,7 +244,7 @@ def dlqr_gains(
 
     gains, residuals, scalings = [], [], []
     for idx, ((a, f), q_i, r_i) in enumerate(zip(pairs, q, r)):
-        a, f, q_i, r_i = _lq_problem(a, f, q_i, r_i, "dlqr_gain")
+        a, f, q_i, r_i = _lq_problem(a, f, q_i, r_i)
         k_dim = a.shape[0]
         scale = 1.0
         try:
@@ -275,19 +274,6 @@ def dlqr_gains(
     )
 
 
-def certify_theorem3(designed) -> TheoremCertificate:
-    """Symmetric-contraction certificate.
-
-    Passes when every designed Jacobian is symmetric (within SYMMETRY_TOL =
-    1e-10) with spectral radius below one; the product radius is then
-    below one as well, because for symmetric factors the spectral norm
-    equals the spectral radius and the norm is submultiplicative.  An
-    empty list raises ValueError, and finite factors whose symmetry defect
-    overflows raise NumericsError.
-    """
-    return _theorem3(designed)[0]
-
-
 def _symmetry_defect(m: np.ndarray) -> float:
     """max |m - m.T| of a finite square m; inf where the difference
     overflows, as for entries near the float limit."""
@@ -295,23 +281,43 @@ def _symmetry_defect(m: np.ndarray) -> float:
         return float(np.abs(m - m.T).max())
 
 
-def _square_factor(idx: int, m) -> np.ndarray:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"designed Jacobian {idx} is not square: {m.shape}")
-    return m
+def certify_designed(designed, inexact_design: bool = False) -> StabilityReport:
+    """Both certificates and the product-radius verdict of designed Jacobians.
 
+    The verdict is always the directly computed product radius; the
+    certificates are sufficient conditions layered on top:
 
-def _theorem3(designed) -> tuple[TheoremCertificate, list[np.ndarray]]:
-    """certify_theorem3 and the checked square factors it certified."""
-    per_phase, factors = [], []
+    * theorem 3 passes when every factor is symmetric (within SYMMETRY_TOL
+      = 1e-10) with spectral radius below one; the product radius is then
+      below one as well, because for symmetric factors the spectral norm
+      equals the spectral radius and the norm is submultiplicative;
+    * theorem 4 passes when every entry of every factor is strictly below
+      1 / k.  The strict inequality matters: a chain of matrices with all
+      entries exactly 1 / k has product radius exactly one.
+
+    Every factor is checked to be square, in order, and then to share one
+    dimension, before any is certified; a failed check or an empty list
+    raises ValueError.  Finite factors whose symmetry defect or product
+    overflows raise NumericsError.
+    """
+    factors = []
     for idx, m in enumerate(designed):
-        m = _square_factor(idx, m)
+        m = as_matrix(m)
+        if m.shape[0] != m.shape[1]:
+            raise ValueError(f"designed Jacobian {idx} is not square: {m.shape}")
+        factors.append(m)
+    if not factors:
+        raise ValueError("need at least one designed Jacobian")
+    k_dim = factors[0].shape[0]
+    if any(m.shape[0] != k_dim for m in factors):
+        raise ValueError("designed Jacobians must share one dimension")
+    theorem3, theorem4 = [], []
+    for idx, m in enumerate(factors):
         defect = _symmetry_defect(m)
         if defect == np.inf:
             raise NumericsError(f"symmetry defect of designed Jacobian {idx} overflowed")
         radius = spectral_radius(m)
-        per_phase.append(
+        theorem3.append(
             {
                 "phase": idx,
                 "symmetry_defect": defect,
@@ -319,35 +325,8 @@ def _theorem3(designed) -> tuple[TheoremCertificate, list[np.ndarray]]:
                 "ok": bool(defect <= SYMMETRY_TOL and radius < 1.0),
             }
         )
-        factors.append(m)
-    if not per_phase:
-        raise ValueError("need at least one designed Jacobian")
-    passed = all(entry["ok"] for entry in per_phase)
-    return TheoremCertificate(name="theorem3", passed=passed, per_phase=per_phase), factors
-
-
-def certify_theorem4(designed) -> TheoremCertificate:
-    """Entrywise-bound certificate, strict form.
-
-    Passes when every entry of every designed Jacobian is strictly below
-    1 / k.  The strict inequality matters: a chain of matrices with all
-    entries exactly 1 / k has product radius exactly one.  An empty list
-    raises ValueError.
-    """
-    return _theorem4(_square_factor(idx, m) for idx, m in enumerate(designed))
-
-
-def _theorem4(factors) -> TheoremCertificate:
-    """certify_theorem4 of checked square factors, taken in order."""
-    per_phase = []
-    k_dim = None
-    for idx, m in enumerate(factors):
-        if k_dim is None:
-            k_dim = m.shape[0]
-        elif m.shape[0] != k_dim:
-            raise ValueError("designed Jacobians must share one dimension")
         m_i = float(np.abs(m).max())
-        per_phase.append(
+        theorem4.append(
             {
                 "phase": idx,
                 "max_abs_entry": m_i,
@@ -355,27 +334,6 @@ def _theorem4(factors) -> TheoremCertificate:
                 "ok": bool(m_i < 1.0 / k_dim),
             }
         )
-    if not per_phase:
-        raise ValueError("need at least one designed Jacobian")
-    return TheoremCertificate(
-        name="theorem4",
-        passed=all(entry["ok"] for entry in per_phase),
-        per_phase=per_phase,
-    )
-
-
-def certify_designed(designed, inexact_design: bool = False) -> StabilityReport:
-    """Both certificates and the product-radius verdict of designed Jacobians.
-
-    The verdict is always the directly computed product radius; the
-    certificates are sufficient conditions layered on top.  Finite factors
-    whose product overflows raise NumericsError.
-    """
-    # Theorem 3 first, so that a non-square factor is named by index; its
-    # radii are also the report's per-phase radii, and the factors it
-    # checked feed Theorem 4 and the product.
-    cert_theorem3, factors = _theorem3(designed)
-    cert_theorem4 = _theorem4(factors)
     with np.errstate(over="ignore", invalid="ignore"):
         product = compose_jacobians(factors)
     if not np.isfinite(product).all():
@@ -383,11 +341,11 @@ def certify_designed(designed, inexact_design: bool = False) -> StabilityReport:
     product_radius = spectral_radius(product)
     return StabilityReport(
         designed=designed,
-        per_phase_radius=[entry["radius"] for entry in cert_theorem3.per_phase],
+        per_phase_radius=[entry["radius"] for entry in theorem3],
         product=product,
         product_radius=product_radius,
-        cert_theorem3=cert_theorem3,
-        cert_theorem4=cert_theorem4,
+        cert_theorem3=TheoremCertificate("theorem3", all(e["ok"] for e in theorem3), theorem3),
+        cert_theorem4=TheoremCertificate("theorem4", all(e["ok"] for e in theorem4), theorem4),
         stable=bool(product_radius < 1.0),
         inexact_design=inexact_design,
     )

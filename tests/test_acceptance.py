@@ -19,18 +19,16 @@ from hybrid_orbit.integrator import IntegratorConfig, simulate_cycle
 from hybrid_orbit.model import FeedbackLaw
 from hybrid_orbit.numerics import (
     central_difference,
-    dare_solve,
-    dlqr_gain,
     eigenvalues,
     max_abs_entry,
     pinv,
-    spectral_norm,
     spectral_radius,
 )
-from hybrid_orbit.paper import CHECK_FIELDS, K1_EXCLUDED_ENTRY, corrupt, paper_fixture, verify_paper
+from hybrid_orbit.paper import CHECK_FIELDS, K1_EXCLUDED_ENTRY, paper_fixture, verify_paper
 from hybrid_orbit.poincare import orbit_and_jacobians, phase_jacobians, refine_fixed_point
 from hybrid_orbit.synthetic import CATALOG, from_catalog
 from hybrid_orbit import synthesis
+from helpers import corrupt, dare
 
 
 ACCURATE = IntegratorConfig(base_step=2e-3)
@@ -167,7 +165,7 @@ def test_criterion_05_symmetric_contraction_suite():
             m = 0.5 * (m + m.T)
             m *= rng.uniform(0.05, 0.999) / spectral_radius(m)
             chain.append(m)
-        assert synthesis.certify_theorem3(chain).passed
+        assert synthesis.certify_designed(chain).cert_theorem3.passed
         product = np.eye(dim)
         for m in chain:
             product = m @ product
@@ -177,7 +175,7 @@ def test_criterion_05_symmetric_contraction_suite():
     for _ in range(200):
         m = rng.normal(size=(5, 5))
         m = 0.5 * (m + m.T)
-        norm_defect = max(norm_defect, abs(spectral_norm(m) - spectral_radius(m)))
+        norm_defect = max(norm_defect, abs(np.linalg.norm(m, 2) - spectral_radius(m)))
     ok = trials == 1000 and norm_defect < 1e-10
     report_line(5, ok, f"{trials} symmetric chains contract; norm defect {norm_defect:.1e}")
     assert ok
@@ -193,7 +191,7 @@ def test_criterion_06_entrywise_bound_suite():
             m = rng.uniform(-1.0, 1.0, (dim, dim))
             m *= rng.uniform(0.2, 0.99) / (dim * np.max(np.abs(m)))
             chain.append(m)
-        assert synthesis.certify_theorem4(chain).passed
+        assert synthesis.certify_designed(chain).cert_theorem4.passed
         product = np.eye(dim)
         for m in chain:
             product = m @ product
@@ -272,12 +270,12 @@ def test_criterion_09_riccati_certification():
         b = rng.normal(size=(n, m))
         q = np.eye(n)
         r = np.eye(m)
-        p = dare_solve(a, b, q, r)
+        p = dare(a, b, q, r)
         gain = np.linalg.solve(b.T @ p @ b + r, b.T @ p @ a)
         residual = max_abs_entry(a.T @ p @ a - (b.T @ p @ a).T @ gain + q - p)
         worst_residual = max(worst_residual, residual)
         assert residual < 1e-8
-        assert spectral_radius(a - b @ dlqr_gain(a, b, q, r)) < 1.0
+        assert spectral_radius(a - b @ synthesis.dlqr_gains([(a, b)], [q], [r]).gains[0]) < 1.0
 
     worst_lyap = 0.0
     for _ in range(20):
@@ -285,7 +283,7 @@ def test_criterion_09_riccati_certification():
         a = rng.normal(size=(n, n))
         a *= 0.8 / spectral_radius(a)
         q = np.eye(n)
-        p = dare_solve(a, np.zeros((n, 1)), q, np.eye(1))
+        p = dare(a, np.zeros((n, 1)), q, np.eye(1))
         vec_p = np.linalg.solve(np.eye(n * n) - np.kron(a.T, a.T), q.flatten(order="F"))
         worst_lyap = max(worst_lyap, max_abs_entry(p - vec_p.reshape(n, n, order="F")))
         assert worst_lyap < 1e-9

@@ -244,11 +244,14 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
         capsys.readouterr()
         assert run(["certify", "-i", bad, "-o", out]) == 2
         assert "input.report" in capsys.readouterr().err
-    # A non-square factor is named by index before any eigenvalue is
-    # taken, and an entry path starts at the document root.
+    # A non-square factor is named by index, and factors of two sizes are
+    # refused, before any eigenvalue is taken; an entry path starts at the
+    # document root.
     for doc, message in (
         ({"designed": [{"rows": 1, "cols": 2, "data": [1, 2]}]},
          "designed Jacobian 0 is not square: (1, 2)"),
+        ({"designed": [matrix_to_obj(0.5 * np.eye(2)), matrix_to_obj(0.5 * np.eye(3))]},
+         "designed Jacobians must share one dimension"),
         ({"designed": [{"rows": 1, "cols": 1, "data": [True]}]},
          "input.designed[0].data[0]: non-numeric entry True"),
         ({"report": {"designed": [matrix_to_obj(np.eye(2)), {"rows": 1, "cols": 1, "data": ["x"]}]}},

@@ -13,7 +13,7 @@ from hybrid_orbit.integrator import IntegratorConfig, simulate_cycle
 from hybrid_orbit.jsonio import FormatError
 from hybrid_orbit.model import affine_chart_matrices
 from hybrid_orbit.numerics import spectral_radius
-from hybrid_orbit.paper import CHECK_FIELDS, K1_EXCLUDED_ENTRY, PaperFixture, corrupt, paper_fixture, verify_paper
+from hybrid_orbit.paper import CHECK_FIELDS, K1_EXCLUDED_ENTRY, PaperFixture, paper_fixture, verify_paper
 from hybrid_orbit.poincare import compose_jacobians, phase_jacobians, refine_fixed_point
 from hybrid_orbit.synthetic import (
     CATALOG,
@@ -23,6 +23,7 @@ from hybrid_orbit.synthetic import (
     synthetic_from_obj,
     synthetic_to_obj,
 )
+from helpers import corrupt
 
 
 # ------------------------------------------------------------- fixture checks

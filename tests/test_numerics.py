@@ -7,14 +7,13 @@ from scipy.linalg import solve_discrete_are
 from hybrid_orbit.numerics import (
     NumericsError,
     central_difference,
-    dare_solve,
-    dlqr_gain,
     eigenvalues,
     max_abs_entry,
     pinv,
-    spectral_norm,
     spectral_radius,
 )
+from hybrid_orbit.synthesis import dlqr_gains
+from helpers import dare
 
 
 def cofactor_det(m: np.ndarray) -> float:
@@ -122,30 +121,6 @@ def test_spectral_radius_equals_the_sorted_spectrum_maximum():
         spectral_radius(np.ones((2, 3)))
     with pytest.raises(NumericsError, match="overflowed"):
         spectral_radius(np.full((2, 2), 1e308))
-
-
-# -------------------------------------------------------------- spectral norm
-
-
-def test_spectral_norm_diag():
-    assert abs(spectral_norm(np.diag([2.0, -3.0])) - 3.0) < 1e-12
-
-
-def test_spectral_norm_equals_radius_for_symmetric():
-    rng = np.random.default_rng(13)
-    for _ in range(30):
-        m = rng.normal(size=(5, 5))
-        m = 0.5 * (m + m.T)
-        assert abs(spectral_norm(m) - spectral_radius(m)) < 1e-10
-
-
-def test_spectral_norm_submultiplicative():
-    rng = np.random.default_rng(17)
-    for _ in range(30):
-        m = rng.normal(size=(4, 4))
-        n = rng.normal(size=(4, 4))
-        assert spectral_norm(m @ n) <= spectral_norm(m) * spectral_norm(n) + 1e-10
-        assert spectral_radius(m @ n) <= spectral_norm(m) * spectral_norm(n) + 1e-10
 
 
 # -------------------------------------------------------------- max abs entry
@@ -322,7 +297,7 @@ def test_central_difference_rejects_a_stack_that_is_not_2d(shape):
 
 def test_dare_zero_dynamics_returns_q():
     q = np.diag([2.0, 3.0])
-    p = dare_solve(np.zeros((2, 2)), np.ones((2, 1)), q, np.eye(1))
+    p = dare(np.zeros((2, 2)), np.ones((2, 1)), q, np.eye(1))
     assert np.allclose(p, q, atol=1e-12)
 
 
@@ -338,7 +313,7 @@ def scalar_dare_oracle(a, b, q, r):
 
 def test_dare_scalar_case():
     p_expected = scalar_dare_oracle(0.5, 1.0, 1.0, 1.0)
-    p = dare_solve([[0.5]], [[1.0]], [[1.0]], [[1.0]])
+    p = dare([[0.5]], [[1.0]], [[1.0]], [[1.0]])
     assert abs(p[0, 0] - p_expected) < 1e-10
 
 
@@ -350,7 +325,7 @@ def test_dare_lyapunov_special_case_kronecker_oracle():
         a = rng.normal(size=(n, n))
         a *= 0.8 / spectral_radius(a)
         q = np.eye(n)
-        p = dare_solve(a, np.zeros((n, 1)), q, np.eye(1))
+        p = dare(a, np.zeros((n, 1)), q, np.eye(1))
         vec_p = np.linalg.solve(np.eye(n * n) - np.kron(a.T, a.T), q.flatten(order="F"))
         p_expected = vec_p.reshape(n, n, order="F")
         assert max_abs_entry(p - p_expected) < 1e-9
@@ -361,7 +336,7 @@ def test_dare_reports_unstabilizable():
     e2 = np.array([[0.0], [1.0]])
     for a, b in ((2.0 * np.eye(2), np.zeros((2, 1))), (np.diag([1.5, 0.5]), e2), (np.diag([1.0, 0.5]), e2)):
         with pytest.raises(NumericsError, match="unstabilizable|ill-conditioned"):
-            dare_solve(a, b, np.eye(2), np.eye(1))
+            dare(a, b, np.eye(2), np.eye(1))
 
 
 @pytest.mark.parametrize("radius", [8.1, 30.0])
@@ -370,11 +345,11 @@ def test_dlqr_solves_the_under_actuated_sweep_sets(sweep_set, radius):
     q, r = np.eye(4), np.eye(2)
     for i in range(100):
         for a, b in sweep_set(1, i, radius, 4, 2):
-            p = dare_solve(a, b, q, r)
+            p = dare(a, b, q, r)
             gain = np.linalg.solve(b.T @ p @ b + r, b.T @ p @ a)
             residual = a.T @ p @ a - a.T @ p @ b @ gain + q - p
             assert max_abs_entry(residual) <= 1e-8 * max(1.0, max_abs_entry(p))
-            k = dlqr_gain(a, b, q, r)
+            k = dlqr_gains([(a, b)], [q], [r]).gains[0]
             assert spectral_radius(a - b @ k) < 1.0
             if radius < 10.0:
                 p_ref = solve_discrete_are(a, b, q, r)
@@ -386,25 +361,25 @@ def test_dare_validates_weights():
     a = np.eye(2) * 0.5
     b = np.ones((2, 1))
     with pytest.raises(ValueError):
-        dare_solve(a, b, np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(1))
+        dare(a, b, np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(1))
     with pytest.raises(ValueError):
-        dare_solve(a, b, np.eye(2), np.zeros((1, 1)))
+        dare(a, b, np.eye(2), np.zeros((1, 1)))
     with pytest.raises(ValueError):
-        dare_solve(a, b, -np.eye(2), np.eye(1))
+        dare(a, b, -np.eye(2), np.eye(1))
 
 
 # ----------------------------------------------------------------------- DLQR
 
 
 def test_dlqr_zero_dynamics():
-    k = dlqr_gain(np.zeros((2, 2)), np.ones((2, 1)), np.eye(2), np.eye(1))
+    k = dlqr_gains([(np.zeros((2, 2)), np.ones((2, 1)))], [np.eye(2)], [np.eye(1)]).gains[0]
     assert max_abs_entry(k) < 1e-12
 
 
 def test_dlqr_scalar_formula():
     p = scalar_dare_oracle(0.5, 1.0, 1.0, 1.0)
     expected = p * 0.5 / (p + 1.0)
-    k = dlqr_gain([[0.5]], [[1.0]], [[1.0]], [[1.0]])
+    k = dlqr_gains([([[0.5]], [[1.0]])], [[[1.0]]], [[[1.0]]]).gains[0]
     assert abs(k[0, 0] - expected) < 1e-10
 
 
@@ -416,5 +391,5 @@ def test_dlqr_closes_the_loop():
         a = rng.normal(size=(n, n))
         a *= rng.uniform(0.5, 1.6) / spectral_radius(a)
         b = rng.normal(size=(n, m))
-        k = dlqr_gain(a, b, np.eye(n), np.eye(m))
+        k = dlqr_gains([(a, b)], [np.eye(n)], [np.eye(m)]).gains[0]
         assert spectral_radius(a - b @ k) < 1.0

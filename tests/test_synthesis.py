@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
-from hybrid_orbit.numerics import _dare_residual, dare_solve, max_abs_entry, pinv, spectral_radius
+from hybrid_orbit.numerics import _dare_residual, max_abs_entry, pinv, spectral_radius
 from hybrid_orbit.synthesis import (
     SynthesisError,
-    certify_theorem3,
-    certify_theorem4,
+    certify_designed,
     designed_jacobians,
     dlqr_gains,
     scale_factor_gains,
     stability_report,
     symmetric_matrix_gains,
 )
+from helpers import dare
 
 
 def random_jacs(rng, n_phases=2, k=3, p=5, spread=1.0):
@@ -233,7 +233,7 @@ def test_dlqr_residuals_are_the_relative_riccati_residuals(paperfx):
         gains = dlqr_gains(pairs, enforce_theorem4=enforce)
         for (a, f), scale, residual in zip(pairs, gains.q_scalings, gains.residuals):
             q, r = scale * np.eye(a.shape[0]), np.eye(f.shape[1])
-            p = dare_solve(a, f, q, r)
+            p = dare(a, f, q, r)
             res = _dare_residual(a, f, q, r, p)[0]
             assert residual == np.max(np.abs(res)) / max(1.0, np.max(np.abs(p)))
             assert 0.0 < residual <= 1e-8
@@ -269,20 +269,34 @@ def test_dlqr_unstabilizable_raises():
 # ---------------------------------------------------------------- certificates
 
 
-@pytest.mark.parametrize("certify", [certify_theorem3, certify_theorem4])
-def test_certificates_reject_an_empty_chain(certify):
+@pytest.mark.parametrize("certificate", ["cert_theorem3", "cert_theorem4"], ids=["certify_theorem3", "certify_theorem4"])
+def test_certificates_reject_an_empty_chain(certificate):
     with pytest.raises(ValueError, match="need at least one"):
-        certify([])
+        getattr(certify_designed([]), certificate)
+
+
+def test_certify_designed_checks_every_factor_square_before_the_shared_dimension():
+    with pytest.raises(ValueError, match="designed Jacobians must share one dimension"):
+        certify_designed([0.5 * np.eye(2), 0.5 * np.eye(3)])
+    with pytest.raises(ValueError, match=r"designed Jacobian 2 is not square: \(2, 3\)"):
+        certify_designed([np.eye(2), np.eye(3), np.ones((2, 3))])
+    # both checks come before any factor is certified, so a factor whose
+    # symmetry defect overflows does not hide the malformed chain
+    overflowing = np.array([[0.0, 1e308], [-1e308, 0.0]])
+    with pytest.raises(ValueError, match="share one dimension"):
+        certify_designed([overflowing, np.eye(3)])
+    with pytest.raises(ValueError, match="designed Jacobian 1 is not square"):
+        certify_designed([overflowing, np.ones((2, 3))])
 
 
 def test_certify_theorem3_simple_pass():
-    cert = certify_theorem3([0.5 * np.eye(3)] * 4)
+    cert = certify_designed([0.5 * np.eye(3)] * 4).cert_theorem3
     assert cert.passed
     assert not cert.failures()
 
 
 def test_certify_theorem3_rejects_contraction_pair(paperfx):
-    cert = certify_theorem3([paperfx.remark1_A1d, paperfx.remark1_A2d])
+    cert = certify_designed([paperfx.remark1_A1d, paperfx.remark1_A2d]).cert_theorem3
     assert not cert.passed
     assert all(entry["radius"] < 1.0 for entry in cert.per_phase)
     assert all(entry["symmetry_defect"] > 0.5 for entry in cert.per_phase)
@@ -301,7 +315,7 @@ def test_certify_theorem3_randomized_soundness():
             m = 0.5 * (m + m.T)
             m *= rng.uniform(0.05, 0.99) / spectral_radius(m)
             chain.append(m)
-        assert certify_theorem3(chain).passed
+        assert certify_designed(chain).cert_theorem3.passed
         product = np.eye(dim)
         for m in chain:
             product = m @ product
@@ -309,7 +323,7 @@ def test_certify_theorem3_randomized_soundness():
 
 
 def test_certify_theorem4_strict_margin():
-    cert = certify_theorem4([np.full((3, 3), 0.1)] * 2)
+    cert = certify_designed([np.full((3, 3), 0.1)] * 2).cert_theorem4
     assert cert.passed
     assert all(entry["margin"] > 0 for entry in cert.per_phase)
 
@@ -319,7 +333,7 @@ def test_certify_theorem4_boundary_designs_fail_strict_check(paperfx):
     # certificate declines them even though the product is strongly stable
     gains = scale_factor_gains([(paperfx.A1, paperfx.F1), (paperfx.A2, paperfx.F2)])
     designed = designed_jacobians([(paperfx.A1, paperfx.F1), (paperfx.A2, paperfx.F2)], gains)
-    cert = certify_theorem4(designed)
+    cert = certify_designed(designed).cert_theorem4
     assert not cert.passed
     for entry in cert.per_phase:
         assert abs(entry["max_abs_entry"] - 1.0 / 3.0) < 1e-9
@@ -329,7 +343,7 @@ def test_certify_theorem4_boundary_designs_fail_strict_check(paperfx):
 def test_certify_theorem4_boundary_counterexample():
     # all entries exactly 1/k: the non-strict reading admits a unit radius
     j = np.full((3, 3), 1.0 / 3.0)
-    cert = certify_theorem4([j, j])
+    cert = certify_designed([j, j]).cert_theorem4
     assert not cert.passed
     assert abs(spectral_radius(j @ j) - 1.0) < 1e-10
 
@@ -344,7 +358,7 @@ def test_certify_theorem4_randomized_soundness():
             m = rng.uniform(-1.0, 1.0, (dim, dim))
             m *= 0.99 / (dim * np.max(np.abs(m)))
             chain.append(m)
-        assert certify_theorem4(chain).passed
+        assert certify_designed(chain).cert_theorem4.passed
         product = np.eye(dim)
         for m in chain:
             product = m @ product
