@@ -34,7 +34,14 @@ Anchors fall on every _MAX_RUN-th step from the flow start, so a state is
 a pure function of its member's row and its step index.  Every other
 field steps by the stage form _rk4, with the bits of the textbook
 formula, one step at a time (_step_map) in guard-bounded runs (_run).
-The crossing refinement takes the stage form, rk4_step, for every field.
+
+A crossing is located inside its step by one of two searches with the
+same Illinois rules (_exit_crossing).  For an AffineField with an
+AffineGuard, the guard along an RK4 step of length tau is a quartic in
+tau, and each member's root is searched in Python floats (_search),
+followed by one stacked rk4_step at the roots.  Every other flow searches
+all its crossing members at once with stacked stage-form trial steps
+(_stage_search).
 """
 
 import functools
@@ -86,7 +93,7 @@ class NonFinite(IntegrationError):
     """The state left the finite range during integration."""
 
 
-# Regula falsi, with the midpoint and rounding-floor rules of _exit_crossing,
+# Regula falsi, with the midpoint and rounding-floor rules of _search,
 # took at most 4 iterations per crossing (3.8-3.9 on average) on Newton
 # solves from 1e-3 kicks in 8 directions on each catalog system, at base
 # steps 1e-2 and 2e-3.  Over 300 open-loop cycles of unstable-2, whose state
@@ -489,30 +496,92 @@ def _guard_floor(guard, x: np.ndarray) -> np.ndarray:
     return _FLOOR_ULPS * np.finfo(float).eps * np.abs(grad).sum(axis=1)
 
 
-def _exit_crossing(f, guard, x_from, t_from, step, side, g_from, x_to, g_to):
-    """Locate each member's crossing inside the base step from time t_from,
-    then check it.
+def _quartic_coefficients(f: AffineField, guard: AffineGuard, x: np.ndarray, side, g_x) -> np.ndarray:
+    """The (B, 5) coefficients c of each member's quartic: g(tau) =
+    side * H(rk4_step(f, x, tau)) = sum_j c_j tau^j for the AffineField f,
+    x' = x M' + c, and the AffineGuard n . x - d, given g(0) = g_x.
 
-    g(tau) = side * H(rk4_step(f, x_from, tau)) falls from g_from > 0 to g_to
-    over the step.  The trial steps take the stage form, since tau differs
-    per member; the hi end at tau = step is the run's x_to, which for an
-    AffineField is the block state and differs from rk4_step(f, x_from,
-    step) in rounding alone.  Illinois regula falsi puts the secant root of the bracket
-    in place of the end of the same sign, halving the weight of an end kept
-    twice in a row.  A secant root that rounds onto an end of the bracket,
-    as when one end's |g| dwarfs the other's, is replaced by the midpoint.
-    A member stops once the end of its bracket with the smaller |H| lies
-    within the rounding floor of H, or once the bracket is 4 ulps of the
-    step wide (at once if g_to >= 0 leaves no sign change).  That end
-    exits; past _GUARD_TOL plus the rounding floor, the refinement
-    stalled.  The floor is taken at x_to, in one _guard_floor call made
-    only once some end is within _GUARD_TOL.  Every member is stepped on
-    every iteration, so the brackets are updated under masks over the
-    whole stack, each end's tau, weight, |g| and state in an array of its
-    own, updated in place.  The guard rate at the exit is
-    dH/dx . f(x_hit), with dH/dx from _guard_gradient; a rate that is NaN
-    or infinite raises NonFinite at the exit time.  So a flow with an
-    AffineGuard takes no finite difference.
+    One RK4 step of an affine field is its degree-4 Taylor polynomial
+    (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.1), and the j-th
+    derivative of the state is f(x) M'^(j-1), so c_j = side f(x) .
+    (M'^(j-1) n) / j! for j >= 1.  The products with f(x) are one row-wise
+    np.matmul, as in _block, so a member's coefficients do not depend on
+    its stack-mates.
+    """
+    powers = [guard.normal]
+    for _ in range(3):
+        powers.append(powers[-1].dot(f.drift))
+    table = np.column_stack(powers) / [1.0, 2.0, 6.0, 24.0]
+    return np.column_stack([g_x, side[:, None] * np.matmul(f(x)[:, None, :], table)[:, 0]])
+
+
+def _quartic(c, tau):
+    """sum_j c[j] tau^j by Horner's rule, for floats or for arrays."""
+    return c[0] + tau * (c[1] + tau * (c[2] + tau * (c[3] + tau * c[4])))
+
+
+def _search(c, g_hi, step, stop) -> float:
+    """The exit fraction tau of one member's crossing in a base step, by
+    Illinois regula falsi on its quartic g of coefficients c in Python
+    floats, with no state and no numpy call.
+
+    The bracket is [0, step], with g(0) = c[0] > 0 at the lo end and the
+    run's guard value g_hi at the hi end.  Each iteration puts the secant
+    root of the bracket in place of the end of the same sign, halving the
+    weight of an end kept twice in a row.  A secant root that rounds onto
+    an end of the bracket, as when one end's |g| dwarfs the other's, is
+    replaced by the midpoint.  The search stops once the end with the
+    smaller |g| lies within stop, the smaller of _GUARD_TOL and the
+    member's rounding floor of H, once the bracket is 4 ulps of the step
+    wide (at once if g_hi >= 0 leaves no sign change), or after
+    _REFINE_MAX_ITER iterations.  It returns that end's tau, ties and NaN
+    at lo going to hi.  _stage_search keeps the same rules in the same
+    float operations, so on the same g both give the same tau.
+    """
+    width = 2.0**-50 * step  # 4 eps, as a Python float
+    lo, hi = 0.0, step
+    w_lo, w_hi = c[0], g_hi  # g, halved by the Illinois rule
+    a_lo, a_hi = abs(w_lo), abs(w_hi)  # |g|, never halved
+    last = 0  # the end replaced last: -1 lo, 1 hi
+    active = w_hi < 0.0
+    for _ in range(_REFINE_MAX_ITER):
+        if not active or (a_lo if a_lo < a_hi else a_hi) <= stop:
+            break
+        tau = lo + (hi - lo) * (w_lo / (w_lo - w_hi))
+        if tau < lo:
+            tau = lo
+        elif tau > hi:
+            tau = hi
+        if tau == lo or tau == hi:
+            tau = 0.5 * (lo + hi)
+        g = _quartic(c, tau)
+        if g <= 0.0:
+            if last == 1:
+                w_lo *= 0.5
+            hi, w_hi, a_hi, last = tau, g, abs(g), 1
+        else:
+            if last == -1:
+                w_hi *= 0.5
+            lo, w_lo, a_lo, last = tau, g, abs(g), -1
+        active = w_hi < 0.0 and hi - lo > width
+    return lo if a_lo < a_hi else hi
+
+
+def _stage_search(trial, step, g_from, g_to, x_from, x_to, floor_at):
+    """The exit states, exit fractions tau and |g| of a stack of crossings,
+    and the rounding floor of H, or None if it was not taken, by the rules
+    of _search with every member at once.
+
+    trial(tau) gives the (B, m) states and the (B,) signed guard values at
+    the (B,) fractions tau; the bracket ends start at x_from, g_from and
+    x_to, g_to.  Every member takes every trial, so the brackets are
+    updated under masks over the whole stack, each end's tau, weight, |g|
+    and state in an array of its own, updated in place.  The floor,
+    floor_at(), is taken once some active member's best end is within
+    _GUARD_TOL, and from then on stops every member whose best end is
+    within it.  So a member whose floor exceeds _GUARD_TOL, on a state of
+    about 1e5 or more, can stop on a stack-mate's account, where _search
+    stops it within _GUARD_TOL alone.
     """
     width = 4.0 * np.finfo(float).eps * step
     tau_lo, tau_hi = np.zeros(len(x_from)), np.full(len(x_from), step, dtype=float)
@@ -526,15 +595,14 @@ def _exit_crossing(f, guard, x_from, t_from, step, side, g_from, x_to, g_to):
         best_hi = ~(a_lo < a_hi)  # ties and NaN at lo go to hi
         h_hit = np.where(best_hi, a_hi, a_lo)
         if floor is None and (active & (h_hit <= _GUARD_TOL)).any():
-            floor = _guard_floor(guard, x_to)
+            floor = floor_at()
         if floor is not None:
             active &= ~(h_hit <= floor)
         if n_iter == _REFINE_MAX_ITER or not active.any():
             break
         tau = np.clip(tau_lo + (tau_hi - tau_lo) * (w_lo / (w_lo - w_hi)), tau_lo, tau_hi)
         tau = np.where((tau == tau_lo) | (tau == tau_hi), 0.5 * (tau_lo + tau_hi), tau)
-        x_tau = rk4_step(f, x_from, tau[:, None])
-        g_tau = side * guard(x_tau)
+        x_tau, g_tau = trial(tau)
         a_tau, to_hi = np.abs(g_tau), g_tau <= 0.0
         move_lo, move_hi = active & ~to_hi, active & to_hi
         np.multiply(w_lo, 0.5, out=w_lo, where=move_hi & last_hi)
@@ -549,8 +617,51 @@ def _exit_crossing(f, guard, x_from, t_from, step, side, g_from, x_to, g_to):
             np.copyto(x_end, x_tau, where=moved[:, None])
         last_lo, last_hi = move_lo, move_hi
         active &= (w_hi < 0.0) & (tau_hi - tau_lo > width)
+    return np.where(best_hi[:, None], x_hi, x_lo), np.where(best_hi, tau_hi, tau_lo), h_hit, floor
 
-    x_hit = np.where(best_hi[:, None], x_hi, x_lo)
+
+def _exit_crossing(f, guard, x_from, t_from, step, side, g_from, x_to, g_to):
+    """Locate each member's crossing inside the base step from time t_from,
+    then check it.
+
+    g(tau) = side * H(rk4_step(f, x_from, tau)) falls from g_from > 0 to g_to
+    over the step; the hi end at tau = step is the run's x_to, which for an
+    AffineField is the block state and differs from rk4_step(f, x_from,
+    step) in rounding alone.  The bracket search splits by type, as the
+    base step does:
+    - an AffineField with an AffineGuard: g is the quartic of
+      _quartic_coefficients, and each member runs _search on its own
+      quartic in Python floats, with no trial step.  One stacked rk4_step
+      then gives the states at the chosen tau, and the block state x_to
+      stands where the untouched hi end wins; one guard call gives their
+      |H|.
+    - any other flow: _stage_search, with a stacked rk4_step and guard
+      call per iteration as its trial.
+    The rounding floor of H is taken at x_to, by one _guard_floor call.
+    The checks are shared.  Past _GUARD_TOL plus the floor, |H| at the
+    exit means the refinement stalled.  The guard rate at the exit is
+    dH/dx . f(x_hit), with dH/dx from _guard_gradient; a rate that is NaN
+    or infinite raises NonFinite at the exit time.  So a flow with an
+    AffineGuard takes no finite difference.
+    """
+    floor = None
+    if isinstance(f, AffineField) and isinstance(guard, AffineGuard):
+        floor = _guard_floor(guard, x_to)
+        coef = _quartic_coefficients(f, guard, x_from, side, g_from).tolist()
+        stops = np.minimum(_GUARD_TOL, floor).tolist()
+        tau = np.array([_search(c, g, step, stop) for c, g, stop in zip(coef, g_to.tolist(), stops)])
+        x_hit = rk4_step(f, x_from, tau[:, None])
+        hi = tau == step
+        x_hit[hi] = x_to[hi]
+        h_hit = np.abs(guard(x_hit))
+    else:
+        def trial(tau):
+            x_tau = rk4_step(f, x_from, tau[:, None])
+            return x_tau, side * guard(x_tau)
+
+        x_hit, tau, h_hit, floor = _stage_search(
+            trial, step, g_from, g_to, x_from, x_to, lambda: _guard_floor(guard, x_to)
+        )
     stalled = ~(h_hit <= _GUARD_TOL)
     if stalled.any():
         if floor is None:
@@ -561,7 +672,7 @@ def _exit_crossing(f, guard, x_from, t_from, step, side, g_from, x_to, g_to):
             f"guard refinement stalled at |H| = {h_hit[np.argmax(stalled)]:.3e} "
             f"(tolerance {_GUARD_TOL:.3e})"
         )
-    t_exit = t_from + np.where(best_hi, tau_hi, tau_lo)
+    t_exit = t_from + tau
 
     early = t_exit < _MIN_PHASE_DURATION
     if early.any():

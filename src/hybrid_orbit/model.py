@@ -63,7 +63,9 @@ class AffineField:
     field(X) has the same bits whatever B is.  flow_batch advances such a
     field by its exact RK4 transition, 64 steps per product, with a table
     of the transition's powers made once per drift and base step and
-    cached by value (see integrator._block_table).
+    cached by value (see integrator._block_table).  With an AffineGuard,
+    the guard along an RK4 step is a quartic in the step length, and each
+    crossing is searched on it in floats (see integrator._exit_crossing).
     """
 
     drift: np.ndarray
@@ -95,7 +97,9 @@ class AffineGuard:
     another order and can round differently.  A phase flow reads
     dH/dx = n instead of differencing the guard, and checks the guard
     values alone for overflow: a row with an entry that is not finite has
-    a guard value that is not finite, since n and d are finite.
+    a guard value that is not finite, since n and d are finite.  With an
+    AffineField, each crossing is searched in floats on the quartic the
+    guard is along an RK4 step (see integrator._exit_crossing).
     """
 
     normal: np.ndarray

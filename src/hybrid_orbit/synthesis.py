@@ -100,11 +100,14 @@ class StabilityReport:
 
 
 def _unpack(jacs) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The (A_i, F_i) matrix pairs, each F_i with as many rows as A_i."""
+    """The (A_i, F_i) matrix pairs, each A_i square and each F_i with as
+    many rows as A_i."""
     pairs = []
     for idx, j in enumerate(jacs):
         a, f = (j.A, j.F) if isinstance(j, PhaseJacobians) else j
         a, f = as_matrix(a), as_matrix(f)
+        if a.shape[0] != a.shape[1]:
+            raise ValueError(f"phase {idx}: A is not square: {a.shape}")
         if f.shape[0] != a.shape[0]:
             raise ValueError(f"phase {idx}: F has {f.shape[0]} rows, A has {a.shape[0]}")
         pairs.append((a, f))

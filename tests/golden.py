@@ -6,9 +6,16 @@ A change that moves outputs on purpose rewrites the corpus with
 
     PYTHONPATH=src python tests/golden.py
 
-and quotes the test's report of the moves.
+and quotes the test's report of the moves.  To see how far the outputs
+move under another numpy or platform, without writing the corpus, run
+
+    PYTHONPATH=src python tests/golden.py --report DIR
+
+which writes the outputs into DIR, prints one line per moved output and
+exits 0.
 """
 
+import argparse
 import contextlib
 import csv
 import io
@@ -60,6 +67,17 @@ def run(dest: Path, inputs: Path = CORPUS) -> dict[str, int]:
         with contextlib.redirect_stdout(io.StringIO()):
             codes[out] = main(argv + ["-o", str(dest / out)])
     return codes
+
+
+def moved(dest: Path) -> list[tuple[str, str, str]]:
+    """(name, expected, actual) of each output under dest whose bytes
+    differ from the corpus.  A missing output is left to the exit codes."""
+    out = []
+    for name, _, _ in COMMANDS:
+        expected, path = (CORPUS / name).read_bytes(), dest / name
+        if path.exists() and path.read_bytes() != expected:
+            out.append((name, expected.decode(), path.read_bytes().decode()))
+    return out
 
 
 def _leaves(text: str, name: str) -> list:
@@ -137,5 +155,25 @@ def regenerate() -> None:
     print(f"wrote {len(COMMANDS)} outputs under {CORPUS} (numpy {np.__version__})")
 
 
+def report(dest: Path) -> None:
+    """Run every command into dest and print how far each output moved from
+    the corpus, and each exit code that differs; the corpus is not written."""
+    dest.mkdir(parents=True, exist_ok=True)
+    codes = run(dest)
+    corpus_numpy = json.loads(VERSIONS.read_text())["numpy"]
+    print(f"golden corpus (numpy {corpus_numpy}) against numpy {np.__version__}:")
+    for out, code, _ in COMMANDS:
+        if codes[out] != code:
+            print(f"{out}: exit code {codes[out]}, expected {code}")
+    lines = [describe(*m) for m in moved(dest)]
+    print("\n".join(lines) if lines else "no output moved")
+
+
 if __name__ == "__main__":
-    regenerate()
+    parser = argparse.ArgumentParser(description="Rewrite the golden corpus, or report how far outputs moved from it.")
+    parser.add_argument("--report", metavar="DIR", type=Path, help="write the outputs into DIR and report the moves")
+    args = parser.parse_args()
+    if args.report is None:
+        regenerate()
+    else:
+        report(args.report)

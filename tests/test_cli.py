@@ -260,6 +260,13 @@ def test_malformed_inputs_exit_two(tmp_path, capsys):
         dump_json(doc, bad)
         assert run(["certify", "-i", bad, "-o", out]) == 2
         assert capsys.readouterr().err == f"input error: {message}\n"
+    # Every method refuses a non-square A by phase and shape before it
+    # designs anything.
+    dump_json({"phases": [{"A": {"rows": 2, "cols": 3, "data": [1, 0, 0, 0, 1, 0]},
+                           "F": {"rows": 2, "cols": 1, "data": [1, 0]}}]}, bad)
+    for method in ("symmetric", "scale", "dlqr"):
+        assert run(["synthesize", "-i", bad, "--method", method, "-o", out]) == 2
+        assert capsys.readouterr().err == "input error: phase 0: A is not square: (2, 3)\n"
     assert not out.exists()
 
     # file-system errors on an input or output path

@@ -13,20 +13,10 @@ import numpy as np
 import golden
 
 
-def _moved(dest):
-    """(name, expected, actual) of each output whose bytes differ."""
-    moved = []
-    for out, _, _ in golden.COMMANDS:
-        expected, actual = (golden.CORPUS / out).read_bytes(), (dest / out).read_bytes()
-        if actual != expected:
-            moved.append((out, expected.decode(), actual.decode()))
-    return moved
-
-
 def test_cli_outputs_match_the_golden_corpus(tmp_path):
     codes = golden.run(tmp_path)
     assert codes == {out: code for out, code, _ in golden.COMMANDS}
-    moved = _moved(tmp_path)
+    moved = golden.moved(tmp_path)
     corpus_numpy = json.loads(golden.VERSIONS.read_text())["numpy"]
     if corpus_numpy.split(".")[0] != np.__version__.split(".")[0]:
         moved = [m for m in moved if not golden.within_other_numpy_tol(*m)]
@@ -49,7 +39,7 @@ def test_the_report_names_each_moved_file_with_its_largest_change(tmp_path):
     csv_path.write_bytes("\r\n".join(rows).encode())
     (tmp_path / "verify-paper.json").write_text(json.dumps({"passed": False}))
 
-    report = [golden.describe(*m) for m in _moved(tmp_path)]
+    report = [golden.describe(*m) for m in golden.moved(tmp_path)]
     assert [line.split(":")[0] for line in report] == [
         "analyze-stable-3.json", "simulate-dlqr-stable-3.csv", "verify-paper.json",
     ]
@@ -58,4 +48,23 @@ def test_the_report_names_each_moved_file_with_its_largest_change(tmp_path):
                               f"max rel change {1e-6 / (1.0 + 1e-6):.3e}")
     assert "max abs change 5.000e-01" in report[1]
     assert report[2] == "verify-paper.json: structure or text changed"
-    assert not golden.within_other_numpy_tol(*_moved(tmp_path)[0])
+    assert not golden.within_other_numpy_tol(*golden.moved(tmp_path)[0])
+
+
+def test_the_report_mode_prints_the_moves_and_keeps_the_corpus(tmp_path, monkeypatch, capsys):
+    # --report DIR writes the outputs into DIR, prints each moved output and
+    # each exit code that differs, and writes nothing under the corpus.
+    def copied_corpus(dest):
+        for out, _, _ in golden.COMMANDS:
+            (dest / out).write_bytes((golden.CORPUS / out).read_bytes())
+        (dest / "verify-paper.json").write_text(json.dumps({"passed": False}))
+        return {out: 3 if out == "verify-paper.json" else code for out, code, _ in golden.COMMANDS}
+
+    before = {path: path.read_bytes() for path in golden.CORPUS.iterdir()}
+    monkeypatch.setattr(golden, "run", copied_corpus)
+    golden.report(tmp_path / "report")
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "verify-paper.json: exit code 3, expected 0",
+        "verify-paper.json: structure or text changed",
+    ]
+    assert {path: path.read_bytes() for path in golden.CORPUS.iterdir()} == before

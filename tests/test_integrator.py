@@ -190,12 +190,40 @@ def test_coarse_steps_are_whole_base_steps(rk4_calls, refine_spans, stable3):
         assert steps and all(np.all(np.asarray(h) == 0.2) for h in steps)
 
 
-def test_group_crossing_stops_at_the_rounding_floor(monkeypatch, refine_spans, stable3):
+@pytest.fixture
+def search_iterations(monkeypatch):
+    """The iterations of each member's quartic search (_search), one list
+    per crossing refinement: the quartic evaluations it makes."""
+    refinements, evaluations = [], []
+    refine, search, quartic = integrator._exit_crossing, integrator._search, integrator._quartic
+
+    def listed_refine(*args):
+        refinements.append([])
+        return refine(*args)
+
+    def counted_search(*args):
+        evaluations.clear()
+        tau = search(*args)
+        refinements[-1].append(len(evaluations))
+        return tau
+
+    def counted_quartic(c, tau):
+        evaluations.append(tau)
+        return quartic(c, tau)
+
+    monkeypatch.setattr(integrator, "_exit_crossing", listed_refine)
+    monkeypatch.setattr(integrator, "_search", counted_search)
+    monkeypatch.setattr(integrator, "_quartic", counted_quartic)
+    return refinements
+
+
+def test_group_crossing_stops_at_the_rounding_floor(monkeypatch, search_iterations, stable3):
     # phase_jacobians integrates each stable-3 phase as one batch of the
     # undisturbed member and its 10 central-difference members.  A member
     # stops refining once its exit's |H| is within the rounding floor of H,
-    # a few iterations after it first reaches _GUARD_TOL; refining every
-    # bracket to 4 ulps took 5, 12 and 6 RK4 steps on these three groups.
+    # a few iterations after it first reaches _GUARD_TOL: each member's
+    # quartic search takes 2, 4 and 4 on these three groups, where
+    # narrowing every bracket to 4 ulps took the stacked search 5, 12 and 6.
     exits = []
     flow = integrator.flow_batch
 
@@ -206,28 +234,28 @@ def test_group_crossing_stops_at_the_rounding_floor(monkeypatch, refine_spans, s
 
     monkeypatch.setattr(integrator, "flow_batch", recorded_flow)
     phase_jacobians(stable3.system, stable3.orbit, IntegratorConfig(base_step=2e-3))
-    assert [end - start for start, end in refine_spans] == [2, 4, 4]
+    assert search_iterations == [[2] * 11, [4] * 11, [4] * 11]
     for dom, x_exit in exits:
         assert x_exit.shape == (11, 3)
         h = np.abs(dom.guard(x_exit))
         assert np.all(h <= integrator._GUARD_TOL + integrator._guard_floor(dom.guard, x_exit))
 
 
-def test_crossing_from_a_grown_state_refines_in_few_steps(refine_spans, unstable2):
+def test_crossing_from_a_grown_state_refines_in_few_steps(search_iterations, unstable2):
     # Open loop, unstable-2 grows about 5.4x a cycle; after 40 cycles the
     # section state is about 2.5e26 in size.  There the secant root rounds
     # onto the bracket end just replaced, and without the midpoint rule the
     # Illinois halving crawls for about 60 iterations before the bracket
-    # moves.
+    # moves.  The quartic search takes 5.
     cfg = IntegratorConfig()
     x_star = unstable2.orbit.fixed_points[-1]
     y = simulate_cycle(unstable2.system, None, x_star + 1e-2 * np.array([0.6, 0.8]), 40, cfg)[-1]
     assert 1e26 < np.max(np.abs(y)) < 1e27
-    refine_spans.clear()
+    search_iterations.clear()
     p = unstable2.system.domains[0].param_dim
     section_step(unstable2.system, 0, y[None], np.zeros((1, p)), cfg)
-    ((start, end),) = refine_spans
-    assert end - start < 50
+    ((n_iter,),) = search_iterations
+    assert n_iter < 50
 
 
 def test_linear_flow_matches_matrix_exponential_root():
@@ -653,7 +681,8 @@ def test_affine_guard_keeps_the_bits_of_the_catalog_lambda(request, name):
 def test_an_affine_guard_flow_takes_no_finite_difference(stable3, monkeypatch):
     # Ten closed-loop stable-3 cycles read every guard gradient from the
     # normal.  The same guards hidden in lambdas take the central
-    # difference, and the states keep their bits.
+    # difference and the stage-form crossing search, so the states move by
+    # rounding alone: at most 6.7e-16 on states of about 1.26.
     gains = synthesis.dlqr_gains(list(stable3.jacobians))
     law = FeedbackLaw(gains=tuple(gains.gains), orbit=stable3.orbit)
     x0 = stable3.orbit.fixed_points[-1] + 1e-2 * np.array([0.6, 0.8])
@@ -672,7 +701,7 @@ def test_an_affine_guard_flow_takes_no_finite_difference(stable3, monkeypatch):
     )
     hidden_states = simulate_cycle(hidden, law, x0, 10, cfg)
     assert len(calls) >= 30  # at least the start check of each flow
-    assert all(np.array_equal(a, b) for a, b in zip(states, hidden_states))
+    assert max(np.max(np.abs(a - b)) for a, b in zip(states, hidden_states)) <= 1e-14
 
 
 @pytest.mark.parametrize("base_step", [5e-3, 2e-3, 1e-2, 5e-2])
@@ -1224,6 +1253,104 @@ def test_a_nan_trial_guard_value_equals_the_stacked_reference():
         outcomes.append(refinement_outcome(EXIT_CROSSING, *args)[0])
     assert outcomes[0][0] is IntegrationError and "stalled" in outcomes[0][1]
     assert abs(outcomes[1][0][0, 0] - 0.2 ** (1 / 3)) < 1e-9
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_the_quartic_is_the_guard_along_the_stage_form_step(request, name):
+    # For an AffineField and an AffineGuard, g(tau) = side * H(rk4_step(f,
+    # x, tau)) is the quartic of _quartic_coefficients, to within the
+    # rounding floor of H at the stepped state.
+    model = catalog_model(request, name)
+    rng = np.random.default_rng(37)
+    for base_step in (2e-3, 1e-2, 5e-2):
+        for phase, dom in zip(model.phases, model.system.domains):
+            for n_members in (1, 11, 25):
+                x = phase.start_state + 1e-2 * rng.normal(size=(n_members, dom.state_dim))
+                f = dom.batch_field(5e-2 * rng.normal(size=(n_members, dom.param_dim)))
+                side = np.where(dom.guard(x) > 0.0, 1.0, -1.0)
+                coef = integrator._quartic_coefficients(f, dom.guard, x, side, side * dom.guard(x))
+                for tau in rng.uniform(0.0, base_step, size=(4, n_members)):
+                    x_tau = rk4_step(f, x, tau[:, None])
+                    error = np.abs(integrator._quartic(coef.T, tau) - side * dom.guard(x_tau))
+                    assert np.all(error <= integrator._guard_floor(dom.guard, x_tau))
+
+
+def quartic_taus(f, guard, x_from, t_from, step, side, g_from, x_to, g_to):
+    """The exit fractions of a recorded crossing by each member's float
+    search and by the stacked search, both on its quartic."""
+    coef = integrator._quartic_coefficients(f, guard, x_from, side, g_from)
+    floor = integrator._guard_floor(guard, x_to)
+    stops = np.minimum(integrator._GUARD_TOL, floor)
+    floats = [integrator._search(c, g, step, stop) for c, g, stop in zip(coef.tolist(), g_to.tolist(), stops.tolist())]
+    n_members = len(x_from)
+    _, stacked, _, _ = integrator._stage_search(
+        lambda tau: (tau[:, None], integrator._quartic(coef.T, tau)),
+        step, g_from, g_to, np.zeros((n_members, 1)), np.full((n_members, 1), step), lambda: floor,
+    )
+    return np.array(floats), stacked
+
+
+def test_both_searches_follow_the_same_rules(recorded_crossings, unstable2):
+    # On every crossing of the catalog flows below, and on the 4-ulp brackets
+    # of eight open-loop unstable-2 cycles past 1e20, the float search and
+    # the stacked search give the same exit fractions bit for bit.
+    rng = np.random.default_rng(31)
+    for name in CATALOG:
+        model = from_catalog(name)
+        for base_step in (2e-3, 1e-2, 5e-2):
+            cfg = IntegratorConfig(base_step=base_step)
+            for phase, dom in zip(model.phases, model.system.domains):
+                for n_members in (1, 11, 25):
+                    x0 = phase.start_state + 1e-2 * rng.normal(size=(n_members, dom.state_dim))
+                    flow_batch(dom, x0, 5e-2 * rng.normal(size=(n_members, dom.param_dim)), cfg)
+    cfg = IntegratorConfig()
+    x_star = unstable2.orbit.fixed_points[-1]
+    y = simulate_cycle(unstable2.system, None, x_star + 1e-2 * np.array([0.6, 0.8]), 32, cfg)[-1]
+    assert 1e20 < np.max(np.abs(y)) < 1e24
+    n_catalog = len(recorded_crossings)
+    simulate_cycle(unstable2.system, None, y, 8, cfg)
+    assert len(recorded_crossings) == n_catalog + 16
+    n_members = 0
+    for args in recorded_crossings:
+        with np.errstate(over="ignore", invalid="ignore"):
+            floats, stacked = quartic_taus(*args)
+        assert np.array_equal(floats, stacked)
+        n_members += len(floats)
+    assert n_members > 1200  # 1237 members in 653 crossings
+
+
+def test_an_affine_crossing_makes_one_rk4_step_and_one_guard_call(monkeypatch, search_iterations, stable3):
+    # The counters patch AffineGuard.__call__ and the module's rk4_step, so
+    # the guard keeps its type.  Whatever the iterations of its members'
+    # searches, a crossing makes one stacked rk4_step and one guard call.
+    rk4_calls, guard_calls, refinements = [], [], []
+    step, guard_call, refine = integrator.rk4_step, AffineGuard.__call__, integrator._exit_crossing
+
+    def counted_step(f, x, h):
+        rk4_calls.append(len(x))
+        return step(f, x, h)
+
+    def counted_guard(self, X):
+        guard_calls.append(len(X))
+        return guard_call(self, X)
+
+    def spanned_refine(*args):
+        start = len(rk4_calls), len(guard_calls)
+        out = refine(*args)
+        refinements.append((len(rk4_calls) - start[0], len(guard_calls) - start[1]))
+        return out
+
+    monkeypatch.setattr(integrator, "rk4_step", counted_step)
+    monkeypatch.setattr(AffineGuard, "__call__", counted_guard)
+    monkeypatch.setattr(integrator, "_exit_crossing", spanned_refine)
+    gains = synthesis.dlqr_gains(list(stable3.jacobians))
+    law = FeedbackLaw(gains=tuple(gains.gains), orbit=stable3.orbit)
+    x0 = stable3.orbit.fixed_points[-1] + 1e-2 * np.array([0.6, 0.8])
+    simulate_cycle(stable3.system, law, x0, 10, IntegratorConfig(base_step=2e-3))
+    phase_jacobians(stable3.system, stable3.orbit, IntegratorConfig(base_step=2e-3))
+    assert len(refinements) == 33 and guard_calls and rk4_calls == [1] * 30 + [11] * 3
+    assert all(counts == (1, 1) for counts in refinements)
+    assert {max(n) for n in search_iterations} >= {2, 4}
 
 
 def velocity_system(field: str, guard: str = "lambda") -> MultiDomainSystem:
