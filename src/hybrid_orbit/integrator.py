@@ -10,30 +10,36 @@ of the configuration.
 
 One kernel, flow_batch, integrates a stack of members of one phase in
 lockstep on one clock, each with its own start state and frozen parameter
-vector; a single flow is its one-member case.  It tests its steps in
-runs: several base steps at once, then one guard call on all the run's
-states stacked and a finiteness check of the states and the guard values.
-Each step is tested as one-at-a-time stepping would test it, so a run
-accepts the steps before the first that crosses or is not finite.
+vector; a single flow is its one-member case.  Every member's steps are
+tested as one-at-a-time stepping would test them: each step must stay off
+the guard, the first that reaches it is the crossing step, and a step
+with a state or guard value that is not finite raises NonFinite.
 
 A guard that is an AffineGuard, n . x - d, gives its normal n as dH/dx
 (_guard_gradient) to the rounding floors of the start check and of the
 crossing and to the exit guard rate dH/dx . f, so its flows take no
 finite difference; any other guard is differenced centrally.  Its value
-is not finite wherever the state is not, so its runs scan only the guard
-values for finiteness (_finite_guard).
+is not finite wherever the state is not, so its materialized states are
+scanned through their guard values alone (_finite_guard).
 
 A base step has one of two forms.  A field that is an AffineField,
 x' = x M' + c, advances by RK4's exact transition, an affine map
-x -> x R + s, in blocks (_block_table, _block): the _MAX_RUN states after
-an anchor state come from one product with a table of R's powers, the
-same method and truncation error as the stage form.  The table depends
-on the drift and the base step alone, so it is made once per (drift,
-base step) and cached by value (_transition).
-Anchors fall on every _MAX_RUN-th step from the flow start, so a state is
-a pure function of its member's row and its step index.  Every other
-field steps by the stage form _rk4, with the bits of the textbook
-formula, one step at a time (_step_map) in guard-bounded runs (_run).
+x -> x R + s, over horizons of up to _HORIZON steps from an anchor state
+(_horizon, _affine_flow): state j of the horizon is x + [x, s] T_j for a
+table T of R's powers, the same method and truncation error as the stage
+form.  The table depends on the drift and the base step alone, and its
+guard projection T_j n on the normal too, so both are made once per
+(drift, base step, normal) and cached by value (_transition).  With an
+AffineGuard, the guard along the whole horizon is one row-wise product of
+[x, s] with the projection (_screen); only the states a flow keeps, the
+two ends of each crossing step and the next anchor, are built.  A
+horizon that could overflow, or a guard of another type, builds its
+states and calls the guard on them (_block).  Anchors fall on every
+_HORIZON-th step from the flow start, so a state is a pure function of
+its member's row and its step index.  Every other field steps by the
+stage form _rk4, with the bits of the textbook formula, one step at a
+time (_step_map) in guard-bounded runs of stacked states, each tested by
+one guard call (_run).
 
 A crossing is located inside its step by one of two searches with the
 same Illinois rules (_exit_crossing).  For an AffineField with an
@@ -101,21 +107,30 @@ class NonFinite(IntegrationError):
 # at most 35 iterations.
 _REFINE_MAX_ITER = 100
 
-# The length of an affine block, and the most base steps in one
-# guard-bounded run of stage steps.  On the closed-loop benchmark, blocks of
-# 128 or 256 steps ran 4-6% more operations per second than 64 (two
-# alternating ten-second runs each), about the spread of such runs, and the
-# part of a block past the crossing costs its states and guard values.
-# With stage steps, a stable-3 phase-0 flow of 1 or 11 members took 1-2%
-# less time at 64 than at 32, at base step 2e-3 and at 1e-2, and 128 gained
-# nothing clear.
+# The most base steps in one guard-bounded run of stage steps.  A
+# stable-3 phase-0 flow of 1 or 11 members took 1-2% less time at 64 than
+# at 32, at base step 2e-3 and at 1e-2, and 128 gained nothing clear.
 _MAX_RUN = 64
 
-# The most (base step, drift) transition tables kept by _transition.  An
-# entry holds the (2m, 64m) table, Q and the drift's bytes, 1040 m^2 bytes
-# for state dimension m, so a full cache holds at most 33 m^2 kB: 0.3 MB at
-# m = 3.  A closed-loop run uses one table per phase.
+# The most transition steps in one affine horizon, the steps that one
+# projected product screens.  Every flow of the closed-loop workload takes
+# 284-437 steps at base step 2e-3, so 512 holds each in one horizon; in
+# process its operations ran at medians of 91, 101, 141 and 131 per second
+# with horizons of 128, 256, 512 and 1024 (six interleaved rounds on one
+# core), and 1024 doubles the tables' memory.
+_HORIZON = 512
+
+# The most (base step, drift, guard normal) horizon tables kept by
+# _transition.  An entry holds the (2m, 512m) table, the (2m, 512)
+# projection, Q, the bound weights and its key, about 8.2 (m^2 + m) kB for
+# state dimension m, so a full cache holds at most 262 (m^2 + m) kB: 3.1
+# MB at m = 3.  A closed-loop run uses one table per phase.
 _TABLE_CACHE_SIZE = 32
+
+# A horizon is screened without building its states only where the bound
+# of _transition's weights keeps every state, guard value and screened
+# value below this, far from the float limit of about 1.8e308.
+_SCREEN_LIMIT = 1e300
 
 # A guard value this many ulps of |grad H| |x| from zero is on the guard
 # as far as rounding can tell (see _guard_floor).
@@ -221,10 +236,19 @@ def flow_batch(
     still uncrossed, NoCrossing is raised, so the last step ends at or past
     50.
 
-    An AffineField advances in blocks of _MAX_RUN = 64 transition steps
-    (see _block), and a run is the rest of the current block.  It may pass
-    the phase-duration cap: a run accepts no crossing, since the crossing
-    step opens the next run, and the cap is checked before each run.
+    An AffineField advances over horizons of up to _HORIZON = 512
+    transition steps from an anchor state (see _affine_flow).  With an
+    AffineGuard, one projected product gives every member's guard values
+    along the horizon (see _screen), and only the two ends of each
+    member's crossing step, and the next anchor, are built.  Where the
+    bound of _transition cannot rule out overflow in a member's horizon,
+    and for any other guard, the horizon's states are built and the guard
+    called on them (see _block); a step with a state or guard value that
+    is not finite raises NonFinite there, after the crossings of earlier
+    steps.  A horizon may pass the phase-duration cap; a member still
+    uncrossed at the first step that starts at or past it raises
+    NoCrossing.  Members that cross at the same step are located together,
+    steps in order.
     Every other field takes stage steps, the map of _step_map, in
     guard-bounded runs of up to 64 steps back to back, and of no more than
     (min g - _GUARD_TOL) / (2 |dg|) steps, where |dg| is the largest guard
@@ -232,19 +256,19 @@ def flow_batch(
     the guard's rate more than doubles.  The first stage step, and the
     step after a crossing, run alone.  One guard call on the run's stacked
     states, and a finiteness check of the states and of the guard values,
-    test the whole run; an affine block is tested once, whole.  The steps
-    before the first one that crosses or is not finite are accepted; that
-    step opens the next run, where it crosses or raises NonFinite as a lone
-    step would.  A crossing drops the crossed members' rows of a block and
-    the rest of a stage run.  So trajectories, exits and errors are those
-    of one-at-a-time stepping bit for bit, and each member's are those of
-    its solo flow.
+    test the whole run.  The steps before the first one that crosses or is
+    not finite are accepted; that step opens the next run, where it
+    crosses or raises NonFinite as a lone step would.  A crossing drops
+    the crossed members' rows and the rest of the run.  So the steps,
+    exits and errors are those of one-at-a-time stepping, and each
+    member's are those of its solo flow bit for bit.
 
     dH/dx, which the rounding floor of H and the exit guard rate need, is
     an AffineGuard's normal, and a central difference of any other guard
-    (see _guard_gradient).  An AffineGuard's runs check the finiteness of
-    its guard values alone, which are not finite wherever a state is not;
-    the error raised, and the step it is raised at, are the same.
+    (see _guard_gradient).  An AffineGuard's runs and built horizons check
+    the finiteness of its guard values alone, which are not finite
+    wherever a state is not; the error raised, and the step it is raised
+    at, are the same.
     """
     x = np.array(x0, dtype=float)
     betas = np.asarray(betas, dtype=float)
@@ -264,16 +288,13 @@ def flow_batch(
     side = np.where(h0 > 0.0, 1.0, -1.0)
     g_val = np.abs(h0)
     dt = cfg.base_step
+    f = _batch_field(domain, betas)
+    if isinstance(f, AffineField):
+        return _affine_flow(domain, betas, f, x, side, g_val, dt)
     consts = np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0)
     t = 0.0
     members = np.arange(n_members)
-    f = _batch_field(domain, betas)
-    affine = isinstance(f, AffineField)
-    if affine:
-        table, s = _block_table(f, dt)
-        block = block_g = np.empty((n_members, 0))  # the states of the block not yet accepted
-    else:
-        step = _step_map(f, consts)
+    step = _step_map(f, consts)
     x_out = np.empty_like(x)
     t_out = np.empty(n_members)
 
@@ -281,25 +302,19 @@ def flow_batch(
     while members.size:
         if t >= _MAX_PHASE_DURATION:
             raise NoCrossing(f"guard not reached within max phase duration {_MAX_PHASE_DURATION}")
-        if not affine:
-            xs, g = _run(step, guard, x, side, _run_length(rate, g_val, t, dt))
-        else:
-            if not block.shape[1]:
-                block, block_g = _block(table, s, guard, side, x)
-            xs, g = block.swapaxes(0, 1), block_g.T
+        xs, g = _run(step, guard, x, side, _run_length(rate, g_val, t, dt))
         passed = (g > _GUARD_TOL).all(axis=1)
         n_ok = _leading(passed)
 
         if n_ok:
-            if not affine:
-                rate = float(np.abs(g[n_ok - 1] - (g[n_ok - 2] if n_ok > 1 else g_val)).max())
+            rate = float(np.abs(g[n_ok - 1] - (g[n_ok - 2] if n_ok > 1 else g_val)).max())
         elif not g.shape[0]:
             # The run's first step has a non-finite state or guard value.
             _raise_non_finite(xs[0], t, np.nan)
         else:
             # The first step of the run crosses for some members: locate
-            # their exits.  The others take the step; the rest of a stage
-            # run is dropped, and a block keeps the others' rows.
+            # their exits.  The others take the step, and the rest of the
+            # run is dropped.
             crossed = g[0] <= _GUARD_TOL
             rows = np.flatnonzero(crossed)
             f_rows = f if rows.size == members.size else _batch_field(domain, betas[members[rows]])
@@ -314,20 +329,94 @@ def flow_batch(
                 break
             xs, g, side = xs[:1, keep], g[:1, keep], side[keep]
             f = _batch_field(domain, betas[members])
-            if affine:
-                block, block_g, s = block[keep], block_g[keep], s[keep]
-            else:
-                step = _step_map(f, consts)
+            step = _step_map(f, consts)
             rate, n_ok = None, 1
 
         # Accept the first n_ok steps.  The clock adds them one at a time, as
         # one-at-a-time stepping does, so exit times match it bit for bit.
         x, g_val = xs[n_ok - 1], g[n_ok - 1]
-        if affine:
-            block, block_g = block[:, n_ok:], block_g[:, n_ok:]
         for _ in range(n_ok):
             t += dt
     return x_out, t_out
+
+
+def _affine_flow(domain, betas, f, x, side, g_val, dt):
+    """flow_batch for the AffineField f of the stack betas, from the (B, m)
+    start states x with their approach sides and signed guard values.
+
+    Each pass takes one horizon of L steps from the anchors x: the rows
+    y = [x, s], the start time of each step, summed one step at a time as
+    one-at-a-time stepping sums it, and the (B, L) signed guard values,
+    screened (_screen) for the members whose bound |y| . w + |d| (see
+    _transition) is at most _SCREEN_LIMIT and read from the built states
+    (_block) for the others, up to the first step at which one of theirs
+    is not finite.  Steps are then taken in order.  The members that first
+    reach g <= _GUARD_TOL at a step are located together by _exit_crossing
+    from the step's two ends.  A member still uncrossed at the first step
+    that starts at or past the cap raises NoCrossing.  The first value
+    that is not finite raises NonFinite, unless a built member that has
+    crossed cut the scan short; then the others take the horizon again.
+    The rest go on from the horizon's last state.  Kept states are
+    built by row-wise products with the table columns they need, so a
+    member's states, guard values and errors do not depend on its
+    stack-mates.
+    """
+    guard = domain.guard
+    table, proj, weight, s = _horizon(f, guard, dt)
+    n_members, m = x.shape
+    n_steps = table.shape[1] // m
+    room = _SCREEN_LIMIT - abs(guard.offset) if proj is not None else None
+    members = np.arange(n_members)
+    x_out = np.empty_like(x)
+    t_out = np.empty(n_members)
+    t = 0.0
+    while True:
+        y = np.concatenate([x, s], axis=1)
+        clock = np.full(n_steps + 1, dt)
+        clock[0] = t
+        clock = clock.cumsum()  # the start time of step j, added in order as stepping adds it
+        cap = int(np.searchsorted(clock, _MAX_PHASE_DURATION))
+        if proj is None:
+            g, built = np.empty((len(x), n_steps)), np.ones(len(x), dtype=bool)
+        else:
+            g, built = _screen(proj, side, g_val, y), ~((np.abs(y) * weight).sum(axis=1) <= room)
+        n_finite = n_steps
+        if built.any():
+            xs, g_built = _block(table, s[built], guard, side[built], x[built])
+            n_finite = g_built.shape[1]
+            g[built, :n_finite] = g_built  # a crossing found past n_finite is past stop
+        crossed = g <= _GUARD_TOL
+        first = np.where(crossed.any(axis=1), crossed.argmax(axis=1), n_steps)
+        stop = min(cap, n_finite)
+        for j in sorted(set(first[first < stop].tolist())):
+            rows = np.flatnonzero(first == j)
+            lo = max(j - 1, 0)
+            ends = np.matmul(y[rows, None, :], table[:, lo * m : (j + 1) * m]).reshape(len(rows), -1, m)
+            ends += x[rows, None, :]
+            x_from, g_from = (ends[:, 0], g[rows, j - 1]) if j else (x[rows], g_val[rows])
+            f_rows = f if rows.size == len(x) else _batch_field(domain, betas[members[rows]])
+            x_exit, t_exit = _exit_crossing(
+                f_rows, guard, x_from, float(clock[j]), dt, side[rows], g_from, ends[:, -1], g[rows, j]
+            )
+            x_out[members[rows]] = x_exit
+            t_out[members[rows]] = t_exit
+        keep = first >= stop
+        if not keep.any():
+            return x_out, t_out
+        if stop == cap:
+            raise NoCrossing(f"guard not reached within max phase duration {_MAX_PHASE_DURATION}")
+        if stop < n_steps and keep[built].all():
+            _raise_non_finite(xs[:, stop], float(clock[stop]), np.nan)
+        if not keep.all():
+            members, x, y, s, side, g_val = members[keep], x[keep], y[keep], s[keep], side[keep], g_val[keep]
+            f = _batch_field(domain, betas[members])
+        if stop == n_steps:
+            # The members past the horizon go on from its last state.
+            x = x + np.matmul(y[:, None, :], table[:, -m:])[:, 0]
+            g_val = side * guard(x)
+            t = float(clock[n_steps])
+        # Short of the horizon's end, a built member that has crossed cut
+        # the scan short, and the others take the horizon again.
 
 
 def _run_length(rate, g_val, t, step) -> int:
@@ -357,26 +446,30 @@ def _step_map(f, consts):
     """The map x -> one RK4 step of the field f from the (B, m) stack x,
     given the step constants consts = (h/2, h, h/6) of flow_batch: the
     stage form _rk4.  With _run it is the stage path's seam; flow_batch
-    advances an AffineField by _block instead."""
+    advances an AffineField by _affine_flow instead."""
     return lambda x: _rk4(f, x, *consts)
 
 
-def _block_table(f: AffineField, h: float):
-    """The table of up to _MAX_RUN transition steps of the AffineField f at
-    base step h, and its (B, m) step offsets s = h (c + c Q) for the
-    control rows c of f (see _transition).  The table is made once per
-    drift and base step and shared, read-only, by every flow that has
-    them; the offsets are made per call."""
-    table, q = _transition(float(h), f.drift.shape, f.drift.tobytes())
-    return table, h * (f.control + f.control.dot(q))
+def _horizon(f: AffineField, guard, h: float):
+    """The horizon of the AffineField f at base step h under guard: the
+    table, the guard projection and the bound weights of _transition, the
+    last two None unless guard is an AffineGuard, and the (B, m) step
+    offsets s = h (c + c Q) for the control rows c of f.  The cached part
+    is made once per drift, base step and normal and shared, read-only,
+    by every flow that has them; the offsets are made per call."""
+    normal = guard.normal.tobytes() if isinstance(guard, AffineGuard) else None
+    table, q, proj, weight = _transition(float(h), f.drift.shape, f.drift.tobytes(), normal)
+    return table, proj, weight, h * (f.control + f.control.dot(q))
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _transition(h: float, shape: tuple, drift: bytes):
+def _transition(h: float, shape: tuple, drift: bytes, normal: bytes | None):
     """The read-only transition table at base step h of the drift matrix M
-    whose float64 values, in C order, are the bytes drift, and the matrix
-    Q below.  The cache is keyed by value, so a drift mutated in place, or
-    a new array of the same values, never meets a stale table.
+    whose float64 values, in C order, are the bytes drift, the matrix Q
+    below, and for the guard normal n whose bytes are normal, the table's
+    guard projection and bound weights (None if normal is None).  The
+    cache is keyed by value, so a drift mutated in place, or a new array
+    of the same values, never meets a stale table.
 
     With Z = h M' and Q = Z/2 + Z^2/6 + Z^3/24, one RK4 step of
     x' = x M' + c is exactly x -> x + (x inc + s), with inc = Z + Z Q and
@@ -385,33 +478,70 @@ def _transition(h: float, shape: tuple, drift: bytes):
     Wanner, Solving ODEs I, sec. II.1).  With R = I + inc, the state j steps
     after x is x + (x D_j + s G_j), where D_j = R^j - I and
     G_j = I + R + ... + R^(j-1).  The table is the (2m, L m) matrix
-    [[D_1 ... D_L], [G_1 ... G_L]], made by doubling,
-    D_(i+j) = D_i + (D_j + D_i D_j) and G_(i+j) = G_i + (G_j + D_i G_j),
-    so that no identity is rounded into the D_j.  The small terms of Q are
-    summed first.  L is _MAX_RUN, or the index of the first D_j or G_j that
-    is not finite, but at least 1: a state x with a zero component along an
-    overflowing power stays finite in the stage form, and 0 * inf is NaN.
+    [T_1 ... T_L] of the (2m, m) blocks T_j = [[D_j], [G_j]], made by
+    doubling, D_(i+j) = D_i + (D_j + D_i D_j) and
+    G_(i+j) = G_i + (G_j + D_i G_j), so that no identity is rounded into
+    the D_j.  The small terms of Q are summed first.  L is _HORIZON, or
+    the index of the first D_j or G_j that is not finite, but at least 1:
+    a state x with a zero component along an overflowing power stays
+    finite in the stage form, and 0 * inf is NaN.
+
+    The projection is the (2m, L) matrix P of the columns P_j = T_j n, so
+    that H = n . x - d at the state j steps after x is H(x) + [x, s] . P_j.
+    The (2m,) bound weights are w = max(1, |n|_1) (r_T + e) + r_P, where
+    r_A holds the largest |entry| of each row of A, and e is 1 on the m
+    rows of x and 0 on those of s: for the row y = [x, s], every entry of
+    every state of the horizon, every |H| there and every
+    |H(x) + y . P_j| is at most |y| . w + |d|, up to rounding.
     """
     z = h * np.frombuffer(drift).reshape(shape).T
     z2 = z.dot(z)
     q = z2.dot(z) / 24.0 + z2 / 6.0 + 0.5 * z
     d, g = (z + z.dot(q))[None], np.eye(len(z))[None]
-    while len(d) < _MAX_RUN:
+    while len(d) < _HORIZON:
         last = d[-1]
         d, g = np.concatenate([d, last + (d + last @ d)]), np.concatenate([g, g[-1] + (g + last @ g)])
-    finite = (np.isfinite(d).all(axis=(1, 2)) & np.isfinite(g).all(axis=(1, 2)))[:_MAX_RUN]
+    finite = (np.isfinite(d).all(axis=(1, 2)) & np.isfinite(g).all(axis=(1, 2)))[:_HORIZON]
     n = max(1, _leading(finite))
-    table = np.concatenate([d[:n], g[:n]], axis=1).transpose(1, 0, 2).reshape(2 * len(z), -1)
+    blocks = np.concatenate([d[:n], g[:n]], axis=1).transpose(1, 0, 2)  # (2m, L, m)
+    table = blocks.reshape(2 * len(z), -1)
+    proj = weight = None
+    if normal is not None:
+        n_vec = np.frombuffer(normal)
+        proj = blocks.dot(n_vec)
+        ones = np.repeat([1.0, 0.0], len(z))
+        weight = max(1.0, np.abs(n_vec).sum()) * (np.abs(table).max(axis=1) + ones) + np.abs(proj).max(axis=1)
+        proj.flags.writeable = weight.flags.writeable = False
     table.flags.writeable = q.flags.writeable = False
-    return table, q
+    return table, q, proj, weight
+
+
+def _screen(proj, side, g_val, y):
+    """The (B, L) signed guard values g = side * H along the horizon from
+    the anchors with rows y = [x, s] and signed guard values g_val, for
+    the projection of _transition, without building a state:
+    g_j = g_val + side * (y . P_j).
+
+    This differs from side * H(x + y T_j), the guard at the built state,
+    in rounding alone: by at most (5m + 3) eps (|n| . (|x| + |y| |T_j|) +
+    |d|) to first order, with |.| taken entrywise.  The product is the
+    row-wise np.matmul, as in _block, so a member's values do not depend
+    on its stack-mates.
+    """
+    g = np.matmul(y[:, None, :], proj)[:, 0]
+    g *= side[:, None]
+    g += g_val[:, None]
+    return g
 
 
 def _block(table, s, guard, side, x):
     """The (B, L, m) states of the L transition steps from the (B, m)
-    anchor states x, for the table and step offsets s of _block_table, and
+    anchor states x, for the table and step offsets s of _horizon, and
     their (B, n) signed guard values up to the first step at which some
     member's state or guard value is not finite.  For an AffineGuard only
-    the guard values are scanned (see _finite_guard).
+    the guard values are scanned (see _finite_guard).  _affine_flow builds
+    a horizon this way where the bound of _transition cannot rule out
+    overflow, or for a guard that is not an AffineGuard.
 
     The states are one batched product of each row [x_b, s_b] with the
     table.  np.matmul takes the same product for every row whatever B is;
@@ -576,12 +706,11 @@ def _stage_search(trial, step, g_from, g_to, x_from, x_to, floor_at):
     the (B,) fractions tau; the bracket ends start at x_from, g_from and
     x_to, g_to.  Every member takes every trial, so the brackets are
     updated under masks over the whole stack, each end's tau, weight, |g|
-    and state in an array of its own, updated in place.  The floor,
-    floor_at(), is taken once some active member's best end is within
-    _GUARD_TOL, and from then on stops every member whose best end is
-    within it.  So a member whose floor exceeds _GUARD_TOL, on a state of
-    about 1e5 or more, can stop on a stack-mate's account, where _search
-    stops it within _GUARD_TOL alone.
+    and state in an array of its own, updated in place.  A member stops
+    once its best end is within the smaller of _GUARD_TOL and its floor,
+    as in _search.  The floor, floor_at(), is taken once some active
+    member's best end is within _GUARD_TOL, before which no member can
+    stop, so each member stops where it would alone.
     """
     width = 4.0 * np.finfo(float).eps * step
     tau_lo, tau_hi = np.zeros(len(x_from)), np.full(len(x_from), step, dtype=float)
@@ -597,7 +726,7 @@ def _stage_search(trial, step, g_from, g_to, x_from, x_to, floor_at):
         if floor is None and (active & (h_hit <= _GUARD_TOL)).any():
             floor = floor_at()
         if floor is not None:
-            active &= ~(h_hit <= floor)
+            active &= ~(h_hit <= np.minimum(_GUARD_TOL, floor))
         if n_iter == _REFINE_MAX_ITER or not active.any():
             break
         tau = np.clip(tau_lo + (tau_hi - tau_lo) * (w_lo / (w_lo - w_hi)), tau_lo, tau_hi)
@@ -625,14 +754,15 @@ def _exit_crossing(f, guard, x_from, t_from, step, side, g_from, x_to, g_to):
     then check it.
 
     g(tau) = side * H(rk4_step(f, x_from, tau)) falls from g_from > 0 to g_to
-    over the step; the hi end at tau = step is the run's x_to, which for an
-    AffineField is the block state and differs from rk4_step(f, x_from,
-    step) in rounding alone.  The bracket search splits by type, as the
+    over the step; the hi end at tau = step is the flow's x_to, which for
+    an AffineField is the state built from the horizon table and differs
+    from rk4_step(f, x_from, step) in rounding alone, as a screened g_to
+    differs from side * H(x_to).  The bracket search splits by type, as the
     base step does:
     - an AffineField with an AffineGuard: g is the quartic of
       _quartic_coefficients, and each member runs _search on its own
       quartic in Python floats, with no trial step.  One stacked rk4_step
-      then gives the states at the chosen tau, and the block state x_to
+      then gives the states at the chosen tau, and the built state x_to
       stands where the untouched hi end wins; one guard call gives their
       |H|.
     - any other flow: _stage_search, with a stacked rk4_step and guard

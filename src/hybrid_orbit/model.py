@@ -61,10 +61,12 @@ class AffineField:
     rows C, row b of the field held at control[b]; a batch_field whose
     closed phase field is affine in the state returns one.  Each row of
     field(X) has the same bits whatever B is.  flow_batch advances such a
-    field by its exact RK4 transition, 64 steps per product, with a table
-    of the transition's powers made once per drift and base step and
-    cached by value (see integrator._block_table).  With an AffineGuard,
-    the guard along an RK4 step is a quartic in the step length, and each
+    field by its exact RK4 transition over horizons of up to 512 steps,
+    with a table of the transition's powers made once per drift, base step
+    and guard normal and cached by value (see integrator._horizon).  With
+    an AffineGuard, one product with the table's guard projection screens
+    a whole horizon, and only the states the flow keeps are built; the
+    guard along an RK4 step is a quartic in the step length, and each
     crossing is searched on it in floats (see integrator._exit_crossing).
     """
 
@@ -135,10 +137,11 @@ class Domain:
     input_map and controller; without it, batched integration applies
     those one row at a time.  A phase whose closed field is affine in the
     state should return an AffineField: flows then advance it by its
-    exact RK4 transition in blocks of 64 steps, one product and one guard
-    call per block, with the same truncation error as the RK4 stages that
-    any other map takes one step at a time, and several times faster
-    (see the README's "Batched phase flows").
+    exact RK4 transition over horizons of up to 512 steps, with the same
+    truncation error as the RK4 stages that any other map takes one step
+    at a time, and many times faster; with an AffineGuard one product
+    screens the guard along a horizon and builds no state it does not
+    keep (see the README's "Batched phase flows").
 
     When present batch_field takes precedence over the scalar field
     callables, and dataclasses.replace copies it unchanged:

@@ -95,7 +95,7 @@ def test_rk4_step_equals_the_textbook_formula_bit_for_bit(n_members):
 def rk4_calls(monkeypatch):
     """The step length h of every RK4 step the integrator takes in the
     stage form: each accepted or dropped step of a map made by _step_map,
-    and each rk4_step of a crossing refinement.  An AffineField's blocks
+    and each rk4_step of a crossing refinement.  An AffineField's horizons
     take no such step."""
     calls = []
     step_map, rk4_step = integrator._step_map, integrator.rk4_step
@@ -662,7 +662,7 @@ def test_affine_field_keeps_the_bits_of_the_stacked_lambda(request, name):
 def test_affine_guard_keeps_the_bits_of_the_catalog_lambda(request, name):
     # The catalog guard was the lambda (x * n).sum(axis=1) - d; as an
     # AffineGuard it gives the same bits on one row, on a stack and on the
-    # (B L, m) rows of an 11-member block.  A normal that is not a finite
+    # (L B, m) rows of an 11-member run of 64 steps.  A normal that is not a finite
     # vector, or an offset that is not finite, is refused.
     model = catalog_model(request, name)
     rng = np.random.default_rng(19)
@@ -707,11 +707,11 @@ def test_an_affine_guard_flow_takes_no_finite_difference(stable3, monkeypatch):
 @pytest.mark.parametrize("base_step", [5e-3, 2e-3, 1e-2, 5e-2])
 @pytest.mark.parametrize("name", CATALOG)
 def test_catalog_transition_flows_match_stage_form_flows(request, name, base_step):
-    # A catalog flow advances by blocks of RK4's exact transition, the
+    # A catalog flow advances over horizons of RK4's exact transition, the
     # lifted domain by the stage form: the same method, apart in rounding
-    # alone.  The exits differed by at most 2.1e-15 relative in the state
-    # and 2.8e-15 in the time (7.1e-16 and 5.6e-16 with one transition step
-    # at a time).
+    # alone.  The exits differed by at most 2.0e-15 relative in the state
+    # and 2.7e-15 in the time (2.1e-15 and 2.9e-15 with 64-step blocks,
+    # 7.1e-16 and 5.6e-16 with one transition step at a time).
     cfg = IntegratorConfig(base_step=base_step)
     model = catalog_model(request, name)
     rng = np.random.default_rng(19)
@@ -725,10 +725,37 @@ def test_catalog_transition_flows_match_stage_form_flows(request, name, base_ste
         assert np.max(np.abs(t_exit - t_lift)) <= 1e-13
 
 
+def test_affine_crossings_anywhere_in_a_horizon_match_the_stage_form():
+    # x1 moves at unit speed to the guard x1 = 1, which RK4 integrates
+    # exactly, while x2 follows x2' = 0.3 x1 - 0.5 x2 + 0.2.  The members
+    # cross inside steps 0, 1 and 2 of the first horizon, in its last step,
+    # and in steps 0 and 1 of the second and third: each exits within 1e-12
+    # of t = 1 - x1(0), as its solo flow does, and within 1e-12 of the
+    # stage-form flow (1.5e-13 at t = 10.25, where the stage form has added
+    # the step 1025 times).
+    drift = np.array([[0.0, 0.0], [0.3, -0.5]])
+    dom = replace(
+        autonomous(lambda x: drift @ x + [1.0, 0.2], AffineGuard([1.0, 0.0], 1.0), 2),
+        batch_field=lambda betas: AffineField(drift, np.tile([1.0, 0.2], (len(betas), 1))),
+    )
+    cfg = IntegratorConfig()
+    horizon = integrator._horizon(dom.batch_field(np.zeros((1, 0))), dom.guard, cfg.base_step)[0].shape[1] // 2
+    steps = [0, 1, 2, horizon - 1, horizon, horizon + 1, 2 * horizon, 2 * horizon + 1]
+    t_cross = (np.array(steps) + 0.5) * cfg.base_step
+    x0 = np.column_stack([1.0 - t_cross, np.linspace(-1.0, 1.0, len(steps))])
+    x_exit, t_exit = flow_batch(dom, x0, np.zeros((len(steps), 0)), cfg)
+    x_lift, t_lift = flow_batch(lifted(dom), x0, np.zeros((len(steps), 0)), cfg)
+    assert np.max(np.abs(t_exit - t_cross)) < 1e-12
+    assert np.max(np.abs(t_exit - t_lift)) < 1e-12 and np.max(np.abs(x_exit - x_lift)) < 1e-12
+    for b in range(len(steps)):
+        x_solo, t_solo = flow_one(dom, x0[b], np.zeros(0), cfg)
+        assert np.array_equal(x_exit[b], x_solo) and t_exit[b] == t_solo
+
+
 def test_an_overflowing_transition_power_cuts_the_block():
     # With Z = 50 on the first axis, R^j overflows near j = 57.  The start
     # has no component along that axis, so the stage form stays finite, and
-    # so must the block: a full 64-step table gives 0 * inf = NaN and raised
+    # so must the horizon: a full 64-step table gave 0 * inf = NaN and raised
     # NonFinite near t = 2.8.  The exit is x2 = 0.5, at t = ln(2) / 0.2.
     a = np.diag([1000.0, -0.2])
     dom = replace(
@@ -742,27 +769,71 @@ def test_an_overflowing_transition_power_cuts_the_block():
     assert abs(t_exit - t_lift) <= 1e-13
     assert np.max(np.abs(x_exit - x_lift)) <= 1e-13
     with np.errstate(over="ignore", invalid="ignore"):
-        table, _ = integrator._block_table(dom.batch_field(np.zeros((1, 0))), cfg.base_step)
-    assert np.isfinite(table).all() and 1 <= table.shape[1] // 2 < integrator._MAX_RUN
+        table = integrator._horizon(dom.batch_field(np.zeros((1, 0))), dom.guard, cfg.base_step)[0]
+    assert np.isfinite(table).all() and 1 <= table.shape[1] // 2 < integrator._HORIZON
 
 
-def test_an_affine_flow_tests_each_block_with_one_guard_call(stable3):
-    # A flow of 373 steps at 2e-3, the crossing step included, takes six
-    # blocks of 64 states: six guard calls of 64 rows, besides the start
-    # value, the rounding floor and the crossing refinement.
+def test_an_affine_flow_screens_its_horizon_and_builds_it_only_when_it_must(monkeypatch, stable3):
+    # A flow of 373 steps at 2e-3, the crossing step included, screens one
+    # horizon: its guard calls are the start value and the crossing's |H|,
+    # and it builds no horizon.  The counters patch AffineGuard.__call__ and
+    # spy on _block, so the guard keeps its type.  The same guard hidden in
+    # a lambda builds the horizon once, and so does a member whose state
+    # is 1e301, where the bound cannot rule out overflow; its stack-mate is
+    # still screened, and both exit as they do alone.
     dom = stable3.system.domains[0]
     x0, cfg = stable3.phases[0].start_state, IntegratorConfig(base_step=2e-3)
     steps = len(reference_flow(lifted(dom), x0, np.zeros(3), cfg)[0]) - 1
-    calls = []
+    guard_calls, blocks = [], []
+    guard_call, block = AffineGuard.__call__, integrator._block
 
-    def counted_guard(x):
-        calls.append(x.shape[0])
-        return dom.guard(x)
+    def counted_guard(self, X):
+        guard_calls.append(len(X))
+        return guard_call(self, X)
 
-    flow_one(replace(dom, guard=counted_guard), x0, np.zeros(3), cfg)
-    assert steps == 373
-    assert calls.count(integrator._MAX_RUN) == -(-steps // integrator._MAX_RUN) == 6
-    assert len(calls) < 20
+    def spied_block(table, s, guard, side, x):
+        blocks.append(len(x))
+        return block(table, s, guard, side, x)
+
+    monkeypatch.setattr(AffineGuard, "__call__", counted_guard)
+    monkeypatch.setattr(integrator, "_block", spied_block)
+    flow_one(dom, x0, np.zeros(3), cfg)
+    assert steps == 373 < integrator._HORIZON
+    assert guard_calls == [1, 1] and blocks == []
+    flow_one(replace(dom, guard=lambda X: dom.guard(X)), x0, np.zeros(3), cfg)
+    assert blocks == [1]
+
+    blocks.clear()
+    # The guard x1 = 1e287 is 1e287 from the far start, past its rounding
+    # floor of 8.9e285.
+    far = replace(
+        autonomous(lambda x: np.array([1e287, 0.0]), AffineGuard([1.0, 0.0], 1e287), 2),
+        batch_field=lambda betas: AffineField(np.zeros((2, 2)), np.tile([1e287, 0.0], (len(betas), 1))),
+    )
+    x0 = np.array([[0.0, 1e301], [5e286, 0.0]])
+    x_exit, t_exit = flow_batch(far, x0, np.zeros((2, 0)), IntegratorConfig())
+    assert blocks == [1]
+    assert abs(t_exit[0] - 1.0) < 1e-12 and abs(t_exit[1] - 0.5) < 1e-12
+    for b in range(2):
+        x_solo, t_solo = flow_one(far, x0[b], np.zeros(0), IntegratorConfig())
+        assert np.array_equal(x_exit[b], x_solo) and t_exit[b] == t_solo
+    assert blocks == [1, 1]
+
+
+def test_a_stage_search_member_stops_as_it_does_alone():
+    # The lambda field (1, 0) and guard x0^3 - 0.2 take the stacked
+    # stage-form search.  The member [0.042, 1e6] has a rounding floor of H
+    # above _GUARD_TOL; beside [0, 0] it used to stop once [0, 0] came
+    # within _GUARD_TOL, at t = 0.5428035475396409 against 0.5428035476425731
+    # alone.  Each member now stops within min(_GUARD_TOL, its floor).
+    dom = autonomous(lambda x: np.array([1.0, 0.0]), lambda X: X[:, 0] ** 3 - 0.2, 2)
+    cfg = IntegratorConfig(base_step=0.1)
+    x0 = np.array([[0.042, 1e6], [0.0, 0.0]])
+    x_exit, t_exit = flow_batch(dom, x0, np.zeros((2, 0)), cfg)
+    for b in range(2):
+        x_solo, t_solo = flow_one(dom, x0[b], np.zeros(0), cfg)
+        assert np.array_equal(x_exit[b], x_solo) and t_exit[b] == t_solo
+    assert t_exit[0] == 0.5428035476425731
 
 
 def reference_flow(domain, x0, beta, cfg):
@@ -943,7 +1014,7 @@ def test_runs_stop_at_the_phase_duration_cap(monkeypatch, rk4_calls):
             flow_one(dom, [0.0], np.zeros(0), cfg)
         assert all(np.all(np.asarray(h) == cfg.base_step) for h in rk4_calls)
         assert len(rk4_calls) <= 46
-        # An affine block runs on to 0.64, past the jump at 0.5.  The flow
+        # An affine horizon runs on to 5.12, past the jump at 0.5.  The flow
         # still stops at the cap and does not refine the crossing at the
         # jump, which would stall.
         unit = replace(dom, batch_field=lambda betas: AffineField(np.zeros((1, 1)), np.ones((len(betas), 1))))
@@ -993,9 +1064,10 @@ def test_catalog_field_rows_do_not_depend_on_the_batch_size(request, name):
 
 @pytest.mark.parametrize("name", CATALOG + ("unstable-3", "rebuilt"))
 def test_catalog_block_rows_do_not_depend_on_the_batch_size(request, name):
-    # An affine block's states and guard values for a member are those of
-    # its one-row block, bit for bit, at every stack size; y.dot(table) in
-    # place of the batched matmul failed this for most rows.
+    # A horizon's screened guard values, and its built states and guard
+    # values, are for a member those of its one-row horizon, bit for bit,
+    # at every stack size; y.dot(table) in place of the batched matmul
+    # failed this for most rows.
     model = catalog_model(request, name)
     rng = np.random.default_rng(23)
     for ph, dom in zip(model.phases, model.system.domains):
@@ -1004,28 +1076,60 @@ def test_catalog_block_rows_do_not_depend_on_the_batch_size(request, name):
                 x = ph.start_state + 1e-2 * rng.normal(size=(n_members, dom.state_dim))
                 betas = 5e-2 * rng.normal(size=(n_members, dom.param_dim))
                 side = np.where(rng.normal(size=n_members) > 0.0, 1.0, -1.0)
-                table, s = integrator._block_table(dom.batch_field(betas), base_step)
-                states, g = integrator._block(table, s, dom.guard, side, x)
-                assert states.shape == (n_members, integrator._MAX_RUN, dom.state_dim)
-                assert g.shape == (n_members, integrator._MAX_RUN)
+
+                def horizon(rows):
+                    table, proj, _, s = integrator._horizon(dom.batch_field(betas[rows]), dom.guard, base_step)
+                    y = np.concatenate([x[rows], s], axis=1)
+                    screen = integrator._screen(proj, side[rows], side[rows] * dom.guard(x[rows]), y)
+                    return (screen,) + integrator._block(table, s, dom.guard, side[rows], x[rows])
+
+                screen, states, g = horizon(slice(None))
+                assert states.shape == (n_members, integrator._HORIZON, dom.state_dim)
+                assert screen.shape == g.shape == (n_members, integrator._HORIZON)
                 for b in range(n_members):
-                    table_b, s_b = integrator._block_table(dom.batch_field(betas[b : b + 1]), base_step)
-                    states_b, g_b = integrator._block(table_b, s_b, dom.guard, side[b : b + 1], x[b : b + 1])
-                    assert np.array_equal(states[b], states_b[0])
-                    assert np.array_equal(g[b], g_b[0])
+                    for stack, solo in zip((screen, states, g), horizon(slice(b, b + 1))):
+                        assert np.array_equal(stack[b], solo[0])
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_the_screen_is_the_guard_at_the_built_states(request, name):
+    # On every catalog phase the screened g_j = g(x) + side * [x, s] . P_j
+    # lies within the rounding margin that _screen states of side * H at
+    # the built state x + [x, s] T_j: (5m + 3) eps (|n| . (|x| + |y| |T_j|)
+    # + |d|).  The worst was 0.17 of the margin.
+    model = catalog_model(request, name)
+    rng = np.random.default_rng(41)
+    eps = np.finfo(float).eps
+    for base_step in (2e-3, 1e-2, 5e-2):
+        for phase, dom in zip(model.phases, model.system.domains):
+            guard, m = dom.guard, dom.state_dim
+            for n_rows in (1, 11, 704):
+                x = phase.start_state + 1e-2 * rng.normal(size=(n_rows, m))
+                betas = 5e-2 * rng.normal(size=(n_rows, dom.param_dim))
+                table, proj, _, s = integrator._horizon(dom.batch_field(betas), guard, base_step)
+                side = np.where(guard(x) > 0.0, 1.0, -1.0)
+                y = np.concatenate([x, s], axis=1)
+                screen = integrator._screen(proj, side, side * guard(x), y)
+                states, g = integrator._block(table, s, guard, side, x)
+                assert g.shape == screen.shape == (n_rows, table.shape[1] // m)
+                size = np.matmul(np.abs(y)[:, None, :], np.abs(table)).reshape(n_rows, -1, m) + np.abs(x)[:, None]
+                margin = (5 * m + 3) * eps * ((size * np.abs(guard.normal)).sum(axis=2) + abs(guard.offset))
+                assert np.all(np.abs(screen - g) <= margin)
 
 
 def test_equal_drifts_share_one_read_only_transition_table():
     # The table is cached by the drift's values: distinct arrays of equal
     # values, with other control rows, share one table object.
     drift = np.array([[0.05, 1.0], [-1.0, 0.05]])
+    guard = AffineGuard([1.0, 0.0], 0.5)
     first = AffineField(drift, np.zeros((1, 2)))
     second = AffineField(drift.copy(), np.ones((3, 2)))
-    table, s = integrator._block_table(first, 1e-2)
-    assert integrator._block_table(second, 1e-2)[0] is table
-    assert integrator._block_table(first, 2e-2)[0] is not table
+    table, proj, weight, s = integrator._horizon(first, guard, 1e-2)
+    assert integrator._horizon(second, AffineGuard(guard.normal.copy(), 2.0), 1e-2)[0] is table
+    assert integrator._horizon(first, guard, 2e-2)[0] is not table
+    assert table.shape == (4, 2 * integrator._HORIZON) and proj.shape == (4, integrator._HORIZON)
     assert s.shape == (1, 2) and s.flags.writeable
-    for array in integrator._transition(1e-2, drift.shape, drift.tobytes()):
+    for array in integrator._transition(1e-2, drift.shape, drift.tobytes(), guard.normal.tobytes()):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 0.0
@@ -1039,10 +1143,10 @@ def test_a_drift_mutated_in_place_gets_a_fresh_table():
     )
     cfg = IntegratorConfig(base_step=1e-2)
     before = flow_one(dom, [0.0, 1.0], np.zeros(0), cfg)
-    old_table = integrator._block_table(dom.batch_field(np.zeros((1, 0))), cfg.base_step)[0]
+    old_table = integrator._horizon(dom.batch_field(np.zeros((1, 0))), dom.guard, cfg.base_step)[0]
     drift[0, 1] = 2.0
     after = flow_one(dom, [0.0, 1.0], np.zeros(0), cfg)
-    assert integrator._block_table(dom.batch_field(np.zeros((1, 0))), cfg.base_step)[0] is not old_table
+    assert integrator._horizon(dom.batch_field(np.zeros((1, 0))), dom.guard, cfg.base_step)[0] is not old_table
     assert after[1] != before[1]
     integrator._transition.cache_clear()
     uncached = flow_one(dom, [0.0, 1.0], np.zeros(0), cfg)
@@ -1096,7 +1200,7 @@ def stacked_exit_crossing(f, guard, x_from, t_from, step, side, g_from, x_to, g_
         if floor is None and (active & (h_hit <= integrator._GUARD_TOL)).any():
             floor = integrator._guard_floor(guard, x_to)
         if floor is not None:
-            active &= ~(h_hit <= floor)
+            active &= ~(h_hit <= np.minimum(integrator._GUARD_TOL, floor))
         if n_iter == integrator._REFINE_MAX_ITER or not active.any():
             break
         lo, hi = ends
@@ -1357,7 +1461,7 @@ def velocity_system(field: str, guard: str = "lambda") -> MultiDomainSystem:
     """One domain moving at constant velocity beta from x1 = 1 - y to the
     guard x1 = 1, where y is the section coordinate; x2 is carried along.
     Its field is "lifted" from the scalar callables, a "batch-callable" or
-    an "affine" AffineField, which advances in blocks.  Its guard is the
+    an "affine" AffineField, which advances over horizons.  Its guard is the
     "lambda" X[:, 0] - 1 or the "affine" AffineGuard of normal (1, 0),
     whose value is NaN once x2 overflows (inf * 0)."""
     dom = Domain(
@@ -1435,6 +1539,28 @@ def test_one_bad_member_fails_the_batch_like_a_solo_run(monkeypatch, case, field
         assert str(run.value) == str(solo.value)
         assert run.value.phase == 0
         assert str(run.value).startswith("phase 0: ")
+
+
+@pytest.mark.parametrize("guard", ["affine", "lambda"])
+def test_a_member_that_overflows_after_its_crossing_fails_no_stack_mate(guard):
+    # x1 moves at the member's velocity to the guard x1 = 1, and x2 grows as
+    # x2' = 1000 x2 + c2.  The first member crosses at t = 0.1, and its
+    # x2, driven by c2 = 1e250, overflows about nine steps later; the second
+    # member crosses at t = 4.  Each exits as it does alone: with the
+    # overflow past its crossing, the first member fails no stack-mate.
+    # 64-step blocks raised NonFinite for the pair.
+    drift = np.diag([0.0, 1000.0])
+    h = AffineGuard([1.0, 0.0], 1.0) if guard == "affine" else lambda X: X[:, 0] - 1.0
+    dom = replace(
+        autonomous(lambda x: drift @ x, h, 2), param_dim=2, batch_field=lambda betas: AffineField(drift, betas)
+    )
+    cfg = IntegratorConfig(base_step=0.05)
+    x0, betas = np.array([[0.9, 0.0], [0.0, 0.0]]), np.array([[1.0, 1e250], [0.25, 0.0]])
+    x_exit, t_exit = flow_batch(dom, x0, betas, cfg)
+    assert abs(t_exit[0] - 0.1) < 1e-12 and abs(t_exit[1] - 4.0) < 1e-12
+    for b in range(2):
+        x_solo, t_solo = flow_one(dom, x0[b], betas[b], cfg)
+        assert np.array_equal(x_exit[b], x_solo) and t_exit[b] == t_solo
 
 
 def test_stacks_of_the_wrong_shape_are_refused():
