@@ -16,20 +16,24 @@ the guard, the first that reaches it is the crossing step, and a step
 with a state or guard value that is not finite raises NonFinite.
 
 A guard that is an AffineGuard, n . x - d, gives its normal n as dH/dx
-(_guard_gradient) to the rounding floors of the start check and of the
-crossing and to the exit guard rate dH/dx . f, so its flows take no
-finite difference; any other guard is differenced centrally.  Its value
-is not finite wherever the state is not, so its materialized states are
-scanned through their guard values alone (_finite_guard).
+(_guard_gradient) to the exit guard rate dH/dx . f, and the |n| it keeps
+to the rounding floors of the start check and of the crossing
+(_guard_floor), so its flows take no finite difference; any other guard
+is differenced centrally.  Its value is not finite wherever the state is
+not, so its start states and materialized states are scanned through
+their guard values alone (_finite_guard).
 
 A base step has one of two forms.  A field that is an AffineField,
 x' = x M' + c, advances by RK4's exact transition, an affine map
 x -> x R + s, over horizons of up to _HORIZON steps from an anchor state
 (_horizon, _affine_flow): state j of the horizon is x + [x, s] T_j for a
 table T of R's powers, the same method and truncation error as the stage
-form.  The table depends on the drift and the base step alone, and its
-guard projection T_j n on the normal too, so both are made once per
-(drift, base step, normal) and cached by value (_transition).  With an
+form.  Everything of a flow that depends on the drift, the base step and
+the normal alone is made once per (drift, base step, normal) and cached
+by value (_transition): the table, its guard projection T_j n, the
+quartic table of the crossing search, and the step start times and cap
+index of a horizon from t = 0, which every flow's first horizon reads.
+A flow computes only what depends on its members.  With an
 AffineGuard, the guard along the whole horizon is one row-wise product of
 [x, s] with the projection (_screen); only the states a flow keeps, the
 two ends of each crossing step and the next anchor, are built.  A
@@ -44,8 +48,9 @@ one guard call (_run).
 A crossing is located inside its step by one of two searches with the
 same Illinois rules (_exit_crossing).  For an AffineField with an
 AffineGuard, the guard along an RK4 step of length tau is a quartic in
-tau, and each member's root is searched in Python floats (_search),
-followed by one stacked rk4_step at the roots.  Every other flow searches
+tau, whose coefficients are one product of each member's field row with
+the cached quartic table, and each member's root is searched in Python
+floats (_search), followed by one stacked rk4_step at the roots.  Every other flow searches
 all its crossing members at once with stacked stage-form trial steps
 (_stage_search).
 """
@@ -54,6 +59,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,11 +126,12 @@ _MAX_RUN = 64
 # core), and 1024 doubles the tables' memory.
 _HORIZON = 512
 
-# The most (base step, drift, guard normal) horizon tables kept by
-# _transition.  An entry holds the (2m, 512m) table, the (2m, 512)
-# projection, Q, the bound weights and its key, about 8.2 (m^2 + m) kB for
-# state dimension m, so a full cache holds at most 262 (m^2 + m) kB: 3.1
-# MB at m = 3.  A closed-loop run uses one table per phase.
+# The most (base step, drift, guard normal) entries kept by _transition.
+# An entry holds the (2m, 512m) table, the (2m, 512) projection, Q, the
+# bound weights, the (m, 4) quartic table, the 513 step start times of the
+# first horizon and its key, about 8.2 (m^2 + m) + 4.1 kB for state
+# dimension m, so a full cache holds at most 262 (m^2 + m) + 131 kB: 3.3
+# MB at m = 3.  A closed-loop run uses one entry per phase.
 _TABLE_CACHE_SIZE = 32
 
 # A horizon is screened without building its states only where the bound
@@ -265,10 +272,11 @@ def flow_batch(
 
     dH/dx, which the rounding floor of H and the exit guard rate need, is
     an AffineGuard's normal, and a central difference of any other guard
-    (see _guard_gradient).  An AffineGuard's runs and built horizons check
-    the finiteness of its guard values alone, which are not finite
-    wherever a state is not; the error raised, and the step it is raised
-    at, are the same.
+    (see _guard_gradient).  An AffineGuard's start check, runs and built
+    horizons check the finiteness of its guard values alone, which are
+    not finite wherever a state is not, and the start states only once a
+    start value is not finite; the error raised, its text and the step it
+    is raised at are the same.
     """
     x = np.array(x0, dtype=float)
     betas = np.asarray(betas, dtype=float)
@@ -279,14 +287,17 @@ def flow_batch(
         raise ValueError(f"start stack has shape {x.shape}, expected ({n_members}, {domain.state_dim})")
     guard = domain.guard
     h0 = guard(x)
-    _raise_non_finite(x, 0.0, h0)
-    if np.any(np.abs(h0) <= _GUARD_TOL + _guard_floor(guard, x)):
+    # An AffineGuard's value is not finite wherever the state is not (see
+    # _finite_guard), so its states are scanned only when a value is not.
+    if not (isinstance(guard, AffineGuard) and np.isfinite(h0).all()):
+        _raise_non_finite(x, 0.0, h0)
+    g_val = np.abs(h0)
+    if (g_val <= _GUARD_TOL + _guard_floor(guard, x)).any():
         raise ValueError("start state lies on the guard; a phase needs an interior start")
     # Guard values are kept signed by the approach side, g = side * H, so a
     # member has crossed once g <= _GUARD_TOL.  Negation is exact, so every
     # test below equals its unsigned form.
     side = np.where(h0 > 0.0, 1.0, -1.0)
-    g_val = np.abs(h0)
     dt = cfg.base_step
     f = _batch_field(domain, betas)
     if isinstance(f, AffineField):
@@ -346,40 +357,37 @@ def _affine_flow(domain, betas, f, x, side, g_val, dt):
 
     Each pass takes one horizon of L steps from the anchors x: the rows
     y = [x, s], the start time of each step, summed one step at a time as
-    one-at-a-time stepping sums it, and the (B, L) signed guard values,
-    screened (_screen) for the members whose bound |y| . w + |d| (see
-    _transition) is at most _SCREEN_LIMIT and read from the built states
-    (_block) for the others, up to the first step at which one of theirs
-    is not finite.  Steps are then taken in order.  The members that first
-    reach g <= _GUARD_TOL at a step are located together by _exit_crossing
-    from the step's two ends.  A member still uncrossed at the first step
-    that starts at or past the cap raises NoCrossing.  The first value
-    that is not finite raises NonFinite, unless a built member that has
-    crossed cut the scan short; then the others take the horizon again.
-    The rest go on from the horizon's last state.  Kept states are
+    one-at-a-time stepping sums it (_clock, read from the cache for the
+    first horizon), and the (B, L) signed guard values, screened (_screen)
+    for the members whose bound |y| . w + |d| (see _transition) is at most
+    _SCREEN_LIMIT and read from the built states (_block) for the others,
+    up to the first step at which one of theirs is not finite.  Steps are
+    then taken in order.  The members that first reach g <= _GUARD_TOL at
+    a step are located together by _exit_crossing from the step's two
+    ends, with the cached quartic table.  A member still uncrossed at the
+    first step that starts at or past the cap raises NoCrossing.  The
+    first value that is not finite raises NonFinite, unless a built member
+    that has crossed cut the scan short; then the others take the horizon
+    again.  The rest go on from the horizon's last state.  Kept states are
     built by row-wise products with the table columns they need, so a
     member's states, guard values and errors do not depend on its
     stack-mates.
     """
     guard = domain.guard
-    table, proj, weight, s = _horizon(f, guard, dt)
+    tr, s = _horizon(f, guard, dt)
+    table, proj, quartic, clock, cap = tr.table, tr.proj, tr.quartic, tr.clock, tr.cap
     n_members, m = x.shape
     n_steps = table.shape[1] // m
     room = _SCREEN_LIMIT - abs(guard.offset) if proj is not None else None
     members = np.arange(n_members)
     x_out = np.empty_like(x)
     t_out = np.empty(n_members)
-    t = 0.0
     while True:
         y = np.concatenate([x, s], axis=1)
-        clock = np.full(n_steps + 1, dt)
-        clock[0] = t
-        clock = clock.cumsum()  # the start time of step j, added in order as stepping adds it
-        cap = int(np.searchsorted(clock, _MAX_PHASE_DURATION))
         if proj is None:
             g, built = np.empty((len(x), n_steps)), np.ones(len(x), dtype=bool)
         else:
-            g, built = _screen(proj, side, g_val, y), ~((np.abs(y) * weight).sum(axis=1) <= room)
+            g, built = _screen(proj, side, g_val, y), ~((np.abs(y) * tr.weight).sum(axis=1) <= room)
         n_finite = n_steps
         if built.any():
             xs, g_built = _block(table, s[built], guard, side[built], x[built])
@@ -396,7 +404,7 @@ def _affine_flow(domain, betas, f, x, side, g_val, dt):
             x_from, g_from = (ends[:, 0], g[rows, j - 1]) if j else (x[rows], g_val[rows])
             f_rows = f if rows.size == len(x) else _batch_field(domain, betas[members[rows]])
             x_exit, t_exit = _exit_crossing(
-                f_rows, guard, x_from, float(clock[j]), dt, side[rows], g_from, ends[:, -1], g[rows, j]
+                f_rows, guard, x_from, float(clock[j]), dt, side[rows], g_from, ends[:, -1], g[rows, j], quartic
             )
             x_out[members[rows]] = x_exit
             t_out[members[rows]] = t_exit
@@ -414,7 +422,7 @@ def _affine_flow(domain, betas, f, x, side, g_val, dt):
             # The members past the horizon go on from its last state.
             x = x + np.matmul(y[:, None, :], table[:, -m:])[:, 0]
             g_val = side * guard(x)
-            t = float(clock[n_steps])
+            clock, cap = _clock(float(clock[n_steps]), dt, n_steps)
         # Short of the horizon's end, a built member that has crossed cut
         # the scan short, and the others take the horizon again.
 
@@ -451,25 +459,38 @@ def _step_map(f, consts):
 
 
 def _horizon(f: AffineField, guard, h: float):
-    """The horizon of the AffineField f at base step h under guard: the
-    table, the guard projection and the bound weights of _transition, the
-    last two None unless guard is an AffineGuard, and the (B, m) step
-    offsets s = h (c + c Q) for the control rows c of f.  The cached part
-    is made once per drift, base step and normal and shared, read-only,
-    by every flow that has them; the offsets are made per call."""
+    """The cached _Transition of the AffineField f at base step h under
+    guard, its guard fields None unless guard is an AffineGuard, and the
+    (B, m) step offsets s = h (c + c Q) for the control rows c of f.  The
+    cached part is made once per drift, base step and normal and shared,
+    read-only, by every flow that has them; the offsets are made per call."""
     normal = guard.normal.tobytes() if isinstance(guard, AffineGuard) else None
-    table, q, proj, weight = _transition(float(h), f.drift.shape, f.drift.tobytes(), normal)
-    return table, proj, weight, h * (f.control + f.control.dot(q))
+    tr = _transition(float(h), f.drift.shape, f.drift.tobytes(), normal)
+    return tr, h * (f.control + f.control.dot(tr.q))
+
+
+class _Transition(NamedTuple):
+    """The entry of _transition: everything of an affine flow that depends
+    on its base step, drift and guard normal alone (see _transition)."""
+
+    table: np.ndarray
+    q: np.ndarray
+    clock: np.ndarray
+    cap: int
+    proj: np.ndarray | None
+    weight: np.ndarray | None
+    quartic: np.ndarray | None
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _transition(h: float, shape: tuple, drift: bytes, normal: bytes | None):
+def _transition(h: float, shape: tuple, drift: bytes, normal: bytes | None) -> _Transition:
     """The read-only transition table at base step h of the drift matrix M
     whose float64 values, in C order, are the bytes drift, the matrix Q
-    below, and for the guard normal n whose bytes are normal, the table's
-    guard projection and bound weights (None if normal is None).  The
-    cache is keyed by value, so a drift mutated in place, or a new array
-    of the same values, never meets a stale table.
+    below, the clock and cap index of a horizon that starts at t = 0, and
+    for the guard normal n whose bytes are normal, the table's guard
+    projection, bound weights and quartic table (None if normal is None).
+    The cache is keyed by value, so a drift mutated in place, or a new
+    array of the same values, never meets a stale entry.
 
     With Z = h M' and Q = Z/2 + Z^2/6 + Z^3/24, one RK4 step of
     x' = x M' + c is exactly x -> x + (x inc + s), with inc = Z + Z Q and
@@ -484,7 +505,8 @@ def _transition(h: float, shape: tuple, drift: bytes, normal: bytes | None):
     the D_j.  The small terms of Q are summed first.  L is _HORIZON, or
     the index of the first D_j or G_j that is not finite, but at least 1:
     a state x with a zero component along an overflowing power stays
-    finite in the stage form, and 0 * inf is NaN.
+    finite in the stage form, and 0 * inf is NaN.  The clock and cap are
+    those of _clock from t = 0.
 
     The projection is the (2m, L) matrix P of the columns P_j = T_j n, so
     that H = n . x - d at the state j steps after x is H(x) + [x, s] . P_j.
@@ -492,9 +514,12 @@ def _transition(h: float, shape: tuple, drift: bytes, normal: bytes | None):
     r_A holds the largest |entry| of each row of A, and e is 1 on the m
     rows of x and 0 on those of s: for the row y = [x, s], every entry of
     every state of the horizon, every |H| there and every
-    |H(x) + y . P_j| is at most |y| . w + |d|, up to rounding.
+    |H(x) + y . P_j| is at most |y| . w + |d|, up to rounding.  The
+    quartic table is the (m, 4) matrix [n, M'n, M'^2 n, M'^3 n] / [1, 2,
+    6, 24] of _quartic_coefficients.
     """
-    z = h * np.frombuffer(drift).reshape(shape).T
+    m_mat = np.frombuffer(drift).reshape(shape)
+    z = h * m_mat.T
     z2 = z.dot(z)
     q = z2.dot(z) / 24.0 + z2 / 6.0 + 0.5 * z
     d, g = (z + z.dot(q))[None], np.eye(len(z))[None]
@@ -505,15 +530,31 @@ def _transition(h: float, shape: tuple, drift: bytes, normal: bytes | None):
     n = max(1, _leading(finite))
     blocks = np.concatenate([d[:n], g[:n]], axis=1).transpose(1, 0, 2)  # (2m, L, m)
     table = blocks.reshape(2 * len(z), -1)
-    proj = weight = None
+    clock, cap = _clock(0.0, h, n)
+    proj = weight = quartic = None
     if normal is not None:
         n_vec = np.frombuffer(normal)
         proj = blocks.dot(n_vec)
         ones = np.repeat([1.0, 0.0], len(z))
         weight = max(1.0, np.abs(n_vec).sum()) * (np.abs(table).max(axis=1) + ones) + np.abs(proj).max(axis=1)
-        proj.flags.writeable = weight.flags.writeable = False
-    table.flags.writeable = q.flags.writeable = False
-    return table, q, proj, weight
+        powers = [n_vec]
+        for _ in range(3):
+            powers.append(powers[-1].dot(m_mat))
+        quartic = np.column_stack(powers) / [1.0, 2.0, 6.0, 24.0]
+        proj.flags.writeable = weight.flags.writeable = quartic.flags.writeable = False
+    table.flags.writeable = q.flags.writeable = clock.flags.writeable = False
+    return _Transition(table, q, clock, cap, proj, weight, quartic)
+
+
+def _clock(t: float, h: float, n_steps: int) -> tuple[np.ndarray, int]:
+    """The start times of steps 0 to n_steps of a horizon that starts at t,
+    one cumsum of (t, h, ..., h), which adds the steps in order as
+    one-at-a-time stepping does, and the cap index: the first step that
+    starts at or past _MAX_PHASE_DURATION, n_steps + 1 if none does."""
+    clock = np.full(n_steps + 1, h)
+    clock[0] = t
+    clock = clock.cumsum()
+    return clock, int(np.searchsorted(clock, _MAX_PHASE_DURATION))
 
 
 def _screen(proj, side, g_val, y):
@@ -605,11 +646,11 @@ def _raise_non_finite(x: np.ndarray, t: float, g) -> None:
 
 
 def _guard_gradient(guard, x: np.ndarray) -> np.ndarray:
-    """dH/dx at each row of the (B, m) stack x: an AffineGuard's normal,
-    broadcast to the rows, and for any other guard the central difference
-    of relative step 1e-7 at the rows."""
+    """dH/dx at each row of the (B, m) stack x: an AffineGuard's (m,)
+    normal, which broadcasts over the rows, and for any other guard the
+    central difference of relative step 1e-7 at the rows."""
     if isinstance(guard, AffineGuard):
-        return guard.normal[None].repeat(len(x), axis=0)
+        return guard.normal
     return central_difference(guard, x, 1e-7)[:, 0]
 
 
@@ -618,18 +659,20 @@ def _guard_floor(guard, x: np.ndarray) -> np.ndarray:
 
     That is _FLOOR_ULPS ulps of sum_j |dH/dx_j| max(1, max_j |x_j|), which
     bounds the rounding error of an affine H = n . x - d evaluated at x.
-    dH/dx is read from _guard_gradient: exact for an AffineGuard, with no
-    guard call, and a central difference for any other guard.
+    |dH/dx| is an AffineGuard's |n|, kept by the guard, with no guard call,
+    and for any other guard |central difference| (see _guard_gradient).
     """
     scale = np.maximum(1.0, np.abs(x).max(axis=1))[:, None]
-    grad = _guard_gradient(guard, x) * scale
-    return _FLOOR_ULPS * np.finfo(float).eps * np.abs(grad).sum(axis=1)
+    size = guard._abs_normal if isinstance(guard, AffineGuard) else np.abs(_guard_gradient(guard, x))
+    return _FLOOR_ULPS * 2.0**-52 * (size * scale).sum(axis=1)
 
 
-def _quartic_coefficients(f: AffineField, guard: AffineGuard, x: np.ndarray, side, g_x) -> np.ndarray:
-    """The (B, 5) coefficients c of each member's quartic: g(tau) =
-    side * H(rk4_step(f, x, tau)) = sum_j c_j tau^j for the AffineField f,
-    x' = x M' + c, and the AffineGuard n . x - d, given g(0) = g_x.
+def _quartic_coefficients(f: AffineField, quartic: np.ndarray, x: np.ndarray, side, g_x) -> list:
+    """The coefficients c, as a list of B 5-lists of floats, of each
+    member's quartic: g(tau) = side * H(rk4_step(f, x, tau)) =
+    sum_j c_j tau^j for the AffineField f, x' = x M' + c, and an
+    AffineGuard n . x - d, given g(0) = g_x, and the quartic table
+    [n, M'n, M'^2 n, M'^3 n] / [1, 2, 6, 24] of _transition.
 
     One RK4 step of an affine field is its degree-4 Taylor polynomial
     (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.1), and the j-th
@@ -638,11 +681,8 @@ def _quartic_coefficients(f: AffineField, guard: AffineGuard, x: np.ndarray, sid
     np.matmul, as in _block, so a member's coefficients do not depend on
     its stack-mates.
     """
-    powers = [guard.normal]
-    for _ in range(3):
-        powers.append(powers[-1].dot(f.drift))
-    table = np.column_stack(powers) / [1.0, 2.0, 6.0, 24.0]
-    return np.column_stack([g_x, side[:, None] * np.matmul(f(x)[:, None, :], table)[:, 0]])
+    rates = side[:, None] * np.matmul(f(x)[:, None, :], quartic)[:, 0]
+    return [[g, *r] for g, r in zip(g_x.tolist(), rates.tolist())]
 
 
 def _quartic(c, tau):
@@ -749,7 +789,7 @@ def _stage_search(trial, step, g_from, g_to, x_from, x_to, floor_at):
     return np.where(best_hi[:, None], x_hi, x_lo), np.where(best_hi, tau_hi, tau_lo), h_hit, floor
 
 
-def _exit_crossing(f, guard, x_from, t_from, step, side, g_from, x_to, g_to):
+def _exit_crossing(f, guard, x_from, t_from, step, side, g_from, x_to, g_to, quartic=None):
     """Locate each member's crossing inside the base step from time t_from,
     then check it.
 
@@ -757,32 +797,32 @@ def _exit_crossing(f, guard, x_from, t_from, step, side, g_from, x_to, g_to):
     over the step; the hi end at tau = step is the flow's x_to, which for
     an AffineField is the state built from the horizon table and differs
     from rk4_step(f, x_from, step) in rounding alone, as a screened g_to
-    differs from side * H(x_to).  The bracket search splits by type, as the
-    base step does:
-    - an AffineField with an AffineGuard: g is the quartic of
-      _quartic_coefficients, and each member runs _search on its own
-      quartic in Python floats, with no trial step.  One stacked rk4_step
-      then gives the states at the chosen tau, and the built state x_to
-      stands where the untouched hi end wins; one guard call gives their
-      |H|.
-    - any other flow: _stage_search, with a stacked rk4_step and guard
-      call per iteration as its trial.
+    differs from side * H(x_to).  The bracket search splits on quartic,
+    the cached quartic table of _transition, which _affine_flow passes for
+    an AffineField with an AffineGuard:
+    - with it, g is the quartic of _quartic_coefficients, and each member
+      runs _search on its own quartic in Python floats, with no trial
+      step.  One stacked rk4_step then gives the states at the chosen
+      tau, and the built state x_to stands where the untouched hi end
+      wins; one guard call gives their |H|.
+    - without it: _stage_search, with a stacked rk4_step and guard call
+      per iteration as its trial.
     The rounding floor of H is taken at x_to, by one _guard_floor call.
-    The checks are shared.  Past _GUARD_TOL plus the floor, |H| at the
-    exit means the refinement stalled.  The guard rate at the exit is
-    dH/dx . f(x_hit), with dH/dx from _guard_gradient; a rate that is NaN
-    or infinite raises NonFinite at the exit time.  So a flow with an
-    AffineGuard takes no finite difference.
+    The checks are shared, and each is one reduction when every member
+    passes it; only a failing check looks for the member to name.  Past
+    _GUARD_TOL plus the floor, |H| at the exit means the refinement
+    stalled.  The guard rate at the exit is dH/dx . f(x_hit), with dH/dx
+    from _guard_gradient; a rate that is NaN or infinite raises NonFinite
+    at the exit time.  So a flow with an AffineGuard takes no finite
+    difference.
     """
-    floor = None
-    if isinstance(f, AffineField) and isinstance(guard, AffineGuard):
+    if quartic is not None:
         floor = _guard_floor(guard, x_to)
-        coef = _quartic_coefficients(f, guard, x_from, side, g_from).tolist()
+        coef = _quartic_coefficients(f, quartic, x_from, side, g_from)
         stops = np.minimum(_GUARD_TOL, floor).tolist()
         tau = np.array([_search(c, g, step, stop) for c, g, stop in zip(coef, g_to.tolist(), stops)])
         x_hit = rk4_step(f, x_from, tau[:, None])
-        hi = tau == step
-        x_hit[hi] = x_to[hi]
+        np.copyto(x_hit, x_to, where=(tau == step)[:, None])
         h_hit = np.abs(guard(x_hit))
     else:
         def trial(tau):
@@ -792,30 +832,28 @@ def _exit_crossing(f, guard, x_from, t_from, step, side, g_from, x_to, g_to):
         x_hit, tau, h_hit, floor = _stage_search(
             trial, step, g_from, g_to, x_from, x_to, lambda: _guard_floor(guard, x_to)
         )
-    stalled = ~(h_hit <= _GUARD_TOL)
-    if stalled.any():
+    if not (h_hit <= _GUARD_TOL).all():
         if floor is None:
             floor = _guard_floor(guard, x_to)
-        stalled &= ~(h_hit <= _GUARD_TOL + floor)
-    if stalled.any():
-        raise IntegrationError(
-            f"guard refinement stalled at |H| = {h_hit[np.argmax(stalled)]:.3e} "
-            f"(tolerance {_GUARD_TOL:.3e})"
-        )
+        stalled = ~(h_hit <= _GUARD_TOL) & ~(h_hit <= _GUARD_TOL + floor)
+        if stalled.any():
+            raise IntegrationError(
+                f"guard refinement stalled at |H| = {h_hit[np.argmax(stalled)]:.3e} "
+                f"(tolerance {_GUARD_TOL:.3e})"
+            )
     t_exit = t_from + tau
-
-    early = t_exit < _MIN_PHASE_DURATION
-    if early.any():
+    if t_exit.min() < _MIN_PHASE_DURATION:
         raise Chattering(
-            f"guard crossed at t = {t_exit[np.argmax(early)]:.3e}, below the minimum duration "
-            f"{_MIN_PHASE_DURATION:.3e}"
+            f"guard crossed at t = {t_exit[np.argmax(t_exit < _MIN_PHASE_DURATION)]:.3e}, below the minimum "
+            f"duration {_MIN_PHASE_DURATION:.3e}"
         )
     rate = (_guard_gradient(guard, x_hit) * f(x_hit)).sum(axis=1)
-    bad = ~np.isfinite(rate)
-    if bad.any():
-        _raise_non_finite(x_hit, t_exit[np.argmax(bad)], rate)
-    flat = np.abs(rate) <= _TRANSVERSALITY_TOL
-    if flat.any():
+    speed = np.abs(rate)
+    if not (speed.max() < np.inf and speed.min() > _TRANSVERSALITY_TOL):
+        bad = ~np.isfinite(rate)
+        if bad.any():
+            _raise_non_finite(x_hit, t_exit[np.argmax(bad)], rate)
+        flat = speed <= _TRANSVERSALITY_TOL
         raise NonTransversal(f"guard rate {rate[np.argmax(flat)]:.3e} at the crossing is below tolerance")
     return x_hit, t_exit
 

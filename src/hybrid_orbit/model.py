@@ -99,9 +99,12 @@ class AffineGuard:
     another order and can round differently.  A phase flow reads
     dH/dx = n instead of differencing the guard, and checks the guard
     values alone for overflow: a row with an entry that is not finite has
-    a guard value that is not finite, since n and d are finite.  With an
-    AffineField, each crossing is searched in floats on the quartic the
-    guard is along an RK4 step (see integrator._exit_crossing).
+    a guard value that is not finite, since n and d are finite.  The
+    guard keeps |n| for the rounding floor of flows, as AffineField keeps
+    M', so a guard is changed by building a new one, not by writing into
+    normal.  With an AffineField, each crossing is searched in floats on
+    the quartic the guard is along an RK4 step, whose table is cached with
+    the flow's transition table (see integrator._exit_crossing).
     """
 
     normal: np.ndarray
@@ -114,6 +117,7 @@ class AffineGuard:
             raise ValueError(f"normal must be a finite 1-D vector, got shape {self.normal.shape}")
         if not np.isfinite(self.offset):
             raise ValueError(f"offset must be finite, got {self.offset!r}")
+        object.__setattr__(self, "_abs_normal", np.abs(self.normal))
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         return (X * self.normal).sum(axis=1) - self.offset

@@ -312,6 +312,29 @@ def test_on_guard_start_rejected():
         assert abs(t_exit - 1e-3) < 1e-7
 
 
+@pytest.mark.parametrize("guard_form", ["lambda", "affine"])
+@pytest.mark.parametrize(
+    "start, message",
+    [
+        ([np.nan, 0.0], "state became non-finite near t = 0"),
+        ([0.0, np.inf], "state became non-finite near t = 0"),
+        ([1e308, 1e308], "guard value became non-finite near t = 0"),
+    ],
+    ids=["nan-state", "inf-state", "overflowing-guard"],
+)
+def test_a_non_finite_start_raises_the_same_text_under_both_guard_forms(guard_form, start, message):
+    # The guard x1 + x2 - 3 of a member beside a finite start.  An
+    # AffineGuard's start check scans its guard values, and its states only
+    # once a value is not finite, so a state entry that is not finite is
+    # named as one, and a finite state whose guard overflows names the
+    # guard value, as under the lambda.
+    normal = np.array([1.0, 1.0])
+    guard = AffineGuard(normal, 3.0) if guard_form == "affine" else lambda X: (X * normal).sum(axis=1) - 3.0
+    dom = autonomous(lambda x: np.array([1.0, 0.0]), guard, 2)
+    with pytest.raises(NonFinite, match=f"^{re.escape(message)}$"):
+        flow_batch(dom, np.array([[0.0, 1.0], start]), np.zeros((2, 0)), IntegratorConfig())
+
+
 def test_early_crossing_raises_chattering(monkeypatch):
     set_constants(monkeypatch, _MIN_PHASE_DURATION=1e-2)
     dom = autonomous(lambda x: np.array([1.0]), lambda X: X[:, 0] - 1e-4, 1)
@@ -739,7 +762,7 @@ def test_affine_crossings_anywhere_in_a_horizon_match_the_stage_form():
         batch_field=lambda betas: AffineField(drift, np.tile([1.0, 0.2], (len(betas), 1))),
     )
     cfg = IntegratorConfig()
-    horizon = integrator._horizon(dom.batch_field(np.zeros((1, 0))), dom.guard, cfg.base_step)[0].shape[1] // 2
+    horizon = integrator._horizon(dom.batch_field(np.zeros((1, 0))), dom.guard, cfg.base_step)[0].table.shape[1] // 2
     steps = [0, 1, 2, horizon - 1, horizon, horizon + 1, 2 * horizon, 2 * horizon + 1]
     t_cross = (np.array(steps) + 0.5) * cfg.base_step
     x0 = np.column_stack([1.0 - t_cross, np.linspace(-1.0, 1.0, len(steps))])
@@ -769,7 +792,7 @@ def test_an_overflowing_transition_power_cuts_the_block():
     assert abs(t_exit - t_lift) <= 1e-13
     assert np.max(np.abs(x_exit - x_lift)) <= 1e-13
     with np.errstate(over="ignore", invalid="ignore"):
-        table = integrator._horizon(dom.batch_field(np.zeros((1, 0))), dom.guard, cfg.base_step)[0]
+        table = integrator._horizon(dom.batch_field(np.zeros((1, 0))), dom.guard, cfg.base_step)[0].table
     assert np.isfinite(table).all() and 1 <= table.shape[1] // 2 < integrator._HORIZON
 
 
@@ -1078,10 +1101,10 @@ def test_catalog_block_rows_do_not_depend_on_the_batch_size(request, name):
                 side = np.where(rng.normal(size=n_members) > 0.0, 1.0, -1.0)
 
                 def horizon(rows):
-                    table, proj, _, s = integrator._horizon(dom.batch_field(betas[rows]), dom.guard, base_step)
+                    tr, s = integrator._horizon(dom.batch_field(betas[rows]), dom.guard, base_step)
                     y = np.concatenate([x[rows], s], axis=1)
-                    screen = integrator._screen(proj, side[rows], side[rows] * dom.guard(x[rows]), y)
-                    return (screen,) + integrator._block(table, s, dom.guard, side[rows], x[rows])
+                    screen = integrator._screen(tr.proj, side[rows], side[rows] * dom.guard(x[rows]), y)
+                    return (screen,) + integrator._block(tr.table, s, dom.guard, side[rows], x[rows])
 
                 screen, states, g = horizon(slice(None))
                 assert states.shape == (n_members, integrator._HORIZON, dom.state_dim)
@@ -1106,10 +1129,11 @@ def test_the_screen_is_the_guard_at_the_built_states(request, name):
             for n_rows in (1, 11, 704):
                 x = phase.start_state + 1e-2 * rng.normal(size=(n_rows, m))
                 betas = 5e-2 * rng.normal(size=(n_rows, dom.param_dim))
-                table, proj, _, s = integrator._horizon(dom.batch_field(betas), guard, base_step)
+                tr, s = integrator._horizon(dom.batch_field(betas), guard, base_step)
+                table = tr.table
                 side = np.where(guard(x) > 0.0, 1.0, -1.0)
                 y = np.concatenate([x, s], axis=1)
-                screen = integrator._screen(proj, side, side * guard(x), y)
+                screen = integrator._screen(tr.proj, side, side * guard(x), y)
                 states, g = integrator._block(table, s, guard, side, x)
                 assert g.shape == screen.shape == (n_rows, table.shape[1] // m)
                 size = np.matmul(np.abs(y)[:, None, :], np.abs(table)).reshape(n_rows, -1, m) + np.abs(x)[:, None]
@@ -1118,21 +1142,63 @@ def test_the_screen_is_the_guard_at_the_built_states(request, name):
 
 
 def test_equal_drifts_share_one_read_only_transition_table():
-    # The table is cached by the drift's values: distinct arrays of equal
-    # values, with other control rows, share one table object.
+    # The entry is cached by the drift's values: distinct arrays of equal
+    # values, with other control rows, share one entry object.  Every array
+    # of it is read-only; the cap index is an int.
     drift = np.array([[0.05, 1.0], [-1.0, 0.05]])
     guard = AffineGuard([1.0, 0.0], 0.5)
     first = AffineField(drift, np.zeros((1, 2)))
     second = AffineField(drift.copy(), np.ones((3, 2)))
-    table, proj, weight, s = integrator._horizon(first, guard, 1e-2)
-    assert integrator._horizon(second, AffineGuard(guard.normal.copy(), 2.0), 1e-2)[0] is table
-    assert integrator._horizon(first, guard, 2e-2)[0] is not table
-    assert table.shape == (4, 2 * integrator._HORIZON) and proj.shape == (4, integrator._HORIZON)
+    tr, s = integrator._horizon(first, guard, 1e-2)
+    assert integrator._horizon(second, AffineGuard(guard.normal.copy(), 2.0), 1e-2)[0] is tr
+    assert integrator._horizon(first, guard, 2e-2)[0].table is not tr.table
+    assert tr.table.shape == (4, 2 * integrator._HORIZON) and tr.proj.shape == (4, integrator._HORIZON)
+    assert tr.clock.shape == (integrator._HORIZON + 1,) and tr.quartic.shape == (2, 4)
     assert s.shape == (1, 2) and s.flags.writeable
-    for array in integrator._transition(1e-2, drift.shape, drift.tobytes(), guard.normal.tobytes()):
+    entry = integrator._transition(1e-2, drift.shape, drift.tobytes(), guard.normal.tobytes())
+    assert entry is tr
+    for array in entry:
+        if isinstance(array, int):
+            assert array == tr.cap == integrator._HORIZON + 1  # 5.12 is short of the cap
+            continue
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            array[0, 0] = 0.0
+            array[(0,) * array.ndim] = 0.0
+    hidden = integrator._horizon(first, lambda X: guard(X), 1e-2)[0]
+    assert np.array_equal(hidden.table, tr.table) and hidden.proj is hidden.weight is hidden.quartic is None
+
+
+@pytest.mark.parametrize("base_step", [2e-3, 1e-2, 5e-2, 0.3])
+def test_the_cached_clock_is_the_clock_of_stepping(base_step):
+    # The first horizon's step start times are those of adding the base
+    # step one step at a time, bit for bit, and its cap index is the first
+    # step that starts at or past 50; a horizon that never reaches 50 has
+    # the cap index L + 1.
+    field = AffineField(np.array([[0.05, 1.0], [-1.0, 0.05]]), np.zeros((1, 2)))
+    tr = integrator._horizon(field, AffineGuard([1.0, 0.0], 0.5), base_step)[0]
+    t, clock = 0.0, [0.0]
+    for _ in range(integrator._HORIZON):
+        t += base_step
+        clock.append(t)
+    assert tr.clock.tolist() == clock
+    assert tr.cap == next((j for j, t in enumerate(clock) if t >= integrator._MAX_PHASE_DURATION), len(clock))
+    assert (tr.cap <= integrator._HORIZON) == (base_step == 0.3)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_the_cached_quartic_table_is_the_per_flow_formula(request, name):
+    # The quartic table [n, M'n, M'^2 n, M'^3 n] / [1, 2, 6, 24] of each
+    # catalog phase equals, bit for bit, the table made from the field's
+    # drift and the guard's normal at each crossing before it was cached.
+    model = catalog_model(request, name)
+    for dom in model.system.domains:
+        f = dom.batch_field(np.zeros((1, dom.param_dim)))
+        powers = [dom.guard.normal]
+        for _ in range(3):
+            powers.append(powers[-1].dot(f.drift))
+        table = np.column_stack(powers) / [1.0, 2.0, 6.0, 24.0]
+        for base_step in (2e-3, 1e-2, 5e-2):
+            assert np.array_equal(integrator._horizon(f, dom.guard, base_step)[0].quartic, table)
 
 
 def test_a_drift_mutated_in_place_gets_a_fresh_table():
@@ -1143,10 +1209,10 @@ def test_a_drift_mutated_in_place_gets_a_fresh_table():
     )
     cfg = IntegratorConfig(base_step=1e-2)
     before = flow_one(dom, [0.0, 1.0], np.zeros(0), cfg)
-    old_table = integrator._horizon(dom.batch_field(np.zeros((1, 0))), dom.guard, cfg.base_step)[0]
+    old_table = integrator._horizon(dom.batch_field(np.zeros((1, 0))), dom.guard, cfg.base_step)[0].table
     drift[0, 1] = 2.0
     after = flow_one(dom, [0.0, 1.0], np.zeros(0), cfg)
-    assert integrator._horizon(dom.batch_field(np.zeros((1, 0))), dom.guard, cfg.base_step)[0] is not old_table
+    assert integrator._horizon(dom.batch_field(np.zeros((1, 0))), dom.guard, cfg.base_step)[0].table is not old_table
     assert after[1] != before[1]
     integrator._transition.cache_clear()
     uncached = flow_one(dom, [0.0, 1.0], np.zeros(0), cfg)
@@ -1258,7 +1324,10 @@ EXIT_CROSSING = integrator._exit_crossing
 def refinement_outcome(refine, f, *args):
     """The exit states and times of refine, or its error's type and text,
     and the number of field rows it evaluated: four per trial step and
-    member, and one per member for the exit guard rate."""
+    member, and one per member for the exit guard rate.  The arguments are
+    those of a recorded crossing without its quartic table, so that
+    _exit_crossing takes the stacked stage-form search."""
+    args = args[:8]
     rows = []
 
     def counted(x):
@@ -1372,23 +1441,24 @@ def test_the_quartic_is_the_guard_along_the_stage_form_step(request, name):
                 x = phase.start_state + 1e-2 * rng.normal(size=(n_members, dom.state_dim))
                 f = dom.batch_field(5e-2 * rng.normal(size=(n_members, dom.param_dim)))
                 side = np.where(dom.guard(x) > 0.0, 1.0, -1.0)
-                coef = integrator._quartic_coefficients(f, dom.guard, x, side, side * dom.guard(x))
+                quartic = integrator._horizon(f, dom.guard, base_step)[0].quartic
+                coef = np.array(integrator._quartic_coefficients(f, quartic, x, side, side * dom.guard(x)))
                 for tau in rng.uniform(0.0, base_step, size=(4, n_members)):
                     x_tau = rk4_step(f, x, tau[:, None])
                     error = np.abs(integrator._quartic(coef.T, tau) - side * dom.guard(x_tau))
                     assert np.all(error <= integrator._guard_floor(dom.guard, x_tau))
 
 
-def quartic_taus(f, guard, x_from, t_from, step, side, g_from, x_to, g_to):
+def quartic_taus(f, guard, x_from, t_from, step, side, g_from, x_to, g_to, quartic):
     """The exit fractions of a recorded crossing by each member's float
     search and by the stacked search, both on its quartic."""
-    coef = integrator._quartic_coefficients(f, guard, x_from, side, g_from)
+    coef = integrator._quartic_coefficients(f, quartic, x_from, side, g_from)
     floor = integrator._guard_floor(guard, x_to)
     stops = np.minimum(integrator._GUARD_TOL, floor)
-    floats = [integrator._search(c, g, step, stop) for c, g, stop in zip(coef.tolist(), g_to.tolist(), stops.tolist())]
+    floats = [integrator._search(c, g, step, stop) for c, g, stop in zip(coef, g_to.tolist(), stops.tolist())]
     n_members = len(x_from)
     _, stacked, _, _ = integrator._stage_search(
-        lambda tau: (tau[:, None], integrator._quartic(coef.T, tau)),
+        lambda tau: (tau[:, None], integrator._quartic(np.array(coef).T, tau)),
         step, g_from, g_to, np.zeros((n_members, 1)), np.full((n_members, 1), step), lambda: floor,
     )
     return np.array(floats), stacked
