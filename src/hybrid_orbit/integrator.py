@@ -657,14 +657,15 @@ def _guard_gradient(guard, x: np.ndarray) -> np.ndarray:
 def _guard_floor(guard, x: np.ndarray) -> np.ndarray:
     """The rounding floor of the guard at each row of the stack x.
 
-    That is _FLOOR_ULPS ulps of sum_j |dH/dx_j| max(1, max_j |x_j|), which
-    bounds the rounding error of an affine H = n . x - d evaluated at x.
-    |dH/dx| is an AffineGuard's |n|, kept by the guard, with no guard call,
-    and for any other guard |central difference| (see _guard_gradient).
+    That is _FLOOR_ULPS ulps of sum_j |dH/dx_j| max(1, |x_j|), which
+    bounds the rounding error of an affine H = n . x - d evaluated at x:
+    an entry weighs by its own size, so a large entry that H does not see
+    leaves the floor alone.  |dH/dx| is an AffineGuard's |n|, kept by the
+    guard, with no guard call, and for any other guard the |central
+    difference| (see _guard_gradient).
     """
-    scale = np.maximum(1.0, np.abs(x).max(axis=1))[:, None]
     size = guard._abs_normal if isinstance(guard, AffineGuard) else np.abs(_guard_gradient(guard, x))
-    return _FLOOR_ULPS * 2.0**-52 * (size * scale).sum(axis=1)
+    return _FLOOR_ULPS * 2.0**-52 * (size * np.maximum(1.0, np.abs(x))).sum(axis=1)
 
 
 def _quartic_coefficients(f: AffineField, quartic: np.ndarray, x: np.ndarray, side, g_x) -> list:

@@ -313,6 +313,22 @@ def test_on_guard_start_rejected():
 
 
 @pytest.mark.parametrize("guard_form", ["lambda", "affine"])
+def test_an_entry_the_normal_does_not_see_leaves_the_rounding_floor_alone(guard_form):
+    # The rounding floor of H = x1 - 1 at [0, 1e301] is 4 eps
+    # sum_j |dH/dx_j| max(1, |x_j|) = 4 eps: the entry 1e301 has no weight
+    # in H.  Scaled by the largest entry instead, the floor was 8.9e285,
+    # and the start, at |H| = 1, lay "on the guard".
+    guard = AffineGuard([1.0, 0.0], 1.0) if guard_form == "affine" else lambda X: X[:, 0] - 1.0
+    dom = replace(
+        autonomous(lambda x: np.array([1.0, 0.0]), guard, 2),
+        batch_field=lambda betas: AffineField(np.zeros((2, 2)), np.tile([1.0, 0.0], (len(betas), 1))),
+    )
+    x_exit, t_exit = flow_one(dom, [0.0, 1e301], np.zeros(0), IntegratorConfig())
+    assert abs(t_exit - 1.0) < 1e-12 and abs(x_exit[0] - 1.0) < 1e-12 and x_exit[1] == 1e301
+    assert integrator._guard_floor(guard, np.array([[0.0, 1e301]]))[0] < 1e-15
+
+
+@pytest.mark.parametrize("guard_form", ["lambda", "affine"])
 @pytest.mark.parametrize(
     "start, message",
     [
@@ -827,8 +843,9 @@ def test_an_affine_flow_screens_its_horizon_and_builds_it_only_when_it_must(monk
     assert blocks == [1]
 
     blocks.clear()
-    # The guard x1 = 1e287 is 1e287 from the far start, past its rounding
-    # floor of 8.9e285.
+    # The guard x1 = 1e287 is 1e287 from each far start, past its rounding
+    # floor: 8.9e-16 at [0, 1e301], whose entry 1e301 H does not see, and
+    # 4.4e271 at [5e286, 0].
     far = replace(
         autonomous(lambda x: np.array([1e287, 0.0]), AffineGuard([1.0, 0.0], 1e287), 2),
         batch_field=lambda betas: AffineField(np.zeros((2, 2)), np.tile([1e287, 0.0], (len(betas), 1))),
@@ -844,14 +861,15 @@ def test_an_affine_flow_screens_its_horizon_and_builds_it_only_when_it_must(monk
 
 
 def test_a_stage_search_member_stops_as_it_does_alone():
-    # The lambda field (1, 0) and guard x0^3 - 0.2 take the stacked
-    # stage-form search.  The member [0.042, 1e6] has a rounding floor of H
-    # above _GUARD_TOL; beside [0, 0] it used to stop once [0, 0] came
+    # The lambda field (1, 0) and guard x0^3 - 0.2 + (x1 - 1e6) take the
+    # stacked stage-form search.  x1 stays 1e6, so H is x0^3 - 0.2 bit for
+    # bit, and its rounding floor, 8.9e-10, is above _GUARD_TOL.  Beside
+    # [0, 1e6] the member [0.042, 1e6] used to stop once [0, 1e6] came
     # within _GUARD_TOL, at t = 0.5428035475396409 against 0.5428035476425731
     # alone.  Each member now stops within min(_GUARD_TOL, its floor).
-    dom = autonomous(lambda x: np.array([1.0, 0.0]), lambda X: X[:, 0] ** 3 - 0.2, 2)
+    dom = autonomous(lambda x: np.array([1.0, 0.0]), lambda X: X[:, 0] ** 3 - 0.2 + (X[:, 1] - 1e6), 2)
     cfg = IntegratorConfig(base_step=0.1)
-    x0 = np.array([[0.042, 1e6], [0.0, 0.0]])
+    x0 = np.array([[0.042, 1e6], [0.0, 1e6]])
     x_exit, t_exit = flow_batch(dom, x0, np.zeros((2, 0)), cfg)
     for b in range(2):
         x_solo, t_solo = flow_one(dom, x0[b], np.zeros(0), cfg)
@@ -870,13 +888,12 @@ def reference_flow(domain, x0, beta, cfg):
         return float(domain.guard(x[None])[0])
 
     def rounding_floor(x):
-        # _FLOOR_ULPS ulps of sum_j |dH/dx_j| max(1, max_j |x_j|), the
-        # gradient by central differences of relative step 1e-7
-        scale = max(1.0, float(np.abs(x).max()))
+        # _FLOOR_ULPS ulps of sum_j |dH/dx_j| max(1, |x_j|), the gradient
+        # by central differences of relative step 1e-7
         total = 0.0
         for j in range(x.size):
             e = np.zeros(x.size)
-            e[j] = 1e-7 * scale
+            e[j] = 1e-7 * max(1.0, abs(float(x[j])))
             total += abs((H(x + e) - H(x - e)) / 2e-7)
         return integrator._FLOOR_ULPS * np.finfo(float).eps * total
 
