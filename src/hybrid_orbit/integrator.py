@@ -50,9 +50,9 @@ same Illinois rules (_exit_crossing).  For an AffineField with an
 AffineGuard, the guard along an RK4 step of length tau is a quartic in
 tau, whose coefficients are one product of each member's field row with
 the cached quartic table, and each member's root is searched in Python
-floats (_search), followed by one stacked rk4_step at the roots.  Every other flow searches
-all its crossing members at once with stacked stage-form trial steps
-(_stage_search).
+floats (_search), followed by one stacked rk4_step at the roots.  Every
+other flow searches all its crossing members at once with stacked
+stage-form trial steps (_stage_search).
 """
 
 import functools
@@ -375,7 +375,8 @@ def _affine_flow(domain, betas, f, x, side, g_val, dt):
     """
     guard = domain.guard
     tr, s = _horizon(f, guard, dt)
-    table, proj, quartic, clock, cap = tr.table, tr.proj, tr.quartic, tr.clock, tr.cap
+    table, proj, weight, quartic = tr.table, tr.proj, tr.weight, tr.quartic
+    clock, cap = tr.clock, tr.cap
     n_members, m = x.shape
     n_steps = table.shape[1] // m
     room = _SCREEN_LIMIT - abs(guard.offset) if proj is not None else None
@@ -387,7 +388,7 @@ def _affine_flow(domain, betas, f, x, side, g_val, dt):
         if proj is None:
             g, built = np.empty((len(x), n_steps)), np.ones(len(x), dtype=bool)
         else:
-            g, built = _screen(proj, side, g_val, y), ~((np.abs(y) * tr.weight).sum(axis=1) <= room)
+            g, built = _screen(proj, side, g_val, y), ~((np.abs(y) * weight).sum(axis=1) <= room)
         n_finite = n_steps
         if built.any():
             xs, g_built = _block(table, s[built], guard, side[built], x[built])
