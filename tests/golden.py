@@ -41,6 +41,9 @@ COMMANDS = (
         for m in _METHODS
     ]
     + [
+        # the one catalog design whose theorem-4 ladder passes j = 2 (q_scalings 100, 10, 1000)
+        ("synthesize-dlqr-t4-stable-3.json", 0,
+         ["synthesize", "-i", "analyze-stable-3.json", "--method", "dlqr", "--enforce-t4"]),
         ("certify-dlqr-stable-3.json", 0, ["certify", "-i", "synthesize-dlqr-stable-3.json"]),
         ("simulate-dlqr-stable-3.csv", 0,
          ["simulate", "--system", "stable-3", "--method", "dlqr", "--cycles", "20"]),
