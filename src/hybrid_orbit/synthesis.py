@@ -253,16 +253,16 @@ def dlqr_gains(
         try:
             gain, residual = _dlqr(a, f, q_i, r_i)
             if enforce_theorem4:
-                for _ in range(_MAX_Q_SCALINGS):
+                for j in range(_MAX_Q_SCALINGS + 1):
                     if np.abs(a - f @ gain).max() < 1.0 / k_dim:
                         break
+                    if j == _MAX_Q_SCALINGS:
+                        raise SynthesisError(
+                            f"phase {idx}: entrywise bound not reached after "
+                            f"{_MAX_Q_SCALINGS} Q scalings"
+                        )
                     scale *= 10.0
                     gain, residual = _dlqr(a, f, scale * q_i, r_i)
-                else:
-                    raise SynthesisError(
-                        f"phase {idx}: entrywise bound not reached after "
-                        f"{_MAX_Q_SCALINGS} Q scalings"
-                    )
         except NumericsError as exc:
             raise SynthesisError(f"phase {idx}: {exc}") from exc
         gains.append(gain)

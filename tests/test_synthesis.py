@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hybrid_orbit import synthesis
 from hybrid_orbit.numerics import _dare_residual, max_abs_entry, pinv, spectral_radius
 from hybrid_orbit.synthesis import (
     SynthesisError,
@@ -225,6 +226,18 @@ def test_dlqr_entrywise_bound_at_radius_30_certifies_or_refuses(sweep_set, q_wei
             continue
         for designed in designed_jacobians(jacs, gains):
             assert max_abs_entry(designed) < 1.0 / 3.0
+
+
+def test_the_ladder_checks_its_last_scaling(sweep_set, monkeypatch):
+    # this phase first meets 1/k at Q x 10; with one scaling allowed, the
+    # gain of that scaling is the last one solved, and it decides
+    jacs = sweep_set(1, 2, 8.1, 3, 6)[:1]
+    assert dlqr_gains(jacs, enforce_theorem4=True).q_scalings == [10.0]
+    monkeypatch.setattr(synthesis, "_MAX_Q_SCALINGS", 1)
+    assert dlqr_gains(jacs, enforce_theorem4=True).q_scalings == [10.0]
+    monkeypatch.setattr(synthesis, "_MAX_Q_SCALINGS", 0)
+    with pytest.raises(SynthesisError, match="phase 0: entrywise bound not reached after 0 Q scalings"):
+        dlqr_gains(jacs, enforce_theorem4=True)
 
 
 def test_dlqr_residuals_are_the_relative_riccati_residuals(paperfx):
