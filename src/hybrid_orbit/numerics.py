@@ -2,7 +2,9 @@
 
 Everything here operates on plain numpy arrays (real, row-major, finite)
 and is a pure function of its inputs, so all routines are safe to call
-from multiple threads.  PhaseJacobians, the per-phase (A_i, F_i) that
+from multiple threads.  The private Riccati and LQR solvers take (M, n, n)
+stacks of independent problems and make one numpy call per step for all
+of them; each member keeps the bits of its own solve and its own error.  PhaseJacobians, the per-phase (A_i, F_i) that
 poincare measures and synthesis designs from, lives here so that gain
 design needs no integrator.
 """
@@ -176,10 +178,37 @@ def _lq_problem(a, b, q, r) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     return a, b, q, r
 
 
-def _dare(a, b, q, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stabilizing solution P of the discrete algebraic Riccati equation of
-    a problem _lq_problem validated, and the residual Res(P) and gain K of
-    its final check.
+def _solve(lhs, rhs) -> tuple[np.ndarray, list]:
+    """np.linalg.solve of every member of a stack, and each member's
+    LinAlgError or None.  A stacked solve that raises is redone slice by
+    slice, only to name the singular members; their slices are zero."""
+    try:
+        return np.linalg.solve(lhs, rhs), [None] * len(lhs)
+    except np.linalg.LinAlgError:
+        pass
+    out, errors = np.zeros(rhs.shape), []
+    for i in range(len(lhs)):
+        try:
+            out[i] = np.linalg.solve(lhs[i], rhs[i])
+            errors.append(None)
+        except np.linalg.LinAlgError as exc:
+            errors.append(exc)
+    return out, errors
+
+
+def _first_errors(errors, raised, text) -> None:
+    """Record NumericsError(text.format(exc)) for each raised exc of a member
+    that has no error yet."""
+    for i, exc in enumerate(raised):
+        if exc is not None and errors[i] is None:
+            errors[i] = NumericsError(text.format(exc))
+
+
+def _dare(a, b, q, r) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """Stabilizing solutions P of the discrete algebraic Riccati equations of
+    an (M, n, n) stack of problems _lq_problem validated, the residuals
+    Res(P) and gains K of their final check, and each member's
+    NumericsError, or None where it was solved.
 
     P = A'PA - A'PB (B'PB + R)^-1 B'PA + Q, found in two steps:
 
@@ -198,72 +227,121 @@ def _dare(a, b, q, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     returning a wrong answer; the residual of the returned P is checked
     independently of the iteration.  That final check computes Res(P) and
     the gain K = (B'PB + R)^-1 B'PA.
+
+    Every step is one stacked numpy call over the members.  A member leaves
+    the doubling loop when it converges, diverges or hits a singular solve;
+    a failed member keeps its first error, and its slices of P, Res and K
+    mean nothing.  np.linalg and np.matmul work slice by slice, so each
+    member goes through the float operations it goes through alone, and
+    gets the same bits.
     """
-    n = a.shape[0]
+    m, n = a.shape[:2]
     eye = np.eye(n)
+    errors = [None] * m
     failure = "Riccati {}: (A, B) unstabilizable or ill-conditioned"
+    h_end = np.zeros(a.shape)
+    live = np.arange(m)
     with np.errstate(over="ignore", invalid="ignore"):
-        ak, gk, h = a, b @ np.linalg.solve(r, b.T), q
+        ak, gk, h = a, b @ np.linalg.solve(r, b.swapaxes(1, 2)), q
         for _ in range(100):
-            try:
-                solved = np.linalg.solve(eye + gk @ h, np.concatenate((ak, gk), axis=1))
-            except np.linalg.LinAlgError as exc:
-                raise NumericsError(failure.format(f"doubling hit a singular solve ({exc})")) from exc
-            w_a, w_g = solved[:, :n], solved[:, n:]
-            h_next = h + ak.T @ h @ w_a
-            h_next = 0.5 * (h_next + h_next.T)
-            gk = gk + ak @ w_g @ ak.T
-            gk = 0.5 * (gk + gk.T)
+            solved, singular = _solve(eye + gk @ h, np.concatenate((ak, gk), axis=2))
+            w_a, w_g = solved[:, :, :n], solved[:, :, n:]
+            h_next = h + ak.swapaxes(1, 2) @ h @ w_a
+            h_next = 0.5 * (h_next + h_next.swapaxes(1, 2))
+            gk = gk + ak @ w_g @ ak.swapaxes(1, 2)
+            gk = 0.5 * (gk + gk.swapaxes(1, 2))
             ak = ak @ w_a
-            size = np.abs(h_next).max()
-            if not size <= 1e100:
-                raise NumericsError(failure.format("doubling diverged"))
-            step = np.abs(h_next - h).max()
+            size = np.abs(h_next).max(axis=(1, 2))
+            step = np.abs(h_next - h).max(axis=(1, 2))
             h = h_next
-            if step < 1e-12 * max(1.0, size):
-                break
+            diverged = ~(size <= 1e100)
+            leave = diverged | (step < 1e-12 * np.maximum(1.0, size))
+            for j, exc in enumerate(singular):
+                if exc is not None:
+                    errors[live[j]] = NumericsError(failure.format(f"doubling hit a singular solve ({exc})"))
+                    leave[j] = True
+                elif diverged[j]:
+                    errors[live[j]] = NumericsError(failure.format("doubling diverged"))
+                elif leave[j]:
+                    h_end[live[j]] = h[j]
+            if leave.any():
+                stay = ~leave
+                live, ak, gk, h = live[stay], ak[stay], gk[stay], h[stay]
+                if not live.size:
+                    break
         else:
-            raise NumericsError(failure.format("doubling did not converge"))
+            for i in live:
+                errors[i] = NumericsError(failure.format("doubling did not converge"))
 
-        res, gain = _dare_residual(a, b, q, r, h)
+        # failed members go on with zeros and keep their first error
+        res, gain, singular = _dare_residual(a, b, q, r, h_end)
+        _first_errors(errors, singular, "Riccati gain hit a singular solve: {}")
         # I - kron(C', C') for C = A - BK, one product per entry
-        ct = (a - b @ gain).T
-        stein = np.eye(n * n) - (ct[:, None, :, None] * ct[None, :, None, :]).reshape(n * n, n * n)
-        try:
-            x = np.linalg.solve(stein, res.reshape(-1))
-        except np.linalg.LinAlgError as exc:
-            raise NumericsError(failure.format(f"Newton step hit a singular solve ({exc})")) from exc
-        x = x.reshape(n, n)
-        p = h + 0.5 * (x + x.T)
-        res, gain = _dare_residual(a, b, q, r, p)
-        residual = np.abs(res).max()
-    if not residual <= 1e-8 * max(1.0, np.abs(p).max()):
-        raise NumericsError(f"Riccati residual {residual:.3e} above tolerance")
-    return p, res, gain
+        ct = (a - b @ gain).swapaxes(1, 2)
+        kron = ct[:, :, None, :, None] * ct[:, None, :, None, :]
+        stein = np.eye(n * n) - kron.reshape(m, n * n, n * n)
+        x, singular = _solve(stein, res.reshape(m, n * n, 1))
+        _first_errors(errors, singular, failure.format("Newton step hit a singular solve ({})"))
+        x = x.reshape(m, n, n)
+        p = h_end + 0.5 * (x + x.swapaxes(1, 2))
+        res, gain, singular = _dare_residual(a, b, q, r, p)
+        _first_errors(errors, singular, "Riccati gain hit a singular solve: {}")
+        residual = np.abs(res).max(axis=(1, 2))
+        tolerance = 1e-8 * np.maximum(1.0, np.abs(p).max(axis=(1, 2)))
+    for i in np.flatnonzero(~(residual <= tolerance)):
+        if errors[i] is None:
+            errors[i] = NumericsError(f"Riccati residual {residual[i]:.3e} above tolerance")
+    return p, res, gain, errors
 
 
-def _dare_residual(a, b, q, r, p) -> tuple[np.ndarray, np.ndarray]:
-    """Riccati residual A'PA - A'PB (B'PB + R)^-1 B'PA + Q - P and the gain
-    K = (B'PB + R)^-1 B'PA it uses."""
-    btp = b.T @ p
+def _dare_residual(a, b, q, r, p) -> tuple[np.ndarray, np.ndarray, list]:
+    """Riccati residuals A'PA - A'PB (B'PB + R)^-1 B'PA + Q - P of a stack,
+    the gains K = (B'PB + R)^-1 B'PA they use, and each member's
+    LinAlgError of that solve, or None."""
+    btp = b.swapaxes(-1, -2) @ p
+    gain, singular = _solve(btp @ b + r, btp @ a)
+    return a.swapaxes(-1, -2) @ p @ a - (btp @ a).swapaxes(-1, -2) @ gain + q - p, gain, singular
+
+
+def _stacked_radii(stack) -> np.ndarray:
+    """spectral_radius of every member of a stack of square matrices, by
+    one stacked eigvals.  A member whose radius is not finite is to be
+    redone with spectral_radius, which raises what it raises alone: every
+    member when the stacked call raised, else each member whose eigenvalues
+    overflow."""
     try:
-        gain = np.linalg.solve(btp @ b + r, btp @ a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"Riccati gain hit a singular solve: {exc}") from exc
-    return a.T @ p @ a - (btp @ a).T @ gain + q - p, gain
+        return np.abs(np.linalg.eigvals(stack)).max(axis=-1)
+    except np.linalg.LinAlgError:
+        return np.full(len(stack), np.nan)
 
 
-def _dlqr(a, b, q, r) -> tuple[np.ndarray, float]:
-    """Discrete LQR gain K = (B'PB + R)^-1 B'PA of a problem _lq_problem
-    validated, and the relative Riccati residual of its P, max|Res(P)| /
-    max(1, max|P|), the quantity _dare bounds by 1e-8.
+def _dlqr(a, b, q, r) -> tuple[np.ndarray, np.ndarray, list]:
+    """Discrete LQR gains K = (B'PB + R)^-1 B'PA of an (M, n, n) stack of
+    problems _lq_problem validated, the relative Riccati residuals of their
+    P, max|Res(P)| / max(1, max|P|), the quantity _dare bounds by 1e-8, and
+    each member's error, or None where it was solved.
 
     K is the gain of _dare's final residual check, so it is the optimal
-    gain to the residual bound checked there.  The closed loop A - B K is
-    verified to be a strict contraction.
+    gain to the residual bound checked there.  Each closed loop A - B K is
+    verified to be a strict contraction, by one stacked eigvals.
     """
-    p, res, gain = _dare(a, b, q, r)
-    rho = spectral_radius(a - b @ gain)
-    if rho >= 1.0:
-        raise NumericsError(f"DLQR closed loop is not a contraction (rho = {rho:.6f})")
-    return gain, float(np.abs(res).max() / max(1.0, np.abs(p).max()))
+    p, res, gain, errors = _dare(a, b, q, r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        closed = a - b @ gain
+        residual = np.abs(res).max(axis=(1, 2)) / np.maximum(1.0, np.abs(p).max(axis=(1, 2)))
+    # a failed member's closed loop may not be finite, which stacked eigvals refuses
+    closed[[error is not None for error in errors]] = 0.0
+    radii = _stacked_radii(closed)
+    for i, error in enumerate(errors):
+        if error is not None:
+            continue
+        rho = radii[i]
+        if not np.isfinite(rho):
+            try:
+                rho = spectral_radius(closed[i])
+            except (NumericsError, ValueError) as exc:
+                errors[i] = exc
+                continue
+        if rho >= 1.0:
+            errors[i] = NumericsError(f"DLQR closed loop is not a contraction (rho = {rho:.6f})")
+    return gain, residual, errors

@@ -12,6 +12,13 @@ working phase by phase from the section-map sensitivities (A_i, F_i):
 The certificates check the two sufficient conditions under which the
 product of per-phase contractions is guaranteed to contract: all factors
 symmetric with radius below one, or all entries strictly below 1 / k.
+
+Each phase is designed on its own, so each step of a design or a
+certificate is one stacked numpy call over the phases that share the
+shapes of (A_i, F_i): one pinv, one Riccati solve per ladder block, one
+eigvals over the factors and their product.  np.linalg and np.matmul work
+slice by slice, so every phase gets the bits it gets when designed alone,
+and a failing call raises the error of its lowest failing phase.
 """
 
 import math
@@ -24,10 +31,9 @@ from .numerics import (
     PhaseJacobians,
     _dlqr,
     _lq_problem,
+    _stacked_radii,
     as_matrix,
     compose_jacobians,
-    max_abs_entry,
-    pinv,
     spectral_radius,
 )
 
@@ -55,6 +61,12 @@ SYMMETRY_TOL = 1e-10
 
 # DLQR with enforce_theorem4 grows Q tenfold at most this many times.
 _MAX_Q_SCALINGS = 12
+
+# The theorem-4 ladder solves this many consecutive tenfold scalings of
+# every undecided phase in one stacked solve.  Of 800 seeded (3, 6) sweep
+# phases 12/60/27/1.5% first meet 1/k at scaling j = 0/1/2/3, and the nine
+# catalog phases 2/5/1/1, so most phases are decided by the first block.
+_LADDER_BLOCK = 3
 
 
 class SynthesisError(RuntimeError):
@@ -116,6 +128,15 @@ def _unpack(jacs) -> list[tuple[np.ndarray, np.ndarray]]:
     return pairs
 
 
+def _shape_groups(pairs) -> list[list[int]]:
+    """Phase indices grouped by the shapes of (A_i, F_i), each group in
+    phase order; these phases can be stacked."""
+    groups = {}
+    for idx, (a, f) in enumerate(pairs):
+        groups.setdefault((a.shape, f.shape), []).append(idx)
+    return list(groups.values())
+
+
 def designed_jacobians(jacs, gains: GainSet) -> list[np.ndarray]:
     """Closed-loop per-phase Jacobians A_i - F_i K_i."""
     pairs = _unpack(jacs)
@@ -141,10 +162,26 @@ def _designed(idx, a, f, k) -> np.ndarray:
     return designed
 
 
-def _solve_gain(idx, a, f, target) -> tuple[np.ndarray, float]:
-    with np.errstate(over="ignore", invalid="ignore"):
-        gain = pinv(f) @ (a - target)
-        return gain, float(np.abs(_designed(idx, a, f, gain) - target).max())
+def _pinv_gains(pairs, targets) -> tuple[list[np.ndarray], list[float]]:
+    """Gains K_i = pinv(F_i) (A_i - T_i) and residuals max|A_i - F_i K_i - T_i|,
+    pinv as numerics.pinv, by one stacked pinv per shape group.  The lowest
+    phase whose designed Jacobian overflows raises NumericsError."""
+    gains, residuals, overflowed = [None] * len(pairs), [None] * len(pairs), []
+    for members in _shape_groups(pairs):
+        a, f = (np.stack(m) for m in zip(*(pairs[i] for i in members)))
+        target = np.stack([targets[i] for i in members])
+        with np.errstate(over="ignore", invalid="ignore"):
+            gain = np.linalg.pinv(f, rcond=1e-10) @ (a - target)
+            designed = a - f @ gain
+            residual = np.abs(designed - target).max(axis=(1, 2))
+        finite = np.isfinite(designed).all(axis=(1, 2))
+        for j, idx in enumerate(members):
+            gains[idx], residuals[idx] = gain[j], float(residual[j])
+            if not finite[j]:
+                overflowed.append(idx)
+    if overflowed:
+        raise NumericsError(f"phase {min(overflowed)}: designed Jacobian overflowed")
+    return gains, residuals
 
 
 def symmetric_matrix_gains(jacs, m_sym: np.ndarray | None = None) -> GainSet:
@@ -168,13 +205,11 @@ def symmetric_matrix_gains(jacs, m_sym: np.ndarray | None = None) -> GainSet:
     if spectral_radius(m_sym) >= 1.0:
         raise ValueError("target matrix must have spectral radius below one")
 
-    gains, residuals = [], []
-    for idx, (a, f) in enumerate(pairs):
-        if a.shape != m_sym.shape:
-            raise ValueError(f"phase {idx}: A has shape {a.shape}, the target {m_sym.shape}")
-        gain, residual = _solve_gain(idx, a, f, m_sym)
-        gains.append(gain)
-        residuals.append(residual)
+    # phases before the first misshapen A are designed first, and raise first
+    bad = next((idx for idx, (a, _) in enumerate(pairs) if a.shape != m_sym.shape), len(pairs))
+    gains, residuals = _pinv_gains(pairs[:bad], [m_sym] * bad)
+    if bad < len(pairs):
+        raise ValueError(f"phase {bad}: A has shape {pairs[bad][0].shape}, the target {m_sym.shape}")
     return GainSet(
         method="symmetric",
         gains=gains,
@@ -195,21 +230,25 @@ def scale_factor_gains(jacs, eta: float = 1.0) -> GainSet:
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
     pairs = _unpack(jacs)
-    gains, residuals, factors = [], [], []
-    for idx, (a, f) in enumerate(pairs):
-        m_i = max_abs_entry(a)
+    factors, targets, refused = [], [], None
+    for idx, (a, _) in enumerate(pairs):
+        m_i = float(np.abs(a).max())
         if m_i == 0.0:
-            raise SynthesisError(f"phase {idx}: A is zero, the scale factor is undefined")
+            refused = SynthesisError(f"phase {idx}: A is zero, the scale factor is undefined")
+            break
         k_dim = a.shape[0]
         c_i = eta / (k_dim * m_i)
         if not math.isfinite(c_i):
-            raise SynthesisError(
+            refused = SynthesisError(
                 f"phase {idx}: scale factor c_i = eta / (k max|A|) overflows at max|A| = {m_i:.3e}"
             )
-        gain, residual = _solve_gain(idx, a, f, (a / m_i) * (eta / k_dim))
-        gains.append(gain)
-        residuals.append(residual)
+            break
         factors.append(c_i)
+        targets.append((a / m_i) * (eta / k_dim))
+    # phases before a refused one are designed first, and raise first
+    gains, residuals = _pinv_gains(pairs[: len(targets)], targets)
+    if refused is not None:
+        raise refused
     return GainSet(
         method="scale_factor",
         gains=gains,
@@ -232,42 +271,78 @@ def dlqr_gains(
     strictly below 1 / k (larger Q shrinks the designed Jacobian); the
     applied scale is reported per phase.  The residual of each phase is
     the relative Riccati residual max|Res(P)| / max(1, max|P|) of its
-    final gain.  Each Q_i and R_i is checked once, Q_i symmetric positive
-    semi-definite and R_i symmetric positive definite; the tenfold scalings
-    of a checked Q_i are not checked again.
+    final gain.  Each Q_i and R_i the caller gives is checked once, Q_i
+    symmetric positive semi-definite and R_i symmetric positive definite;
+    the tenfold scalings of a checked Q_i are not checked again.
+
+    The phases of one shape group are solved in one stacked _dlqr.  With
+    enforce_theorem4 the scalings 10^j, j = 0 ... 12, are tried in blocks
+    of _LADDER_BLOCK = 3, every undecided phase's block in the same stacked
+    solve; for each phase the first scaling in order whose solve fails or
+    whose design meets 1 / k decides, and a phase that reaches 10^12 without
+    either is refused.
     """
     pairs = _unpack(jacs)
     n = len(pairs)
-    if q is None:
-        q = [np.eye(a.shape[0]) for a, _ in pairs]
-    if r is None:
-        r = [np.eye(f.shape[1]) for _, f in pairs]
-    if len(q) != n or len(r) != n:
-        raise ValueError("need one Q and one R per phase")
+    invalid = None
+    if q is None and r is None:
+        # identity weights need none of _lq_problem's checks
+        problems = [(a, f, np.eye(a.shape[0]), np.eye(f.shape[1])) for a, f in pairs]
+    else:
+        q = [np.eye(a.shape[0]) for a, _ in pairs] if q is None else q
+        r = [np.eye(f.shape[1]) for _, f in pairs] if r is None else r
+        if len(q) != n or len(r) != n:
+            raise ValueError("need one Q and one R per phase")
+        problems = []
+        for (a, f), q_i, r_i in zip(pairs, q, r):
+            try:
+                problems.append(_lq_problem(a, f, q_i, r_i))
+            except ValueError as exc:
+                # raised unless a phase before it fails
+                invalid = exc
+                break
 
-    gains, residuals, scalings = [], [], []
-    for idx, ((a, f), q_i, r_i) in enumerate(zip(pairs, q, r)):
-        a, f, q_i, r_i = _lq_problem(a, f, q_i, r_i)
-        k_dim = a.shape[0]
-        scale = 1.0
-        try:
-            gain, residual = _dlqr(a, f, q_i, r_i)
+    depth = _MAX_Q_SCALINGS + 1 if enforce_theorem4 else 1
+    decided = [None] * len(problems)  # (gain, residual, scale), or the phase's error
+    for members in _shape_groups([(a, f) for a, f, _, _ in problems]):
+        a, f, q_s, r_s = (np.stack(m) for m in zip(*(problems[i] for i in members)))
+        todo = list(range(len(members)))
+        for start in range(0, depth, _LADDER_BLOCK):
+            scales = [float(10**j) for j in range(start, min(start + _LADDER_BLOCK, depth))]
+            rows = np.repeat(todo, len(scales))
+            scale = np.tile(scales, len(todo))
+            gain, residual, errors = _dlqr(a[rows], f[rows], scale[:, None, None] * q_s[rows], r_s[rows])
             if enforce_theorem4:
-                for j in range(_MAX_Q_SCALINGS + 1):
-                    if np.abs(a - f @ gain).max() < 1.0 / k_dim:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    met = np.abs(a[rows] - f[rows] @ gain).max(axis=(1, 2)) < 1.0 / a.shape[1]
+            undecided = []
+            for t, pos in enumerate(todo):
+                # the first scaling in order that raises or meets 1/k decides
+                for u in range(t * len(scales), (t + 1) * len(scales)):
+                    if errors[u] is not None:
+                        decided[members[pos]] = errors[u]
                         break
-                    if j == _MAX_Q_SCALINGS:
-                        raise SynthesisError(
-                            f"phase {idx}: entrywise bound not reached after "
-                            f"{_MAX_Q_SCALINGS} Q scalings"
-                        )
-                    scale *= 10.0
-                    gain, residual = _dlqr(a, f, scale * q_i, r_i)
-        except NumericsError as exc:
-            raise SynthesisError(f"phase {idx}: {exc}") from exc
-        gains.append(gain)
-        residuals.append(residual)
-        scalings.append(scale)
+                    if not enforce_theorem4 or met[u]:
+                        decided[members[pos]] = (gain[u], float(residual[u]), float(scale[u]))
+                        break
+                else:
+                    undecided.append(pos)
+            todo = undecided
+            if not todo:
+                break
+        for pos in todo:
+            decided[members[pos]] = SynthesisError(
+                f"phase {members[pos]}: entrywise bound not reached after {_MAX_Q_SCALINGS} Q scalings"
+            )
+
+    for idx, outcome in enumerate(decided):
+        if isinstance(outcome, NumericsError):
+            raise SynthesisError(f"phase {idx}: {outcome}") from outcome
+        if isinstance(outcome, Exception):
+            raise outcome
+    if invalid is not None:
+        raise invalid
+    gains, residuals, scalings = (list(x) for x in zip(*decided))
     return GainSet(
         method="dlqr",
         gains=gains,
@@ -314,21 +389,33 @@ def certify_designed(designed, inexact_design: bool = False) -> StabilityReport:
     k_dim = factors[0].shape[0]
     if any(m.shape[0] != k_dim for m in factors):
         raise ValueError("designed Jacobians must share one dimension")
+    stack = np.stack(factors)
+    with np.errstate(over="ignore", invalid="ignore"):
+        defects = np.abs(stack - stack.swapaxes(1, 2)).max(axis=(1, 2))
+        product = compose_jacobians(factors)
+    entries = np.abs(stack).max(axis=(1, 2))
+    # the N factors and their product in one eigvals; an overflowing product
+    # sends the factors to spectral_radius one by one, and then raises
+    radii = _stacked_radii(np.concatenate((stack, product[None])))
+
+    def radius(idx, m) -> float:
+        return float(radii[idx]) if np.isfinite(radii[idx]) else spectral_radius(m)
+
     theorem3, theorem4 = [], []
     for idx, m in enumerate(factors):
-        defect = _symmetry_defect(m)
+        defect = float(defects[idx])
         if defect == np.inf:
             raise NumericsError(f"symmetry defect of designed Jacobian {idx} overflowed")
-        radius = spectral_radius(m)
+        rho = radius(idx, m)
         theorem3.append(
             {
                 "phase": idx,
                 "symmetry_defect": defect,
-                "radius": radius,
-                "ok": bool(defect <= SYMMETRY_TOL and radius < 1.0),
+                "radius": rho,
+                "ok": bool(defect <= SYMMETRY_TOL and rho < 1.0),
             }
         )
-        m_i = float(np.abs(m).max())
+        m_i = float(entries[idx])
         theorem4.append(
             {
                 "phase": idx,
@@ -337,11 +424,9 @@ def certify_designed(designed, inexact_design: bool = False) -> StabilityReport:
                 "ok": bool(m_i < 1.0 / k_dim),
             }
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        product = compose_jacobians(factors)
     if not np.isfinite(product).all():
         raise NumericsError("product of the designed Jacobians overflowed")
-    product_radius = spectral_radius(product)
+    product_radius = radius(-1, product)
     return StabilityReport(
         designed=designed,
         per_phase_radius=[entry["radius"] for entry in theorem3],

@@ -8,7 +8,10 @@ from hybrid_orbit.paper import PaperFixture
 
 def dare(a, b, q, r):
     """The stabilizing Riccati solution P that dlqr_gains computes its gain from."""
-    return _dare(*_lq_problem(a, b, q, r))[0]
+    p, _, _, (error,) = _dare(*(m[None] for m in _lq_problem(a, b, q, r)))
+    if error is not None:
+        raise error
+    return p[0]
 
 
 def corrupt(fixture: PaperFixture, field_name: str, index=None) -> PaperFixture:
