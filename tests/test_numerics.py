@@ -6,6 +6,8 @@ from scipy.linalg import solve_discrete_are
 
 from hybrid_orbit.numerics import (
     NumericsError,
+    _dare,
+    _solve,
     central_difference,
     eigenvalues,
     max_abs_entry,
@@ -393,3 +395,24 @@ def test_dlqr_closes_the_loop():
         b = rng.normal(size=(n, m))
         k = dlqr_gains([(a, b)], [np.eye(n)], [np.eye(m)]).gains[0]
         assert spectral_radius(a - b @ k) < 1.0
+
+
+def test_a_singular_stacked_solve_names_only_the_singular_member():
+    lhs = np.stack([2.0 * np.eye(2), np.zeros((2, 2)), np.array([[1.0, 2.0], [3.0, 4.0]])])
+    rhs = np.arange(12.0).reshape(3, 2, 2)
+    x, errors = _solve(lhs, rhs)
+    assert errors[0] is None and errors[2] is None
+    assert isinstance(errors[1], np.linalg.LinAlgError)
+    for i in (0, 2):
+        assert x[i].tobytes() == np.linalg.solve(lhs[i], rhs[i]).tobytes()
+
+
+def test_a_failing_riccati_member_leaves_the_others_their_own_solves():
+    e2 = np.array([[0.0], [1.0]])
+    members = [(np.diag([0.5, 0.2]), e2), (np.diag([1.5, 0.5]), e2), (np.array([[0.9, 0.3], [0.0, 1.2]]), e2)]
+    a, b = (np.stack(m) for m in zip(*members))
+    p, _, _, errors = _dare(a, b, np.stack([np.eye(2)] * 3), np.stack([np.eye(1)] * 3))
+    assert errors[0] is None and errors[2] is None
+    assert str(errors[1]) == "Riccati doubling diverged: (A, B) unstabilizable or ill-conditioned"
+    for i in (0, 2):
+        assert p[i].tobytes() == dare(*members[i], np.eye(2), np.eye(1)).tobytes()

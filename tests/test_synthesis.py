@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hybrid_orbit import synthesis
-from hybrid_orbit.numerics import _dare_residual, max_abs_entry, pinv, spectral_radius
+from hybrid_orbit.numerics import NumericsError, _dare_residual, max_abs_entry, pinv, spectral_radius
 from hybrid_orbit.synthesis import (
     SynthesisError,
     certify_designed,
@@ -14,6 +14,7 @@ from hybrid_orbit.synthesis import (
     stability_report,
     symmetric_matrix_gains,
 )
+from hybrid_orbit.synthetic import from_catalog
 from helpers import dare
 
 
@@ -415,3 +416,101 @@ def test_report_verdict_consistency_randomized():
         assert report.stable == (report.product_radius < 1.0)
         if report.cert_theorem3.passed or report.cert_theorem4.passed:
             assert report.stable
+
+
+# ------------------------------------------------------------- stacked phases
+
+DESIGNS = {
+    "symmetric": symmetric_matrix_gains,
+    "scale": scale_factor_gains,
+    "dlqr": dlqr_gains,
+    "dlqr_t4": lambda jacs: dlqr_gains(jacs, enforce_theorem4=True),
+}
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def assert_each_phase_as_alone(design, jacs):
+    # every phase of a stacked design and certificate has the bits of the
+    # same phase designed and certified alone; a refused call raises the
+    # error of its lowest phase that is refused alone, with that text
+    try:
+        whole = design(jacs)
+    except (SynthesisError, NumericsError) as exc:
+        for idx, pair in enumerate(jacs):
+            try:
+                design([pair])
+            except (SynthesisError, NumericsError) as alone:
+                assert type(exc) is type(alone)
+                assert str(exc) == str(alone).replace("phase 0:", f"phase {idx}:", 1)
+                return
+        raise AssertionError(f"refused as a whole only: {exc}")
+    report = stability_report(jacs, whole)
+    for idx, pair in enumerate(jacs):
+        alone = design([pair])
+        alone_report = stability_report([pair], alone)
+        assert bits(whole.gains[idx]) == bits(alone.gains[0])
+        assert bits(whole.residuals[idx]) == bits(alone.residuals[0])
+        for name in ("q_scalings", "scale_factors"):
+            if getattr(alone, name) is not None:
+                assert bits(getattr(whole, name)[idx]) == bits(getattr(alone, name)[0])
+        assert bits(report.designed[idx]) == bits(alone_report.designed[0])
+        assert bits(report.per_phase_radius[idx]) == bits(alone_report.per_phase_radius[0])
+        for cert in ("cert_theorem3", "cert_theorem4"):
+            entry = getattr(report, cert).per_phase[idx]
+            alone_entry = getattr(alone_report, cert).per_phase[0]
+            assert {**entry, "phase": 0} == alone_entry
+
+
+@pytest.mark.parametrize("design", DESIGNS)
+@pytest.mark.parametrize("system", ["stable-2", "stable-3", "unstable-2", "boundary-2", "uncoupled-2"])
+def test_a_catalog_phase_designs_as_it_does_alone(design, system):
+    assert_each_phase_as_alone(DESIGNS[design], list(from_catalog(system).jacobians))
+
+
+@pytest.mark.parametrize("design", DESIGNS)
+def test_a_sweep_phase_designs_as_it_does_alone(design, sweep_set):
+    for i in range(8):
+        for radius in (8.1, 30.0):
+            for k, p in ((3, 6), (4, 2)):
+                assert_each_phase_as_alone(DESIGNS[design], sweep_set(1, i, radius, k, p))
+            # two shape groups: a (3, 2) phase between two (3, 6) phases
+            first, second = sweep_set(2, i, radius, 3, 6)
+            assert_each_phase_as_alone(DESIGNS[design], [first, sweep_set(3, i, radius, 3, 2)[0], second])
+
+
+FAILING = {
+    "overflow": (1e200 * np.eye(2), np.array([[1e-200], [0.0]])),
+    "overflow-p2": (1e200 * np.eye(2), np.array([[1e-200, 0.0], [0.0, 0.0]])),
+    "zero": (np.zeros((2, 2)), np.eye(2)),
+    "unstabilizable": (2.0 * np.eye(2), np.zeros((2, 2))),
+}
+
+
+@pytest.mark.parametrize("design", DESIGNS)
+@pytest.mark.parametrize("first, second", [("overflow", "overflow-p2"), ("overflow-p2", "zero"),
+                                           ("zero", "overflow"), ("unstabilizable", "overflow")])
+def test_the_lowest_failing_phase_raises_its_own_error(design, first, second):
+    # phases 1 and 2 both fail, in one shape group or in two
+    fails_alone = []
+    for name in (first, second):
+        try:
+            DESIGNS[design]([FAILING[name]])
+            fails_alone.append(False)
+        except (SynthesisError, NumericsError):
+            fails_alone.append(True)
+    jacs = [(0.5 * np.eye(2), np.eye(2)), FAILING[first], FAILING[second]]
+    if any(fails_alone):
+        with pytest.raises((SynthesisError, NumericsError)):
+            DESIGNS[design](jacs)
+    assert_each_phase_as_alone(DESIGNS[design], jacs)
+
+
+def test_a_failing_phase_before_an_invalid_weight_raises_first():
+    ok, bad_q = (0.5 * np.eye(2), np.eye(2)), np.diag([1.0, -1.0])
+    with pytest.raises(SynthesisError, match="phase 0: Riccati doubling diverged"):
+        dlqr_gains([FAILING["unstabilizable"], ok], q=[np.eye(2), bad_q])
+    with pytest.raises(ValueError, match="semi-definite"):
+        dlqr_gains([ok, FAILING["unstabilizable"]], q=[bad_q, np.eye(2)])
